@@ -6,14 +6,12 @@ independent brute-force and Monte Carlo verification of every closed form.
 
 from .combinatorics import (
     ball_moment_exact,
-    composition_count,
     compositions,
     moment_sum_bruteforce,
     moment_sum_closed,
     verify_diagonal_identity,
 )
 from .exactarith import (
-    Rational,
     binomial,
     double_factorial_odd,
     factorial,
@@ -35,18 +33,13 @@ from .morphism import (
     SelfCheckError,
     blowup_flags,
     blowup_lattice,
-    blowup_order,
     blowup_weinstein,
     cpn_lattice,
     cpn_q,
     cpn_weinstein,
     cpn_weinstein_raw,
-    embed_ball_to_cpn,
-    inverse_embed,
     product_cpn_lattice,
     product_value,
-    trace_action,
-    trace_action_from_moduli,
 )
 from .symbolic import (
     Lattice,
@@ -60,7 +53,6 @@ from .symbolic import (
     lattice_sum,
     poly_gcd,
     rational_gcd,
-    ratfunc_reduce,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import combinatorics, verify
-from .exactarith import factorial, format_rational, parse_rational
+from .exactarith import factorial, format_rational, parse_rational, require_weight
 from .montecarlo import mc_ball_moment
 from .morphism import (
     ManifoldDescriptor,
@@ -103,8 +103,7 @@ def _cmd_blowup(args) -> int:
         )
     if args.rho is not None:
         rho = parse_rational(args.rho)
-        if not 0 < rho < 1:
-            raise ValueError(f"rho must lie in (0, 1), got {rho}")
+        require_weight(rho)
         x0 = rho * rho
         coeff = f.evaluate(x0)
         numeric = float(coeff) * math.pi**args.k
@@ -127,7 +126,15 @@ def _cmd_moment(args) -> int:
     r0 = parse_rational(args.r0)
     coeff, pi_exp = combinatorics.ball_moment_exact(args.n, args.l, args.k, r0)
     base_coeff, _ = combinatorics.ball_moment_exact(args.n, args.l, args.k, Fraction(1))
-    numeric = float(coeff) * math.pi**pi_exp
+    try:
+        scale = float(coeff)
+    except OverflowError:
+        # At r0 = 1 the coefficient is below 1, so only r0 can overflow it.
+        raise ValueError(
+            f"--r0 {args.r0}: the moment exceeds the float range"
+            f" (r0 enters as r0^{2 * (args.n + args.k)})"
+        ) from None
+    numeric = scale * math.pi**pi_exp
     body = {
         "coefficient": format_rational(coeff),
         "pi_exp": pi_exp,

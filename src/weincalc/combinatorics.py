@@ -20,7 +20,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .exactarith import binomial, factorial, multinomial
+from .exactarith import (
+    binomial,
+    factorial,
+    multinomial,
+    require_moment,
+    require_positive,
+    require_radius,
+)
 
 Composition = tuple[int, ...]
 
@@ -33,6 +40,8 @@ def compositions(weight: int, slots: int) -> Iterator[Composition]:
     """
     if weight < 0:
         raise ValueError(f"weight must be >= 0, got {weight}")
+    # Checked inline, not through require_positive: this generator starts
+    # once per enumerated prefix, and a call here slows the enumeration.
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
     if slots == 1:
@@ -43,15 +52,10 @@ def compositions(weight: int, slots: int) -> Iterator[Composition]:
             yield (first,) + rest
 
 
-def composition_count(weight: int, slots: int) -> int:
-    """Stars-and-bars count of compositions(weight, slots)."""
-    return binomial(weight + slots - 1, slots - 1)
-
-
 @lru_cache(maxsize=None)
 def moment_sum_bruteforce(k: int, l: int) -> int:
     """S(k, l) by direct enumeration of all compositions of k into 2l slots."""
-    _require_kl(k, l)
+    require_positive(k=k, l=l)
     # Local double-factorial table: parts never exceed k.
     df = [1] * (k + 1)
     for i in range(2, k + 1):
@@ -67,7 +71,7 @@ def moment_sum_bruteforce(k: int, l: int) -> int:
 
 def moment_sum_closed(k: int, l: int) -> int:
     """S(k, l) = 2^k * k! * C(k+l-1, k)."""
-    _require_kl(k, l)
+    require_positive(k=k, l=l)
     return 2**k * factorial(k) * binomial(k + l - 1, k)
 
 
@@ -76,8 +80,7 @@ def verify_diagonal_identity(k_max: int) -> list[tuple[int, int, int, bool]]:
 
     Returns one row (k, bruteforce, closed, equal) per 1 <= k <= k_max.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    require_positive(k_max=k_max)
     rows = []
     for k in range(1, k_max + 1):
         brute = moment_sum_bruteforce(k, k)
@@ -96,22 +99,12 @@ def ball_moment_exact(
 
     returned as (coeff, n) with coeff = r0^(2(n+k)) * S(k,l) / (2^k (n+k)!).
     """
-    if not 1 <= l <= n:
-        raise ValueError(f"l must satisfy 1 <= l <= n, got l={l} with n={n}")
-    _require_kl(k, l)
+    require_moment(n, l, k)
     r0 = Fraction(r0)
-    if r0 <= 0:
-        raise ValueError(f"r0 must be > 0, got {r0}")
+    require_radius(r0)
     coeff = (
         r0 ** (2 * (n + k))
         * moment_sum_closed(k, l)
         / (2**k * factorial(n + k))
     )
     return coeff, n
-
-
-def _require_kl(k: int, l: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")

@@ -1,8 +1,11 @@
-"""Exact integer and rational arithmetic primitives.
+"""Exact integer and rational arithmetic primitives, and the parameter rules
+that every module checks its inputs against.
 
 Every identity check and lattice decision downstream must be a genuine
-decision procedure, so this module is integer and ``Fraction`` arithmetic
-only -- no floats anywhere.
+decision procedure, so the arithmetic here is integer and ``Fraction`` only
+-- no floats anywhere.  Each parameter rule has one ``require_*`` helper and
+one message text; the helpers compare whatever number they are given, so the
+exact routes and the Monte Carlo oracles share them.
 """
 
 from __future__ import annotations
@@ -10,11 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence
-
-# The universal exact scalar: arbitrary precision, always stored reduced with
-# a positive denominator, which is exactly the canonical form we need.
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"``, ``"p"``, or an exact decimal string such as ``"0.25"``.
@@ -70,3 +68,37 @@ def multinomial(k: int, parts: Sequence[int]) -> int:
     for p in parts:
         out //= math.factorial(p)
     return out
+
+
+def require_positive(**values: int) -> None:
+    """Each named value is >= 1 (checked in the order given)."""
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def require_degree(n: int, k: int) -> None:
+    """1 <= k <= n: a degree 2k-1 class on CP^n."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got n={n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k} with n={n}")
+
+
+def require_moment(n: int, l: int, k: int) -> None:
+    """1 <= l <= n and k >= 1: the moment of |z_1..z_l|^2 to the k over B^2n."""
+    if not 1 <= l <= n:
+        raise ValueError(f"l must satisfy 1 <= l <= n, got l={l} with n={n}")
+    require_positive(k=k)
+
+
+def require_radius(r0: Fraction | float) -> None:
+    """A ball radius r0 > 0."""
+    if r0 <= 0:
+        raise ValueError(f"r0 must be > 0, got {r0}")
+
+
+def require_weight(rho: Fraction | float) -> None:
+    """A blow-up weight 0 < rho < 1."""
+    if not 0 < rho < 1:
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")

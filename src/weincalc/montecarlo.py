@@ -4,11 +4,11 @@ Sampling is uniform on the open 2n-ball: direction from 2n standard normals
 normalized to unit length, radius r0 * U^(1/(2n)).  (Rejection sampling is
 useless in 2n >= 8 dimensions, this construction is not.)
 
-Determinism contract: an estimate depends only on (parameters, seed).  The
-sample stream is split into fixed chunks of 65536; chunk i draws from a
-PCG64 generator seeded with the i-th child of SeedSequence(seed), and chunk
-partial sums are reduced in chunk order.  Worker scheduling can therefore
-never change a result bit.
+Determinism contract: the sample stream is split into fixed chunks of
+65536; chunk i draws from a PCG64 generator seeded with the i-th child of
+SeedSequence(seed), and the chunks run one after another, their partial sums
+reduced in chunk order.  An estimate therefore depends only on
+(parameters, seed).
 """
 
 from __future__ import annotations
@@ -18,6 +18,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .exactarith import (
+    require_degree,
+    require_moment,
+    require_positive,
+    require_radius,
+    require_weight,
+)
 
 CHUNK_SIZE = 1 << 16
 
@@ -47,30 +55,23 @@ class McEstimate:
         }
 
 
-def sample_ball(n: int, r0: float, rng: np.random.Generator, size: int | None = None):
-    """Uniform points in the open ball of radius r0 in R^(2n).
-
-    Returns a single length-2n array, or a (size, 2n) array when `size` is
-    given.  Consumes the rng stream in a fixed order (normals, then radii).
+def sample_ball(n: int, r0: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """A (size, 2n) array of uniform points in the open ball of radius r0 in
+    R^(2n).  Consumes the rng stream in a fixed order (normals, then radii).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if r0 <= 0:
-        raise ValueError(f"r0 must be > 0, got {r0}")
-    count = 1 if size is None else size
-    directions = rng.standard_normal((count, 2 * n))
+    require_positive(n=n)
+    require_radius(r0)
+    directions = rng.standard_normal((size, 2 * n))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = r0 * rng.random(count) ** (1.0 / (2 * n))
-    points = directions * radii[:, None]
-    return points[0] if size is None else points
+    radii = r0 * rng.random(size) ** (1.0 / (2 * n))
+    return directions * radii[:, None]
 
 
 def _estimate(
     samples: int, seed: int, chunk_values: Callable[[np.random.Generator, int], np.ndarray]
 ) -> McEstimate:
     """Chunked accumulation with canonical reduction order (see module doc)."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    require_positive(samples=samples)
     n_chunks = (samples + CHUNK_SIZE - 1) // CHUNK_SIZE
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     total = 0.0
@@ -102,9 +103,8 @@ def mc_ball_moment(
     """Estimate the ball moment integral of (|z_1|^2 + ... + |z_l|^2)^k over
     the radius-r0 ball in C^n with Lebesgue measure: ball volume times the
     sample mean of the integrand."""
-    _require_moment_params(n, l, k)
-    if r0 <= 0:
-        raise ValueError(f"r0 must be > 0, got {r0}")
+    require_moment(n, l, k)
+    require_radius(r0)
     volume = math.pi**n * r0 ** (2 * n) / math.factorial(n)
 
     def chunk(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -117,10 +117,12 @@ def mc_ball_moment(
 
 
 def mc_cpn_average(n: int, k: int, samples: int, seed: int) -> McEstimate:
-    """Estimate the morphism value on CP^n by averaging the trace volume
-    (pi^k/k!) (|z_1|^2 + ... + |z_k|^2)^k over the unit ball, whose embedded
-    image fills CP^n up to measure zero.  Expected value: q(n,k) pi^k/k!."""
-    _require_degree_params(n, k)
+    """Estimate the morphism value on CP^n by averaging
+    (pi^k/k!) (|z_1|^2 + ... + |z_k|^2)^k over the unit ball, whose image
+    under z -> w = [z : sqrt(1 - |z|^2)] fills CP^n up to measure zero.  This
+    is the trace volume (pi^k/k!) (sum_{j<=k} |w_j|^2/|w|^2)^k of the embedded
+    point, because that point has |w| = 1.  Expected value: q(n,k) pi^k/k!."""
+    require_degree(n, k)
     scale = math.pi**k / math.factorial(k)
 
     def chunk(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -139,9 +141,8 @@ def mc_blowup_average(n: int, k: int, rho: float, samples: int, seed: int) -> Mc
     complement indicator, normalized by the blow-up volume
     pi^n (1 - rho^(2n))/n!.  Expected value: f_k(rho^2) * pi^k.
     """
-    _require_degree_params(n, k)
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+    require_degree(n, k)
+    require_weight(rho)
     scale = math.pi**k / math.factorial(k) / (1.0 - rho ** (2 * n))
     rho_sq = rho * rho
 
@@ -153,19 +154,3 @@ def mc_blowup_average(n: int, k: int, rho: float, samples: int, seed: int) -> Mc
         return scale * s**k * outside
 
     return _estimate(samples, seed, chunk)
-
-
-def _require_moment_params(n: int, l: int, k: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= l <= n:
-        raise ValueError(f"l must satisfy 1 <= l <= n, got l={l} with n={n}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-
-def _require_degree_params(n: int, k: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k} with n={n}")

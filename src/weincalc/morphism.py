@@ -3,9 +3,8 @@
 Covers complex projective space with the Fubini-Study form normalized so a
 projective line has area pi, its one-point symplectic blow-up of weight rho
 (through the induced value, with x = rho^2 formal), and Cartesian products
-with a manifold known through its rational period data.  Also the explicit
-dense ball embedding into CP^n and the pointwise trace-volume formula that
-feed the Monte Carlo oracles.
+with a manifold known through its rational period data.  The Monte Carlo
+oracles in `montecarlo` check these values independently of this module.
 
 Conventions: values live in the basis of plain pi powers, so the morphism
 value on CP^n in degree 2k-1 is stored as (q/k!) * pi^k against the period
@@ -19,13 +18,19 @@ cleanly and give the familiar order n+1 in pi_1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import combinatorics
-from .exactarith import binomial, factorial, format_rational, parse_rational
+from .exactarith import (
+    binomial,
+    factorial,
+    format_rational,
+    parse_rational,
+    require_degree,
+    require_positive,
+)
 from .symbolic import (
     Lattice,
     OrderResult,
@@ -65,32 +70,24 @@ class CosetValue:
         return lattice_order(self.value, self.lattice)
 
 
-def _require_degree(n: int, k: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got n={n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k} with n={n}")
-
-
 def cpn_q(n: int, k: int) -> Fraction:
     """q(n, k) = n! k! C(2k-1, k) / (n+k)!: the multiple of pi^k/k! taken by
     the morphism on the standard unitary generator of degree 2k-1."""
-    _require_degree(n, k)
+    require_degree(n, k)
     return Fraction(factorial(n) * factorial(k) * binomial(2 * k - 1, k), factorial(n + k))
 
 
 def cpn_weinstein_raw(n: int, k: int) -> Fraction:
     """The pre-simplification value n!/((n+k)! 2^k) * S(k, k), with S evaluated
     by brute-force enumeration.  Internal oracle for cpn_q."""
-    _require_degree(n, k)
+    require_degree(n, k)
     s = combinatorics.moment_sum_bruteforce(k, k)
     return Fraction(factorial(n), factorial(n + k) * 2**k) * s
 
 
 def cpn_lattice(k: int) -> Lattice:
     """Degree-2k period lattice of CP^n: the single generator pi^k/k!."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    require_positive(k=k)
     return Lattice([(Fraction(1, factorial(k)), k, 0)])
 
 
@@ -115,14 +112,10 @@ def cpn_weinstein(n: int, k: int) -> CosetValue:
     return CosetValue(value, cpn_lattice(k))
 
 
-def blowup_lattice(k: int, base: Lattice | None = None) -> Lattice:
-    """Degree-2k period lattice of a one-point blow-up: base + Z*(pi^k x^k / k!).
-
-    Defaults to the CP^n base lattice, for which this is <pi^k/k!, pi^k x^k/k!>.
-    """
-    if base is None:
-        base = cpn_lattice(k)
-    return lattice_sum(base, Lattice([(Fraction(1, factorial(k)), k, k)]))
+def blowup_lattice(k: int) -> Lattice:
+    """Degree-2k period lattice of the one-point blow-up of CP^n: the CP^n
+    lattice plus Z*(pi^k x^k / k!), that is <pi^k/k!, pi^k x^k/k!>."""
+    return lattice_sum(cpn_lattice(k), Lattice([(Fraction(1, factorial(k)), k, k)]))
 
 
 def blowup_weinstein(n: int, k: int) -> CosetValue:
@@ -133,7 +126,10 @@ def blowup_weinstein(n: int, k: int) -> CosetValue:
         f_k(x) = (q(n,k)/k!) * (1 - x^(n+k)) / (1 - x^n),      x = rho^2,
 
     taken against the lattice <pi^k/k!, pi^k x^k/k!>.  Setting x = 0 recovers
-    the CP^n value.
+    the CP^n value.  The order is infinite for every k < n (the reduced
+    denominator of f_k survives, since n does not divide n+k).  At k = n the
+    correction factor divides exactly, f_n = (1/(2 n!)) (1 + x^n), and the
+    computed order is Finite(2); see blowup_flags.
     """
     q = _checked_q(n, k)
     f = RatFuncQ(
@@ -141,18 +137,6 @@ def blowup_weinstein(n: int, k: int) -> CosetValue:
         PolyQ.one_minus_x_pow(n),
     )
     return CosetValue(PiGradedValue({k: f}), blowup_lattice(k))
-
-
-def blowup_order(n: int, k: int) -> OrderResult:
-    """Order of the lifted class modulo the blow-up period lattice.
-
-    Infinite for every k < n (the reduced denominator of f_k survives, since
-    n does not divide n+k).  At k = n the correction factor divides exactly,
-    f_n = (1/(2 n!)) (1 + x^n), and the computed order is Finite(2); see
-    blowup_flags.
-    """
-    cv = blowup_weinstein(n, k)
-    return cv.order()
 
 
 def blowup_flags(n: int, k: int, order: OrderResult) -> list[str]:
@@ -254,7 +238,7 @@ class ManifoldDescriptor:
             )
 
         periods: dict[int, tuple[Fraction, ...]] = {}
-        for key, gens in doc.get("periods", {}).items():
+        for key, gens in _json_object(doc, "periods").items():
             try:
                 degree = int(key)
             except (TypeError, ValueError):
@@ -276,10 +260,12 @@ class ManifoldDescriptor:
                         f"period {g!r} is not rational; only manifolds with "
                         f"rational period groups are supported",
                     )
+                if parsed[-1] == 0:
+                    raise DescriptorError(f"periods.{key}", f"period {g!r} must be nonzero")
             periods[degree] = tuple(parsed)
 
         classes: dict[str, NamedClass] = {}
-        for name, entry in doc.get("classes", {}).items():
+        for name, entry in _json_object(doc, "classes").items():
             if not isinstance(entry, dict) or "degree" not in entry:
                 raise DescriptorError(
                     f"classes.{name}", "must be an object with 'degree' and 'value'"
@@ -303,6 +289,14 @@ class ManifoldDescriptor:
         )
 
 
+def _json_object(doc: dict, fieldname: str) -> dict:
+    """The optional field `fieldname` of `doc`, which must be a JSON object."""
+    value = doc.get(fieldname, {})
+    if not isinstance(value, dict):
+        raise DescriptorError(fieldname, f"must be a JSON object, got {value!r}")
+    return value
+
+
 def product_cpn_lattice(n: int, k: int, m_desc: ManifoldDescriptor) -> Lattice:
     """Degree-2k period lattice of CP^n x M, generated by
 
@@ -310,7 +304,7 @@ def product_cpn_lattice(n: int, k: int, m_desc: ManifoldDescriptor) -> Lattice:
 
     Degrees missing from the descriptor contribute nothing.
     """
-    _require_degree(n, k)
+    require_degree(n, k)
     if k > m_desc.half_dimension:
         raise ValueError(
             f"k={k} exceeds the descriptor dimension bound "
@@ -321,78 +315,3 @@ def product_cpn_lattice(n: int, k: int, m_desc: ManifoldDescriptor) -> Lattice:
         for p in m_desc.periods.get(2 * j, ()):
             gens.append((p / factorial(k - j), k - j, 0))
     return Lattice(gens)
-
-
-# ---------------------------------------------------------------------------
-# the dense ball embedding and the pointwise trace volume
-
-
-def embed_ball_to_cpn(z: Sequence[complex]) -> tuple[complex, ...]:
-    """Symplectic embedding of the open unit 2n-ball into CP^n:
-
-        (z_1, ..., z_n) -> [z_1 : ... : z_n : sqrt(1 - sum |z_j|^2)].
-    """
-    z = tuple(complex(c) for c in z)
-    if not z:
-        raise ValueError("embed_ball_to_cpn requires at least one coordinate")
-    sq = sum(abs(c) ** 2 for c in z)
-    if sq >= 1.0:
-        raise ValueError(f"point has squared norm {sq} >= 1, outside the open ball")
-    return z + (complex(math.sqrt(1.0 - sq)),)
-
-
-def inverse_embed(w: Sequence[complex]) -> tuple[complex, ...]:
-    """Preimage in the open ball of [w_1 : ... : w_{n+1}] with w_{n+1} != 0:
-
-        (1 + sum |w_j/w_{n+1}|^2)^(-1/2) * (w_1/w_{n+1}, ..., w_n/w_{n+1}).
-
-    Points with w_{n+1} = 0 lie on the complement hyperplane and are rejected.
-    """
-    w = tuple(complex(c) for c in w)
-    if len(w) < 2:
-        raise ValueError("inverse_embed requires at least two homogeneous coordinates")
-    if w[-1] == 0:
-        raise ValueError("last homogeneous coordinate is zero: point lies on the hyperplane")
-    ratios = tuple(c / w[-1] for c in w[:-1])
-    scale = 1.0 / math.sqrt(1.0 + sum(abs(r) ** 2 for r in ratios))
-    return tuple(scale * r for r in ratios)
-
-
-def trace_action(n: int, k: int, w: Sequence) -> Fraction | float:
-    """Enclosed omega^k-volume of the trace sphere of [w], as the coefficient
-    of pi^k (so the volume itself is result * pi^k):
-
-        result = (1/k!) * ( sum_{j<=k} |w_j|^2 / (|w|^2) )^k,
-
-    writing |w|^2 for |w_{n+1}|^2 + sum_{j<=n} |w_j|^2.  Exact Fraction when
-    all coordinates are exact real numbers (int/Fraction), float otherwise.
-    The value is invariant under phase changes of single coordinates and
-    under rescaling the whole representative; w_{n+1} = 0 is rejected.
-    """
-    coords = tuple(w)
-    if len(coords) != n + 1:
-        raise ValueError(f"expected {n + 1} homogeneous coordinates, got {len(coords)}")
-    if all(isinstance(c, (int, Fraction)) for c in coords):
-        sq: list = [Fraction(c) ** 2 for c in coords]
-    else:
-        sq = [abs(complex(c)) ** 2 for c in coords]
-    return trace_action_from_moduli(n, k, sq)
-
-
-def trace_action_from_moduli(n: int, k: int, sq_moduli: Sequence) -> Fraction | float:
-    """trace_action from the squared moduli |w_j|^2 themselves, for points
-    whose coordinates are irrational but whose squared moduli are not
-    (e.g. |w| = sqrt(2) contributes an exact 2)."""
-    _require_degree(n, k)
-    sq = list(sq_moduli)
-    if len(sq) != n + 1:
-        raise ValueError(f"expected {n + 1} squared moduli, got {len(sq)}")
-    if any(m < 0 for m in sq):
-        raise ValueError("squared moduli must be nonnegative")
-    if sq[-1] == 0:
-        raise ValueError("last homogeneous coordinate is zero: point lies on the hyperplane")
-    if all(isinstance(m, (int, Fraction)) for m in sq):
-        ratio = Fraction(sum(Fraction(m) for m in sq[:k])) / sum(Fraction(m) for m in sq)
-        return ratio**k / factorial(k)
-    ratio = float(sum(sq[:k])) / float(sum(sq))
-    return ratio**k / factorial(k)

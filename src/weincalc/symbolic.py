@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .exactarith import format_rational, parse_rational
+from .exactarith import format_rational, parse_rational, require_positive
 
 
 class PolyQ:
@@ -48,8 +48,7 @@ class PolyQ:
     @classmethod
     def one_minus_x_pow(cls, m: int) -> PolyQ:
         """1 - x^m (the blow-up volume factors are all of this shape)."""
-        if m < 1:
-            raise ValueError(f"power must be >= 1, got {m}")
+        require_positive(power=m)
         return cls({0: Fraction(1), m: Fraction(-1)})
 
     def __bool__(self) -> bool:
@@ -99,14 +98,6 @@ class PolyQ:
         return PolyQ(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> PolyQ:
-        if n < 0:
-            raise ValueError("negative power")
-        out = PolyQ.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __divmod__(self, other: PolyQ) -> tuple[PolyQ, PolyQ]:
         """Euclidean division in Q[x]: self = q*other + r with deg r < deg other."""
@@ -209,11 +200,6 @@ class RatFuncQ:
     def is_polynomial(self) -> bool:
         return self.den == PolyQ.const(1)
 
-    def as_polynomial(self) -> PolyQ:
-        if not self.is_polynomial:
-            raise ValueError(f"not a polynomial: {self}")
-        return self.num
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
@@ -227,14 +213,8 @@ class RatFuncQ:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
-    def __neg__(self) -> RatFuncQ:
-        return RatFuncQ(-self.num, self.den)
-
     def __add__(self, other: RatFuncQ) -> RatFuncQ:
         return RatFuncQ(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: RatFuncQ) -> RatFuncQ:
-        return self + (-other)
 
     def __mul__(self, other: RatFuncQ | Fraction | int) -> RatFuncQ:
         if isinstance(other, (int, Fraction)):
@@ -257,11 +237,6 @@ class RatFuncQ:
 
     def __repr__(self) -> str:
         return f"RatFuncQ({self})"
-
-
-def ratfunc_reduce(num: PolyQ, den: PolyQ) -> RatFuncQ:
-    """Reduced form of num/den (gcd cancelled, denominator monic)."""
-    return RatFuncQ(num, den)
 
 
 def rational_gcd(values: Iterable[Fraction]) -> Fraction:
@@ -325,32 +300,16 @@ class PiGradedValue:
     def __hash__(self) -> int:
         return hash(frozenset(self.components.items()))
 
-    def __neg__(self) -> PiGradedValue:
-        return PiGradedValue({a: -f for a, f in self.components.items()})
-
     def __add__(self, other: PiGradedValue) -> PiGradedValue:
         out = dict(self.components)
         for a, f in other.components.items():
             out[a] = out[a] + f if a in out else f
         return PiGradedValue(out)
 
-    def __sub__(self, other: PiGradedValue) -> PiGradedValue:
-        return self + (-other)
-
     def __mul__(self, scalar: Fraction | int) -> PiGradedValue:
         return PiGradedValue({a: f * scalar for a, f in self.components.items()})
 
     __rmul__ = __mul__
-
-    @property
-    def is_polynomial(self) -> bool:
-        return all(f.is_polynomial for f in self.components.values())
-
-    def evaluate(self, x: float, pi_value: float = math.pi) -> float:
-        """Numeric value with x and pi substituted."""
-        return float(
-            sum(float(f.evaluate(x)) * pi_value**a for a, f in self.components.items())
-        )
 
     def to_json(self) -> list[dict]:
         """Stable JSON shape: per component, term lists [[exp, "p/q"], ...]."""
@@ -371,6 +330,8 @@ class PiGradedValue:
         comps: dict[int, RatFuncQ] = {}
         for entry in doc:
             a = int(entry["pi_exp"])
+            if a in comps:
+                raise ValueError(f"duplicate pi_exp {a}")
             num = PolyQ({int(e): parse_rational(c) for e, c in entry["num"]})
             den = PolyQ({int(e): parse_rational(c) for e, c in entry["den"]})
             comps[a] = RatFuncQ(num, den)

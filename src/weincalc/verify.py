@@ -53,6 +53,12 @@ BASE_SEED = 20250808
 
 SIGMA_BAND = 4.0
 
+MC_N_MAX = 3
+MOMENT_K_MAX = 3
+BLOWUP_RHO = Fraction(1, 2)
+
+DECISION_SEED = BASE_SEED + 4000
+
 # Frozen spot values for the ball moment integral, each derived from the
 # one-dimensional radial quadrature that is independent of the multi-index
 # sum: over B^2, int r^2 dA = 2*pi*int_0^1 r^3 dr = pi/2 and
@@ -103,7 +109,7 @@ def check_moment_sums(k_max: int = 6, l_max: int = 6) -> CheckResult:
     )
 
 
-def check_ball_moments(samples: int = 10**6, n_max: int = 3, k_max: int = 3) -> CheckResult:
+def check_ball_moments(samples: int = 10**6) -> CheckResult:
     """Exact moment formula against frozen quadrature spots, then Monte Carlo
     against the exact value on the (n <= 3, l <= n, k <= 3) grid."""
     ok = True
@@ -123,9 +129,9 @@ def check_ball_moments(samples: int = 10**6, n_max: int = 3, k_max: int = 3) -> 
             }
         )
     mc_rows = []
-    for n in range(1, n_max + 1):
+    for n in range(1, MC_N_MAX + 1):
         for l in range(1, n + 1):
-            for k in range(1, k_max + 1):
+            for k in range(1, MOMENT_K_MAX + 1):
                 coeff, pi_exp = combinatorics.ball_moment_exact(n, l, k)
                 exact = float(coeff) * math.pi**pi_exp
                 est = mc_ball_moment(
@@ -171,11 +177,11 @@ def check_cpn_exact(n_max: int = 8, raw_k_max: int = 8) -> CheckResult:
     )
 
 
-def check_cpn_monte_carlo(samples: int = 10**6, n_max: int = 3) -> CheckResult:
+def check_cpn_monte_carlo(samples: int = 10**6) -> CheckResult:
     """Monte Carlo trace-volume average against q(n,k) pi^k/k!."""
     ok = True
     rows = []
-    for n in range(1, n_max + 1):
+    for n in range(1, MC_N_MAX + 1):
         for k in range(1, n + 1):
             exact = float(cpn_q(n, k)) * math.pi**k / math.factorial(k)
             est = mc_cpn_average(n, k, samples, BASE_SEED + 1000 + 10 * n + k)
@@ -185,15 +191,10 @@ def check_cpn_monte_carlo(samples: int = 10**6, n_max: int = 3) -> CheckResult:
     return CheckResult("cpn-monte-carlo", ok, {"samples": samples, "rows": rows})
 
 
-def check_blowup(
-    n_max: int = 8,
-    samples: int = 10**6,
-    mc_n_max: int = 3,
-    rho: Fraction = Fraction(1, 2),
-) -> CheckResult:
+def check_blowup(n_max: int = 8, samples: int = 10**6) -> CheckResult:
     """Blow-up suite: infinite order for every k < n, the flagged Finite(2)
     at k = n, the x -> 0 degeneration to the CP^n value, and Monte Carlo at
-    weight rho against the exact rational-function evaluation."""
+    weight BLOWUP_RHO against the exact rational-function evaluation."""
     ok = True
     rows = []
     for n in range(2, n_max + 1):
@@ -220,17 +221,18 @@ def check_blowup(
                 }
             )
     mc_rows = []
-    x = Fraction(rho) ** 2
-    for n in range(1, mc_n_max + 1):
+    x = BLOWUP_RHO**2
+    for n in range(1, MC_N_MAX + 1):
         for k in range(1, n + 1):
             cv = blowup_weinstein(n, k)
             exact = float(cv.value.components[k].evaluate(x)) * math.pi**k
             est = mc_blowup_average(
-                n, k, float(rho), samples, BASE_SEED + 2000 + 10 * n + k
+                n, k, float(BLOWUP_RHO), samples, BASE_SEED + 2000 + 10 * n + k
             )
             sigma = est.sigma_distance(exact)
             ok &= sigma < SIGMA_BAND
-            mc_rows.append(_mc_row({"n": n, "k": k, "rho": format_rational(rho)}, est, exact, sigma))
+            row = {"n": n, "k": k, "rho": format_rational(BLOWUP_RHO)}
+            mc_rows.append(_mc_row(row, est, exact, sigma))
     return CheckResult(
         "blowup",
         ok,
@@ -474,12 +476,10 @@ def _random_instance(rnd: random.Random, kind: str):
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
-def check_decision_procedures(
-    instances: int = 200, bound: int = 50, seed: int = BASE_SEED + 4000
-) -> CheckResult:
+def check_decision_procedures(instances: int = 200, bound: int = 50) -> CheckResult:
     """lattice_member / lattice_order against the bounded exhaustive search
     on randomized small instances."""
-    rnd = random.Random(seed)
+    rnd = random.Random(DECISION_SEED)
     kinds = ["member", "fractional", "offsupport", "nonpoly", "halfgcd"]
     mismatches = []
     counts = {kind: 0 for kind in kinds}
@@ -512,7 +512,7 @@ def check_decision_procedures(
         {
             "instances": instances,
             "bound": bound,
-            "seed": seed,
+            "seed": DECISION_SEED,
             "kinds": counts,
             "mismatches": mismatches,
         },

@@ -113,6 +113,14 @@ def test_moment_rejects_bad_range(capsys):
     assert "1 <= l <= n" in err
 
 
+def test_moment_rejects_overflowing_radius(capsys):
+    code, out, err = run_cli(capsys, "moment", "--n", "1", "--l", "1", "--k", "1", "--r0", "1e400")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --r0 1e400:")
+    assert "Traceback" not in err
+
+
 def test_identity_table(capsys):
     code, doc = run_json(capsys, "identity", "--k-max", "4")
     assert code == 0
@@ -191,6 +199,33 @@ def test_product_rejects_class_degree_mismatch(capsys, tmp_path):
     )
     assert code == 2
     assert "degree" in err
+
+
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        ({"dimension": 2, "trivial_odd_homotopy": [1], "periods": ["1"]}, "periods"),
+        ({"dimension": 2, "trivial_odd_homotopy": [1], "classes": ["zero"]}, "classes"),
+        ({"dimension": 2, "trivial_odd_homotopy": [1], "periods": {"2": ["0"]}}, "periods.2"),
+        (
+            {
+                "dimension": 2,
+                "trivial_odd_homotopy": [1],
+                "classes": {"c": {"degree": 1, "value": [
+                    {"pi_exp": 0, "num": [[0, "1"]], "den": [[0, "1"]]},
+                    {"pi_exp": 0, "num": [[0, "1/2"]], "den": [[0, "1"]]},
+                ]}},
+            },
+            "classes.c.value",
+        ),
+    ],
+)
+def test_product_rejects_malformed_descriptor_fields(capsys, tmp_path, doc, field):
+    path = write_descriptor(tmp_path, doc)
+    code, out, err = run_cli(capsys, "product", "--n", "1", "--k", "1", "--manifold", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}: ")
 
 
 def test_verify_quick_passes(capsys):

@@ -32,12 +32,6 @@ def test_sample_ball_stays_inside():
         assert np.all(np.linalg.norm(points, axis=1) < r0)
 
 
-def test_sample_ball_single_point_shape():
-    rng = np.random.Generator(np.random.PCG64(5))
-    point = sample_ball(2, 1.0, rng)
-    assert point.shape == (4,)
-
-
 def test_sample_ball_fixed_seed_is_bit_identical():
     a = sample_ball(2, 1.0, np.random.Generator(np.random.PCG64(77)), 512)
     b = sample_ball(2, 1.0, np.random.Generator(np.random.PCG64(77)), 512)
@@ -117,18 +111,27 @@ def test_estimates_are_deterministic_and_seed_sensitive():
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        mc_ball_moment(1, 2, 1, 1.0, 10, 0)  # l > n
-    with pytest.raises(ValueError):
+    # The same rules and message texts as the exact routes (combinatorics,
+    # morphism and the CLI).
+    with pytest.raises(ValueError, match="l must satisfy 1 <= l <= n, got l=2 with n=1"):
+        mc_ball_moment(1, 2, 1, 1.0, 10, 0)
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
         mc_ball_moment(1, 1, 0, 1.0, 10, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="r0 must be > 0, got 0.0"):
         mc_ball_moment(1, 1, 1, 0.0, 10, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
         mc_ball_moment(1, 1, 1, 1.0, 0, 0)
-    with pytest.raises(ValueError):
-        mc_blowup_average(2, 1, 1.0, 10, 0)  # rho not in (0, 1)
-    with pytest.raises(ValueError):
-        mc_cpn_average(2, 3, 10, 0)  # k > n
+    with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\), got 1.0"):
+        mc_blowup_average(2, 1, 1.0, 10, 0)
+    with pytest.raises(ValueError, match="k must satisfy 1 <= k <= n, got k=3 with n=2"):
+        mc_cpn_average(2, 3, 10, 0)
+    with pytest.raises(ValueError, match="n must be >= 1, got n=0"):
+        mc_blowup_average(0, 1, 0.5, 10, 0)
+    rng = np.random.Generator(np.random.PCG64(5))
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        sample_ball(0, 1.0, rng, 4)
+    with pytest.raises(ValueError, match="r0 must be > 0, got -1.0"):
+        sample_ball(1, -1.0, rng, 4)
 
 
 def test_sigma_distance_degenerate_cases():

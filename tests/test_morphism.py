@@ -1,9 +1,7 @@
-"""Morphism values: CP^n, blow-up, products, embedding, trace volumes."""
+"""Morphism values: CP^n, blow-up, products, descriptors."""
 
-import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from weincalc.exactarith import factorial
@@ -13,18 +11,13 @@ from weincalc.morphism import (
     ManifoldDescriptor,
     blowup_flags,
     blowup_lattice,
-    blowup_order,
     blowup_weinstein,
     cpn_lattice,
     cpn_q,
     cpn_weinstein,
     cpn_weinstein_raw,
-    embed_ball_to_cpn,
-    inverse_embed,
     product_cpn_lattice,
     product_value,
-    trace_action,
-    trace_action_from_moduli,
 )
 from weincalc.symbolic import Lattice, OrderResult, PiGradedValue, PolyQ
 
@@ -83,9 +76,19 @@ def test_cpn_weinstein_self_check_trips_on_corruption(monkeypatch):
 
 
 def test_cpn_weinstein_rejects_bad_degrees():
-    for n, k in [(1, 2), (3, 0), (0, 1), (2, -1)]:
-        with pytest.raises(ValueError):
-            cpn_weinstein(n, k)
+    # One rule and one message text for cpn_q, the raw oracle, the value
+    # constructors and the product lattice (and the Monte Carlo oracles).
+    for n, k in [(1, 2), (3, 0), (2, -1)]:
+        message = f"k must satisfy 1 <= k <= n, got k={k} with n={n}"
+        for entry in (cpn_q, cpn_weinstein_raw, cpn_weinstein, blowup_weinstein):
+            with pytest.raises(ValueError, match=message):
+                entry(n, k)
+        with pytest.raises(ValueError, match=message):
+            product_cpn_lattice(n, k, ManifoldDescriptor.from_json(SPHERE_DOC))
+    with pytest.raises(ValueError, match="n must be >= 1, got n=0"):
+        cpn_weinstein(0, 1)
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        cpn_lattice(0)
 
 
 def test_cpn_lattice_generator():
@@ -116,15 +119,16 @@ def test_blowup_specializes_to_cpn_at_zero():
 
 
 def test_blowup_orders():
-    assert not blowup_order(2, 1).is_finite
-    assert not blowup_order(3, 1).is_finite
-    assert not blowup_order(3, 2).is_finite
-    assert blowup_order(2, 2) == OrderResult.finite(2)
+    assert not blowup_weinstein(2, 1).order().is_finite
+    assert not blowup_weinstein(3, 1).order().is_finite
+    assert not blowup_weinstein(3, 2).order().is_finite
+    assert blowup_weinstein(2, 2).order() == OrderResult.finite(2)
 
 
 def test_blowup_flags_only_at_top_degree():
-    assert blowup_flags(2, 2, blowup_order(2, 2)) == [FINITE_ORDER_AT_TOP_DEGREE]
-    assert blowup_flags(3, 1, blowup_order(3, 1)) == []
+    top = blowup_weinstein(2, 2).order()
+    assert blowup_flags(2, 2, top) == [FINITE_ORDER_AT_TOP_DEGREE]
+    assert blowup_flags(3, 1, blowup_weinstein(3, 1).order()) == []
 
 
 def test_blowup_lattice_shape():
@@ -132,8 +136,6 @@ def test_blowup_lattice_shape():
         (Fraction(1, 2), 2, 0),
         (Fraction(1, 2), 2, 2),
     )
-    custom = blowup_lattice(1, base=Lattice([(Fraction(1, 3), 1, 0)]))
-    assert custom.generators == ((Fraction(1, 3), 1, 0), (Fraction(1), 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +245,19 @@ def test_descriptor_parses_classes():
         ({"dimension": 4, "periods": {"6": ["1"]}}, "periods.6"),
         ({"dimension": 4, "periods": {"2": ["sqrt(2)"]}}, "periods.2"),
         ({"dimension": 4, "classes": {"x": {"degree": 2, "value": []}}}, "classes.x"),
+        ({"dimension": 4, "periods": ["1"]}, "periods"),
+        ({"dimension": 4, "classes": [{"degree": 1, "value": []}]}, "classes"),
+        ({"dimension": 4, "periods": {"2": ["1", "0"]}}, "periods.2"),
+        (
+            {
+                "dimension": 4,
+                "classes": {"twice": {"degree": 1, "value": [
+                    {"pi_exp": 1, "num": [[0, "1"]], "den": [[0, "1"]]},
+                    {"pi_exp": 1, "num": [[0, "2"]], "den": [[0, "1"]]},
+                ]}},
+            },
+            "classes.twice.value",
+        ),
     ],
 )
 def test_descriptor_rejects_bad_fields(doc, field):
@@ -256,93 +271,3 @@ def test_descriptor_irrational_period_diagnostic_mentions_rationality():
         ManifoldDescriptor.from_json(
             {"dimension": 4, "periods": {"2": ["pi"]}}
         )
-
-
-# ---------------------------------------------------------------------------
-# embedding and trace volumes
-
-
-def test_embed_examples():
-    assert embed_ball_to_cpn([0j]) == (0j, 1 + 0j)
-    w = embed_ball_to_cpn([0.5 + 0j])
-    assert w[0] == 0.5 + 0j
-    assert abs(w[1] - math.sqrt(3) / 2) < 1e-15
-    with pytest.raises(ValueError):
-        embed_ball_to_cpn([1.0 + 0j])
-
-
-def test_inverse_embed_examples():
-    z = inverse_embed([1 + 0j, 1 + 0j])
-    assert abs(z[0] - 1 / math.sqrt(2)) < 1e-15
-    with pytest.raises(ValueError):
-        inverse_embed([1 + 0j, 0j])
-
-
-def test_embed_roundtrip_on_random_points():
-    rng = np.random.default_rng(1234)
-    for n in range(1, 5):
-        for _ in range(1000):
-            direction = rng.standard_normal(2 * n)
-            direction /= np.linalg.norm(direction)
-            point = direction * rng.random() ** (1 / (2 * n))
-            z = [complex(point[2 * j], point[2 * j + 1]) for j in range(n)]
-            back = inverse_embed(embed_ball_to_cpn(z))
-            assert max(abs(a - b) for a, b in zip(back, z)) < 1e-12
-
-
-def test_trace_action_exact_values():
-    assert trace_action(2, 1, [0, 0, 1]) == 0
-    assert trace_action(1, 1, [1, 1]) == Fraction(1, 2)  # volume pi/2
-    assert trace_action(2, 1, [1, 1, 1]) == Fraction(1, 3)  # volume pi/3
-    assert trace_action(2, 2, [1, 1, 1]) == Fraction(2, 9)  # (2/3)^2 / 2!
-    assert isinstance(trace_action(1, 1, [Fraction(1, 2), 1]), Fraction)
-
-
-def test_trace_action_from_exact_squared_moduli():
-    # [1 : 1 : sqrt(2)] has an irrational coordinate but rational moduli:
-    # ratio = (1)/(1+1+2) = 1/4.
-    assert trace_action_from_moduli(2, 1, [1, 1, 2]) == Fraction(1, 4)
-    assert trace_action_from_moduli(2, 2, [1, 1, 2]) == Fraction(1, 2) ** 2 / 2
-    # Shared formula: the float path agrees with the exact path.
-    exact = trace_action_from_moduli(2, 1, [Fraction(1, 3), 1, 2])
-    approx = trace_action_from_moduli(2, 1, [1 / 3, 1.0, 2.0])
-    assert abs(float(exact) - approx) < 1e-15
-    with pytest.raises(ValueError):
-        trace_action_from_moduli(2, 1, [1, 1, 0])
-    with pytest.raises(ValueError):
-        trace_action_from_moduli(2, 1, [1, -1, 2])
-
-
-def test_trace_action_rejects_hyperplane_and_bad_shapes():
-    with pytest.raises(ValueError):
-        trace_action(1, 1, [1, 0])
-    with pytest.raises(ValueError):
-        trace_action(2, 1, [1, 1])
-    with pytest.raises(ValueError):
-        trace_action(2, 3, [1, 1, 1])
-
-
-def test_trace_action_phase_and_scale_invariance():
-    base = [0.3 + 0.4j, -0.2 + 0.1j, 0.5 + 0j]
-    reference = trace_action(2, 1, base)
-    phase = math.e ** (1j * 0.7)
-    rotated = [base[0] * phase, base[1], base[2]]
-    assert abs(trace_action(2, 1, rotated) - reference) < 1e-14
-    scaled = [3.7 * c for c in base]
-    assert abs(trace_action(2, 1, scaled) - reference) < 1e-14
-
-
-def test_trace_action_composed_with_embedding():
-    # Through the embedding, the trace volume at j(z) is
-    # (|z_1|^2 + ... + |z_k|^2)^k / k! as a pi^k coefficient.
-    rng = np.random.default_rng(99)
-    for _ in range(200):
-        point = rng.standard_normal(4)
-        point /= np.linalg.norm(point)
-        point *= rng.random() ** 0.25
-        z = [complex(point[0], point[1]), complex(point[2], point[3])]
-        w = embed_ball_to_cpn(z)
-        for k in (1, 2):
-            s = sum(abs(c) ** 2 for c in z[:k])
-            expected = s**k / math.factorial(k)
-            assert abs(trace_action(2, k, w) - expected) < 1e-12

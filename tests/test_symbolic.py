@@ -26,7 +26,6 @@ from weincalc.symbolic import (
     lattice_sum,
     poly_gcd,
     rational_gcd,
-    ratfunc_reduce,
 )
 from weincalc.verify import _box_solvable, brute_force_member
 
@@ -133,13 +132,13 @@ def test_poly_gcd_matches_dense_oracle(a, b):
 
 def test_ratfunc_known_reductions():
     third = Fraction(1, 3)
-    f = ratfunc_reduce(PolyQ.one_minus_x_pow(3) * third, PolyQ.one_minus_x_pow(2))
+    f = RatFuncQ(PolyQ.one_minus_x_pow(3) * third, PolyQ.one_minus_x_pow(2))
     assert f.num == PolyQ({0: third, 1: third, 2: third})
     assert f.den == PolyQ({0: 1, 1: 1})
-    g = ratfunc_reduce(PolyQ.one_minus_x_pow(4) * Fraction(1, 2), PolyQ.one_minus_x_pow(2))
+    g = RatFuncQ(PolyQ.one_minus_x_pow(4) * Fraction(1, 2), PolyQ.one_minus_x_pow(2))
     assert g.is_polynomial
     assert g.num == PolyQ({0: Fraction(1, 2), 2: Fraction(1, 2)})
-    assert not ratfunc_reduce(PolyQ(), PolyQ.one_minus_x_pow(1))
+    assert not RatFuncQ(PolyQ(), PolyQ.one_minus_x_pow(1))
 
 
 def test_ratfunc_rejects_zero_denominator():
@@ -308,6 +307,8 @@ def test_value_json_roundtrip_bit_exact():
     value = PiGradedValue({0: RatFuncQ(Fraction(3, 4)), 2: f})
     doc = value.to_json()
     assert PiGradedValue.from_json(json.loads(json.dumps(doc))) == value
+    with pytest.raises(ValueError, match="duplicate pi_exp 2"):
+        PiGradedValue.from_json(doc + doc[1:])
 
 
 def test_lattice_json_roundtrip_bit_exact():
