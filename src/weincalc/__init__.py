@@ -6,7 +6,6 @@ independent brute-force and Monte Carlo verification of every closed form.
 
 from .combinatorics import (
     ball_moment_exact,
-    compositions,
     moment_sum_bruteforce,
     moment_sum_closed,
     verify_diagonal_identity,

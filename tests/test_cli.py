@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from weincalc import combinatorics, verify
+from weincalc import cli, combinatorics, verify
 from weincalc.cli import main
+from weincalc.morphism import RAW_CHECK_MAX_K
 from weincalc.symbolic import Lattice, PiGradedValue
 
 
@@ -119,6 +120,42 @@ def test_moment_rejects_overflowing_radius(capsys):
     assert out == ""
     assert err.startswith("error: --r0 1e400:")
     assert "Traceback" not in err
+
+
+def test_moment_rejects_overflowing_dimension(capsys):
+    code, out, err = run_cli(capsys, "moment", "--n", "700", "--l", "1", "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --n 700:")
+    assert "float range" in err
+    assert "Traceback" not in err
+
+
+def test_moment_rejects_samples_above_cap(capsys):
+    too_many = str(cli.MAX_SAMPLES + 1)
+    code, out, err = run_cli(
+        capsys, "moment", "--n", "1", "--l", "1", "--k", "1", "--mc", "--samples", too_many
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --samples {too_many}: must be <= {cli.MAX_SAMPLES}\n"
+
+
+def test_blowup_rejects_overflowing_degree_at_weight(capsys):
+    code, out, err = run_cli(capsys, "blowup", "--n", "700", "--k", "650", "--rho", "1/2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --k 650:")
+    assert "float range" in err
+    assert "Traceback" not in err
+
+
+def test_identity_rejects_k_max_above_budget(capsys):
+    too_big = str(RAW_CHECK_MAX_K + 1)
+    code, out, err = run_cli(capsys, "identity", "--k-max", too_big)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --k-max {too_big}: must be <= {RAW_CHECK_MAX_K}")
 
 
 def test_identity_table(capsys):

@@ -1,4 +1,4 @@
-"""Composition streams and moment sums against exhaustive oracles."""
+"""Moment sums against exhaustive oracles."""
 
 import itertools
 from fractions import Fraction
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from weincalc.combinatorics import (
     ball_moment_exact,
-    compositions,
     moment_sum_bruteforce,
     moment_sum_closed,
     verify_diagonal_identity,
@@ -26,35 +25,6 @@ def exhaustive_compositions(weight: int, slots: int) -> set[tuple[int, ...]]:
     }
 
 
-def test_compositions_examples():
-    assert list(compositions(1, 2)) == [(1, 0), (0, 1)]
-    assert list(compositions(0, 3)) == [(0, 0, 0)]
-    two_four = list(compositions(2, 4))
-    assert len(two_four) == 10  # stars and bars: C(5, 3)
-    assert set(two_four) == exhaustive_compositions(2, 4)
-
-
-def test_compositions_rejects_bad_args():
-    with pytest.raises(ValueError):
-        list(compositions(-1, 2))
-    with pytest.raises(ValueError, match="slots must be >= 1, got 0"):
-        list(compositions(2, 0))
-
-
-@given(st.integers(0, 6), st.integers(1, 5))
-def test_compositions_complete_unique_counted(weight, slots):
-    seen = list(compositions(weight, slots))
-    assert len(seen) == len(set(seen))
-    assert set(seen) == exhaustive_compositions(weight, slots)
-    assert len(seen) == binomial(weight + slots - 1, slots - 1)
-
-
-@given(st.integers(0, 6), st.integers(1, 5))
-def test_compositions_ordered_weight_first(weight, slots):
-    seen = list(compositions(weight, slots))
-    assert seen == sorted(seen, reverse=True)
-
-
 def test_moment_sum_bruteforce_small_values():
     # (1,1): compositions (1,0) and (0,1), each contributing 1.
     assert moment_sum_bruteforce(1, 1) == 2
@@ -63,6 +33,20 @@ def test_moment_sum_bruteforce_small_values():
     assert moment_sum_bruteforce(2, 2) == 24
     # (2,1): (2,0) -> 3, (0,2) -> 3, (1,1) -> 2.
     assert moment_sum_bruteforce(2, 1) == 8
+
+
+def test_moment_sum_bruteforce_matches_definition():
+    # The literal definition over the product-grid oracle, sharing no code
+    # with the walk: sum of multinomial(k, I) * prod (2i-1)!! over all I.
+    for k in range(1, 6):
+        for l in range(1, 4):
+            expected = 0
+            for comp in exhaustive_compositions(k, 2 * l):
+                term = multinomial(k, comp)
+                for i in comp:
+                    term *= double_factorial_odd(i)
+                expected += term
+            assert moment_sum_bruteforce(k, l) == expected, (k, l)
 
 
 def test_moment_sum_closed_values():
@@ -89,7 +73,7 @@ def test_moment_sum_increasing_in_slots():
 @settings(max_examples=30)
 def test_summand_identity(k, l):
     # 2^k * multinomial(k, I) * prod (2i-1)!! == k! * prod C(2i, i), exactly.
-    for comp in compositions(k, 2 * l):
+    for comp in exhaustive_compositions(k, 2 * l):
         lhs = 2**k * multinomial(k, comp)
         rhs = factorial(k)
         for i in comp:

@@ -66,13 +66,24 @@ def test_cpn_weinstein_value_and_order():
 
 def test_cpn_weinstein_self_check_trips_on_corruption(monkeypatch):
     from weincalc import combinatorics
-    from weincalc.morphism import SelfCheckError
+    from weincalc.morphism import RAW_CHECK_MAX_K, SelfCheckError
 
     monkeypatch.setattr(combinatorics, "moment_sum_bruteforce", lambda k, l: 1)
-    with pytest.raises(SelfCheckError):
-        cpn_weinstein(2, 1)
-    with pytest.raises(SelfCheckError):
-        blowup_weinstein(2, 1)
+    # The self-check runs on every query up to and including the budget.
+    for n, k in [(2, 1), (RAW_CHECK_MAX_K, RAW_CHECK_MAX_K)]:
+        with pytest.raises(SelfCheckError):
+            cpn_weinstein(n, k)
+        with pytest.raises(SelfCheckError):
+            blowup_weinstein(n, k)
+
+    def unreachable(k, l):
+        raise AssertionError(f"brute force reached at k={k}")
+
+    # Beyond the budget the enumeration is never started.
+    monkeypatch.setattr(combinatorics, "moment_sum_bruteforce", unreachable)
+    k = RAW_CHECK_MAX_K + 1
+    assert cpn_weinstein(k, k).order() == OrderResult.finite(2)
+    assert blowup_weinstein(k, k).order() == OrderResult.finite(2)
 
 
 def test_cpn_weinstein_rejects_bad_degrees():
