@@ -14,7 +14,15 @@ import sys
 from fractions import Fraction
 
 from . import combinatorics, verify
-from .exactarith import factorial, format_rational, parse_rational, require_weight
+from .exactarith import (
+    DigitLimitError,
+    factorial,
+    format_rational,
+    parse_rational,
+    require_moment,
+    require_radius,
+    require_weight,
+)
 from .montecarlo import mc_ball_moment
 from .morphism import (
     RAW_CHECK_MAX_K,
@@ -136,7 +144,17 @@ def _cmd_blowup(args) -> int:
 def _cmd_moment(args) -> int:
     if args.samples > MAX_SAMPLES:
         raise ValueError(f"--samples {args.samples}: must be <= {MAX_SAMPLES}")
+    if args.mc and args.samples < 2:  # one sample has no standard error
+        raise ValueError(f"--samples {args.samples}: must be >= 2 with --mc")
     r0 = parse_rational(args.r0)
+    require_moment(args.n, args.l, args.k)
+    require_radius(r0)
+    try:  # before the exact coefficients: their (n+k)! takes seconds at huge n
+        pi_n = math.pi**args.n
+    except OverflowError:
+        raise ValueError(
+            f"--n {args.n}: the moment exceeds the float range (pi enters as pi^{args.n})"
+        ) from None
     coeff, pi_exp = combinatorics.ball_moment_exact(args.n, args.l, args.k, r0)
     base_coeff, _ = combinatorics.ball_moment_exact(args.n, args.l, args.k, Fraction(1))
     try:
@@ -147,12 +165,7 @@ def _cmd_moment(args) -> int:
             f"--r0 {args.r0}: the moment exceeds the float range"
             f" (r0 enters as r0^{2 * (args.n + args.k)})"
         ) from None
-    try:
-        numeric = scale * math.pi**pi_exp
-    except OverflowError:
-        raise ValueError(
-            f"--n {args.n}: the moment exceeds the float range (pi enters as pi^{pi_exp})"
-        ) from None
+    numeric = scale * pi_n
     body = {
         "coefficient": format_rational(coeff),
         "pi_exp": pi_exp,
@@ -169,16 +182,19 @@ def _cmd_moment(args) -> int:
     ]
     status = "ok"
     if args.mc:
-        est = mc_ball_moment(args.n, args.l, args.k, float(r0), args.samples, args.seed)
-        sigma = est.sigma_distance(numeric)
-        mc_block = est.to_json()
-        mc_block["sigma_distance"] = sigma
-        body["mc"] = mc_block
-        if not sigma < verify.SIGMA_BAND:
+        try:
+            est = mc_ball_moment(args.n, args.l, args.k, float(r0), args.samples, args.seed)
+        except OverflowError:  # the float ball volume pi^n r0^(2n)/n!
+            raise ValueError(
+                f"--n {args.n} --r0 {args.r0}: the Monte Carlo ball volume overflows a float"
+            ) from None
+        row = verify.mc_row({}, est, numeric)
+        body["mc"] = {**est.to_json(), "sigma_distance": row["sigma"]}
+        if not row["ok"]:
             status = "fail"
         lines.append(
             f"  mc        = {est.mean!r} +- {est.std_error!r}"
-            f"  ({est.samples} samples, seed {est.seed}, {sigma:.2f} sigma)"
+            f"  ({est.samples} samples, seed {est.seed}, {row['sigma']:.2f} sigma)"
         )
     doc = _envelope(
         "moment",
@@ -378,7 +394,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # includes DescriptorError
+    except ValueError as exc:  # includes DescriptorError and DigitLimitError
+        if isinstance(exc, DigitLimitError):
+            flags = ("n", "l", "k", "r0")
+            sizes = [f"--{key} {value}" for key, value in vars(args).items() if key in flags]
+            exc = f"{' '.join(sizes)}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

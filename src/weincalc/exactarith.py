@@ -11,6 +11,7 @@ exact routes and the Monte Carlo oracles share them.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,9 +26,19 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
+class DigitLimitError(ValueError):
+    """A number longer than the interpreter's integer string limit, which bounds every output."""
+
+
 def format_rational(q: Fraction) -> str:
     """Render as ``"p/q"``, or plain ``"p"`` when the denominator is 1."""
-    return str(Fraction(q))
+    try:
+        return str(Fraction(q))
+    except ValueError:  # only the integer string limit raises here
+        raise DigitLimitError(
+            f"the result has a number of more than {sys.get_int_max_str_digits()} digits,"
+            f" the integer string limit"
+        ) from None
 
 
 def factorial(n: int) -> int:
@@ -77,18 +88,25 @@ def require_positive(**values: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def require_within(n: int, **values: int) -> None:
+    """1 <= value <= n for each named value: a count of the n coordinates."""
+    for name, value in values.items():
+        if not 1 <= value <= n:
+            raise ValueError(
+                f"{name} must satisfy 1 <= {name} <= n, got {name}={value} with n={n}"
+            )
+
+
 def require_degree(n: int, k: int) -> None:
     """1 <= k <= n: a degree 2k-1 class on CP^n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got n={n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k} with n={n}")
+    require_within(n, k=k)
 
 
 def require_moment(n: int, l: int, k: int) -> None:
     """1 <= l <= n and k >= 1: the moment of |z_1..z_l|^2 to the k over B^2n."""
-    if not 1 <= l <= n:
-        raise ValueError(f"l must satisfy 1 <= l <= n, got l={l} with n={n}")
+    require_within(n, l=l)
     require_positive(k=k)
 
 

@@ -1,8 +1,11 @@
 """Monte Carlo oracles, independent of the exact formulas they cross-check.
 
-Sampling is uniform on the open 2n-ball: direction from 2n standard normals
-normalized to unit length, radius r0 * U^(1/(2n)).  (Rejection sampling is
-useless in 2n >= 8 dimensions, this construction is not.)
+Every oracle averages one integrand, scale * (|z_1|^2+...+|z_m|^2)^k times
+[|z| > cutoff], over uniform points z of a ball in C^n.  The sampler returns
+only these two squared moduli: |z|^2 = r0^2 U^(1/n), and the partial one as
+|z|^2 times the share of the first 2m of 2n standard normals in their sum of
+squares (Muller's Gaussian directions, 1959; rejection sampling is useless in
+2n >= 8 dimensions).
 
 Determinism contract: the sample stream is split into fixed chunks of
 65536; chunk i draws from a PCG64 generator seeded with the i-th child of
@@ -14,8 +17,7 @@ reduced in chunk order.  An estimate therefore depends only on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .exactarith import (
     require_positive,
     require_radius,
     require_weight,
+    require_within,
 )
 
 CHUNK_SIZE = 1 << 16
@@ -47,54 +50,44 @@ class McEstimate:
         return diff / self.std_error
 
     def to_json(self) -> dict:
-        return {
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
-def sample_ball(n: int, r0: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """A (size, 2n) array of uniform points in the open ball of radius r0 in
-    R^(2n).  Consumes the rng stream in a fixed order (normals, then radii).
+def sample_ball(
+    n: int, m: int, r0: float, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(|z_1|^2 + ... + |z_m|^2, |z|^2) for `size` uniform points of the open
+    radius-r0 ball in C^n.  Consumes the rng stream in a fixed order: the
+    (size, 2n) normals, then the `size` radii.
     """
-    require_positive(n=n)
+    require_within(n, m=m)
     require_radius(r0)
-    directions = rng.standard_normal((size, 2 * n))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = r0 * rng.random(size) ** (1.0 / (2 * n))
-    return directions * radii[:, None]
+    normals = rng.standard_normal((size, 2 * n))
+    total = r0 * r0 * rng.random(size) ** (1.0 / n)
+    head = normals[:, : 2 * m]  # z_j is the real pair 2j-2, 2j-1
+    part = np.einsum("ij,ij->i", head, head)
+    part /= np.einsum("ij,ij->i", normals, normals)
+    part *= total
+    return part, total
 
 
 def _estimate(
-    samples: int, seed: int, chunk_values: Callable[[np.random.Generator, int], np.ndarray]
+    n: int, m: int, k: int, r0: float, scale: float, cutoff: float, samples: int, seed: int
 ) -> McEstimate:
-    """Chunked accumulation with canonical reduction order (see module doc)."""
+    """The integrand of the module doc over the radius-r0 ball in C^n, in
+    chunks reduced in canonical order."""
     require_positive(samples=samples)
     n_chunks = (samples + CHUNK_SIZE - 1) // CHUNK_SIZE
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    for child in children:
-        count = min(CHUNK_SIZE, samples - done)
+    total = total_sq = 0.0
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
         rng = np.random.Generator(np.random.PCG64(child))
-        values = chunk_values(rng, count)
+        part, norm_sq = sample_ball(n, m, r0, rng, min(CHUNK_SIZE, samples - i * CHUNK_SIZE))
+        values = scale * part**k * (norm_sq > cutoff * cutoff)
         total += float(values.sum())
         total_sq += float(np.square(values).sum())
-        done += count
     mean = total / samples
-    if samples > 1:
-        variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    else:
-        variance = 0.0
-    return McEstimate(
-        mean=mean,
-        std_error=math.sqrt(variance / samples),
-        samples=samples,
-        seed=seed,
-    )
+    variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1) if samples > 1 else 0.0
+    return McEstimate(mean, math.sqrt(variance / samples), samples, seed)
 
 
 def mc_ball_moment(
@@ -106,14 +99,7 @@ def mc_ball_moment(
     require_moment(n, l, k)
     require_radius(r0)
     volume = math.pi**n * r0 ** (2 * n) / math.factorial(n)
-
-    def chunk(rng: np.random.Generator, count: int) -> np.ndarray:
-        points = sample_ball(n, r0, rng, count)
-        # |z_1|^2 + ... + |z_l|^2 is the sum of the first 2l real squares.
-        s = np.square(points[:, : 2 * l]).sum(axis=1)
-        return volume * s**k
-
-    return _estimate(samples, seed, chunk)
+    return _estimate(n, l, k, r0, volume, 0.0, samples, seed)
 
 
 def mc_cpn_average(n: int, k: int, samples: int, seed: int) -> McEstimate:
@@ -124,13 +110,7 @@ def mc_cpn_average(n: int, k: int, samples: int, seed: int) -> McEstimate:
     point, because that point has |w| = 1.  Expected value: q(n,k) pi^k/k!."""
     require_degree(n, k)
     scale = math.pi**k / math.factorial(k)
-
-    def chunk(rng: np.random.Generator, count: int) -> np.ndarray:
-        points = sample_ball(n, 1.0, rng, count)
-        s = np.square(points[:, : 2 * k]).sum(axis=1)
-        return scale * s**k
-
-    return _estimate(samples, seed, chunk)
+    return _estimate(n, k, k, 1.0, scale, 0.0, samples, seed)
 
 
 def mc_blowup_average(n: int, k: int, rho: float, samples: int, seed: int) -> McEstimate:
@@ -144,13 +124,4 @@ def mc_blowup_average(n: int, k: int, rho: float, samples: int, seed: int) -> Mc
     require_degree(n, k)
     require_weight(rho)
     scale = math.pi**k / math.factorial(k) / (1.0 - rho ** (2 * n))
-    rho_sq = rho * rho
-
-    def chunk(rng: np.random.Generator, count: int) -> np.ndarray:
-        points = sample_ball(n, 1.0, rng, count)
-        squares = np.square(points)
-        s = squares[:, : 2 * k].sum(axis=1)
-        outside = squares.sum(axis=1) > rho_sq
-        return scale * s**k * outside
-
-    return _estimate(samples, seed, chunk)
+    return _estimate(n, k, k, 1.0, scale, rho, samples, seed)

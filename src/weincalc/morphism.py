@@ -18,6 +18,7 @@ cleanly and give the familiar order n+1 in pi_1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -77,7 +78,8 @@ def cpn_q(n: int, k: int) -> Fraction:
     """q(n, k) = n! k! C(2k-1, k) / (n+k)!: the multiple of pi^k/k! taken by
     the morphism on the standard unitary generator of degree 2k-1."""
     require_degree(n, k)
-    return Fraction(factorial(n) * factorial(k) * binomial(2 * k - 1, k), factorial(n + k))
+    # n!/(n+k)! as 1/perm(n+k, k): n! itself is never formed.
+    return Fraction(factorial(k) * binomial(2 * k - 1, k), math.perm(n + k, k))
 
 
 def cpn_weinstein_raw(n: int, k: int) -> Fraction:
@@ -85,7 +87,7 @@ def cpn_weinstein_raw(n: int, k: int) -> Fraction:
     by brute-force enumeration.  Internal oracle for cpn_q."""
     require_degree(n, k)
     s = combinatorics.moment_sum_bruteforce(k, k)
-    return Fraction(factorial(n), factorial(n + k) * 2**k) * s
+    return Fraction(1, math.perm(n + k, k) * 2**k) * s
 
 
 def cpn_lattice(k: int) -> Lattice:
@@ -280,7 +282,7 @@ class ManifoldDescriptor:
                 )
             try:
                 value = PiGradedValue.from_json(entry.get("value", []))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise DescriptorError(f"classes.{name}.value", str(exc))
             classes[name] = NamedClass(degree=degree, value=value)
 

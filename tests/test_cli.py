@@ -1,6 +1,7 @@
 """CLI surface: exit codes, JSON schema stability, human/JSON agreement."""
 
 import json
+import sys
 
 import pytest
 
@@ -46,6 +47,25 @@ def test_cpn_top_degree(capsys):
     assert code == 0
     assert doc["q"] == "1/2"
     assert doc["order"] == {"kind": "finite", "order": 2}
+
+
+def test_cpn_at_huge_dimension_never_forms_n_factorial(capsys):
+    # q(n, 1) = 1/(n+1); with n! and (n+1)! formed this took over a minute.
+    code, doc = run_json(capsys, "cpn", "--n", "1000000", "--k", "1")
+    assert code == 0
+    assert doc["q"] == "1/1000001"
+    assert doc["order"] == {"kind": "finite", "order": 1000001}
+
+
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_digit_limit_names_the_flags(capsys, fmt):
+    # 1/(2 * 2000!) has 5736 digits; the interpreter's limit stays in force.
+    code, out, err = run_cli(capsys, "cpn", "--n", "2000", "--k", "2000", *fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --n 2000 --k 2000: ")
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_cpn_rejects_out_of_range(capsys):
@@ -129,6 +149,42 @@ def test_moment_rejects_overflowing_dimension(capsys):
     assert err.startswith("error: --n 700:")
     assert "float range" in err
     assert "Traceback" not in err
+
+
+def test_moment_tests_float_range_before_exact_work(capsys, monkeypatch):
+    # At n = 10^6 the exact coefficient alone costs about 24 s; the float
+    # range of pi^n must refuse the query before any of it is computed.
+    def exact_not_reached(*args):
+        raise AssertionError("ball_moment_exact called before the --n range test")
+
+    monkeypatch.setattr(combinatorics, "ball_moment_exact", exact_not_reached)
+    code, out, err = run_cli(capsys, "moment", "--n", "1000000", "--l", "1", "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: --n 1000000: the moment exceeds the float range (pi enters as pi^1000000)\n"
+    )
+
+
+def test_moment_mc_rejects_a_single_sample(capsys):
+    code, out, err = run_cli(
+        capsys, "moment", "--n", "1", "--l", "1", "--k", "1", "--mc", "--samples", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --samples 1: must be >= 2 with --mc")
+
+
+def test_moment_mc_rejects_float_overflow_of_the_volume(capsys):
+    for n, r0 in [("200", "1"), ("100", "40")]:
+        code, out, err = run_cli(
+            capsys, "moment", "--n", n, "--l", "1", "--k", "1", "--r0", r0,
+            "--mc", "--samples", "10",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --n {n} --r0 {r0}: the Monte Carlo ball volume")
+        assert "Traceback" not in err
 
 
 def test_moment_rejects_samples_above_cap(capsys):
@@ -251,6 +307,16 @@ def test_product_rejects_class_degree_mismatch(capsys, tmp_path):
                 "classes": {"c": {"degree": 1, "value": [
                     {"pi_exp": 0, "num": [[0, "1"]], "den": [[0, "1"]]},
                     {"pi_exp": 0, "num": [[0, "1/2"]], "den": [[0, "1"]]},
+                ]}},
+            },
+            "classes.c.value",
+        ),
+        (
+            {
+                "dimension": 2,
+                "trivial_odd_homotopy": [1],
+                "classes": {"c": {"degree": 1, "value": [
+                    {"pi_exp": 1, "num": [[0, "1"]], "den": []},
                 ]}},
             },
             "classes.c.value",

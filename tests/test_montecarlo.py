@@ -20,29 +20,54 @@ from weincalc.montecarlo import (
     sample_ball,
 )
 from weincalc.morphism import blowup_weinstein, cpn_q
+from weincalc.verify import SIGMA_BAND, mc_row
 
 SAMPLES = 10**5
 
 
+def reference_squared_moduli(n, m, r0, rng, size):
+    """The point-matrix construction the sampler replaced: normalized Gaussian
+    directions times r0 * U^(1/(2n)), drawn in the same order (normals, then
+    radii); returns the squared moduli of the first m coordinates and of the
+    whole point."""
+    directions = rng.standard_normal((size, 2 * n))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = r0 * rng.random(size) ** (1.0 / (2 * n))
+    squares = np.square(directions * radii[:, None])
+    return squares[:, : 2 * m].sum(axis=1), squares.sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "n, m, r0", [(1, 1, 1.0), (2, 1, 1.0), (3, 2, 0.5), (5, 3, 2.0), (6, 6, 1.0)]
+)
+def test_sample_ball_matches_point_matrix_reference(n, m, r0):
+    part, total = sample_ball(n, m, r0, np.random.Generator(np.random.PCG64(41)), 4096)
+    ref_part, ref_total = reference_squared_moduli(
+        n, m, r0, np.random.Generator(np.random.PCG64(41)), 4096
+    )
+    np.testing.assert_allclose(part, ref_part, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(total, ref_total, rtol=1e-12, atol=0)
+
+
 def test_sample_ball_stays_inside():
     rng = np.random.Generator(np.random.PCG64(5))
-    for n, r0 in [(1, 1.0), (3, 0.5), (5, 2.0)]:
-        points = sample_ball(n, r0, rng, 2000)
-        assert points.shape == (2000, 2 * n)
-        assert np.all(np.linalg.norm(points, axis=1) < r0)
+    for n, m, r0 in [(1, 1, 1.0), (3, 2, 0.5), (5, 5, 2.0)]:
+        part, total = sample_ball(n, m, r0, rng, 2000)
+        assert part.shape == total.shape == (2000,)
+        assert np.all(0 <= part) and np.all(part <= total)
+        assert np.all(total < r0 * r0)
 
 
 def test_sample_ball_fixed_seed_is_bit_identical():
-    a = sample_ball(2, 1.0, np.random.Generator(np.random.PCG64(77)), 512)
-    b = sample_ball(2, 1.0, np.random.Generator(np.random.PCG64(77)), 512)
-    assert np.array_equal(a, b)
+    a = sample_ball(2, 1, 1.0, np.random.Generator(np.random.PCG64(77)), 512)
+    b = sample_ball(2, 1, 1.0, np.random.Generator(np.random.PCG64(77)), 512)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_sample_ball_mean_squared_norm():
     # E[|z|^2] over the unit disk: int r^2 * 2 pi r dr / pi = 1/2.
     rng = np.random.Generator(np.random.PCG64(11))
-    points = sample_ball(1, 1.0, rng, SAMPLES)
-    sq = np.square(points).sum(axis=1)
+    _, sq = sample_ball(1, 1, 1.0, rng, SAMPLES)
     se = sq.std(ddof=1) / math.sqrt(SAMPLES)
     assert abs(sq.mean() - 0.5) < 4 * se
 
@@ -128,13 +153,27 @@ def test_parameter_validation():
     with pytest.raises(ValueError, match="n must be >= 1, got n=0"):
         mc_blowup_average(0, 1, 0.5, 10, 0)
     rng = np.random.Generator(np.random.PCG64(5))
-    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-        sample_ball(0, 1.0, rng, 4)
+    with pytest.raises(ValueError, match="m must satisfy 1 <= m <= n, got m=1 with n=0"):
+        sample_ball(0, 1, 1.0, rng, 4)
+    with pytest.raises(ValueError, match="m must satisfy 1 <= m <= n, got m=3 with n=2"):
+        sample_ball(2, 3, 1.0, rng, 4)
+    with pytest.raises(ValueError, match="m must satisfy 1 <= m <= n, got m=0 with n=2"):
+        sample_ball(2, 0, 1.0, rng, 4)
     with pytest.raises(ValueError, match="r0 must be > 0, got -1.0"):
-        sample_ball(1, -1.0, rng, 4)
+        sample_ball(1, 1, -1.0, rng, 4)
 
 
 def test_sigma_distance_degenerate_cases():
     est = McEstimate(mean=1.0, std_error=0.0, samples=1, seed=0)
     assert est.sigma_distance(1.0) == 0.0
     assert est.sigma_distance(2.0) == math.inf
+
+
+def test_mc_row_applies_the_sigma_band():
+    est = McEstimate(mean=1.0, std_error=0.25, samples=100, seed=7)
+    inside = mc_row({"n": 1}, est, 1.5)
+    assert inside == {
+        "n": 1, "exact": 1.5, "mean": 1.0, "std_error": 0.25, "seed": 7, "sigma": 2.0, "ok": True
+    }
+    assert mc_row({}, est, 2.0)["sigma"] == SIGMA_BAND
+    assert mc_row({}, est, 2.0)["ok"] is False
