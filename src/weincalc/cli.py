@@ -22,6 +22,7 @@ from .exactarith import (
     require_moment,
     require_radius,
     require_weight,
+    times_power,
 )
 from .montecarlo import mc_ball_moment
 from .morphism import (
@@ -34,60 +35,59 @@ from .morphism import (
     product_cpn_lattice,
     product_value,
 )
-from .symbolic import PiGradedValue
+from .symbolic import OrderResult, PiGradedValue
 
 SCHEMA = "weincalc/1"
 
-# Upper bound on `moment --samples`: about 25 s of Monte Carlo at 4 million
-# samples per second.
+# Upper bound on `moment --samples`: 7 s of Monte Carlo at n = 1 and 15 s at
+# n = 3 (14 and 6.6 million samples per second on a 2-core x86-64 box); each
+# sample draws 2n normals, so the time grows about linearly in n.
 MAX_SAMPLES = 10**8
 
 
-def _envelope(command: str, params: dict, body: dict, flags: list[str], status: str) -> dict:
-    doc = {"schema": SCHEMA, "command": command, "params": params}
-    doc.update(body)
-    doc["flags"] = flags
-    doc["status"] = status
-    return doc
-
-
-def _emit(doc: dict, as_json: bool, human_lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(doc))
+def _report(args, params: dict, body: dict, lines: list[str], flags=(), ok: bool = True) -> int:
+    """Print the JSON document (with --json) or the human lines; return the
+    exit code, 0 or 1 for a failed verification."""
+    if args.json:
+        doc = {"schema": SCHEMA, "command": args.command, "params": params, **body}
+        print(json.dumps({**doc, "flags": list(flags), "status": "ok" if ok else "fail"}))
     else:
-        for line in human_lines:
-            print(line)
+        print("\n".join(lines))
+    return 0 if ok else 1
+
+
+def _times_pi_power(coeff: Fraction, pi_power: float) -> float:
+    """float(coeff) * pi_power, bit for bit wherever both are normal floats,
+    with the binary exponent of coeff split off so that a coefficient below
+    the float range still gives a normal product.  OverflowError above it."""
+    num, den = coeff.numerator, coeff.denominator
+    e = num.bit_length() - den.bit_length() + 1
+    mantissa = (num << max(-e, 0)) / (den << max(e, 0))  # in (1/4, 1): no overflow
+    return math.ldexp(mantissa * pi_power, e)
 
 
 def _cmd_cpn(args) -> int:
     cv = cpn_weinstein(args.n, args.k)
-    q = cpn_q(args.n, args.k)
+    q = format_rational(cpn_q(args.n, args.k))
     order = cv.order()
-    nontrivial = not cv.is_trivial()
-    doc = _envelope(
-        "cpn",
-        {"n": args.n, "k": args.k},
-        {
-            "q": format_rational(q),
-            "value": cv.value.to_json(),
-            "multiple_of_pi_k_over_k_factorial": format_rational(q),
-            "lattice": cv.lattice.to_json(),
-            "order": order.to_json(),
-            "nontrivial": nontrivial,
-        },
-        [],
-        "ok",
-    )
+    nontrivial = order != OrderResult.finite(1)
+    body = {
+        "q": q,
+        "value": cv.value.to_json(),
+        "multiple_of_pi_k_over_k_factorial": q,
+        "lattice": cv.lattice.to_json(),
+        "order": order.to_json(),
+        "nontrivial": nontrivial,
+    }
     lines = [
         f"CP^{args.n}, degree 2k-1 = {2 * args.k - 1}",
-        f"  value     = {cv.value}  (that is, {format_rational(q)} * pi^{args.k}/{args.k}!)",
+        f"  value     = {cv.value}  (that is, {q} * pi^{args.k}/{args.k}!)",
         f"  lattice   = {cv.lattice}",
-        f"  q         = {format_rational(q)}",
+        f"  q         = {q}",
         f"  order     = {order}",
         f"  verdict   = {'nontrivial' if nontrivial else 'trivial'}",
     ]
-    _emit(doc, args.json, lines)
-    return 0
+    return _report(args, {"n": args.n, "k": args.k}, body, lines)
 
 
 def _cmd_blowup(args) -> int:
@@ -136,9 +136,7 @@ def _cmd_blowup(args) -> int:
             f"  at rho={format_rational(rho)}: value = {format_rational(coeff)} * pi^{args.k}"
             f" = {numeric!r}"
         )
-    doc = _envelope("blowup", {"n": args.n, "k": args.k, "rho": args.rho}, body, flags, "ok")
-    _emit(doc, args.json, lines)
-    return 0
+    return _report(args, {"n": args.n, "k": args.k, "rho": args.rho}, body, lines, flags)
 
 
 def _cmd_moment(args) -> int:
@@ -149,38 +147,37 @@ def _cmd_moment(args) -> int:
     r0 = parse_rational(args.r0)
     require_moment(args.n, args.l, args.k)
     require_radius(r0)
-    try:  # before the exact coefficients: their (n+k)! takes seconds at huge n
+    try:  # before the exact coefficient, whose size grows with n
         pi_n = math.pi**args.n
     except OverflowError:
         raise ValueError(
             f"--n {args.n}: the moment exceeds the float range (pi enters as pi^{args.n})"
         ) from None
-    coeff, pi_exp = combinatorics.ball_moment_exact(args.n, args.l, args.k, r0)
-    base_coeff, _ = combinatorics.ball_moment_exact(args.n, args.l, args.k, Fraction(1))
+    base_coeff, pi_exp = combinatorics.ball_moment_exact(args.n, args.l, args.k)
+    r0_exp = 2 * (args.n + args.k)
+    coeff = times_power(base_coeff, r0, r0_exp)
     try:
-        scale = float(coeff)
+        numeric = _times_pi_power(coeff, pi_n)
     except OverflowError:
-        # At r0 = 1 the coefficient is below 1, so only r0 can overflow it.
+        # At r0 = 1 the coefficient is below 1, so only r0 can overflow the value.
         raise ValueError(
             f"--r0 {args.r0}: the moment exceeds the float range"
-            f" (r0 enters as r0^{2 * (args.n + args.k)})"
+            f" (r0 enters as r0^{r0_exp})"
         ) from None
-    numeric = scale * pi_n
     body = {
         "coefficient": format_rational(coeff),
         "pi_exp": pi_exp,
-        "r0_exp": 2 * (args.n + args.k),
+        "r0_exp": r0_exp,
         "coefficient_at_r0_1": format_rational(base_coeff),
         "value_float": numeric,
     }
     lines = [
         f"integral over B^{2 * args.n}({format_rational(r0)}) of"
         f" (|z_1|^2+...+|z_{args.l}|^2)^{args.k}",
-        f"  exact     = {format_rational(coeff)} * pi^{pi_exp}"
-        f"   (r0 enters as r0^{2 * (args.n + args.k)})",
+        f"  exact     = {format_rational(coeff)} * pi^{pi_exp}   (r0 enters as r0^{r0_exp})",
         f"  numeric   = {numeric!r}",
     ]
-    status = "ok"
+    ok = True
     if args.mc:
         try:
             est = mc_ball_moment(args.n, args.l, args.k, float(r0), args.samples, args.seed)
@@ -190,21 +187,13 @@ def _cmd_moment(args) -> int:
             ) from None
         row = verify.mc_row({}, est, numeric)
         body["mc"] = {**est.to_json(), "sigma_distance": row["sigma"]}
-        if not row["ok"]:
-            status = "fail"
+        ok = row["ok"]
         lines.append(
             f"  mc        = {est.mean!r} +- {est.std_error!r}"
             f"  ({est.samples} samples, seed {est.seed}, {row['sigma']:.2f} sigma)"
         )
-    doc = _envelope(
-        "moment",
-        {"n": args.n, "l": args.l, "k": args.k, "r0": args.r0},
-        body,
-        [],
-        status,
-    )
-    _emit(doc, args.json, lines)
-    return 0 if status == "ok" else 1
+    params = {"n": args.n, "l": args.l, "k": args.k, "r0": args.r0}
+    return _report(args, params, body, lines, ok=ok)
 
 
 def _cmd_identity(args) -> int:
@@ -213,20 +202,14 @@ def _cmd_identity(args) -> int:
             f"--k-max {args.k_max}: must be <= {RAW_CHECK_MAX_K} (the brute-force budget)"
         )
     rows = combinatorics.verify_diagonal_identity(args.k_max)
-    all_ok = all(ok for *_, ok in rows)
-    body = {
-        "rows": [
-            {"k": k, "bruteforce": str(b), "closed": str(c), "ok": ok}
-            for k, b, c, ok in rows
-        ],
-        "all_ok": all_ok,
-    }
+    all_ok = all(row["ok"] for row in rows)
     lines = [f"{'k':>3}  {'bruteforce':>16}  {'closed':>16}  result"]
-    for k, b, c, ok in rows:
-        lines.append(f"{k:>3}  {b:>16}  {c:>16}  {'pass' if ok else 'FAIL'}")
-    doc = _envelope("identity", {"k_max": args.k_max}, body, [], "ok" if all_ok else "fail")
-    _emit(doc, args.json, lines)
-    return 0 if all_ok else 1
+    lines += [
+        f"{r['k']:>3}  {r['bruteforce']:>16}  {r['closed']:>16}  {'pass' if r['ok'] else 'FAIL'}"
+        for r in rows
+    ]
+    body = {"rows": rows, "all_ok": all_ok}
+    return _report(args, {"k_max": args.k_max}, body, lines, ok=all_ok)
 
 
 def _cmd_product(args) -> int:
@@ -266,19 +249,13 @@ def _cmd_product(args) -> int:
         cv.value, cv.lattice, b_value, descriptor.period_lattice(args.k), full
     )
     order = product.order()
-    nontrivial = not product.is_trivial()
-    doc = _envelope(
-        "product",
-        {"n": args.n, "k": args.k, "manifold": args.manifold, "class": args.class_name},
-        {
-            "value": product.value.to_json(),
-            "lattice": product.lattice.to_json(),
-            "order": order.to_json(),
-            "nontrivial": nontrivial,
-        },
-        [],
-        "ok",
-    )
+    nontrivial = order != OrderResult.finite(1)
+    body = {
+        "value": product.value.to_json(),
+        "lattice": product.lattice.to_json(),
+        "order": order.to_json(),
+        "nontrivial": nontrivial,
+    }
     lines = [
         f"CP^{args.n} x M (descriptor {args.manifold}), degree {degree}",
         f"  value     = {product.value}",
@@ -286,8 +263,8 @@ def _cmd_product(args) -> int:
         f"  order     = {order}",
         f"  verdict   = {'nontrivial' if nontrivial else 'trivial'}",
     ]
-    _emit(doc, args.json, lines)
-    return 0
+    params = {"n": args.n, "k": args.k, "manifold": args.manifold, "class": args.class_name}
+    return _report(args, params, body, lines)
 
 
 def _check_summary(details: dict) -> str:
@@ -316,25 +293,16 @@ def _check_summary(details: dict) -> str:
 def _cmd_verify(args) -> int:
     results = verify.run_all(quick=args.quick)
     all_ok = all(r.passed for r in results)
-    doc = _envelope(
-        "verify",
-        {"quick": args.quick},
-        {"checks": [r.to_json() for r in results]},
-        [],
-        "ok" if all_ok else "fail",
-    )
-    lines = []
-    for r in results:
-        summary = _check_summary(r.details)
-        lines.append(
-            f"{'PASS' if r.passed else 'FAIL'}  {r.name:22s} {summary}".rstrip()
-        )
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'}  {r.name:22s} {_check_summary(r.details)}".rstrip()
+        for r in results
+    ]
     lines.append(
         f"{'all checks passed' if all_ok else 'VERIFICATION FAILED'}"
         f" ({sum(r.passed for r in results)}/{len(results)})"
     )
-    _emit(doc, args.json, lines)
-    return 0 if all_ok else 1
+    body = {"checks": [r.to_json() for r in results]}
+    return _report(args, {"quick": args.quick}, body, lines, ok=all_ok)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -18,16 +18,11 @@ box with CPython 3.11.  It stays correct beyond that, just slower.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactarith import (
-    binomial,
-    factorial,
-    require_moment,
-    require_positive,
-    require_radius,
-)
+from .exactarith import binomial, factorial, require_moment, require_positive
 
 
 @lru_cache(maxsize=None)
@@ -71,36 +66,32 @@ def moment_sum_closed(k: int, l: int) -> int:
     return 2**k * factorial(k) * binomial(k + l - 1, k)
 
 
-def verify_diagonal_identity(k_max: int) -> list[tuple[int, int, int, bool]]:
+def verify_diagonal_identity(k_max: int) -> list[dict]:
     """Check brute force against the closed form on the diagonal l = k.
 
-    Returns one row (k, bruteforce, closed, equal) per 1 <= k <= k_max.
+    Returns one row {"k", "bruteforce", "closed", "ok"} per 1 <= k <= k_max,
+    the two sums as decimal strings.
     """
     require_positive(k_max=k_max)
     rows = []
     for k in range(1, k_max + 1):
         brute = moment_sum_bruteforce(k, k)
         closed = moment_sum_closed(k, k)
-        rows.append((k, brute, closed, brute == closed))
+        rows.append(
+            {"k": k, "bruteforce": str(brute), "closed": str(closed), "ok": brute == closed}
+        )
     return rows
 
 
-def ball_moment_exact(
-    n: int, l: int, k: int, r0: Fraction = Fraction(1)
-) -> tuple[Fraction, int]:
+def ball_moment_exact(n: int, l: int, k: int) -> tuple[Fraction, int]:
     """Exact value of the ball moment integral
 
-        integral over the radius-r0 ball in C^n of (|z_1|^2+...+|z_l|^2)^k
+        integral over the unit ball in C^n of (|z_1|^2+...+|z_l|^2)^k
         (Lebesgue measure)  =  coeff * pi^n,
 
-    returned as (coeff, n) with coeff = r0^(2(n+k)) * S(k,l) / (2^k (n+k)!).
+    returned as (coeff, n) with coeff = S(k,l) / (2^k (n+k)!) = C(k+l-1, k) k!/(n+k)!,
+    computed as C(k+l-1, k) / perm(n+k, n) without a factorial.  Over the
+    radius-r0 ball the coefficient gains the factor r0^(2(n+k)).
     """
     require_moment(n, l, k)
-    r0 = Fraction(r0)
-    require_radius(r0)
-    coeff = (
-        r0 ** (2 * (n + k))
-        * moment_sum_closed(k, l)
-        / (2**k * factorial(n + k))
-    )
-    return coeff, n
+    return Fraction(binomial(k + l - 1, k), math.perm(n + k, n)), n

@@ -29,16 +29,36 @@ def parse_rational(text: str) -> Fraction:
 class DigitLimitError(ValueError):
     """A number longer than the interpreter's integer string limit, which bounds every output."""
 
+    def __init__(self):
+        super().__init__(
+            f"the result has a number of more than {sys.get_int_max_str_digits()} digits,"
+            f" the integer string limit"
+        )
+
 
 def format_rational(q: Fraction) -> str:
     """Render as ``"p/q"``, or plain ``"p"`` when the denominator is 1."""
     try:
         return str(Fraction(q))
     except ValueError:  # only the integer string limit raises here
-        raise DigitLimitError(
-            f"the result has a number of more than {sys.get_int_max_str_digits()} digits,"
-            f" the integer string limit"
-        ) from None
+        raise DigitLimitError() from None
+
+
+def times_power(base: Fraction, r: Fraction, e: int) -> Fraction:
+    """base * r^e, refused with DigitLimitError before r^e is formed when its
+    reduced numerator or denominator must exceed the integer string limit.
+
+    For r = p/q and base = a/b in lowest terms the reduced numerator is at
+    least p^e/b and the denominator at least q^e/a; the test bounds p^e from
+    below and b from above by powers of two, so it never refuses a printable
+    result.
+    """
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    for top, bottom in ((r.numerator, base.denominator), (r.denominator, base.numerator)):
+        # 2^(limit*10//3 + 1) > 10^limit, since log2(10) < 10/3
+        if limit and e * (top.bit_length() - 1) - bottom.bit_length() > limit * 10 // 3:
+            raise DigitLimitError()
+    return base * r**e
 
 
 def factorial(n: int) -> int:

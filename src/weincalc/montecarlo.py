@@ -75,19 +75,21 @@ def _estimate(
     n: int, m: int, k: int, r0: float, scale: float, cutoff: float, samples: int, seed: int
 ) -> McEstimate:
     """The integrand of the module doc over the radius-r0 ball in C^n, in
-    chunks reduced in canonical order."""
+    chunks reduced in canonical order.  The sums run over the unscaled
+    integrand, and `scale` multiplies the mean and the standard error once,
+    so a tiny scale cannot underflow the sum of squares."""
     require_positive(samples=samples)
     n_chunks = (samples + CHUNK_SIZE - 1) // CHUNK_SIZE
     total = total_sq = 0.0
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
         rng = np.random.Generator(np.random.PCG64(child))
         part, norm_sq = sample_ball(n, m, r0, rng, min(CHUNK_SIZE, samples - i * CHUNK_SIZE))
-        values = scale * part**k * (norm_sq > cutoff * cutoff)
+        values = part**k * (norm_sq > cutoff * cutoff)
         total += float(values.sum())
         total_sq += float(np.square(values).sum())
     mean = total / samples
     variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1) if samples > 1 else 0.0
-    return McEstimate(mean, math.sqrt(variance / samples), samples, seed)
+    return McEstimate(scale * mean, scale * math.sqrt(variance / samples), samples, seed)
 
 
 def mc_ball_moment(

@@ -66,10 +66,6 @@ class CosetValue:
     value: PiGradedValue
     lattice: Lattice
 
-    def is_trivial(self) -> bool:
-        """True iff the value lies in the lattice (the coset is zero)."""
-        return lattice_member(self.value, self.lattice)
-
     def order(self) -> OrderResult:
         return lattice_order(self.value, self.lattice)
 

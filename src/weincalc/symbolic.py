@@ -259,6 +259,13 @@ def rational_gcd(values: Iterable[Fraction]) -> Fraction:
 # pi-graded values
 
 
+def _json_int(value) -> int:
+    """An exponent read from JSON: an integer, never a float, string or boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"exponent must be an integer, got {value!r}")
+    return value
+
+
 class PiGradedValue:
     """A finite sum  sum_a f_a(x) * pi^a  with reduced rational functions f_a.
 
@@ -329,11 +336,11 @@ class PiGradedValue:
     def from_json(cls, doc: list[dict]) -> PiGradedValue:
         comps: dict[int, RatFuncQ] = {}
         for entry in doc:
-            a = int(entry["pi_exp"])
+            a = _json_int(entry["pi_exp"])
             if a in comps:
                 raise ValueError(f"duplicate pi_exp {a}")
-            num = PolyQ({int(e): parse_rational(c) for e, c in entry["num"]})
-            den = PolyQ({int(e): parse_rational(c) for e, c in entry["den"]})
+            num = PolyQ({_json_int(e): parse_rational(c) for e, c in entry["num"]})
+            den = PolyQ({_json_int(e): parse_rational(c) for e, c in entry["den"]})
             comps[a] = RatFuncQ(num, den)
         return cls(comps)
 

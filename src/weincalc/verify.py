@@ -85,11 +85,8 @@ class CheckResult:
 
 def check_identity_suite(k_max: int = 7) -> CheckResult:
     """Brute-force diagonal moment sums against 2^k k! C(2k-1, k)."""
-    rows = []
-    ok = True
-    for k, brute, closed, equal in combinatorics.verify_diagonal_identity(k_max):
-        ok &= equal
-        rows.append({"k": k, "bruteforce": str(brute), "closed": str(closed), "ok": equal})
+    rows = combinatorics.verify_diagonal_identity(k_max)
+    ok = all(row["ok"] for row in rows)
     return CheckResult("identity-suite", ok, {"k_max": k_max, "rows": rows})
 
 
@@ -160,7 +157,7 @@ def check_cpn_exact(n_max: int = 8, raw_k_max: int = 8) -> CheckResult:
             cv = cpn_weinstein(n, k)
             order = cv.order()
             entry["order"] = order.to_json()
-            entry["nontrivial"] = not cv.is_trivial()
+            entry["nontrivial"] = order != OrderResult.finite(1)
             good &= entry["nontrivial"]
             if k == 1:
                 good &= q == Fraction(1, n + 1) and order == OrderResult.finite(n + 1)
@@ -255,7 +252,7 @@ def check_product(n_max: int = 5) -> CheckResult:
                 descriptor.period_lattice(k),
                 full,
             )
-            nontrivial = not product.is_trivial()
+            nontrivial = product.order() != OrderResult.finite(1)
             ok &= nontrivial
             rows.append(
                 {
@@ -299,19 +296,12 @@ def _box_solvable(gens: list[Fraction], target: Fraction, bound: int) -> bool:
     den = math.lcm(target.denominator, *(g.denominator for g in gens))
     g_int = [int(g * den) for g in gens]
     t = int(target * den)
-    axis = np.arange(-bound, bound + 1, dtype=np.int64)
-    if len(g_int) == 1:
-        sums = axis * g_int[0]
-    elif len(g_int) == 2:
-        sums = axis[:, None] * g_int[0] + axis[None, :] * g_int[1]
-    elif len(g_int) == 3:
-        sums = (
-            axis[:, None, None] * g_int[0]
-            + axis[None, :, None] * g_int[1]
-            + axis[None, None, :] * g_int[2]
-        )
-    else:
+    if len(g_int) > 3:
         raise ValueError("box search supports at most 3 generators per monomial")
+    axis = np.arange(-bound, bound + 1, dtype=np.int64)
+    sums = np.zeros((), dtype=np.int64)  # sums[i, j, ...] = axis[i] g_0 + axis[j] g_1 + ...
+    for g in g_int:
+        sums = np.add.outer(sums, axis * g)
     return bool(np.any(sums == t))
 
 

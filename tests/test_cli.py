@@ -1,7 +1,10 @@
 """CLI surface: exit codes, JSON schema stability, human/JSON agreement."""
 
 import json
+import math
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -116,6 +119,74 @@ def test_moment_exact(capsys):
     assert doc["pi_exp"] == 2
 
 
+def test_moment_radius_scaling(capsys):
+    code, doc = run_json(capsys, "moment", "--n", "2", "--l", "1", "--k", "3", "--r0", "1/2")
+    assert code == 0
+    assert doc["r0_exp"] == 2 * (2 + 3)
+    assert doc["coefficient_at_r0_1"] == "1/20"
+    assert Fraction(doc["coefficient"]) == Fraction(1, 20) * Fraction(1, 2) ** 10
+
+
+def test_moment_rejects_zero_radius(capsys):
+    code, out, err = run_cli(capsys, "moment", "--n", "2", "--l", "1", "--k", "1", "--r0", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: r0 must be > 0, got 0\n"
+
+
+def test_moment_float_is_the_coefficient_times_pi_power(capsys):
+    # Where float(coeff) and the product are normal floats, value_float is
+    # float(coeff) * pi^n bit for bit.
+    for n, l, k, r0 in [(1, 1, 1, "1"), (3, 2, 5, "7/3"), (8, 8, 8, "9/4"), (6, 1, 2, "1/4")]:
+        code, doc = run_json(capsys, "moment", "--n", str(n), "--l", str(l), "--k", str(k),
+                             "--r0", r0)
+        assert code == 0
+        assert doc["value_float"] == float(Fraction(doc["coefficient"])) * math.pi**n
+    # Near the top of the float range: pi^620 is about 1.7e308.
+    assert cli._times_pi_power(Fraction(3, 4), math.pi**620) == 0.75 * math.pi**620
+    with pytest.raises(OverflowError):
+        cli._times_pi_power(Fraction(3, 2), math.pi**620)
+
+
+def test_moment_float_below_the_coefficient_float_range(capsys):
+    # pi^200/201! is about 1.7e-278, although 1/201! is below every float.
+    code, doc = run_json(capsys, "moment", "--n", "200", "--l", "1", "--k", "1")
+    assert code == 0
+    assert doc["coefficient"] == f"1/{math.factorial(201)}"
+    expected = math.exp(200 * math.log(math.pi) - math.lgamma(202))
+    assert math.isclose(doc["value_float"], expected, rel_tol=1e-9)
+
+
+def test_moment_rejects_value_above_float_range(capsys):
+    # float(coeff) is finite here, but times pi^5 it is not; JSON has no Infinity.
+    r0 = "54700000000000000000000000"
+    code, out, err = run_cli(capsys, "moment", "--n", "5", "--l", "1", "--k", "1", "--r0", r0,
+                             "--json")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: --r0 {r0}: the moment exceeds the float range (r0 enters as r0^12)\n"
+    )
+
+
+def test_moment_at_huge_degree_is_quick(capsys):
+    # Neither k! nor (n+k)! is formed, and r0^(2(n+k)) is refused before it
+    # is formed when it cannot be printed; each case once took minutes.
+    digits = f"more than {sys.get_int_max_str_digits()} digits, the integer string limit\n"
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "moment", "--n", "1", "--l", "1", "--k", "10000000")
+    assert code == 0
+    assert doc["coefficient"] == "1/10000001"
+    assert doc["r0_exp"] == 20000002
+    for flags in ("--n 619 --l 1 --k 10000000 --r0 1", "--n 1 --l 1 --k 10000000 --r0 9/4"):
+        code, out, err = run_cli(capsys, "moment", *flags.split())
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flags}: the result has ")
+        assert err.endswith(digits)
+    assert time.perf_counter() - start < 10
+
+
 def test_moment_with_mc(capsys):
     code, doc = run_json(
         capsys,
@@ -164,6 +235,17 @@ def test_moment_tests_float_range_before_exact_work(capsys, monkeypatch):
     assert err == (
         "error: --n 1000000: the moment exceeds the float range (pi enters as pi^1000000)\n"
     )
+
+
+def test_moment_mc_keeps_the_standard_error_of_a_tiny_moment(capsys):
+    # The integrand is about 1e-225 here; its squares once underflowed to 0.
+    code, doc = run_json(
+        capsys, "moment", "--n", "170", "--l", "1", "--k", "1", "--mc", "--samples", "1000"
+    )
+    assert code == 0
+    assert doc["status"] == "ok"
+    assert doc["mc"]["std_error"] > 0
+    assert doc["mc"]["sigma_distance"] < verify.SIGMA_BAND
 
 
 def test_moment_mc_rejects_a_single_sample(capsys):
@@ -317,6 +399,26 @@ def test_product_rejects_class_degree_mismatch(capsys, tmp_path):
                 "trivial_odd_homotopy": [1],
                 "classes": {"c": {"degree": 1, "value": [
                     {"pi_exp": 1, "num": [[0, "1"]], "den": []},
+                ]}},
+            },
+            "classes.c.value",
+        ),
+        (
+            {
+                "dimension": 2,
+                "trivial_odd_homotopy": [1],
+                "classes": {"c": {"degree": 1, "value": [
+                    {"pi_exp": 1.7, "num": [[0.9, "1/2"]], "den": [[0, "1"]]},
+                ]}},
+            },
+            "classes.c.value",
+        ),
+        (
+            {
+                "dimension": 2,
+                "trivial_odd_homotopy": [1],
+                "classes": {"c": {"degree": 1, "value": [
+                    {"pi_exp": 1, "num": [[True, "1/2"]], "den": [[0, "1"]]},
                 ]}},
             },
             "classes.c.value",

@@ -114,6 +114,14 @@ def query_argv(draw):
     return argv
 
 
+def strict_json(text):
+    """json.loads that refuses Infinity and NaN, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def check_contract(capsys, argv):
     try:
         code = main(argv)
@@ -129,13 +137,13 @@ def check_contract(capsys, argv):
         # Only the Monte Carlo cross-check of `moment --mc` may fail.
         assert "--mc" in argv, (argv, err)
         if "--json" in argv:
-            doc = json.loads(out)
+            doc = strict_json(out)
             assert doc["status"] == "fail"
             assert not doc["mc"]["sigma_distance"] < SIGMA_BAND
         return
     assert code == 0, (argv, code, err)
     if "--json" in argv:
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert doc["status"] == "ok"
         if "value" in doc:
             assert PiGradedValue.from_json(doc["value"]).to_json() == doc["value"]

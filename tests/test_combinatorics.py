@@ -84,9 +84,10 @@ def test_summand_identity(k, l):
 
 def test_verify_diagonal_identity():
     rows = verify_diagonal_identity(4)
-    assert [k for k, *_ in rows] == [1, 2, 3, 4]
-    assert all(ok for *_, ok in rows)
-    assert rows[0][1] == 2
+    assert [row["k"] for row in rows] == [1, 2, 3, 4]
+    assert all(row["ok"] for row in rows)
+    assert rows[0] == {"k": 1, "bruteforce": "2", "closed": "2", "ok": True}
+    assert rows[3]["bruteforce"] == rows[3]["closed"] == str(2**4 * 24 * binomial(7, 4))
 
 
 def test_ball_moment_exact_spots():
@@ -99,10 +100,13 @@ def test_ball_moment_exact_spots():
     assert ball_moment_exact(2, 2, 2) == (Fraction(1, 4), 2)
 
 
-def test_ball_moment_exact_radius_scaling():
-    coeff_unit, _ = ball_moment_exact(2, 1, 3)
-    coeff_half, _ = ball_moment_exact(2, 1, 3, Fraction(1, 2))
-    assert coeff_half == coeff_unit * Fraction(1, 2) ** (2 * (2 + 3))
+def test_ball_moment_exact_is_the_moment_sum_over_factorials():
+    # coeff = S(k, l) / (2^k (n+k)!), the form the docstring states.
+    for n in range(1, 7):
+        for l in range(1, n + 1):
+            for k in range(1, 7):
+                want = Fraction(moment_sum_closed(k, l), 2**k * factorial(n + k))
+                assert ball_moment_exact(n, l, k) == (want, n)
 
 
 def test_ball_moment_exact_rejects_bad_ranges():
@@ -110,8 +114,6 @@ def test_ball_moment_exact_rejects_bad_ranges():
         ball_moment_exact(1, 2, 1)
     with pytest.raises(ValueError, match="k must be >= 1, got 0"):
         ball_moment_exact(2, 1, 0)
-    with pytest.raises(ValueError, match="r0 must be > 0, got 0"):
-        ball_moment_exact(2, 1, 1, Fraction(0))
     with pytest.raises(ValueError, match="l must be >= 1, got 0"):
         moment_sum_closed(1, 0)
     with pytest.raises(ValueError, match="k_max must be >= 1, got 0"):

@@ -8,12 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weincalc.exactarith import (
+    DigitLimitError,
     binomial,
     double_factorial_odd,
     factorial,
     format_rational,
     multinomial,
     parse_rational,
+    times_power,
 )
 
 
@@ -130,3 +132,29 @@ def test_rational_arithmetic_is_exact_and_canonical(a, b):
     assert total.numerator == 0 or math.gcd(abs(total.numerator), total.denominator) == 1
     assert total.denominator >= 1
     assert parse_rational(format_rational(total)) == total
+
+
+@pytest.mark.parametrize("base", [Fraction(1), Fraction(1, 3), Fraction(2**40, 7**9)])
+@pytest.mark.parametrize(
+    "r", [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(9, 4), Fraction(1000, 999)]
+)
+def test_times_power_refuses_only_unprintable_results(base, r):
+    # Refusal is monotone in the exponent: bisect for the first refused one;
+    # the result there must be unprintable, the one below it computed.
+    lo, hi = 0, 10**6
+    with pytest.raises(DigitLimitError):
+        times_power(base, r, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            times_power(base, r, mid)
+            lo = mid
+        except DigitLimitError:
+            hi = mid
+    assert times_power(base, r, lo) == base * r**lo
+    with pytest.raises(DigitLimitError):
+        format_rational(base * r**hi)
+
+
+def test_times_power_never_refuses_a_unit_radius():
+    assert times_power(Fraction(1, 7), Fraction(1), 10**12) == Fraction(1, 7)

@@ -19,7 +19,7 @@ from weincalc.morphism import (
     product_cpn_lattice,
     product_value,
 )
-from weincalc.symbolic import Lattice, OrderResult, PiGradedValue, PolyQ
+from weincalc.symbolic import Lattice, OrderResult, PiGradedValue, PolyQ, lattice_member
 
 
 def test_q_instances():
@@ -58,7 +58,7 @@ def test_cpn_weinstein_value_and_order():
     assert cv.value == PiGradedValue.monomial(Fraction(1, 3), 1, 0)
     assert cv.lattice == Lattice([(1, 1, 0)])
     assert cv.order() == OrderResult.finite(3)
-    assert not cv.is_trivial()
+    assert not lattice_member(cv.value, cv.lattice)
     assert cpn_weinstein(1, 1).order() == OrderResult.finite(2)
     assert cpn_weinstein(4, 1).order() == OrderResult.finite(5)
     assert cpn_weinstein(4, 4).order() == OrderResult.finite(2)
@@ -161,7 +161,7 @@ def test_product_with_trivial_factor_reduces_to_cpn_coset():
         cv.value, cv.lattice, PiGradedValue.zero(), m_lattice, full
     )
     assert product.value == cv.value
-    assert not product.is_trivial()
+    assert not lattice_member(product.value, product.lattice)
     assert product.order() == OrderResult.finite(3)
 
 
@@ -170,7 +170,7 @@ def test_product_zero_plus_zero_is_member():
     product = product_value(
         PiGradedValue.zero(), Lattice([(1, 1, 0)]), PiGradedValue.zero(), Lattice([]), full
     )
-    assert product.is_trivial()
+    assert lattice_member(product.value, product.lattice)
     assert product.order() == OrderResult.finite(1)
 
 
