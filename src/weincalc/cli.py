@@ -39,10 +39,11 @@ from .symbolic import OrderResult, PiGradedValue
 
 SCHEMA = "weincalc/1"
 
-# Upper bound on `moment --samples`: 7 s of Monte Carlo at n = 1 and 15 s at
-# n = 3 (14 and 6.6 million samples per second on a 2-core x86-64 box); each
-# sample draws 2n normals, so the time grows about linearly in n.
-MAX_SAMPLES = 10**8
+# Upper bound on `moment --mc` work, samples * n: each sample draws 2n
+# normals, so the time grows about linearly in samples * n.  It admits
+# 10^8 samples at n = 3, 15 s of Monte Carlo (6.6 million samples per second
+# on a 2-core x86-64 box), and every sample count up to 10^8 at n <= 3.
+MAX_MC_WORK = 3 * 10**8
 
 
 def _report(args, params: dict, body: dict, lines: list[str], flags=(), ok: bool = True) -> int:
@@ -140,13 +141,15 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_moment(args) -> int:
-    if args.samples > MAX_SAMPLES:
-        raise ValueError(f"--samples {args.samples}: must be <= {MAX_SAMPLES}")
     if args.mc and args.samples < 2:  # one sample has no standard error
         raise ValueError(f"--samples {args.samples}: must be >= 2 with --mc")
     r0 = parse_rational(args.r0)
     require_moment(args.n, args.l, args.k)
     require_radius(r0)
+    if args.mc and args.samples * args.n > MAX_MC_WORK:
+        raise ValueError(
+            f"--samples {args.samples} --n {args.n}: samples * n must be <= {MAX_MC_WORK}"
+        )
     try:  # before the exact coefficient, whose size grows with n
         pi_n = math.pi**args.n
     except OverflowError:

@@ -12,14 +12,16 @@ Determinism contract: the sample stream is split into fixed chunks of
 SeedSequence(seed), and the chunks run one after another, their partial sums
 reduced in chunk order.  An estimate therefore depends only on
 (parameters, seed).
+
+NumPy is imported inside the functions that draw samples, so the exact
+commands, which import this module through `cli`, never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exactarith import (
     require_degree,
@@ -29,6 +31,9 @@ from .exactarith import (
     require_weight,
     require_within,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CHUNK_SIZE = 1 << 16
 
@@ -60,6 +65,8 @@ def sample_ball(
     radius-r0 ball in C^n.  Consumes the rng stream in a fixed order: the
     (size, 2n) normals, then the `size` radii.
     """
+    import numpy as np
+
     require_within(n, m=m)
     require_radius(r0)
     normals = rng.standard_normal((size, 2 * n))
@@ -78,6 +85,8 @@ def _estimate(
     chunks reduced in canonical order.  The sums run over the unscaled
     integrand, and `scale` multiplies the mean and the standard error once,
     so a tiny scale cannot underflow the sum of squares."""
+    import numpy as np
+
     require_positive(samples=samples)
     n_chunks = (samples + CHUNK_SIZE - 1) // CHUNK_SIZE
     total = total_sq = 0.0

@@ -266,6 +266,18 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_poly(pairs) -> PolyQ:
+    """A polynomial read from JSON [exponent, coefficient] pairs; an exponent
+    may appear once."""
+    terms: dict[int, Fraction] = {}
+    for e, c in pairs:
+        e = _json_int(e)
+        if e in terms:
+            raise ValueError(f"duplicate term exponent {e}")
+        terms[e] = parse_rational(c)
+    return PolyQ(terms)
+
+
 class PiGradedValue:
     """A finite sum  sum_a f_a(x) * pi^a  with reduced rational functions f_a.
 
@@ -339,9 +351,7 @@ class PiGradedValue:
             a = _json_int(entry["pi_exp"])
             if a in comps:
                 raise ValueError(f"duplicate pi_exp {a}")
-            num = PolyQ({_json_int(e): parse_rational(c) for e, c in entry["num"]})
-            den = PolyQ({_json_int(e): parse_rational(c) for e, c in entry["den"]})
-            comps[a] = RatFuncQ(num, den)
+            comps[a] = RatFuncQ(_json_poly(entry["num"]), _json_poly(entry["den"]))
         return cls(comps)
 
     def __str__(self) -> str:

@@ -2,9 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -269,14 +272,31 @@ def test_moment_mc_rejects_float_overflow_of_the_volume(capsys):
         assert "Traceback" not in err
 
 
-def test_moment_rejects_samples_above_cap(capsys):
-    too_many = str(cli.MAX_SAMPLES + 1)
-    code, out, err = run_cli(
-        capsys, "moment", "--n", "1", "--l", "1", "--k", "1", "--mc", "--samples", too_many
-    )
-    assert code == 2
-    assert out == ""
-    assert err == f"error: --samples {too_many}: must be <= {cli.MAX_SAMPLES}\n"
+def test_moment_rejects_samples_above_cap(capsys, monkeypatch):
+    # The cap bounds samples * n, the normals drawn, so it tightens with n.
+    for n, samples in [(1, cli.MAX_MC_WORK + 1), (3, cli.MAX_MC_WORK // 3 + 1),
+                       (170, cli.MAX_MC_WORK // 170 + 1)]:
+        code, out, err = run_cli(
+            capsys, "moment", "--n", str(n), "--l", "1", "--k", "1",
+            "--mc", "--samples", str(samples),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: --samples {samples} --n {n}: samples * n must be <= {cli.MAX_MC_WORK}\n"
+        )
+    # Every sample count up to 10^8 is accepted at n <= 3, and the exact
+    # moment, which draws no samples, is not bounded by it.
+    assert 3 * 10**8 <= cli.MAX_MC_WORK
+    code, out, err = run_cli(capsys, "moment", "--n", "400", "--l", "1", "--k", "1")
+    assert (code, err) == (0, "")
+    # At the cap itself the request runs; one sample more is refused.
+    monkeypatch.setattr(cli, "MAX_MC_WORK", 3000)
+    for samples, codes in [("1000", (0, 1)), ("1001", (2,))]:
+        code, out, err = run_cli(
+            capsys, "moment", "--n", "3", "--l", "1", "--k", "1", "--mc", "--samples", samples
+        )
+        assert code in codes
 
 
 def test_blowup_rejects_overflowing_degree_at_weight(capsys):
@@ -423,6 +443,16 @@ def test_product_rejects_class_degree_mismatch(capsys, tmp_path):
             },
             "classes.c.value",
         ),
+        (
+            {
+                "dimension": 2,
+                "trivial_odd_homotopy": [1],
+                "classes": {"c": {"degree": 1, "value": [
+                    {"pi_exp": 0, "num": [[0, "1"], [0, "1/2"]], "den": [[0, "1"]]},
+                ]}},
+            },
+            "classes.c.value",
+        ),
     ],
 )
 def test_product_rejects_malformed_descriptor_fields(capsys, tmp_path, doc, field):
@@ -467,3 +497,54 @@ def test_verify_detects_corrupted_closed_form(monkeypatch):
     )
     result = verify.check_identity_suite(k_max=3)
     assert not result.passed
+
+
+# A fresh interpreter runs one query and prints its exit code and whether
+# NumPy was loaded; the query's own output is discarded.
+NUMPY_PROBE = """
+import contextlib, io, sys
+from weincalc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def run_fresh(*args):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def probe_numpy(*argv):
+    code, loaded = run_fresh("-c", NUMPY_PROBE, *argv)
+    return int(code), loaded == "True"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cpn", "--n", "3", "--k", "2"],
+        ["blowup", "--n", "3", "--k", "2", "--rho", "1/2"],
+        ["identity", "--k-max", "4"],
+        ["product", "--n", "2", "--k", "1", "--manifold", "DESCRIPTOR"],
+        ["moment", "--n", "2", "--l", "1", "--k", "2", "--json"],
+    ],
+)
+def test_exact_commands_never_load_numpy(tmp_path, argv):
+    path = write_descriptor(
+        tmp_path, {"dimension": 2, "trivial_odd_homotopy": [1], "periods": {"2": ["1"]}}
+    )
+    argv = [path if arg == "DESCRIPTOR" else arg for arg in argv]
+    assert probe_numpy(*argv) == (0, False)
+
+
+def test_import_never_loads_numpy_and_monte_carlo_does():
+    assert run_fresh("-c", "import sys, weincalc; print('numpy' in sys.modules)") == ["False"]
+    argv = ["moment", "--n", "2", "--l", "1", "--k", "1", "--mc", "--samples", "1000"]
+    assert probe_numpy(*argv) == (0, True)

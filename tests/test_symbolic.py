@@ -5,6 +5,7 @@ coefficient lists, and membership is cross-checked against the bounded
 integer-vector search from the verification suite.
 """
 
+import itertools
 import json
 import math
 import random
@@ -197,6 +198,42 @@ def test_rational_gcd_membership_matches_box_search(values, witness):
     assert not _box_solvable(values, shifted, 30)
 
 
+def box_reference(gens, target, bound):
+    """Every coefficient vector in [-bound, bound]^len(gens), one by one."""
+    coeffs = range(-bound, bound + 1)
+    return any(
+        sum((c * g for c, g in zip(vector, gens)), Fraction(0)) == target
+        for vector in itertools.product(coeffs, repeat=len(gens))
+    )
+
+
+def test_box_search_matches_exhaustive_reference():
+    rnd = random.Random(1974)
+
+    def generator():  # zero, negative and fractional generators included
+        return Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
+
+    outcomes = []
+    for _ in range(400):
+        bound = rnd.randint(0, 3)
+        gens = [generator() for _ in range(rnd.randint(0, 3))]
+        # Witness coefficients up to bound + 1 put some targets just outside the box.
+        witness = [rnd.randint(-bound - 1, bound + 1) for _ in gens]
+        reached = sum((c * g for c, g in zip(witness, gens)), Fraction(0))
+        for target in (reached, reached + Fraction(1, 5), generator()):
+            expected = box_reference(gens, target, bound)
+            assert _box_solvable(gens, target, bound) == expected, (gens, target, bound)
+            outcomes.append(expected)
+    assert outcomes.count(True) > 300 and outcomes.count(False) > 300
+    # Edge cases: the box edge itself, one step outside it, and no generators.
+    assert _box_solvable([Fraction(1, 3)], Fraction(2, 3), 2)
+    assert not _box_solvable([Fraction(1, 3)], Fraction(1), 2)
+    assert _box_solvable([], Fraction(0), 5)
+    assert not _box_solvable([], Fraction(1, 2), 5)
+    with pytest.raises(ValueError, match="at most 3 generators"):
+        _box_solvable([Fraction(1)] * 4, Fraction(0), 1)
+
+
 # ---------------------------------------------------------------------------
 # lattice decisions
 
@@ -309,6 +346,9 @@ def test_value_json_roundtrip_bit_exact():
     assert PiGradedValue.from_json(json.loads(json.dumps(doc))) == value
     with pytest.raises(ValueError, match="duplicate pi_exp 2"):
         PiGradedValue.from_json(doc + doc[1:])
+    repeated = [{"pi_exp": 0, "num": [[0, "1"], [0, "1/2"]], "den": [[0, "1"]]}]
+    with pytest.raises(ValueError, match="duplicate term exponent 0"):
+        PiGradedValue.from_json(repeated)
 
 
 def test_lattice_json_roundtrip_bit_exact():
