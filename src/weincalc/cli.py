@@ -28,6 +28,7 @@ from .montecarlo import mc_ball_moment
 from .morphism import (
     RAW_CHECK_MAX_K,
     ManifoldDescriptor,
+    SelfCheckError,
     blowup_flags,
     blowup_weinstein,
     cpn_q,
@@ -43,6 +44,8 @@ SCHEMA = "weincalc/1"
 # normals, so the time grows about linearly in samples * n.  It admits
 # 10^8 samples at n = 3, 15 s of Monte Carlo (6.6 million samples per second
 # on a 2-core x86-64 box), and every sample count up to 10^8 at n <= 3.
+# Memory does not grow with it: a Monte Carlo chunk holds at most
+# 2 * montecarlo.CHUNK_SIZE normals at any n.
 MAX_MC_WORK = 3 * 10**8
 
 
@@ -96,17 +99,18 @@ def _cmd_blowup(args) -> int:
     order = cv.order()
     flags = blowup_flags(args.n, args.k, order)
     f = cv.value.components[args.k]
+    weight_function = str(f)  # megabytes at large n: format it once
     multiple = f * factorial(args.k)
     body = {
         "value": cv.value.to_json(),
-        "weight_function": str(f),
+        "weight_function": weight_function,
         "multiple_of_pi_k_over_k_factorial": str(multiple),
         "lattice": cv.lattice.to_json(),
         "order": order.to_json(),
     }
     lines = [
         f"Blow-up of CP^{args.n}, degree 2k-1 = {2 * args.k - 1}  (x stands for rho^2)",
-        f"  value     = ({f}) * pi^{args.k}",
+        f"  value     = ({weight_function}) * pi^{args.k}",
         f"  lattice   = {cv.lattice}",
         f"  order     = {order}",
     ]
@@ -231,7 +235,7 @@ def _cmd_product(args) -> int:
             f"descriptor does not assert trivial homotopy in degree {degree} "
             f"(trivial_odd_homotopy: {sorted(descriptor.trivial_odd_homotopy)})"
         )
-    b_value = PiGradedValue.zero()
+    b_value = PiGradedValue()
     if args.class_name is not None:
         named = descriptor.classes.get(args.class_name)
         if named is None:
@@ -372,6 +376,9 @@ def main(argv: list[str] | None = None) -> int:
             exc = f"{' '.join(sizes)}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SelfCheckError as exc:  # a closed form and its enumeration disagree
+        print(f"error: self-check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -7,11 +7,11 @@ only these two squared moduli: |z|^2 = r0^2 U^(1/n), and the partial one as
 squares (Muller's Gaussian directions, 1959; rejection sampling is useless in
 2n >= 8 dimensions).
 
-Determinism contract: the sample stream is split into fixed chunks of
-65536; chunk i draws from a PCG64 generator seeded with the i-th child of
-SeedSequence(seed), and the chunks run one after another, their partial sums
-reduced in chunk order.  An estimate therefore depends only on
-(parameters, seed).
+Determinism contract: an estimate draws every sample from one generator,
+numpy.random.default_rng(seed), in chunks of max(1, CHUNK_SIZE // n) samples
+that run one after another, their partial sums reduced in chunk order.  An
+estimate therefore depends only on (parameters, seed), and a chunk holds at
+most 2 * CHUNK_SIZE normals whatever n (for n <= CHUNK_SIZE).
 
 NumPy is imported inside the functions that draw samples, so the exact
 commands, which import this module through `cli`, never load it.
@@ -81,18 +81,19 @@ def sample_ball(
 def _estimate(
     n: int, m: int, k: int, r0: float, scale: float, cutoff: float, samples: int, seed: int
 ) -> McEstimate:
-    """The integrand of the module doc over the radius-r0 ball in C^n, in
-    chunks reduced in canonical order.  The sums run over the unscaled
-    integrand, and `scale` multiplies the mean and the standard error once,
-    so a tiny scale cannot underflow the sum of squares."""
+    """The integrand of the module doc over the radius-r0 ball in C^n, drawn
+    from one default_rng(seed) stream in chunks of max(1, CHUNK_SIZE // n)
+    samples, so memory stays bounded as n grows.  The sums run over the
+    unscaled integrand, and `scale` multiplies the mean and the standard
+    error once, so a tiny scale cannot underflow the sum of squares."""
     import numpy as np
 
     require_positive(samples=samples)
-    n_chunks = (samples + CHUNK_SIZE - 1) // CHUNK_SIZE
+    rng = np.random.default_rng(seed)
+    rows = max(1, CHUNK_SIZE // n)
     total = total_sq = 0.0
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
-        rng = np.random.Generator(np.random.PCG64(child))
-        part, norm_sq = sample_ball(n, m, r0, rng, min(CHUNK_SIZE, samples - i * CHUNK_SIZE))
+    for start in range(0, samples, rows):
+        part, norm_sq = sample_ball(n, m, r0, rng, min(rows, samples - start))
         values = part**k * (norm_sq > cutoff * cutoff)
         total += float(values.sum())
         total_sq += float(np.square(values).sum())

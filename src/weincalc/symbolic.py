@@ -65,8 +65,6 @@ class PolyQ:
         return self.terms[self.degree]
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = PolyQ.const(other)
         if not isinstance(other, PolyQ):
             return NotImplemented
         return self.terms == other.terms
@@ -74,17 +72,11 @@ class PolyQ:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def __neg__(self) -> PolyQ:
-        return PolyQ({e: -c for e, c in self.terms.items()})
-
     def __add__(self, other: PolyQ) -> PolyQ:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, Fraction(0)) + c
         return PolyQ(out)
-
-    def __sub__(self, other: PolyQ) -> PolyQ:
-        return self + (-other)
 
     def __mul__(self, other: PolyQ | Fraction | int) -> PolyQ:
         if isinstance(other, (int, Fraction)):
@@ -204,8 +196,6 @@ class RatFuncQ:
         return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, PolyQ)):
-            other = RatFuncQ(other)
         if not isinstance(other, RatFuncQ):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -216,10 +206,17 @@ class RatFuncQ:
     def __add__(self, other: RatFuncQ) -> RatFuncQ:
         return RatFuncQ(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __mul__(self, other: RatFuncQ | Fraction | int) -> RatFuncQ:
-        if isinstance(other, (int, Fraction)):
-            return RatFuncQ(self.num * other, self.den)
-        return RatFuncQ(self.num * other.num, self.den * other.den)
+    def __mul__(self, scalar: Fraction | int) -> RatFuncQ:
+        """Scale by a rational.  A nonzero scalar keeps gcd(num, den) = 1 and
+        the monic denominator, so the product needs no reduction."""
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        if not scalar:
+            return RatFuncQ(0)
+        out = RatFuncQ.__new__(RatFuncQ)
+        out.num = self.num * scalar
+        out.den = self.den
+        return out
 
     __rmul__ = __mul__
 
@@ -298,10 +295,6 @@ class PiGradedValue:
                 if f:
                     clean[int(a)] = f
         self.components = clean
-
-    @classmethod
-    def zero(cls) -> PiGradedValue:
-        return cls()
 
     @classmethod
     def monomial(cls, coeff: Fraction | int, pi_exp: int, x_exp: int = 0) -> PiGradedValue:
@@ -415,9 +408,6 @@ class Lattice:
 
     def __hash__(self) -> int:
         return hash(self.generators)
-
-    def __bool__(self) -> bool:
-        return bool(self.generators)
 
     def to_json(self) -> list[dict]:
         return [

@@ -246,7 +246,7 @@ def check_product(n_max: int = 5) -> CheckResult:
             product = product_value(
                 cv.value,
                 cv.lattice,
-                PiGradedValue.zero(),
+                PiGradedValue(),
                 descriptor.period_lattice(k),
                 full,
             )
@@ -395,7 +395,7 @@ def _random_instance(rnd: random.Random, kind: str):
         r = rnd.randint(1, 3)
         cells = random_cells(r, distinct=False)
         gens = [(random_coeff(), a, b) for a, b in cells]
-        value = PiGradedValue.zero()
+        value = PiGradedValue()
         for coeff, a, b in gens:
             value = value + PiGradedValue.monomial(coeff * rnd.randint(-15, 15), a, b)
         return value, gens
@@ -407,7 +407,7 @@ def _random_instance(rnd: random.Random, kind: str):
         r = rnd.randint(1, 3)
         cells = random_cells(r, distinct=True)
         gens = [(random_coeff(), a, b) for a, b in cells]
-        value = PiGradedValue.zero()
+        value = PiGradedValue()
         for coeff, a, b in gens:
             s = rnd.choice([1, 2, 3, 4])
             t = rnd.choice([t for t in range(-4, 5) if t and math.gcd(t, s) == 1])

@@ -499,6 +499,16 @@ def test_verify_detects_corrupted_closed_form(monkeypatch):
     assert not result.passed
 
 
+@pytest.mark.parametrize("argv", [["cpn", "--n", "3", "--k", "2"], ["verify", "--quick"]])
+def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch, argv):
+    monkeypatch.setattr(combinatorics, "moment_sum_bruteforce", lambda k, l: 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: self-check failed: closed form q(")
+    assert err.count("\n") == 1
+
+
 # A fresh interpreter runs one query and prints its exit code and whether
 # NumPy was loaded; the query's own output is discarded.
 NUMPY_PROBE = """

@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from weincalc import montecarlo
 from weincalc.combinatorics import ball_moment_exact
 from weincalc.montecarlo import (
     CHUNK_SIZE,
@@ -128,11 +129,26 @@ def test_mc_blowup_agreement_at_half_weight():
 
 
 def test_estimates_are_deterministic_and_seed_sensitive():
-    a = mc_ball_moment(2, 2, 1, 1.0, CHUNK_SIZE + 17, 310)  # crosses a chunk edge
-    b = mc_ball_moment(2, 2, 1, 1.0, CHUNK_SIZE + 17, 310)
-    c = mc_ball_moment(2, 2, 1, 1.0, CHUNK_SIZE + 17, 311)
+    samples = CHUNK_SIZE // 2 + 17  # n = 2 draws chunks of CHUNK_SIZE // 2: crosses an edge
+    a = mc_ball_moment(2, 2, 1, 1.0, samples, 310)
+    b = mc_ball_moment(2, 2, 1, 1.0, samples, 310)
+    c = mc_ball_moment(2, 2, 1, 1.0, samples, 311)
     assert a == b
     assert a.mean != c.mean
+
+
+def test_chunk_memory_does_not_grow_with_dimension(monkeypatch):
+    sizes = []
+
+    def spy(n, m, r0, rng, size):
+        sizes.append(size)
+        assert size * 2 * n <= 2 * CHUNK_SIZE, (n, size)
+        return sample_ball(n, m, r0, rng, size)
+
+    monkeypatch.setattr(montecarlo, "sample_ball", spy)
+    est = mc_ball_moment(170, 1, 1, 1.0, 2000, 1)
+    assert sum(sizes) == est.samples == 2000
+    assert len(sizes) > 1
 
 
 def test_parameter_validation():

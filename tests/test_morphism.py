@@ -158,7 +158,7 @@ def test_product_with_trivial_factor_reduces_to_cpn_coset():
     m_lattice = Lattice([(1, 0, 0)])  # P_2(M) = Z
     full = Lattice(cv.lattice.generators + m_lattice.generators)
     product = product_value(
-        cv.value, cv.lattice, PiGradedValue.zero(), m_lattice, full
+        cv.value, cv.lattice, PiGradedValue(), m_lattice, full
     )
     assert product.value == cv.value
     assert not lattice_member(product.value, product.lattice)
@@ -168,7 +168,7 @@ def test_product_with_trivial_factor_reduces_to_cpn_coset():
 def test_product_zero_plus_zero_is_member():
     full = Lattice([(1, 1, 0)])
     product = product_value(
-        PiGradedValue.zero(), Lattice([(1, 1, 0)]), PiGradedValue.zero(), Lattice([]), full
+        PiGradedValue(), Lattice([(1, 1, 0)]), PiGradedValue(), Lattice([]), full
     )
     assert lattice_member(product.value, product.lattice)
     assert product.order() == OrderResult.finite(1)
@@ -178,7 +178,7 @@ def test_product_rejects_non_containing_lattice():
     cv = cpn_weinstein(2, 1)
     too_small = Lattice([(2, 1, 0)])  # does not contain pi itself
     with pytest.raises(ValueError):
-        product_value(cv.value, cv.lattice, PiGradedValue.zero(), Lattice([]), too_small)
+        product_value(cv.value, cv.lattice, PiGradedValue(), Lattice([]), too_small)
 
 
 SPHERE_DOC = {
@@ -240,7 +240,7 @@ def test_descriptor_parses_classes():
     desc = ManifoldDescriptor.from_json(doc)
     assert desc.half_dimension == 2
     assert desc.periods[4] == (Fraction(1, 2),)
-    assert desc.classes["zero"].value == PiGradedValue.zero()
+    assert desc.classes["zero"].value == PiGradedValue()
     assert desc.classes["half"].value == PiGradedValue.monomial(Fraction(1, 2), 0, 0)
     assert desc.period_lattice(2).generators == ((Fraction(1, 2), 0, 0),)
     assert desc.period_lattice(3).generators == ()
