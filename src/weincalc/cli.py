@@ -42,7 +42,7 @@ SCHEMA = "weincalc/1"
 
 # Upper bound on `moment --mc` work, samples * n: each sample draws 2n
 # normals, so the time grows about linearly in samples * n.  It admits
-# 10^8 samples at n = 3, 15 s of Monte Carlo (6.6 million samples per second
+# 10^8 samples at n = 3, 19 s of Monte Carlo (5.4 million samples per second
 # on a 2-core x86-64 box), and every sample count up to 10^8 at n <= 3.
 # Memory does not grow with it: a Monte Carlo chunk holds at most
 # 2 * montecarlo.CHUNK_SIZE normals at any n.
@@ -187,7 +187,9 @@ def _cmd_moment(args) -> int:
     ok = True
     if args.mc:
         try:
-            est = mc_ball_moment(args.n, args.l, args.k, float(r0), args.samples, args.seed)
+            (est,) = mc_ball_moment(
+                args.n, [(args.l, args.k)], float(r0), args.samples, args.seed
+            )
         except OverflowError:  # the float ball volume pi^n r0^(2n)/n!
             raise ValueError(
                 f"--n {args.n} --r0 {args.r0}: the Monte Carlo ball volume overflows a float"
@@ -275,12 +277,13 @@ def _cmd_product(args) -> int:
 
 
 def _check_summary(details: dict) -> str:
-    sigmas = [
-        row["sigma"]
+    rows = [
+        row
         for key in ("monte_carlo", "rows")
         for row in details.get(key, [])
-        if isinstance(row, dict) and "sigma" in row
+        if isinstance(row, dict)
     ]
+    sigmas = [row["sigma"] for row in rows if "sigma" in row]
     parts = []
     if "rows" in details and not sigmas:
         parts.append(f"{len(details['rows'])} cases")
@@ -294,6 +297,9 @@ def _check_summary(details: dict) -> str:
         parts.append(f"max {max(sigmas):.2f} sigma over {len(sigmas)} estimates")
     if "mismatches" in details and details["mismatches"]:
         parts.append(f"{len(details['mismatches'])} mismatches")
+    refused = sum("error" in row for row in rows)
+    if refused:
+        parts.append(f"{refused} refused by the self-check")
     return ", ".join(parts)
 
 

@@ -7,7 +7,9 @@ bounded exhaustive search over integer coefficient vectors for the lattice
 decision procedures.  The CLI `verify` command and the acceptance tests both
 run exactly this suite.
 
-All seeds are fixed so that repeated runs produce identical output.
+All seeds are fixed so that repeated runs produce identical output.  Each
+Monte Carlo check draws one seeded sample stream per ball dimension n, and
+every row of that n is estimated on it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .montecarlo import (
 from .morphism import (
     FINITE_ORDER_AT_TOP_DEGREE,
     ManifoldDescriptor,
+    SelfCheckError,
     blowup_flags,
     blowup_weinstein,
     cpn_q,
@@ -56,6 +59,11 @@ MOMENT_K_MAX = 3
 BLOWUP_RHO = Fraction(1, 2)
 
 DECISION_SEED = BASE_SEED + 4000
+
+# Each Monte Carlo check estimates all its rows at one n on one stream.
+MC_STREAMS = (
+    "one seed and one sample stream per n: the rows of one n share them and are correlated"
+)
 
 # Frozen spot values for the ball moment integral, each derived from the
 # one-dimensional radial quadrature that is independent of the multi-index
@@ -125,22 +133,25 @@ def check_ball_moments(samples: int = 10**6) -> CheckResult:
         )
     mc_rows = []
     for n in range(1, MC_N_MAX + 1):
-        for l in range(1, n + 1):
-            for k in range(1, MOMENT_K_MAX + 1):
-                coeff, pi_exp = combinatorics.ball_moment_exact(n, l, k)
-                exact = float(coeff) * math.pi**pi_exp
-                est = mc_ball_moment(n, l, k, 1.0, samples, BASE_SEED + 100 * n + 10 * l + k)
-                mc_rows.append(mc_row({"n": n, "l": l, "k": k}, est, exact))
+        terms = [(l, k) for l in range(1, n + 1) for k in range(1, MOMENT_K_MAX + 1)]
+        estimates = mc_ball_moment(n, terms, 1.0, samples, BASE_SEED + 100 * n)
+        for (l, k), est in zip(terms, estimates):
+            coeff, pi_exp = combinatorics.ball_moment_exact(n, l, k)
+            exact = float(coeff) * math.pi**pi_exp
+            mc_rows.append(mc_row({"n": n, "l": l, "k": k}, est, exact))
     ok &= all(row["ok"] for row in mc_rows)
     return CheckResult(
-        "ball-moments", ok, {"samples": samples, "spots": spots, "monte_carlo": mc_rows}
+        "ball-moments",
+        ok,
+        {"samples": samples, "streams": MC_STREAMS, "spots": spots, "monte_carlo": mc_rows},
     )
 
 
 def check_cpn_exact(n_max: int = 8, raw_k_max: int = 8) -> CheckResult:
     """Exact CP^n suite: 0 < q < 1 and nontriviality for all k <= n <= n_max,
     raw multi-index value equal to the closed form, and the two anchors
-    q(n, 1) = 1/(n+1) with order n+1, q(n, n) = 1/2 with order 2."""
+    q(n, 1) = 1/(n+1) with order n+1, q(n, n) = 1/2 with order 2.  A value
+    refused by its self-check fails its row with the message."""
     ok = True
     rows = []
     for n in range(1, n_max + 1):
@@ -152,15 +163,19 @@ def check_cpn_exact(n_max: int = 8, raw_k_max: int = 8) -> CheckResult:
                 raw = cpn_weinstein_raw(n, k)
                 entry["raw"] = format_rational(raw)
                 good &= raw == q
-            cv = cpn_weinstein(n, k)
-            order = cv.order()
-            entry["order"] = order.to_json()
-            entry["nontrivial"] = order != OrderResult.finite(1)
-            good &= entry["nontrivial"]
-            if k == 1:
-                good &= q == Fraction(1, n + 1) and order == OrderResult.finite(n + 1)
-            if k == n:
-                good &= q == Fraction(1, 2) and order == OrderResult.finite(2)
+            try:
+                order = cpn_weinstein(n, k).order()
+            except SelfCheckError as exc:
+                entry["error"] = str(exc)
+                good = False
+            else:
+                entry["order"] = order.to_json()
+                entry["nontrivial"] = order != OrderResult.finite(1)
+                good &= entry["nontrivial"]
+                if k == 1:
+                    good &= q == Fraction(1, n + 1) and order == OrderResult.finite(n + 1)
+                if k == n:
+                    good &= q == Fraction(1, 2) and order == OrderResult.finite(2)
             entry["ok"] = good
             ok &= good
             rows.append(entry)
@@ -173,23 +188,32 @@ def check_cpn_monte_carlo(samples: int = 10**6) -> CheckResult:
     """Monte Carlo trace-volume average against q(n,k) pi^k/k!."""
     rows = []
     for n in range(1, MC_N_MAX + 1):
-        for k in range(1, n + 1):
+        degrees = range(1, n + 1)
+        estimates = mc_cpn_average(n, degrees, samples, BASE_SEED + 1000 + 10 * n)
+        for k, est in zip(degrees, estimates):
             exact = float(cpn_q(n, k)) * math.pi**k / math.factorial(k)
-            est = mc_cpn_average(n, k, samples, BASE_SEED + 1000 + 10 * n + k)
             rows.append(mc_row({"n": n, "k": k}, est, exact))
     ok = all(row["ok"] for row in rows)
-    return CheckResult("cpn-monte-carlo", ok, {"samples": samples, "rows": rows})
+    return CheckResult(
+        "cpn-monte-carlo", ok, {"samples": samples, "streams": MC_STREAMS, "rows": rows}
+    )
 
 
 def check_blowup(n_max: int = 8, samples: int = 10**6) -> CheckResult:
     """Blow-up suite: infinite order for every k < n, the flagged Finite(2)
     at k = n, the x -> 0 degeneration to the CP^n value, and Monte Carlo at
-    weight BLOWUP_RHO against the exact rational-function evaluation."""
+    weight BLOWUP_RHO against the exact rational-function evaluation.  A
+    value refused by its self-check fails its row with the message."""
     ok = True
     rows = []
     for n in range(2, n_max + 1):
         for k in range(1, n + 1):
-            cv = blowup_weinstein(n, k)
+            try:
+                cv = blowup_weinstein(n, k)
+            except SelfCheckError as exc:
+                ok = False
+                rows.append({"n": n, "k": k, "error": str(exc), "ok": False})
+                continue
             order = cv.order()
             flags = blowup_flags(n, k, order)
             at_zero = cv.value.components[k].evaluate(Fraction(0))
@@ -213,23 +237,38 @@ def check_blowup(n_max: int = 8, samples: int = 10**6) -> CheckResult:
     mc_rows = []
     x = BLOWUP_RHO**2
     for n in range(1, MC_N_MAX + 1):
-        for k in range(1, n + 1):
-            cv = blowup_weinstein(n, k)
+        degrees = range(1, n + 1)
+        estimates = mc_blowup_average(
+            n, degrees, float(BLOWUP_RHO), samples, BASE_SEED + 2000 + 10 * n
+        )
+        for k, est in zip(degrees, estimates):
+            params = {"n": n, "k": k, "rho": format_rational(BLOWUP_RHO)}
+            try:
+                cv = blowup_weinstein(n, k)
+            except SelfCheckError as exc:
+                mc_rows.append({**params, "error": str(exc), "ok": False})
+                continue
             exact = float(cv.value.components[k].evaluate(x)) * math.pi**k
-            est = mc_blowup_average(n, k, float(BLOWUP_RHO), samples, BASE_SEED + 2000 + 10 * n + k)
-            mc_rows.append(mc_row({"n": n, "k": k, "rho": format_rational(BLOWUP_RHO)}, est, exact))
+            mc_rows.append(mc_row(params, est, exact))
     ok &= all(row["ok"] for row in mc_rows)
     return CheckResult(
         "blowup",
         ok,
-        {"n_max": n_max, "samples": samples, "rows": rows, "monte_carlo": mc_rows},
+        {
+            "n_max": n_max,
+            "samples": samples,
+            "streams": MC_STREAMS,
+            "rows": rows,
+            "monte_carlo": mc_rows,
+        },
     )
 
 
 def check_product(n_max: int = 5) -> CheckResult:
     """Product suite: cpn(n,k) x trivial against a rational-period descriptor
     is nontrivial for all k <= n <= n_max, with the factor-lattice containment
-    checked generator by generator inside product_value."""
+    checked generator by generator inside product_value.  A CP^n value
+    refused by its self-check fails its row with the message."""
     descriptor = ManifoldDescriptor.from_json(
         {
             "dimension": 2 * n_max,
@@ -241,7 +280,12 @@ def check_product(n_max: int = 5) -> CheckResult:
     rows = []
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
-            cv = cpn_weinstein(n, k)
+            try:
+                cv = cpn_weinstein(n, k)
+            except SelfCheckError as exc:
+                ok = False
+                rows.append({"n": n, "k": k, "error": str(exc), "nontrivial": False})
+                continue
             full = product_cpn_lattice(n, k, descriptor)
             product = product_value(
                 cv.value,
@@ -269,9 +313,9 @@ def check_mc_determinism(samples: int = 10**5) -> CheckResult:
     import numpy as np
 
     seed = BASE_SEED + 3000
-    first = mc_ball_moment(2, 1, 1, 1.0, samples, seed)
-    second = mc_ball_moment(2, 1, 1, 1.0, samples, seed)
-    draws = [sample_ball(3, 2, 1.0, np.random.default_rng(seed), 64) for _ in range(2)]
+    (first,) = mc_ball_moment(2, [(1, 1)], 1.0, samples, seed)
+    (second,) = mc_ball_moment(2, [(1, 1)], 1.0, samples, seed)
+    draws = [sample_ball(3, 1.0, np.random.default_rng(seed), 64) for _ in range(2)]
     stream_equal = all(map(np.array_equal, *draws))
     passed = first == second and stream_equal
     return CheckResult(

@@ -504,9 +504,29 @@ def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch, argv):
     monkeypatch.setattr(combinatorics, "moment_sum_bruteforce", lambda k, l: 1)
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
-    assert out == ""
-    assert err.startswith("error: self-check failed: closed form q(")
-    assert err.count("\n") == 1
+    if argv[0] == "cpn":  # a query refuses to answer
+        assert out == ""
+        assert err.startswith("error: self-check failed: closed form q(")
+        assert err.count("\n") == 1
+        return
+    # verify reports every check, the refused values as failed rows
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 10 and lines[-1] == "VERIFICATION FAILED (4/9)"
+    failed = {line.split()[1] for line in lines[:-1] if line.startswith("FAIL")}
+    assert failed == {"identity-suite", "moment-sums", "cpn-exact", "blowup", "product"}
+    for name in ("cpn-exact", "blowup", "product"):
+        (line,) = [line for line in lines if line.split()[1] == name]
+        assert "refused by the self-check" in line
+    doc = json.loads(run_cli(capsys, *argv, "--json")[1])
+    refused = [
+        row
+        for check in doc["checks"]
+        for key in ("rows", "monte_carlo")
+        for row in check["details"].get(key, [])
+        if "error" in row
+    ]
+    assert refused and all(row["error"].startswith("closed form q(") for row in refused)
 
 
 # A fresh interpreter runs one query and prints its exit code and whether

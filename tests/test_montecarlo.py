@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from weincalc import montecarlo
+from weincalc import montecarlo, verify
 from weincalc.combinatorics import ball_moment_exact
 from weincalc.montecarlo import (
     CHUNK_SIZE,
@@ -38,37 +38,39 @@ def reference_squared_moduli(n, m, r0, rng, size):
     return squares[:, : 2 * m].sum(axis=1), squares.sum(axis=1)
 
 
-@pytest.mark.parametrize(
-    "n, m, r0", [(1, 1, 1.0), (2, 1, 1.0), (3, 2, 0.5), (5, 3, 2.0), (6, 6, 1.0)]
-)
-def test_sample_ball_matches_point_matrix_reference(n, m, r0):
-    part, total = sample_ball(n, m, r0, np.random.Generator(np.random.PCG64(41)), 4096)
-    ref_part, ref_total = reference_squared_moduli(
-        n, m, r0, np.random.Generator(np.random.PCG64(41)), 4096
-    )
-    np.testing.assert_allclose(part, ref_part, rtol=1e-12, atol=0)
+@pytest.mark.parametrize("n, r0", [(1, 1.0), (2, 1.0), (3, 0.5), (5, 2.0), (6, 1.0)])
+def test_sample_ball_matches_point_matrix_reference(n, r0):
+    partial, total = sample_ball(n, r0, np.random.Generator(np.random.PCG64(41)), 4096)
+    assert partial.shape == (4096, n)
+    for m in range(1, n + 1):
+        ref_part, ref_total = reference_squared_moduli(
+            n, m, r0, np.random.Generator(np.random.PCG64(41)), 4096
+        )
+        np.testing.assert_allclose(partial[:, m - 1], ref_part, rtol=1e-12, atol=0)
     np.testing.assert_allclose(total, ref_total, rtol=1e-12, atol=0)
+    assert np.all(np.diff(partial, axis=1) >= 0)
+    np.testing.assert_allclose(partial[:, -1], total, rtol=1e-12, atol=0)
 
 
 def test_sample_ball_stays_inside():
     rng = np.random.Generator(np.random.PCG64(5))
-    for n, m, r0 in [(1, 1, 1.0), (3, 2, 0.5), (5, 5, 2.0)]:
-        part, total = sample_ball(n, m, r0, rng, 2000)
-        assert part.shape == total.shape == (2000,)
-        assert np.all(0 <= part) and np.all(part <= total)
+    for n, r0 in [(1, 1.0), (3, 0.5), (5, 2.0)]:
+        partial, total = sample_ball(n, r0, rng, 2000)
+        assert partial.shape == (2000, n) and total.shape == (2000,)
+        assert np.all(0 <= partial) and np.all(partial <= total[:, None])
         assert np.all(total < r0 * r0)
 
 
 def test_sample_ball_fixed_seed_is_bit_identical():
-    a = sample_ball(2, 1, 1.0, np.random.Generator(np.random.PCG64(77)), 512)
-    b = sample_ball(2, 1, 1.0, np.random.Generator(np.random.PCG64(77)), 512)
+    a = sample_ball(2, 1.0, np.random.Generator(np.random.PCG64(77)), 512)
+    b = sample_ball(2, 1.0, np.random.Generator(np.random.PCG64(77)), 512)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_sample_ball_mean_squared_norm():
     # E[|z|^2] over the unit disk: int r^2 * 2 pi r dr / pi = 1/2.
     rng = np.random.Generator(np.random.PCG64(11))
-    _, sq = sample_ball(1, 1, 1.0, rng, SAMPLES)
+    _, sq = sample_ball(1, 1.0, rng, SAMPLES)
     se = sq.std(ddof=1) / math.sqrt(SAMPLES)
     assert abs(sq.mean() - 0.5) < 4 * se
 
@@ -79,28 +81,28 @@ def test_mc_ball_moment_spot_values():
         ((2, 1, 1), math.pi**2 / 6),
         ((1, 1, 2), math.pi / 3),
     ]:
-        est = mc_ball_moment(n, l, k, 1.0, SAMPLES, 301)
+        (est,) = mc_ball_moment(n, [(l, k)], 1.0, SAMPLES, 301)
         assert est.sigma_distance(exact) < 4, (n, l, k, est)
 
 
 def test_mc_ball_moment_matches_exact_general_case():
     coeff, pi_exp = ball_moment_exact(3, 2, 2)
     exact = float(coeff) * math.pi**pi_exp
-    est = mc_ball_moment(3, 2, 2, 1.0, SAMPLES, 302)
+    (est,) = mc_ball_moment(3, [(2, 2)], 1.0, SAMPLES, 302)
     assert est.sigma_distance(exact) < 4
 
 
 def test_mc_ball_moment_radius_scaling_same_seed():
     # With identical streams the radius-r0 estimate is exactly the unit
     # estimate times r0^(2(n+k)), up to float rounding.
-    unit = mc_ball_moment(2, 1, 2, 1.0, SAMPLES, 303)
-    doubled = mc_ball_moment(2, 1, 2, 2.0, SAMPLES, 303)
+    (unit,) = mc_ball_moment(2, [(1, 2)], 1.0, SAMPLES, 303)
+    (doubled,) = mc_ball_moment(2, [(1, 2)], 2.0, SAMPLES, 303)
     assert math.isclose(doubled.mean, unit.mean * 2 ** (2 * (2 + 2)), rel_tol=1e-9)
 
 
 def test_mc_ball_moment_radius_scaling_independent_seeds():
-    unit = mc_ball_moment(2, 1, 1, 1.0, SAMPLES, 304)
-    half = mc_ball_moment(2, 1, 1, 0.5, SAMPLES, 305)
+    (unit,) = mc_ball_moment(2, [(1, 1)], 1.0, SAMPLES, 304)
+    (half,) = mc_ball_moment(2, [(1, 1)], 0.5, SAMPLES, 305)
     scale = 0.5 ** (2 * (2 + 1))
     combined_se = math.hypot(half.std_error, scale * unit.std_error)
     assert abs(half.mean - scale * unit.mean) < 4 * combined_se
@@ -109,13 +111,13 @@ def test_mc_ball_moment_radius_scaling_independent_seeds():
 def test_mc_cpn_average_agreement():
     for n, k in [(1, 1), (2, 1), (2, 2)]:
         exact = float(cpn_q(n, k)) * math.pi**k / math.factorial(k)
-        est = mc_cpn_average(n, k, SAMPLES, 306)
+        (est,) = mc_cpn_average(n, [k], SAMPLES, 306)
         assert est.sigma_distance(exact) < 4, (n, k, est)
 
 
 def test_mc_blowup_small_weight_matches_cpn():
-    cpn = mc_cpn_average(2, 1, SAMPLES, 307)
-    blowup = mc_blowup_average(2, 1, 0.01, SAMPLES, 308)
+    (cpn,) = mc_cpn_average(2, [1], SAMPLES, 307)
+    (blowup,) = mc_blowup_average(2, [1], 0.01, SAMPLES, 308)
     combined_se = math.hypot(cpn.std_error, blowup.std_error)
     assert abs(cpn.mean - blowup.mean) < 4 * combined_se
 
@@ -124,59 +126,109 @@ def test_mc_blowup_agreement_at_half_weight():
     for n, k in [(2, 1), (2, 2)]:
         f = blowup_weinstein(n, k).value.components[k]
         exact = float(f.evaluate(Fraction(1, 4))) * math.pi**k
-        est = mc_blowup_average(n, k, 0.5, SAMPLES, 309)
+        (est,) = mc_blowup_average(n, [k], 0.5, SAMPLES, 309)
         assert est.sigma_distance(exact) < 4, (n, k, est)
 
 
 def test_estimates_are_deterministic_and_seed_sensitive():
     samples = CHUNK_SIZE // 2 + 17  # n = 2 draws chunks of CHUNK_SIZE // 2: crosses an edge
-    a = mc_ball_moment(2, 2, 1, 1.0, samples, 310)
-    b = mc_ball_moment(2, 2, 1, 1.0, samples, 310)
-    c = mc_ball_moment(2, 2, 1, 1.0, samples, 311)
+    a = mc_ball_moment(2, [(2, 1)], 1.0, samples, 310)
+    b = mc_ball_moment(2, [(2, 1)], 1.0, samples, 310)
+    c = mc_ball_moment(2, [(2, 1)], 1.0, samples, 311)
     assert a == b
-    assert a.mean != c.mean
+    assert a[0].mean != c[0].mean
+
+
+def test_grid_estimate_equals_its_one_integrand_estimates():
+    # Every integrand keeps its own sums, so sharing the stream (and a column
+    # of partial moduli) with others changes no bit of its estimate: ball
+    # moments, a CP^n average and a blow-up average (the one with a cutoff),
+    # across a chunk edge.
+    n, samples, seed = 3, CHUNK_SIZE // 3 + 17, 312
+    integrands = [
+        (1, 3, 0.0, math.pi**3 / 6),
+        (2, 2, 0.0, math.pi**2 / 2),
+        (1, 1, 0.5, math.pi / (1 - 0.5**6)),
+        (2, 1, 0.0, math.pi**3 / 6),
+    ]
+    grid = montecarlo._estimate(n, 1.0, integrands, samples, seed)
+    assert len(grid) == len(integrands)
+    for integrand, est in zip(integrands, grid):
+        assert montecarlo._estimate(n, 1.0, [integrand], samples, seed) == [est]
+    assert len({est.mean for est in grid}) == len(grid)
+    assert mc_blowup_average(3, [1, 2, 3], 0.5, samples, seed)[0] == grid[2]
+    assert mc_ball_moment(3, [(1, 3), (2, 1)], 1.0, samples, seed) == [grid[0], grid[3]]
 
 
 def test_chunk_memory_does_not_grow_with_dimension(monkeypatch):
     sizes = []
 
-    def spy(n, m, r0, rng, size):
+    def spy(n, r0, rng, size):
         sizes.append(size)
         assert size * 2 * n <= 2 * CHUNK_SIZE, (n, size)
-        return sample_ball(n, m, r0, rng, size)
+        return sample_ball(n, r0, rng, size)
 
     monkeypatch.setattr(montecarlo, "sample_ball", spy)
-    est = mc_ball_moment(170, 1, 1, 1.0, 2000, 1)
+    (est,) = mc_ball_moment(170, [(1, 1)], 1.0, 2000, 1)
     assert sum(sizes) == est.samples == 2000
     assert len(sizes) > 1
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        verify.check_ball_moments,
+        verify.check_cpn_monte_carlo,
+        lambda samples: verify.check_blowup(n_max=2, samples=samples),
+    ],
+    ids=["ball-moments", "cpn-monte-carlo", "blowup"],
+)
+def test_each_mc_check_draws_one_stream_per_dimension(monkeypatch, check):
+    draws = {}
+
+    def spy(n, r0, rng, size):
+        draws.setdefault(n, {}).setdefault(id(rng), 0)
+        draws[n][id(rng)] += size
+        return sample_ball(n, r0, rng, size)
+
+    monkeypatch.setattr(montecarlo, "sample_ball", spy)
+    samples = 1000
+    assert check(samples=samples).passed
+    assert {n: list(streams.values()) for n, streams in draws.items()} == {
+        n: [samples] for n in range(1, verify.MC_N_MAX + 1)
+    }
 
 
 def test_parameter_validation():
     # The same rules and message texts as the exact routes (combinatorics,
     # morphism and the CLI).
     with pytest.raises(ValueError, match="l must satisfy 1 <= l <= n, got l=2 with n=1"):
-        mc_ball_moment(1, 2, 1, 1.0, 10, 0)
+        mc_ball_moment(1, [(2, 1)], 1.0, 10, 0)
     with pytest.raises(ValueError, match="k must be >= 1, got 0"):
-        mc_ball_moment(1, 1, 0, 1.0, 10, 0)
+        mc_ball_moment(1, [(1, 0)], 1.0, 10, 0)
     with pytest.raises(ValueError, match="r0 must be > 0, got 0.0"):
-        mc_ball_moment(1, 1, 1, 0.0, 10, 0)
+        mc_ball_moment(1, [(1, 1)], 0.0, 10, 0)
     with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
-        mc_ball_moment(1, 1, 1, 1.0, 0, 0)
+        mc_ball_moment(1, [(1, 1)], 1.0, 0, 0)
     with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\), got 1.0"):
-        mc_blowup_average(2, 1, 1.0, 10, 0)
+        mc_blowup_average(2, [1], 1.0, 10, 0)
     with pytest.raises(ValueError, match="k must satisfy 1 <= k <= n, got k=3 with n=2"):
-        mc_cpn_average(2, 3, 10, 0)
+        mc_cpn_average(2, [3], 10, 0)
     with pytest.raises(ValueError, match="n must be >= 1, got n=0"):
-        mc_blowup_average(0, 1, 0.5, 10, 0)
-    rng = np.random.Generator(np.random.PCG64(5))
-    with pytest.raises(ValueError, match="m must satisfy 1 <= m <= n, got m=1 with n=0"):
-        sample_ball(0, 1, 1.0, rng, 4)
+        mc_blowup_average(0, [1], 0.5, 10, 0)
+    with pytest.raises(ValueError, match="l must satisfy 1 <= l <= n, got l=2 with n=1"):
+        mc_ball_moment(1, [(1, 1), (2, 1)], 1.0, 10, 0)
+    with pytest.raises(ValueError, match="k must satisfy 1 <= k <= n, got k=3 with n=2"):
+        mc_blowup_average(2, [1, 3], 0.5, 10, 0)
     with pytest.raises(ValueError, match="m must satisfy 1 <= m <= n, got m=3 with n=2"):
-        sample_ball(2, 3, 1.0, rng, 4)
+        montecarlo._estimate(2, 1.0, [(1, 1, 0.0, 1.0), (3, 1, 0.0, 1.0)], 10, 0)
     with pytest.raises(ValueError, match="m must satisfy 1 <= m <= n, got m=0 with n=2"):
-        sample_ball(2, 0, 1.0, rng, 4)
+        montecarlo._estimate(2, 1.0, [(0, 1, 0.0, 1.0)], 10, 0)
+    rng = np.random.Generator(np.random.PCG64(5))
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        sample_ball(0, 1.0, rng, 4)
     with pytest.raises(ValueError, match="r0 must be > 0, got -1.0"):
-        sample_ball(1, 1, -1.0, rng, 4)
+        sample_ball(1, -1.0, rng, 4)
 
 
 def test_sigma_distance_degenerate_cases():

@@ -3,6 +3,7 @@ name; a rename or deletion that leaves one of them dangling fails here."""
 
 import importlib
 import runpy
+import sys
 from pathlib import Path
 
 TRACE_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
@@ -19,3 +20,37 @@ def test_every_trace_target_resolves():
             missing.append(f"{module}.{attr}")
     assert len(targets) > 20
     assert missing == []
+
+
+def test_traced_mc_oracles_see_their_samples(monkeypatch):
+    # montecarlo.<oracle>.samples_per_s counts the `samples` argument that the
+    # traced spans read from each mc_* call; a verify check that stopped
+    # calling an oracle, or called it without `samples`, would report 0.
+    namespace = runpy.run_path(str(TRACE_CHILD))
+    from weincalc import montecarlo, verify
+
+    seen = {}
+
+    def spy(name, original):
+        info_of = namespace["_info_function"](f"montecarlo.{name}", original)
+
+        def traced(*args, **kwargs):
+            seen.setdefault(name, []).append(info_of(args, kwargs)["samples"])
+            return original(*args, **kwargs)
+
+        return traced
+
+    oracles = ("mc_ball_moment", "mc_cpn_average", "mc_blowup_average")
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "weincalc"]
+    for name in oracles:
+        original = getattr(montecarlo, name)
+        traced = spy(name, original)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, traced)
+    samples = 200
+    verify.check_ball_moments(samples=samples)
+    verify.check_cpn_monte_carlo(samples=samples)
+    verify.check_blowup(n_max=2, samples=samples)
+    assert seen == {name: [samples] * verify.MC_N_MAX for name in oracles}
