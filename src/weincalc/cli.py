@@ -42,10 +42,11 @@ SCHEMA = "weincalc/1"
 
 # Upper bound on `moment --mc` work, samples * n: each sample draws 2n
 # normals, so the time grows about linearly in samples * n.  It admits
-# 10^8 samples at n = 3, 19 s of Monte Carlo (5.4 million samples per second
+# 10^8 samples at n = 3, 14 s of Monte Carlo (7.3 million samples per second
 # on a 2-core x86-64 box), and every sample count up to 10^8 at n <= 3.
-# Memory does not grow with it: a Monte Carlo chunk holds at most
-# 2 * montecarlo.CHUNK_SIZE normals at any n.
+# Memory does not grow with it: at any n a Monte Carlo chunk holds at most
+# 2 * montecarlo.CHUNK_SIZE normals, then one buffer of at most
+# montecarlo.CHUNK_SIZE partial moduli and the powers of one column.
 MAX_MC_WORK = 3 * 10**8
 
 

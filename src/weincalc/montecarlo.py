@@ -14,8 +14,13 @@ integrand of the grid is evaluated on the same points (common random
 numbers), keeps its own sums, reduced in chunk order, and gets its own
 standard error; the estimates of one call are therefore correlated.  An
 estimate depends only on (n, r0, its integrand, samples, seed), not on the
-other integrands of the grid, and a chunk holds at most 2 * CHUNK_SIZE
-normals whatever n (for n <= CHUNK_SIZE).
+other integrands of the grid.
+
+Chunk memory does not grow with n (for n <= CHUNK_SIZE): a chunk holds at
+most 2 * CHUNK_SIZE normals, then one C-contiguous (n, size) buffer of at
+most CHUNK_SIZE partial moduli, and while one column m is read, the powers of
+it that the grid reads (one array of `size` floats per degree k) plus a few
+temporaries of that size.
 
 NumPy is imported inside the functions that draw samples, so the exact
 commands, which import this module through `cli`, never load it.
@@ -69,7 +74,8 @@ def sample_ball(
     """(partial, total) for `size` uniform points of the open radius-r0 ball
     in C^n: partial[:, m-1] = |z_1|^2 + ... + |z_m|^2, of shape (size, n), and
     total = |z|^2.  Consumes the rng stream in a fixed order: the (size, 2n)
-    normals, then the `size` radii.
+    normals, then the `size` radii.  `partial` is the transpose of a
+    C-contiguous (n, size) array, so each column m is contiguous.
     """
     import numpy as np
 
@@ -77,14 +83,16 @@ def sample_ball(
     require_radius(r0)
     squares = rng.standard_normal((size, 2 * n))
     total = r0 * r0 * rng.random(size) ** (1.0 / n)
-    # In place, so that a chunk holds no array beyond its normals.
     np.square(squares, out=squares)
-    partial = squares[:, 0::2]  # z_j is the real pair 2j-2, 2j-1
-    partial += squares[:, 1::2]
-    np.cumsum(partial, axis=1, out=partial)
-    partial /= partial[:, -1:]  # the shares, exactly 1 in the last column
-    partial *= total[:, None]
-    return partial, total
+    # moduli[j] = |z_1|^2 + ... + |z_(j+1)|^2 of the normals, z_j being the
+    # real pair 2j-2, 2j-1; the normals are freed before the running sum.
+    moduli = np.add(squares[:, 0::2].T, squares[:, 1::2].T, order="C")
+    del squares
+    for j in range(1, n):  # one contiguous row at a time
+        moduli[j] += moduli[j - 1]
+    moduli[:-1] *= total / moduli[-1]  # the shares times |z|^2
+    moduli[-1] = total
+    return moduli.T, total
 
 
 def _estimate(
@@ -97,25 +105,28 @@ def _estimate(
     """One estimate per integrand (m, k, cutoff, scale) of the module doc over
     the radius-r0 ball in C^n, all from one default_rng(seed) stream drawn in
     chunks of max(1, CHUNK_SIZE // n) samples, so memory stays bounded as n
-    grows.  The sums run over the unscaled integrand, and `scale` multiplies
-    the mean and the standard error once, so a tiny scale cannot underflow
-    the sum of squares."""
+    grows.  In each chunk the powers of a column and the mask of a cutoff are
+    formed once and shared by the integrands that read them, and an
+    integrand's values are the same bits whatever else the grid holds.  The
+    sums run over the unscaled integrand, and `scale` multiplies the mean and
+    the standard error once, so a tiny scale cannot underflow the sum of
+    squares."""
     import numpy as np
 
     require_positive(samples=samples)
     for m, *_ in integrands:
         require_within(n, m=m)
+    columns = {}  # m -> {k -> indices of the integrands reading column m ** k}
+    for index, (m, k, _, _) in enumerate(integrands):
+        columns.setdefault(m, {}).setdefault(k, []).append(index)
+    cutoffs = {cutoff for _, _, cutoff, _ in integrands if cutoff}
     rng = np.random.default_rng(seed)
     rows = max(1, CHUNK_SIZE // n)
     sums = [[0.0, 0.0] for _ in integrands]
     for start in range(0, samples, rows):
-        partial, norm_sq = sample_ball(n, r0, rng, min(rows, samples - start))
-        for acc, (m, k, cutoff, _) in zip(sums, integrands):
-            values = partial[:, m - 1] ** k
-            if cutoff:
-                values *= norm_sq > cutoff * cutoff
-            acc[0] += float(values.sum())
-            acc[1] += float(np.square(values).sum())
+        size = min(rows, samples - start)
+        # The chunk lives only for the call: two chunks are never held at once.
+        _accumulate(sums, integrands, columns, cutoffs, *sample_ball(n, r0, rng, size))
     estimates = []
     for (total, total_sq), (*_, scale) in zip(sums, integrands):
         mean = total / samples
@@ -124,6 +135,40 @@ def _estimate(
         std_error = scale * math.sqrt(variance / samples)
         estimates.append(McEstimate(scale * mean, std_error, samples, seed))
     return estimates
+
+
+def _accumulate(sums, integrands, columns, cutoffs, partial, norm_sq) -> None:
+    """Add one chunk's sum and sum of squares to the `sums` of each integrand.
+    Each column m gets one power per k that its integrands read, and each
+    cutoff one mask; the integrands that read them share them."""
+    import numpy as np
+
+    outside = {cutoff: norm_sq > cutoff * cutoff for cutoff in cutoffs}
+    for m, readers in columns.items():
+        column = partial[:, m - 1]
+        powers = {1: column}
+        for k in sorted(readers):
+            power = powers[k] = _power(column, k, powers)
+            for index in readers[k]:
+                cutoff = integrands[index][2]
+                values = power * outside[cutoff] if cutoff else power
+                sums[index][0] += float(values.sum())
+                sums[index][1] += float(np.square(values).sum())
+
+
+def _power(column: np.ndarray, k: int, known: dict) -> np.ndarray:
+    """column ** k by multiplication alone: column ** (k - 1) times the column
+    for odd k, the square of column ** (k / 2) for even k, so k <= 3 is the
+    plain chain and a large k takes about 2 log2(k) products, holding two
+    arrays at a time.  A power found in `known` was formed by the same
+    products, so the bits do not depend on what `known` holds.  A product
+    costs about a sixth of NumPy's general `pow`."""
+    if k in known:
+        return known[k]
+    if k % 2:
+        return _power(column, k - 1, known) * column
+    half = _power(column, k // 2, known)
+    return half * half
 
 
 def mc_ball_moment(

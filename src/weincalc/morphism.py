@@ -45,9 +45,10 @@ from .symbolic import (
 
 # Brute-force self-check budget: the raw multi-index sum for degree k runs
 # over C(3k-1, 2k-1) compositions.  Measured on a 2-core x86-64 box (CPython
-# 3.11), one cold S(k, k) costs about 0.04 s at k = 7 and 0.25 s at k = 8;
-# k = 9 (3.1 million compositions) would cost about 1.5 s.  The same bound
-# caps `identity --k-max`.
+# 3.11), one cold S(k, k) costs about 0.005 s at k = 7 and 0.04 s at k = 8.
+# A budget of 9 would add S(9, 9) (3.1 million compositions, about 0.2 s) to
+# every k = 9 query, which costs about 0.1 s without it.  The same bound caps
+# `identity --k-max`.
 RAW_CHECK_MAX_K = 8
 
 # Structured flag for the one case where the computed order is finite even

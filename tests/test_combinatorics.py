@@ -17,11 +17,12 @@ from weincalc.exactarith import binomial, double_factorial_odd, factorial, multi
 
 
 def exhaustive_compositions(weight: int, slots: int) -> set[tuple[int, ...]]:
-    """Oracle: filter the full product grid."""
+    """Oracle: filter the full product grid of the first slots - 1 parts; the
+    last part takes what is left."""
     return {
-        combo
-        for combo in itertools.product(range(weight + 1), repeat=slots)
-        if sum(combo) == weight
+        (*combo, weight - sum(combo))
+        for combo in itertools.product(range(weight + 1), repeat=slots - 1)
+        if sum(combo) <= weight
     }
 
 
@@ -38,8 +39,10 @@ def test_moment_sum_bruteforce_small_values():
 def test_moment_sum_bruteforce_matches_definition():
     # The literal definition over the product-grid oracle, sharing no code
     # with the walk: sum of multinomial(k, I) * prod (2i-1)!! over all I.
-    for k in range(1, 6):
-        for l in range(1, 4):
+    # The grid covers l = 1 and k below, at and above the l-slot split of the
+    # walk into head and tail.
+    for k in range(1, 7):
+        for l in range(1, 5):
             expected = 0
             for comp in exhaustive_compositions(k, 2 * l):
                 term = multinomial(k, comp)
@@ -61,6 +64,7 @@ def test_moment_sums_agree_on_full_grid():
     for k in range(1, 9):
         for l in range(1, 9):
             assert moment_sum_bruteforce(k, l) == moment_sum_closed(k, l), (k, l)
+    assert moment_sum_bruteforce(9, 9) == moment_sum_closed(9, 9)
 
 
 def test_moment_sum_increasing_in_slots():

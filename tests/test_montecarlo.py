@@ -5,6 +5,7 @@ Sample counts here are 10^5 for speed; the acceptance suite runs the full
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +58,7 @@ def test_sample_ball_stays_inside():
     for n, r0 in [(1, 1.0), (3, 0.5), (5, 2.0)]:
         partial, total = sample_ball(n, r0, rng, 2000)
         assert partial.shape == (2000, n) and total.shape == (2000,)
+        assert partial.T.flags.c_contiguous  # each column m is contiguous
         assert np.all(0 <= partial) and np.all(partial <= total[:, None])
         assert np.all(total < r0 * r0)
 
@@ -159,6 +161,39 @@ def test_grid_estimate_equals_its_one_integrand_estimates():
     assert mc_blowup_average(3, [1, 2, 3], 0.5, samples, seed)[0] == grid[2]
     assert mc_ball_moment(3, [(1, 3), (2, 1)], 1.0, samples, seed) == [grid[0], grid[3]]
 
+    # One column read with k out of order, at one k with and without a
+    # cutoff, and two cutoffs: every integrand reads its column's shared
+    # powers and its cutoff's shared mask, and still changes no bit.
+    integrands = [
+        (1, 3, 0.0, 1.0),
+        (1, 1, 0.0, 1.0),
+        (1, 2, 0.5, 1.0),
+        (1, 2, 0.0, 1.0),
+        (3, 2, 0.25, 1.0),
+        (1, 1, 0.5, 1.0),
+    ]
+    grid = montecarlo._estimate(n, 1.0, integrands, samples, seed)
+    for integrand, est in zip(integrands, grid):
+        assert montecarlo._estimate(n, 1.0, [integrand], samples, seed) == [est], integrand
+    assert len({est.mean for est in grid}) == len(grid)
+
+
+def test_high_powers_match_pow_in_bounded_memory():
+    # Powers are products alone: they agree with NumPy's pow to rounding, and
+    # a high degree holds a few arrays, not one per power.
+    samples, seed = 4096, 314  # one chunk at n = 1
+    partial, _ = sample_ball(1, 1.0, np.random.default_rng(seed), samples)
+    for k in [*range(1, 18), 1000, 30001]:
+        (est,) = montecarlo._estimate(1, 1.0, [(1, k, 0.0, 1.0)], samples, seed)
+        assert math.isclose(est.mean, float(np.mean(partial[:, 0] ** k)), rel_tol=1e-10), k
+    tracemalloc.start()
+    try:
+        montecarlo._estimate(1, 1.0, [(1, 1000, 0.0, 1.0)], samples, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * samples, peak
+
 
 def test_chunk_memory_does_not_grow_with_dimension(monkeypatch):
     sizes = []
@@ -166,7 +201,10 @@ def test_chunk_memory_does_not_grow_with_dimension(monkeypatch):
     def spy(n, r0, rng, size):
         sizes.append(size)
         assert size * 2 * n <= 2 * CHUNK_SIZE, (n, size)
-        return sample_ball(n, r0, rng, size)
+        partial, total = sample_ball(n, r0, rng, size)
+        held = partial if partial.base is None else partial.base
+        assert held.size <= CHUNK_SIZE, (n, size)
+        return partial, total
 
     monkeypatch.setattr(montecarlo, "sample_ball", spy)
     (est,) = mc_ball_moment(170, [(1, 1)], 1.0, 2000, 1)
