@@ -6,6 +6,15 @@ over Q.  (pi is transcendental; the blow-up weight rho is assumed
 transcendental in (0, 1), and x stands for rho^2.)  Equality of values is
 therefore formal equality of coefficients, and membership in a lattice
 generated by monomials decomposes into one cyclic-group test per monomial.
+
+Rational functions are reduced on integer primitive parts (Knuth, TAOCP
+vol. 2, 4.6.1).  Each polynomial splits as a rational content times a
+primitive polynomial in Z[x]; the monic gcd of two polynomials does not
+depend on their contents, and by Gauss's lemma a primitive divisor of a
+primitive polynomial leaves an integral quotient, so exact division runs on
+integers and the contents are multiplied back once.  A blow-up value shares
+one large coefficient across all its terms; scaling and printing form each
+distinct coefficient once.
 """
 
 from __future__ import annotations
@@ -36,6 +45,13 @@ class PolyQ:
                 if c:
                     clean[int(exp)] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, terms: dict[int, Fraction]) -> PolyQ:
+        """Wrap nonzero Fraction coefficients as they are, unchecked."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
     def const(cls, c: Fraction | int) -> PolyQ:
@@ -81,7 +97,16 @@ class PolyQ:
     def __mul__(self, other: PolyQ | Fraction | int) -> PolyQ:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return PolyQ({e: cc * c for e, cc in self.terms.items()})
+            if not c:
+                return PolyQ()
+            products: dict[tuple[int, int], Fraction] = {}
+            out = {}
+            for e, cc in self.terms.items():
+                key = (cc.numerator, cc.denominator)
+                if key not in products:
+                    products[key] = cc * c
+                out[e] = products[key]
+            return PolyQ._of(out)
         out: dict[int, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -127,11 +152,12 @@ class PolyQ:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        fmt = _formatter()
         parts = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             if e == 0:
-                parts.append(format_rational(c))
+                parts.append(fmt(c))
             else:
                 var = "x" if e == 1 else f"x^{e}"
                 if c == 1:
@@ -139,14 +165,29 @@ class PolyQ:
                 elif c == -1:
                     parts.append(f"-{var}")
                 else:
-                    parts.append(f"{format_rational(c)}*{var}")
-        out = parts[0]
+                    parts.append(f"{fmt(c)}*{var}")
+        out = [parts[0]]
         for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+            out.append(f" - {p[1:]}" if p.startswith("-") else f" + {p}")
+        return "".join(out)
 
     def __repr__(self) -> str:
         return f"PolyQ({self})"
+
+
+def _formatter():
+    """format_rational with a memo for one rendering: each distinct
+    coefficient is formatted once.  The key is (numerator, denominator),
+    since hashing a Fraction costs a modular inverse of its denominator."""
+    memo: dict[tuple[int, int], str] = {}
+
+    def fmt(c: Fraction) -> str:
+        key = (c.numerator, c.denominator)
+        if key not in memo:
+            memo[key] = format_rational(c)
+        return memo[key]
+
+    return fmt
 
 
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
@@ -156,12 +197,66 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     return a.monic()
 
 
+def _content_primitive(p: PolyQ) -> tuple[Fraction, dict[int, int]]:
+    """p = content * primitive for a nonzero p: the primitive part has coprime
+    integer coefficients and a positive leading coefficient, so the content
+    takes the sign of p's leading term."""
+    coeffs = {(c.numerator, c.denominator) for c in p.terms.values()}
+    den = math.lcm(*(d for _, d in coeffs))
+    num = math.gcd(*(n * (den // d) for n, d in coeffs))
+    if p.leading_coeff() < 0:
+        num = -num
+    scale = {(n, d): n * (den // d) // num for n, d in coeffs}
+    primitive = {e: scale[c.numerator, c.denominator] for e, c in p.terms.items()}
+    return Fraction(num, den), primitive
+
+
+def _divexact_z(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
+    """Quotient a/b in Z[x] by long division, or None when some step leaves
+    an integer remainder or the division leaves a nonzero remainder."""
+    quot: dict[int, int] = {}
+    rem = dict(a)
+    dlead = max(b)
+    clead = b[dlead]
+    while rem:
+        e = max(rem)
+        if e < dlead:
+            return None
+        factor, r = divmod(rem[e], clead)
+        if r:
+            return None
+        quot[e - dlead] = factor
+        for oe, oc in b.items():
+            t = e - dlead + oe
+            new = rem.get(t, 0) - factor * oc
+            if new:
+                rem[t] = new
+            else:
+                rem.pop(t, None)
+    return quot
+
+
+def _scaled(primitive: dict[int, int], scale: Fraction) -> PolyQ:
+    """scale * primitive, with one Fraction per distinct integer coefficient."""
+    values = {v: scale * v for v in set(primitive.values())}
+    return PolyQ._of({e: values[v] for e, v in primitive.items()})
+
+
 def divexact(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Exact quotient a/b; rejects non-divisible pairs."""
-    q, r = divmod(a, b)
-    if r:
-        raise ValueError(f"({a}) is not divisible by ({b}), remainder {r}")
-    return q
+    """Exact quotient a/b; rejects non-divisible pairs.
+
+    Divides the primitive parts in Z[x]: if b divides a in Q[x], Gauss's
+    lemma makes the quotient of the primitive parts integral."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not a:
+        return PolyQ()
+    ca, pa = _content_primitive(a)
+    cb, pb = _content_primitive(b)
+    q = _divexact_z(pa, pb)
+    if q is None:
+        raise ValueError(f"({a}) is not divisible by ({b}), remainder {divmod(a, b)[1]}")
+    return _scaled(q, ca / cb)
 
 
 class RatFuncQ:
@@ -180,13 +275,16 @@ class RatFuncQ:
             self.num = PolyQ()
             self.den = PolyQ.const(1)
             return
-        g = poly_gcd(num, den)
-        num = divexact(num, g)
-        den = divexact(den, g)
+        # Reduce the primitive parts; the contents come back in one scale.
+        cn, pn = _content_primitive(num)
+        cd, pd = _content_primitive(den)
+        _, pg = _content_primitive(poly_gcd(PolyQ(pn), PolyQ(pd)))
+        pn = _divexact_z(pn, pg)
+        pd = _divexact_z(pd, pg)
         # Normalize: monic denominator, scale absorbed into the numerator.
-        lead = den.leading_coeff()
-        self.num = num * (1 / lead)
-        self.den = den * (1 / lead)
+        lead = pd[max(pd)]
+        self.num = _scaled(pn, cn / (cd * lead))
+        self.den = _scaled(pd, Fraction(1, lead))
 
     @property
     def is_polynomial(self) -> bool:
@@ -325,14 +423,15 @@ class PiGradedValue:
 
     def to_json(self) -> list[dict]:
         """Stable JSON shape: per component, term lists [[exp, "p/q"], ...]."""
+        fmt = _formatter()
         out = []
         for a in sorted(self.components):
             f = self.components[a]
             out.append(
                 {
                     "pi_exp": a,
-                    "num": [[e, format_rational(f.num.terms[e])] for e in sorted(f.num.terms)],
-                    "den": [[e, format_rational(f.den.terms[e])] for e in sorted(f.den.terms)],
+                    "num": [[e, fmt(f.num.terms[e])] for e in sorted(f.num.terms)],
+                    "den": [[e, fmt(f.den.terms[e])] for e in sorted(f.den.terms)],
                 }
             )
         return out
@@ -492,7 +591,8 @@ def lattice_order(value: PiGradedValue, lattice: Lattice) -> OrderResult:
         f = value.components[a]
         if not f.is_polynomial:
             return OrderResult.infinite(
-                f"pi^{a} component has reduced denominator ({f.den})"
+                f"pi^{a} component has a reduced denominator of degree {f.den.degree}"
+                f" with {len(f.den.terms)} terms"
             )
         for b in sorted(f.num.terms):
             g = lattice.cell(a, b)

@@ -199,11 +199,25 @@ def check_cpn_monte_carlo(samples: int = 10**6) -> CheckResult:
     )
 
 
+def _blowup_reduced_form(n: int, k: int) -> tuple[dict, dict]:
+    """Terms of the reduced numerator and denominator of the blow-up value,
+    built without any gcd: since gcd(1 - x^a, 1 - x^b) = 1 - x^gcd(a, b), the
+    value c (1 - x^(n+k)) / (1 - x^n) with c = q(n,k)/k! reduces to
+    c * sum_{j < (n+k)/g} x^(jg) over sum_{j < n/g} x^(jg), g = gcd(n, k)."""
+    c = cpn_q(n, k) / math.factorial(k)
+    g = math.gcd(n, k)
+    return (
+        {j * g: c for j in range((n + k) // g)},
+        {j * g: Fraction(1) for j in range(n // g)},
+    )
+
+
 def check_blowup(n_max: int = 8, samples: int = 10**6) -> CheckResult:
-    """Blow-up suite: infinite order for every k < n, the flagged Finite(2)
-    at k = n, the x -> 0 degeneration to the CP^n value, and Monte Carlo at
-    weight BLOWUP_RHO against the exact rational-function evaluation.  A
-    value refused by its self-check fails its row with the message."""
+    """Blow-up suite: the reduced form, infinite order for every k < n, the
+    flagged Finite(2) at k = n, the x -> 0 degeneration to the CP^n value,
+    and Monte Carlo at weight BLOWUP_RHO against the exact rational-function
+    evaluation.  A value refused by its self-check fails its row with the
+    message."""
     ok = True
     rows = []
     for n in range(2, n_max + 1):
@@ -216,13 +230,15 @@ def check_blowup(n_max: int = 8, samples: int = 10**6) -> CheckResult:
                 continue
             order = cv.order()
             flags = blowup_flags(n, k, order)
-            at_zero = cv.value.components[k].evaluate(Fraction(0))
+            f = cv.value.components[k]
+            at_zero = f.evaluate(Fraction(0))
             degenerates = at_zero == cpn_q(n, k) / math.factorial(k)
+            reduced = _blowup_reduced_form(n, k) == (f.num.terms, f.den.terms)
             if k < n:
                 good = not order.is_finite
             else:
                 good = order == OrderResult.finite(2) and FINITE_ORDER_AT_TOP_DEGREE in flags
-            good &= degenerates
+            good &= degenerates and reduced
             ok &= good
             rows.append(
                 {
@@ -231,6 +247,7 @@ def check_blowup(n_max: int = 8, samples: int = 10**6) -> CheckResult:
                     "order": order.to_json(),
                     "flags": flags,
                     "x0_matches_cpn": degenerates,
+                    "reduced_form_matches": reduced,
                     "ok": good,
                 }
             )

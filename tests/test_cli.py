@@ -308,6 +308,22 @@ def test_blowup_rejects_overflowing_degree_at_weight(capsys):
     assert "Traceback" not in err
 
 
+def test_blowup_rejects_term_count_above_cap(capsys):
+    # 20000001 terms: reducing and printing them would run for minutes.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "blowup", "--n", "10000000", "--k", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --n 10000000 --k 1: the reduced value has 20000001 terms")
+    assert f"more than {cli.MAX_BLOWUP_TERMS}" in err
+    assert "Traceback" not in err
+    # At the cap itself the query runs: n = 2499, k = 1 has 4999 terms.
+    code, doc = run_json(capsys, "blowup", "--n", "2499", "--k", "1")
+    assert code == 0
+    assert len(doc["value"][0]["num"]) + len(doc["value"][0]["den"]) == 4999
+
+
 def test_identity_rejects_k_max_above_budget(capsys):
     too_big = str(RAW_CHECK_MAX_K + 1)
     code, out, err = run_cli(capsys, "identity", "--k-max", too_big)

@@ -19,7 +19,7 @@ from weincalc.morphism import (
     product_cpn_lattice,
     product_value,
 )
-from weincalc.symbolic import Lattice, OrderResult, PiGradedValue, PolyQ, lattice_member
+from weincalc.symbolic import Lattice, OrderResult, PiGradedValue, PolyQ, RatFuncQ, lattice_member
 
 
 def test_q_instances():
@@ -140,6 +140,30 @@ def test_blowup_flags_only_at_top_degree():
     top = blowup_weinstein(2, 2).order()
     assert blowup_flags(2, 2, top) == [FINITE_ORDER_AT_TOP_DEGREE]
     assert blowup_flags(3, 1, blowup_weinstein(3, 1).order()) == []
+
+
+def test_verify_blowup_rows_check_the_reduced_form(monkeypatch):
+    from weincalc import morphism, verify
+
+    result = verify.check_blowup(n_max=5, samples=200)
+    assert result.passed
+    assert all(row["reduced_form_matches"] for row in result.details["rows"])
+
+    def unreduced(n, k):
+        # The same function with (1 + x) left in numerator and denominator:
+        # x -> 0 and the order at k < n cannot tell it from the reduced form.
+        cv = morphism.blowup_weinstein(n, k)
+        f = cv.value.components[k]
+        g = RatFuncQ.__new__(RatFuncQ)
+        g.num, g.den = f.num * PolyQ({0: 1, 1: 1}), f.den * PolyQ({0: 1, 1: 1})
+        return morphism.CosetValue(PiGradedValue({k: g}), cv.lattice)
+
+    monkeypatch.setattr(verify, "blowup_weinstein", unreduced)
+    rows = verify.check_blowup(n_max=3, samples=200).details["rows"]
+    bad = [row for row in rows if not row["ok"]]
+    assert bad and all(not row["reduced_form_matches"] for row in bad)
+    assert all(row["x0_matches_cpn"] for row in rows)
+    assert any(row["k"] < row["n"] for row in bad)
 
 
 def test_blowup_lattice_shape():

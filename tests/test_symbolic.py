@@ -1,8 +1,9 @@
 """Polynomial/rational-function algebra and the lattice decision procedures.
 
 The gcd oracle here is an independent Euclidean algorithm on dense
-coefficient lists, and membership is cross-checked against the bounded
-integer-vector search from the verification suite.
+coefficient lists, rational-function reduction is checked against Euclid and
+Fraction division on the unsplit inputs, and membership is cross-checked
+against the bounded integer-vector search from the verification suite.
 """
 
 import itertools
@@ -15,6 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weincalc import symbolic
+from weincalc.exactarith import format_rational
+from weincalc.morphism import blowup_weinstein
 from weincalc.symbolic import (
     Lattice,
     OrderResult,
@@ -81,6 +85,23 @@ small_poly = st.builds(
     ),
 )
 nonzero_poly = small_poly.filter(bool)
+nonzero_scalar = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
+# A shared factor of degree >= 1 whose leading coefficient is not +-1, such
+# as 2x + 1: it has rational content and a non-monic primitive part.
+shared_factor = nonzero_poly.filter(lambda p: p.degree >= 1 and abs(p.leading_coeff()) != 1)
+
+
+def fraction_reduce(num: PolyQ, den: PolyQ) -> tuple[PolyQ, PolyQ]:
+    """The reference reduction: poly_gcd and Fraction Euclidean division on
+    the unsplit inputs, then the denominator made monic."""
+    g = poly_gcd(num, den)
+    (qn, rn), (qd, rd) = divmod(num, g), divmod(den, g)
+    assert not rn and not rd
+    lead = qd.leading_coeff()
+    return (
+        PolyQ({e: c / lead for e, c in qn.terms.items()}),
+        PolyQ({e: c / lead for e, c in qd.terms.items()}),
+    )
 
 
 def test_poly_basic_arithmetic():
@@ -114,6 +135,41 @@ def test_divexact_rejects_nondivisible():
         divexact(PolyQ.one_minus_x_pow(3), PolyQ.one_minus_x_pow(2))
 
 
+def test_content_primitive_split():
+    # 1/2 - (3/4) x = (-1/4) * (3x - 2): coprime integers, positive leading term.
+    split = symbolic._content_primitive(PolyQ({0: Fraction(1, 2), 1: Fraction(-3, 4)}))
+    assert split == (Fraction(-1, 4), {0: -2, 1: 3})
+    assert symbolic._content_primitive(PolyQ({3: 6, 5: 4})) == (2, {3: 3, 5: 2})
+
+
+def test_divexact_gauss_lemma_case():
+    # (2x+1)(3x-1)/6 over (2x+1)/4: the primitive parts divide in Z[x], and
+    # the contents give (3x-1) * 4/6 = 2x - 2/3.
+    a = PolyQ({0: -1, 1: 1, 2: 6}) * Fraction(1, 6)
+    b = PolyQ({0: 1, 1: 2}) * Fraction(1, 4)
+    quotient = PolyQ({0: Fraction(-2, 3), 1: 2})
+    assert divexact(a, b) == quotient
+    assert divexact(a * -3, b * Fraction(-5, 7)) == quotient * Fraction(21, 5)
+    for nondivisible in (PolyQ({0: 3, 1: 2}) * Fraction(1, 4), PolyQ({0: 1, 1: 2, 2: 1}), a * a):
+        with pytest.raises(ValueError, match="not divisible"):
+            divexact(a, nondivisible)
+    with pytest.raises(ZeroDivisionError):
+        divexact(a, PolyQ())
+    assert divexact(PolyQ(), b) == PolyQ()
+
+
+@given(small_poly, nonzero_poly)
+@settings(max_examples=80)
+def test_divexact_matches_fraction_division(a, b):
+    q, r = divmod(a, b)
+    if r:
+        with pytest.raises(ValueError):
+            divexact(a, b)
+    else:
+        assert divexact(a, b) == q
+    assert divexact(a * b, b) == a
+
+
 @given(small_poly, nonzero_poly)
 @settings(max_examples=80)
 def test_poly_divmod_is_euclidean(a, b):
@@ -139,6 +195,16 @@ def test_ratfunc_known_reductions():
     assert g.is_polynomial
     assert g.num == PolyQ({0: Fraction(1, 2), 2: Fraction(1, 2)})
     assert not RatFuncQ(PolyQ(), PolyQ.one_minus_x_pow(1))
+
+
+@given(small_poly, nonzero_poly, shared_factor, nonzero_scalar, nonzero_scalar)
+@settings(max_examples=100)
+def test_ratfunc_reduction_matches_fraction_reference(p, q, s, cn, cd):
+    # s * p * cn / (s * q * cd): rational contents of either sign, negative
+    # leading coefficients and a shared non-monic factor.
+    num, den = s * p * cn, s * q * cd
+    f = RatFuncQ(num, den)
+    assert (f.num, f.den) == fraction_reduce(num, den)
 
 
 def test_ratfunc_rejects_zero_denominator():
@@ -283,6 +349,15 @@ def test_lattice_order_known_cases():
     assert lattice_member(value, lattice)
 
 
+def test_order_witness_names_the_denominator_briefly():
+    # At n = 600 the reduced denominator has 600 terms; the witness names it
+    # by its degree and term count instead of printing it.
+    result = blowup_weinstein(600, 599).order()
+    assert not result.is_finite
+    assert len(result.witness) < 100
+    assert "degree 599 with 600 terms" in result.witness
+
+
 def test_lattice_order_unsupported_monomial():
     value = PiGradedValue.monomial(Fraction(1, 2), 3, 1)
     result = lattice_order(value, Lattice([(1, 3, 0)]))
@@ -379,3 +454,63 @@ def test_lattice_json_roundtrip_bit_exact():
         {"coeff": "1/2", "pi_exp": 2, "x_exp": 0},
         {"coeff": "1/6", "pi_exp": 2, "x_exp": 2},
     ]
+
+
+def reference_str(p: PolyQ) -> str:
+    """The rendering that formats every term's coefficient on its own."""
+    if not p:
+        return "0"
+    out = ""
+    for e in sorted(p.terms, reverse=True):
+        c = p.terms[e]
+        var = "" if e == 0 else "x" if e == 1 else f"x^{e}"
+        if not var:
+            term = format_rational(c)
+        else:
+            term = var if c == 1 else f"-{var}" if c == -1 else f"{format_rational(c)}*{var}"
+        if out:
+            term = f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+        out += term
+    return out
+
+
+@given(nonzero_poly, nonzero_poly)
+@settings(max_examples=80)
+def test_rendering_matches_per_term_formatting(num, den):
+    # Coefficients that share a numerator or a denominator must keep their
+    # own text: the memo is keyed by both.
+    f = RatFuncQ(num, den)
+    assert str(num) == reference_str(num)
+    assert str(f.num) == reference_str(f.num)
+    assert PiGradedValue({1: f}).to_json() == [
+        {
+            "pi_exp": 1,
+            "num": [[e, format_rational(f.num.terms[e])] for e in sorted(f.num.terms)],
+            "den": [[e, format_rational(f.den.terms[e])] for e in sorted(f.den.terms)],
+        }
+    ]
+
+
+def test_each_distinct_coefficient_is_formatted_once(monkeypatch):
+    # All 319 numerator terms of the n = 160 blow-up value share one
+    # coefficient, and all 160 denominator terms are 1.
+    value = blowup_weinstein(160, 159).value
+    f = value.components[159]
+    distinct = {(c.numerator, c.denominator) for p in (f.num, f.den) for c in p.terms.values()}
+    assert len(distinct) == 2
+    calls = []
+
+    def spy(c):
+        calls.append(c)
+        return format_rational(c)
+
+    monkeypatch.setattr(symbolic, "format_rational", spy)
+    doc = value.to_json()
+    assert len(calls) <= len(distinct)
+    calls.clear()
+    text = str(f)
+    assert len(calls) <= len(distinct)
+    monkeypatch.undo()
+    assert doc == value.to_json()
+    assert text == str(f)
+    assert doc[0]["num"][0] == [0, format_rational(f.num.terms[0])]
