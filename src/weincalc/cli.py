@@ -20,6 +20,8 @@ from .exactarith import (
     format_rational,
     parse_rational,
     require_degree,
+    require_printable_factorial,
+    require_printable_power,
     require_moment,
     require_radius,
     require_weight,
@@ -32,7 +34,6 @@ from .morphism import (
     SelfCheckError,
     blowup_flags,
     blowup_weinstein,
-    cpn_q,
     cpn_weinstein,
     product_cpn_lattice,
     product_value,
@@ -55,7 +56,7 @@ MAX_MC_WORK = 3 * 10**8
 # bounds the coefficient at large k but never bites at small k, where the
 # time and the output grow with the term count alone.  The cap admits every
 # k = n-1 query that the digit limit admits (the largest is n = 1558, 4673
-# terms, about 0.25 s and 27 MB of JSON in process on a 2-core x86-64 box).
+# terms, about 0.23 s and 27 MB of JSON in process on a 2-core x86-64 box).
 MAX_BLOWUP_TERMS = 5000
 
 
@@ -81,8 +82,11 @@ def _times_pi_power(coeff: Fraction, pi_power: float) -> float:
 
 
 def _cmd_cpn(args) -> int:
+    require_degree(args.n, args.k)
+    require_printable_factorial(args.k)  # the lattice generator pi^k/k!
     cv = cpn_weinstein(args.n, args.k)
-    q = format_rational(cpn_q(args.n, args.k))
+    generator = cv.lattice.generators[0][0]  # q is the value over pi^k/k!
+    q = format_rational(cv.value.components[args.k].num.terms[0] / generator)
     order = cv.order()
     nontrivial = order != OrderResult.finite(1)
     body = {
@@ -113,6 +117,7 @@ def _cmd_blowup(args) -> int:
             f"--n {args.n} --k {args.k}: the reduced value has {terms} terms,"
             f" more than {MAX_BLOWUP_TERMS}"
         )
+    require_printable_factorial(args.k)  # the lattice generator pi^k/k!
     cv = blowup_weinstein(args.n, args.k)
     order = cv.order()
     flags = blowup_flags(args.n, args.k, order)
@@ -141,14 +146,19 @@ def _cmd_blowup(args) -> int:
         rho = parse_rational(args.rho)
         require_weight(rho)
         x0 = rho * rho
-        coeff = f.evaluate(x0)
         try:
-            numeric = float(coeff) * math.pi**args.k
+            pi_k = math.pi**args.k
         except OverflowError:
             raise ValueError(
                 f"--k {args.k}: the value at --rho exceeds the float range"
                 f" (pi enters as pi^{args.k})"
             ) from None
+        # f(x0) = c (1 - x0^(n+k)) / (1 - x0^n), c the constant term of f.
+        # For x0 = a/b its reduced numerator is at least b^(n+k-g) / den(c).
+        c = f.num.terms[0]
+        require_printable_power(x0.denominator, args.n + args.k - g, c.denominator)
+        coeff = c * (1 - x0 ** (args.n + args.k)) / (1 - x0**args.n)
+        numeric = float(coeff) * pi_k
         body["at_rho"] = {
             "rho": format_rational(rho),
             "x": format_rational(x0),
@@ -270,6 +280,7 @@ def _cmd_product(args) -> int:
             )
         b_value = named.value
 
+    require_printable_factorial(args.k)  # the lattice generator pi^k/k!
     cv = cpn_weinstein(args.n, args.k)
     full = product_cpn_lattice(args.n, args.k, descriptor)
     product = product_value(

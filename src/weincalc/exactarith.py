@@ -44,20 +44,35 @@ def format_rational(q: Fraction) -> str:
         raise DigitLimitError() from None
 
 
+def require_printable_power(top: int, e: int, bottom: int) -> None:
+    """Refuse with DigitLimitError, before top^e is formed, when an integer of
+    at least top^e / bottom must exceed the integer string limit.  The test
+    bounds top^e from below and bottom from above by powers of two, so it
+    never refuses a printable integer."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    # 2^(limit*10//3 + 1) > 10^limit, since log2(10) < 10/3
+    if limit and e * (top.bit_length() - 1) - bottom.bit_length() > limit * 10 // 3:
+        raise DigitLimitError()
+
+
+def require_printable_factorial(k: int) -> None:
+    """Refuse with DigitLimitError, before k! is formed, when k! must exceed
+    the integer string limit: by an lgamma estimate with a one-digit margin,
+    or outright above the limit (at least 640), since k! > 10^k for k >= 25."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and (k > limit or math.lgamma(k + 1) / math.log(10) > limit + 1):
+        raise DigitLimitError()
+
+
 def times_power(base: Fraction, r: Fraction, e: int) -> Fraction:
     """base * r^e, refused with DigitLimitError before r^e is formed when its
     reduced numerator or denominator must exceed the integer string limit.
 
     For r = p/q and base = a/b in lowest terms the reduced numerator is at
-    least p^e/b and the denominator at least q^e/a; the test bounds p^e from
-    below and b from above by powers of two, so it never refuses a printable
-    result.
+    least p^e/b and the denominator at least q^e/a.
     """
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    for top, bottom in ((r.numerator, base.denominator), (r.denominator, base.numerator)):
-        # 2^(limit*10//3 + 1) > 10^limit, since log2(10) < 10/3
-        if limit and e * (top.bit_length() - 1) - bottom.bit_length() > limit * 10 // 3:
-            raise DigitLimitError()
+    require_printable_power(r.numerator, e, base.denominator)
+    require_printable_power(r.denominator, e, base.numerator)
     return base * r**e
 
 

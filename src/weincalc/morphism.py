@@ -125,18 +125,23 @@ def blowup_weinstein(n: int, k: int) -> CosetValue:
 
     The single pi^k component is the reduced rational function
 
-        f_k(x) = (q(n,k)/k!) * (1 - x^(n+k)) / (1 - x^n),      x = rho^2,
+        f_k(x) = c * (1 - x^(n+k)) / (1 - x^n),      c = q(n,k)/k!,  x = rho^2,
 
-    taken against the lattice <pi^k/k!, pi^k x^k/k!>.  Setting x = 0 recovers
-    the CP^n value.  The order is infinite for every k < n (the reduced
-    denominator of f_k survives, since n does not divide n+k).  At k = n the
-    correction factor divides exactly, f_n = (1/(2 n!)) (1 + x^n), and the
-    computed order is Finite(2); see blowup_flags.
+    taken against the lattice <pi^k/k!, pi^k x^k/k!>.  It is built in its
+    reduced form, with no gcd: since gcd(1 - x^a, 1 - x^b) = 1 - x^gcd(a,b),
+    f_k = c * sum_{j < (n+k)/g} x^(jg) / sum_{j < n/g} x^(jg) with
+    g = gcd(n, k); verify checks it against the Euclidean reduction.
+    Setting x = 0 recovers the CP^n value.  The order is infinite for every
+    k < n (the reduced denominator of f_k survives, since n does not divide
+    n+k).  At k = n the correction factor divides exactly,
+    f_n = (1/(2 n!)) (1 + x^n), and the computed order is Finite(2); see
+    blowup_flags.
     """
-    q = _checked_q(n, k)
-    f = RatFuncQ(
-        PolyQ.one_minus_x_pow(n + k) * (q / factorial(k)),
-        PolyQ.one_minus_x_pow(n),
+    c = _checked_q(n, k) / factorial(k)
+    g = math.gcd(n, k)
+    f = RatFuncQ._of(
+        PolyQ._of(dict.fromkeys(range(0, n + k, g), c)),
+        PolyQ._of(dict.fromkeys(range(0, n, g), Fraction(1))),
     )
     return CosetValue(PiGradedValue({k: f}), blowup_lattice(k))
 

@@ -7,14 +7,8 @@ transcendental in (0, 1), and x stands for rho^2.)  Equality of values is
 therefore formal equality of coefficients, and membership in a lattice
 generated by monomials decomposes into one cyclic-group test per monomial.
 
-Rational functions are reduced on integer primitive parts (Knuth, TAOCP
-vol. 2, 4.6.1).  Each polynomial splits as a rational content times a
-primitive polynomial in Z[x]; the monic gcd of two polynomials does not
-depend on their contents, and by Gauss's lemma a primitive divisor of a
-primitive polynomial leaves an integral quotient, so exact division runs on
-integers and the contents are multiplied back once.  A blow-up value shares
-one large coefficient across all its terms; scaling and printing form each
-distinct coefficient once.
+A blow-up value shares one large coefficient across all its terms; scaling
+and printing form each distinct coefficient once.
 """
 
 from __future__ import annotations
@@ -197,68 +191,6 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     return a.monic()
 
 
-def _content_primitive(p: PolyQ) -> tuple[Fraction, dict[int, int]]:
-    """p = content * primitive for a nonzero p: the primitive part has coprime
-    integer coefficients and a positive leading coefficient, so the content
-    takes the sign of p's leading term."""
-    coeffs = {(c.numerator, c.denominator) for c in p.terms.values()}
-    den = math.lcm(*(d for _, d in coeffs))
-    num = math.gcd(*(n * (den // d) for n, d in coeffs))
-    if p.leading_coeff() < 0:
-        num = -num
-    scale = {(n, d): n * (den // d) // num for n, d in coeffs}
-    primitive = {e: scale[c.numerator, c.denominator] for e, c in p.terms.items()}
-    return Fraction(num, den), primitive
-
-
-def _divexact_z(a: dict[int, int], b: dict[int, int]) -> dict[int, int] | None:
-    """Quotient a/b in Z[x] by long division, or None when some step leaves
-    an integer remainder or the division leaves a nonzero remainder."""
-    quot: dict[int, int] = {}
-    rem = dict(a)
-    dlead = max(b)
-    clead = b[dlead]
-    while rem:
-        e = max(rem)
-        if e < dlead:
-            return None
-        factor, r = divmod(rem[e], clead)
-        if r:
-            return None
-        quot[e - dlead] = factor
-        for oe, oc in b.items():
-            t = e - dlead + oe
-            new = rem.get(t, 0) - factor * oc
-            if new:
-                rem[t] = new
-            else:
-                rem.pop(t, None)
-    return quot
-
-
-def _scaled(primitive: dict[int, int], scale: Fraction) -> PolyQ:
-    """scale * primitive, with one Fraction per distinct integer coefficient."""
-    values = {v: scale * v for v in set(primitive.values())}
-    return PolyQ._of({e: values[v] for e, v in primitive.items()})
-
-
-def divexact(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Exact quotient a/b; rejects non-divisible pairs.
-
-    Divides the primitive parts in Z[x]: if b divides a in Q[x], Gauss's
-    lemma makes the quotient of the primitive parts integral."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return PolyQ()
-    ca, pa = _content_primitive(a)
-    cb, pb = _content_primitive(b)
-    q = _divexact_z(pa, pb)
-    if q is None:
-        raise ValueError(f"({a}) is not divisible by ({b}), remainder {divmod(a, b)[1]}")
-    return _scaled(q, ca / cb)
-
-
 class RatFuncQ:
     """Reduced rational function over Q: gcd(num, den) = 1, den monic, nonzero."""
 
@@ -271,20 +203,21 @@ class RatFuncQ:
             den = PolyQ.const(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            self.num = PolyQ()
-            self.den = PolyQ.const(1)
-            return
-        # Reduce the primitive parts; the contents come back in one scale.
-        cn, pn = _content_primitive(num)
-        cd, pd = _content_primitive(den)
-        _, pg = _content_primitive(poly_gcd(PolyQ(pn), PolyQ(pd)))
-        pn = _divexact_z(pn, pg)
-        pd = _divexact_z(pd, pg)
+        g = poly_gcd(num, den)  # a zero numerator leaves den/g constant
+        num, den = divmod(num, g)[0], divmod(den, g)[0]
         # Normalize: monic denominator, scale absorbed into the numerator.
-        lead = pd[max(pd)]
-        self.num = _scaled(pn, cn / (cd * lead))
-        self.den = _scaled(pd, Fraction(1, lead))
+        scale = 1 / den.leading_coeff()
+        self.num = num * scale
+        self.den = den * scale
+
+    @classmethod
+    def _of(cls, num: PolyQ, den: PolyQ) -> RatFuncQ:
+        """Wrap a numerator and a monic denominator that are already coprime,
+        unchecked."""
+        out = cls.__new__(cls)
+        out.num = num
+        out.den = den
+        return out
 
     @property
     def is_polynomial(self) -> bool:
@@ -311,10 +244,7 @@ class RatFuncQ:
             return NotImplemented
         if not scalar:
             return RatFuncQ(0)
-        out = RatFuncQ.__new__(RatFuncQ)
-        out.num = self.num * scalar
-        out.den = self.den
-        return out
+        return RatFuncQ._of(self.num * scalar, self.den)
 
     __rmul__ = __mul__
 

@@ -199,25 +199,13 @@ def check_cpn_monte_carlo(samples: int = 10**6) -> CheckResult:
     )
 
 
-def _blowup_reduced_form(n: int, k: int) -> tuple[dict, dict]:
-    """Terms of the reduced numerator and denominator of the blow-up value,
-    built without any gcd: since gcd(1 - x^a, 1 - x^b) = 1 - x^gcd(a, b), the
-    value c (1 - x^(n+k)) / (1 - x^n) with c = q(n,k)/k! reduces to
-    c * sum_{j < (n+k)/g} x^(jg) over sum_{j < n/g} x^(jg), g = gcd(n, k)."""
-    c = cpn_q(n, k) / math.factorial(k)
-    g = math.gcd(n, k)
-    return (
-        {j * g: c for j in range((n + k) // g)},
-        {j * g: Fraction(1) for j in range(n // g)},
-    )
-
-
 def check_blowup(n_max: int = 8, samples: int = 10**6) -> CheckResult:
-    """Blow-up suite: the reduced form, infinite order for every k < n, the
-    flagged Finite(2) at k = n, the x -> 0 degeneration to the CP^n value,
-    and Monte Carlo at weight BLOWUP_RHO against the exact rational-function
-    evaluation.  A value refused by its self-check fails its row with the
-    message."""
+    """Blow-up suite: the value against the Euclidean reduction of
+    c (1 - x^(n+k)) / (1 - x^n) with c = q(n,k)/k!, infinite order for every
+    k < n, the flagged Finite(2) at k = n, the x -> 0 degeneration to the CP^n
+    value, and Monte Carlo at weight BLOWUP_RHO against the exact
+    rational-function evaluation.  A value refused by its self-check fails
+    its row with the message."""
     ok = True
     rows = []
     for n in range(2, n_max + 1):
@@ -231,9 +219,9 @@ def check_blowup(n_max: int = 8, samples: int = 10**6) -> CheckResult:
             order = cv.order()
             flags = blowup_flags(n, k, order)
             f = cv.value.components[k]
-            at_zero = f.evaluate(Fraction(0))
-            degenerates = at_zero == cpn_q(n, k) / math.factorial(k)
-            reduced = _blowup_reduced_form(n, k) == (f.num.terms, f.den.terms)
+            c = cpn_q(n, k) / math.factorial(k)
+            degenerates = f.evaluate(Fraction(0)) == c
+            reduced = f == RatFuncQ(PolyQ.one_minus_x_pow(n + k) * c, PolyQ.one_minus_x_pow(n))
             if k < n:
                 good = not order.is_finite
             else:

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from weincalc import cli, combinatorics, verify
+from weincalc import cli, combinatorics, symbolic, verify
 from weincalc.cli import main
-from weincalc.morphism import RAW_CHECK_MAX_K
+from weincalc.morphism import RAW_CHECK_MAX_K, cpn_q
 from weincalc.symbolic import Lattice, PiGradedValue
 
 
@@ -322,6 +322,96 @@ def test_blowup_rejects_term_count_above_cap(capsys):
     code, doc = run_json(capsys, "blowup", "--n", "2499", "--k", "1")
     assert code == 0
     assert len(doc["value"][0]["num"]) + len(doc["value"][0]["den"]) == 4999
+
+
+def test_blowup_runs_no_gcd_and_no_term_by_term_evaluation(capsys, monkeypatch):
+    # The value is built in its reduced form and --rho evaluates the closed
+    # form, so neither the Euclidean reduction nor RatFuncQ.evaluate runs.
+    calls = []
+    gcd, evaluate = symbolic.poly_gcd, symbolic.RatFuncQ.evaluate
+    monkeypatch.setattr(symbolic, "poly_gcd", lambda *a: calls.append("gcd") or gcd(*a))
+    monkeypatch.setattr(
+        symbolic.RatFuncQ, "evaluate", lambda *a: calls.append("evaluate") or evaluate(*a)
+    )
+    for argv in (("--n", "600", "--k", "599"), ("--n", "300", "--k", "299", "--rho", "1/2")):
+        code, _ = run_json(capsys, "blowup", *argv)
+        assert code == 0
+    assert calls == []
+    f = symbolic.RatFuncQ(symbolic.PolyQ.one_minus_x_pow(4), symbolic.PolyQ.one_minus_x_pow(2))
+    f.evaluate(Fraction(1, 2))
+    assert calls == ["gcd", "evaluate"]  # the spies do see the generic route
+
+
+def test_blowup_weight_refused_before_its_powers(capsys):
+    # The pi^k coefficient at rho = 8/9 has more than 4300 digits; forming
+    # it term by term took over 3 s before the digit limit refused it.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "blowup", "--n", "2499", "--k", "1", "--rho", "8/9")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: --n 2499 --k 1: the result has a number of more than"
+        f" {sys.get_int_max_str_digits()} digits, the integer string limit\n"
+    )
+
+
+def test_blowup_weight_refuses_only_unprintable_coefficients(capsys):
+    # A grid across both refusals: the size test before any power is formed,
+    # and the digit limit when the coefficient is printed.  The expected
+    # coefficient comes from the integer form c (b^(n+k) - a^(n+k)) /
+    # (b^k (b^n - a^n)) at x = a/b, computed with the limit lifted.
+    limit = sys.get_int_max_str_digits()
+    outcomes = set()
+    for rho, first, step in (("8/9", 2240, 16), ("99/100", 1060, 6), ("1/1000", 700, 7)):
+        x = Fraction(rho) ** 2
+        a, b = x.numerator, x.denominator
+        for k in (1, 2, 3):
+            for n in range(first, first + 10 * step, step):
+                code, out, err = run_cli(
+                    capsys, "blowup", "--n", str(n), "--k", str(k), "--rho", rho, "--json"
+                )
+                sys.set_int_max_str_digits(0)
+                try:
+                    c = cpn_q(n, k) / math.factorial(k)
+                    exact = c * Fraction(b ** (n + k) - a ** (n + k), b**k * (b**n - a**n))
+                    digits = max(len(str(exact.numerator)), len(str(exact.denominator)))
+                finally:
+                    sys.set_int_max_str_digits(limit)
+                if code == 2:
+                    assert "integer string limit" in err
+                    assert digits > limit, (n, k, rho)
+                else:
+                    assert code == 0
+                    assert json.loads(out)["at_rho"]["pi_k_coefficient"] == str(exact)
+                outcomes.add(code)
+    assert outcomes == {0, 2}
+
+
+def test_unprintable_degree_is_refused_before_exact_work(capsys, tmp_path):
+    # Every cpn, blowup and product document prints the lattice generator
+    # pi^k/k!, which has more than 4300 digits from k = 1559 on; at k = 10^6
+    # forming k!, C(2k-1, k) and perm(n+k, k) ran for minutes.
+    big = "1000000"
+    path = write_descriptor(
+        tmp_path, {"dimension": 2 * 10**6, "trivial_odd_homotopy": [2 * 10**6 - 1]}
+    )
+    start = time.perf_counter()
+    for argv in (("cpn",), ("blowup",), ("product", "--manifold", path)):
+        code, out, err = run_cli(capsys, *argv, "--n", big, "--k", big)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: --n {big} --k {big}: the result has a number of more than"
+            f" {sys.get_int_max_str_digits()} digits, the integer string limit\n"
+        )
+    assert time.perf_counter() - start < 1.0
+    code, doc = run_json(capsys, "cpn", "--n", "1558", "--k", "1558")
+    assert code == 0
+    assert doc["q"] == "1/2"
+    code, _, err = run_cli(capsys, "cpn", "--n", "1559", "--k", "1559", "--json")
+    assert code == 2
+    assert "integer string limit" in err
 
 
 def test_identity_rejects_k_max_above_budget(capsys):

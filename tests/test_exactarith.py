@@ -1,6 +1,7 @@
 """Exact arithmetic: frozen examples plus independent loop/table oracles."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from weincalc.exactarith import (
     format_rational,
     multinomial,
     parse_rational,
+    require_printable_factorial,
     times_power,
 )
 
@@ -158,3 +160,21 @@ def test_times_power_refuses_only_unprintable_results(base, r):
 
 def test_times_power_never_refuses_a_unit_radius():
     assert times_power(Fraction(1, 7), Fraction(1), 10**12) == Fraction(1, 7)
+
+
+def test_printable_factorial_refuses_only_unprintable_factorials():
+    # Around the default limit and above any limit; 10^400 is past the float
+    # range, so lgamma must not be reached there.
+    limit = sys.get_int_max_str_digits()
+    refused = []
+    for k in [1, 25, *range(1540, 1580), limit, limit + 1, 10**400]:
+        try:
+            require_printable_factorial(k)
+        except DigitLimitError:
+            refused.append(k)
+    assert {limit + 1, 10**400} <= set(refused)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert all(len(str(math.factorial(k))) > limit for k in refused if k < 10**6)
+    finally:
+        sys.set_int_max_str_digits(limit)

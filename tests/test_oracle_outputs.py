@@ -20,6 +20,8 @@ ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
         ["blowup", "--n", "160", "--k", "159", "--json"],
         ["blowup", "--n", "800", "--k", "3", "--json"],
         ["blowup", "--n", "120", "--k", "119", "--rho", "3/7", "--json"],
+        ["blowup", "--n", "480", "--k", "470", "--rho", "5/8", "--json"],
+        ["blowup", "--n", "450", "--k", "2", "--rho", "7/9", "--json"],
         ["cpn", "--n", "600", "--k", "300", "--json"],
     ],
 )

@@ -1,8 +1,8 @@
 """Polynomial/rational-function algebra and the lattice decision procedures.
 
 The gcd oracle here is an independent Euclidean algorithm on dense
-coefficient lists, rational-function reduction is checked against Euclid and
-Fraction division on the unsplit inputs, and membership is cross-checked
+coefficient lists, rational-function reduction is checked against the same
+dense lists divided by that gcd, and membership is cross-checked
 against the bounded integer-vector search from the verification suite.
 """
 
@@ -25,7 +25,6 @@ from weincalc.symbolic import (
     PiGradedValue,
     PolyQ,
     RatFuncQ,
-    divexact,
     lattice_member,
     lattice_order,
     lattice_sum,
@@ -91,17 +90,24 @@ nonzero_scalar = st.fractions(min_value=-6, max_value=6, max_denominator=6).filt
 shared_factor = nonzero_poly.filter(lambda p: p.degree >= 1 and abs(p.leading_coeff()) != 1)
 
 
-def fraction_reduce(num: PolyQ, den: PolyQ) -> tuple[PolyQ, PolyQ]:
-    """The reference reduction: poly_gcd and Fraction Euclidean division on
-    the unsplit inputs, then the denominator made monic."""
-    g = poly_gcd(num, den)
-    (qn, rn), (qd, rd) = divmod(num, g), divmod(den, g)
-    assert not rn and not rd
-    lead = qd.leading_coeff()
-    return (
-        PolyQ({e: c / lead for e, c in qn.terms.items()}),
-        PolyQ({e: c / lead for e, c in qd.terms.items()}),
-    )
+def dense_divexact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Quotient a/b by long division on dense lists; b must divide a."""
+    a, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        factor = quot[shift] = a[shift + len(b) - 1] / b[-1]
+        for i, coeff in enumerate(b):
+            a[shift + i] -= factor * coeff
+    assert not any(a)
+    return quot
+
+
+def dense_reduce(num: PolyQ, den: PolyQ) -> tuple[list[Fraction], list[Fraction]]:
+    """The reference reduction on dense lists: divide both by dense_gcd, then
+    make the denominator monic."""
+    g = dense_gcd(dense(num), dense(den))
+    qn, qd = dense_divexact(dense(num), g), dense_divexact(dense(den), g)
+    lead = qd[-1]
+    return dense_trim([c / lead for c in qn]), [c / lead for c in qd]
 
 
 def test_poly_basic_arithmetic():
@@ -122,52 +128,6 @@ def test_poly_gcd_known_values():
     assert poly_gcd(PolyQ.one_minus_x_pow(3), PolyQ.one_minus_x_pow(2)) == PolyQ(
         {0: -1, 1: 1}
     )
-
-
-def test_divexact_cyclotomic_quotients():
-    for n in range(1, 7):
-        quotient = divexact(PolyQ.one_minus_x_pow(2 * n), PolyQ.one_minus_x_pow(n))
-        assert quotient == PolyQ({0: 1, n: 1})
-
-
-def test_divexact_rejects_nondivisible():
-    with pytest.raises(ValueError):
-        divexact(PolyQ.one_minus_x_pow(3), PolyQ.one_minus_x_pow(2))
-
-
-def test_content_primitive_split():
-    # 1/2 - (3/4) x = (-1/4) * (3x - 2): coprime integers, positive leading term.
-    split = symbolic._content_primitive(PolyQ({0: Fraction(1, 2), 1: Fraction(-3, 4)}))
-    assert split == (Fraction(-1, 4), {0: -2, 1: 3})
-    assert symbolic._content_primitive(PolyQ({3: 6, 5: 4})) == (2, {3: 3, 5: 2})
-
-
-def test_divexact_gauss_lemma_case():
-    # (2x+1)(3x-1)/6 over (2x+1)/4: the primitive parts divide in Z[x], and
-    # the contents give (3x-1) * 4/6 = 2x - 2/3.
-    a = PolyQ({0: -1, 1: 1, 2: 6}) * Fraction(1, 6)
-    b = PolyQ({0: 1, 1: 2}) * Fraction(1, 4)
-    quotient = PolyQ({0: Fraction(-2, 3), 1: 2})
-    assert divexact(a, b) == quotient
-    assert divexact(a * -3, b * Fraction(-5, 7)) == quotient * Fraction(21, 5)
-    for nondivisible in (PolyQ({0: 3, 1: 2}) * Fraction(1, 4), PolyQ({0: 1, 1: 2, 2: 1}), a * a):
-        with pytest.raises(ValueError, match="not divisible"):
-            divexact(a, nondivisible)
-    with pytest.raises(ZeroDivisionError):
-        divexact(a, PolyQ())
-    assert divexact(PolyQ(), b) == PolyQ()
-
-
-@given(small_poly, nonzero_poly)
-@settings(max_examples=80)
-def test_divexact_matches_fraction_division(a, b):
-    q, r = divmod(a, b)
-    if r:
-        with pytest.raises(ValueError):
-            divexact(a, b)
-    else:
-        assert divexact(a, b) == q
-    assert divexact(a * b, b) == a
 
 
 @given(small_poly, nonzero_poly)
@@ -204,7 +164,7 @@ def test_ratfunc_reduction_matches_fraction_reference(p, q, s, cn, cd):
     # leading coefficients and a shared non-monic factor.
     num, den = s * p * cn, s * q * cd
     f = RatFuncQ(num, den)
-    assert (f.num, f.den) == fraction_reduce(num, den)
+    assert (dense(f.num), dense(f.den)) == dense_reduce(num, den)
 
 
 def test_ratfunc_rejects_zero_denominator():
