@@ -21,7 +21,6 @@ from .exactarith import (
     parse_rational,
     require_degree,
     require_printable_factorial,
-    require_printable_power,
     require_moment,
     require_radius,
     require_weight,
@@ -32,6 +31,7 @@ from .morphism import (
     RAW_CHECK_MAX_K,
     ManifoldDescriptor,
     SelfCheckError,
+    blowup_at_weight,
     blowup_flags,
     blowup_weinstein,
     cpn_weinstein,
@@ -118,6 +118,24 @@ def _cmd_blowup(args) -> int:
             f" more than {MAX_BLOWUP_TERMS}"
         )
     require_printable_factorial(args.k)  # the lattice generator pi^k/k!
+    at_rho = None
+    if args.rho is not None:  # refused before the value is built
+        rho = parse_rational(args.rho)
+        require_weight(rho)
+        try:
+            pi_k = math.pi**args.k
+        except OverflowError:
+            raise ValueError(
+                f"--k {args.k}: the value at --rho exceeds the float range"
+                f" (pi enters as pi^{args.k})"
+            ) from None
+        coeff = blowup_at_weight(args.n, args.k, rho)
+        at_rho = {
+            "rho": format_rational(rho),
+            "x": format_rational(rho * rho),
+            "pi_k_coefficient": format_rational(coeff),
+            "value_float": float(coeff) * pi_k,
+        }
     cv = blowup_weinstein(args.n, args.k)
     order = cv.order()
     flags = blowup_flags(args.n, args.k, order)
@@ -142,32 +160,11 @@ def _cmd_blowup(args) -> int:
             f"  flag      = {flags[0]}: computed order is finite at k = n; the"
             f" infinite-order statement for lifted classes does not hold here"
         )
-    if args.rho is not None:
-        rho = parse_rational(args.rho)
-        require_weight(rho)
-        x0 = rho * rho
-        try:
-            pi_k = math.pi**args.k
-        except OverflowError:
-            raise ValueError(
-                f"--k {args.k}: the value at --rho exceeds the float range"
-                f" (pi enters as pi^{args.k})"
-            ) from None
-        # f(x0) = c (1 - x0^(n+k)) / (1 - x0^n), c the constant term of f.
-        # For x0 = a/b its reduced numerator is at least b^(n+k-g) / den(c).
-        c = f.num.terms[0]
-        require_printable_power(x0.denominator, args.n + args.k - g, c.denominator)
-        coeff = c * (1 - x0 ** (args.n + args.k)) / (1 - x0**args.n)
-        numeric = float(coeff) * pi_k
-        body["at_rho"] = {
-            "rho": format_rational(rho),
-            "x": format_rational(x0),
-            "pi_k_coefficient": format_rational(coeff),
-            "value_float": numeric,
-        }
+    if at_rho is not None:
+        body["at_rho"] = at_rho
         lines.append(
-            f"  at rho={format_rational(rho)}: value = {format_rational(coeff)} * pi^{args.k}"
-            f" = {numeric!r}"
+            f"  at rho={at_rho['rho']}: value = {at_rho['pi_k_coefficient']} * pi^{args.k}"
+            f" = {at_rho['value_float']!r}"
         )
     return _report(args, {"n": args.n, "k": args.k, "rho": args.rho}, body, lines, flags)
 

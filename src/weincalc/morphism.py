@@ -31,6 +31,8 @@ from .exactarith import (
     parse_rational,
     require_degree,
     require_positive,
+    require_printable_power,
+    require_weight,
 )
 from .symbolic import (
     Lattice,
@@ -130,12 +132,12 @@ def blowup_weinstein(n: int, k: int) -> CosetValue:
     taken against the lattice <pi^k/k!, pi^k x^k/k!>.  It is built in its
     reduced form, with no gcd: since gcd(1 - x^a, 1 - x^b) = 1 - x^gcd(a,b),
     f_k = c * sum_{j < (n+k)/g} x^(jg) / sum_{j < n/g} x^(jg) with
-    g = gcd(n, k); verify checks it against the Euclidean reduction.
-    Setting x = 0 recovers the CP^n value.  The order is infinite for every
-    k < n (the reduced denominator of f_k survives, since n does not divide
-    n+k).  At k = n the correction factor divides exactly,
-    f_n = (1/(2 n!)) (1 + x^n), and the computed order is Finite(2); see
-    blowup_flags.
+    g = gcd(n, k); verify checks it against the Euclidean reduction, and
+    blowup_at_weight evaluates it at a weight.  Setting x = 0 recovers the
+    CP^n value.  The order is infinite for every k < n (the reduced
+    denominator of f_k survives, since n does not divide n+k).  At k = n the
+    correction factor divides exactly, f_n = (1/(2 n!)) (1 + x^n), and the
+    computed order is Finite(2); see blowup_flags.
     """
     c = _checked_q(n, k) / factorial(k)
     g = math.gcd(n, k)
@@ -144,6 +146,18 @@ def blowup_weinstein(n: int, k: int) -> CosetValue:
         PolyQ._of(dict.fromkeys(range(0, n, g), Fraction(1))),
     )
     return CosetValue(PiGradedValue({k: f}), blowup_lattice(k))
+
+
+def blowup_at_weight(n: int, k: int, rho: Fraction) -> Fraction:
+    """f_k(rho^2), the pi^k coefficient of the blow-up value at weight rho,
+    from its closed form.  DigitLimitError, before any power of x = rho^2 is
+    formed, when the reduced numerator must exceed the integer string limit."""
+    require_weight(rho)
+    c = _checked_q(n, k) / factorial(k)
+    x = rho * rho
+    # For x = a/b the reduced numerator is at least b^(n+k-g) / den(c).
+    require_printable_power(x.denominator, n + k - math.gcd(n, k), c.denominator)
+    return c * (1 - x ** (n + k)) / (1 - x**n)
 
 
 def blowup_flags(n: int, k: int, order: OrderResult) -> list[str]:

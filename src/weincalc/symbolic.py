@@ -138,11 +138,6 @@ class PolyQ:
         lead = self.leading_coeff()
         return self * (1 / lead)
 
-    def evaluate(self, x):
-        """Evaluate at x; exact for Fraction/int input, float for float input."""
-        zero = Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
-        return sum((c * x**e for e, c in self.terms.items()), zero)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -247,13 +242,6 @@ class RatFuncQ:
         return RatFuncQ._of(self.num * scalar, self.den)
 
     __rmul__ = __mul__
-
-    def evaluate(self, x):
-        """Evaluate at x (exact for Fraction input); raises at a pole."""
-        den = self.den.evaluate(x)
-        if den == 0:
-            raise ZeroDivisionError(f"denominator {self.den} vanishes at x={x}")
-        return self.num.evaluate(x) / den
 
     def __str__(self) -> str:
         if self.is_polynomial:
@@ -443,13 +431,6 @@ class Lattice:
             {"coeff": format_rational(c), "pi_exp": a, "x_exp": b}
             for c, a, b in self.generators
         ]
-
-    @classmethod
-    def from_json(cls, doc: list[dict]) -> Lattice:
-        return cls(
-            (parse_rational(entry["coeff"]), int(entry["pi_exp"]), int(entry["x_exp"]))
-            for entry in doc
-        )
 
     def __str__(self) -> str:
         if not self.generators:

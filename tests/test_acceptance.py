@@ -65,7 +65,7 @@ def test_criterion_4_cpn_exact_suite():
     # For all 1 <= k <= n <= 8: 0 < q < 1 exactly, the coset is nonzero, the
     # raw multi-index value equals the closed form, and the anchors
     # q(n,1) = 1/(n+1) with order n+1 and q(n,n) = 1/2 with order 2 hold.
-    result, elapsed = timed(lambda: verify.check_cpn_exact(n_max=8, raw_k_max=8))
+    result, elapsed = timed(lambda: verify.check_cpn_exact(n_max=8))
     report("criterion-4 CP^n exact suite (n <= 8)", result.passed, elapsed, 10.0)
 
 
@@ -102,9 +102,7 @@ def test_criterion_7_product():
 def test_criterion_8_decision_procedure_oracle():
     # lattice_member / lattice_order agree with the bounded integer-vector
     # search in [-50, 50] on 200 randomized small instances.
-    result, elapsed = timed(
-        lambda: verify.check_decision_procedures(instances=200, bound=50)
-    )
+    result, elapsed = timed(verify.check_decision_procedures)
     assert result.details["instances"] == 200
     report("criterion-8 decision procedures (200 instances)", result.passed, elapsed, 30.0)
 

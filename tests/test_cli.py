@@ -14,7 +14,7 @@ import pytest
 from weincalc import cli, combinatorics, symbolic, verify
 from weincalc.cli import main
 from weincalc.morphism import RAW_CHECK_MAX_K, cpn_q
-from weincalc.symbolic import Lattice, PiGradedValue
+from weincalc.symbolic import PiGradedValue
 
 
 def run_cli(capsys, *argv):
@@ -43,9 +43,8 @@ def test_cpn_human_and_json_agree(capsys):
     assert doc["order"] == {"kind": "finite", "order": 3}
     assert doc["nontrivial"] is True
     assert doc["status"] == "ok"
-    # The value/lattice blocks round-trip through the symbolic serialization.
+    # The value block round-trips through the symbolic serialization.
     assert PiGradedValue.from_json(doc["value"]).components[1].num.terms
-    assert Lattice.from_json(doc["lattice"]).generators
 
 
 def test_cpn_top_degree(capsys):
@@ -324,22 +323,57 @@ def test_blowup_rejects_term_count_above_cap(capsys):
     assert len(doc["value"][0]["num"]) + len(doc["value"][0]["den"]) == 4999
 
 
-def test_blowup_runs_no_gcd_and_no_term_by_term_evaluation(capsys, monkeypatch):
+def test_blowup_runs_no_gcd(capsys, monkeypatch):
     # The value is built in its reduced form and --rho evaluates the closed
-    # form, so neither the Euclidean reduction nor RatFuncQ.evaluate runs.
+    # form, so the Euclidean reduction never runs.
     calls = []
-    gcd, evaluate = symbolic.poly_gcd, symbolic.RatFuncQ.evaluate
+    gcd = symbolic.poly_gcd
     monkeypatch.setattr(symbolic, "poly_gcd", lambda *a: calls.append("gcd") or gcd(*a))
-    monkeypatch.setattr(
-        symbolic.RatFuncQ, "evaluate", lambda *a: calls.append("evaluate") or evaluate(*a)
-    )
     for argv in (("--n", "600", "--k", "599"), ("--n", "300", "--k", "299", "--rho", "1/2")):
         code, _ = run_json(capsys, "blowup", *argv)
         assert code == 0
     assert calls == []
-    f = symbolic.RatFuncQ(symbolic.PolyQ.one_minus_x_pow(4), symbolic.PolyQ.one_minus_x_pow(2))
-    f.evaluate(Fraction(1, 2))
-    assert calls == ["gcd", "evaluate"]  # the spies do see the generic route
+    symbolic.RatFuncQ(symbolic.PolyQ.one_minus_x_pow(4), symbolic.PolyQ.one_minus_x_pow(2))
+    assert calls == ["gcd"]  # the spy does see the generic route
+
+
+def test_blowup_refuses_rho_before_building_the_value(capsys, monkeypatch):
+    # Every --rho test runs before the value is built, so a refused weight
+    # costs no value: at n = 1558 the value alone prints 27 MB.
+    built = []
+    monkeypatch.setattr(cli, "blowup_weinstein", lambda *a: built.append(a))
+    limit = sys.get_int_max_str_digits()
+    refusals = {
+        ("1558", "1557", "1/2"): (
+            "error: --k 1557: the value at --rho exceeds the float range (pi enters as pi^1557)"
+        ),
+        ("2499", "1", "3/2"): "error: rho must lie in (0, 1), got 3/2",
+        ("2499", "1", "8/9"): (
+            f"error: --n 2499 --k 1: the result has a number of more than {limit} digits,"
+            f" the integer string limit"
+        ),
+        # The value is unprintable too (its coefficient has more than 4300
+        # digits); the --rho error wins.
+        ("1720", "1558", "3/2"): "error: rho must lie in (0, 1), got 3/2",
+    }
+    for (n, k, rho), message in refusals.items():
+        code, out, err = run_cli(capsys, "blowup", "--n", n, "--k", k, "--rho", rho)
+        assert (code, out, err) == (2, "", message + "\n")
+    assert built == []
+
+
+def test_blowup_weight_and_verify_share_one_value(capsys):
+    # verify's Monte Carlo rows compare against the float that --rho prints.
+    rows = verify.check_blowup(n_max=3, samples=200).details["monte_carlo"]
+    assert [(row["n"], row["k"]) for row in rows] == [
+        (n, k) for n in range(1, 4) for k in range(1, n + 1)
+    ]
+    for row in rows:
+        code, doc = run_json(
+            capsys, "blowup", "--n", str(row["n"]), "--k", str(row["k"]), "--rho", row["rho"]
+        )
+        assert code == 0
+        assert row["exact"] == doc["at_rho"]["value_float"], row
 
 
 def test_blowup_weight_refused_before_its_powers(capsys):

@@ -21,7 +21,7 @@ from weincalc.montecarlo import (
     mc_cpn_average,
     sample_ball,
 )
-from weincalc.morphism import blowup_weinstein, cpn_q
+from weincalc.morphism import blowup_at_weight, cpn_q
 from weincalc.verify import SIGMA_BAND, mc_row
 
 SAMPLES = 10**5
@@ -126,8 +126,7 @@ def test_mc_blowup_small_weight_matches_cpn():
 
 def test_mc_blowup_agreement_at_half_weight():
     for n, k in [(2, 1), (2, 2)]:
-        f = blowup_weinstein(n, k).value.components[k]
-        exact = float(f.evaluate(Fraction(1, 4))) * math.pi**k
+        exact = float(blowup_at_weight(n, k, Fraction(1, 2))) * math.pi**k
         (est,) = mc_blowup_average(n, [k], 0.5, SAMPLES, 309)
         assert est.sigma_distance(exact) < 4, (n, k, est)
 

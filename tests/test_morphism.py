@@ -9,6 +9,7 @@ from weincalc.morphism import (
     FINITE_ORDER_AT_TOP_DEGREE,
     DescriptorError,
     ManifoldDescriptor,
+    blowup_at_weight,
     blowup_flags,
     blowup_lattice,
     blowup_weinstein,
@@ -126,7 +127,21 @@ def test_blowup_specializes_to_cpn_at_zero():
     for n in range(1, 7):
         for k in range(1, n + 1):
             f = blowup_weinstein(n, k).value.components[k]
-            assert f.evaluate(Fraction(0)) == cpn_q(n, k) / factorial(k)
+            # f(0) is the ratio of the constant terms
+            assert f.num.terms[0] / f.den.terms[0] == cpn_q(n, k) / factorial(k)
+
+
+def test_blowup_at_weight_is_the_value_at_rho_squared():
+    # The built value, substituted term by term, against the closed form.
+    x = Fraction(1, 9)
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            f = blowup_weinstein(n, k).value.components[k]
+            num = sum(c * x**e for e, c in f.num.terms.items())
+            den = sum(c * x**e for e, c in f.den.terms.items())
+            assert blowup_at_weight(n, k, Fraction(1, 3)) == num / den
+    with pytest.raises(ValueError, match="rho must lie in"):
+        blowup_at_weight(2, 1, Fraction(1))
 
 
 def test_blowup_orders():
