@@ -20,7 +20,6 @@ from .exactarith import (
     format_rational,
     parse_rational,
     require_degree,
-    require_printable_factorial,
     require_moment,
     require_radius,
     require_weight,
@@ -35,10 +34,9 @@ from .morphism import (
     blowup_flags,
     blowup_weinstein,
     cpn_weinstein,
-    product_cpn_lattice,
     product_value,
 )
-from .symbolic import OrderResult, PiGradedValue
+from .symbolic import OrderResult
 
 SCHEMA = "weincalc/1"
 
@@ -82,8 +80,6 @@ def _times_pi_power(coeff: Fraction, pi_power: float) -> float:
 
 
 def _cmd_cpn(args) -> int:
-    require_degree(args.n, args.k)
-    require_printable_factorial(args.k)  # the lattice generator pi^k/k!
     cv = cpn_weinstein(args.n, args.k)
     generator = cv.lattice.generators[0][0]  # q is the value over pi^k/k!
     q = format_rational(cv.value.components[args.k].num.terms[0] / generator)
@@ -117,7 +113,6 @@ def _cmd_blowup(args) -> int:
             f"--n {args.n} --k {args.k}: the reduced value has {terms} terms,"
             f" more than {MAX_BLOWUP_TERMS}"
         )
-    require_printable_factorial(args.k)  # the lattice generator pi^k/k!
     at_rho = None
     if args.rho is not None:  # refused before the value is built
         rho = parse_rational(args.rho)
@@ -255,34 +250,7 @@ def _cmd_product(args) -> int:
     except json.JSONDecodeError as exc:
         raise ValueError(f"manifold descriptor is not valid JSON: {exc}")
     descriptor = ManifoldDescriptor.from_json(descriptor_doc)
-
-    degree = 2 * args.k - 1
-    if degree not in descriptor.trivial_odd_homotopy:
-        raise ValueError(
-            f"descriptor does not assert trivial homotopy in degree {degree} "
-            f"(trivial_odd_homotopy: {sorted(descriptor.trivial_odd_homotopy)})"
-        )
-    b_value = PiGradedValue()
-    if args.class_name is not None:
-        named = descriptor.classes.get(args.class_name)
-        if named is None:
-            raise ValueError(
-                f"descriptor has no class named {args.class_name!r} "
-                f"(available: {sorted(descriptor.classes)})"
-            )
-        if named.degree != degree:
-            raise ValueError(
-                f"class {args.class_name!r} lives in degree {named.degree}, "
-                f"but k={args.k} needs degree {degree}"
-            )
-        b_value = named.value
-
-    require_printable_factorial(args.k)  # the lattice generator pi^k/k!
-    cv = cpn_weinstein(args.n, args.k)
-    full = product_cpn_lattice(args.n, args.k, descriptor)
-    product = product_value(
-        cv.value, cv.lattice, b_value, descriptor.period_lattice(args.k), full
-    )
+    product = product_value(args.n, args.k, descriptor, args.class_name)
     order = product.order()
     nontrivial = order != OrderResult.finite(1)
     body = {
@@ -292,7 +260,7 @@ def _cmd_product(args) -> int:
         "nontrivial": nontrivial,
     }
     lines = [
-        f"CP^{args.n} x M (descriptor {args.manifold}), degree {degree}",
+        f"CP^{args.n} x M (descriptor {args.manifold}), degree {2 * args.k - 1}",
         f"  value     = {product.value}",
         f"  lattice   = {product.lattice}",
         f"  order     = {order}",
@@ -403,8 +371,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:  # includes DescriptorError and DigitLimitError
         if isinstance(exc, DigitLimitError):
-            flags = ("n", "l", "k", "r0")
-            sizes = [f"--{key} {value}" for key, value in vars(args).items() if key in flags]
+            given = vars(args)  # the size flags of this subcommand that are set
+            flags = [key for key in ("n", "l", "k", "r0", "rho") if given.get(key) is not None]
+            sizes = [f"--{key} {given[key]}" for key in flags]
             exc = f"{' '.join(sizes)}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,7 @@ from .exactarith import (
     parse_rational,
     require_degree,
     require_positive,
+    require_printable_factorial,
     require_printable_power,
     require_weight,
 )
@@ -40,9 +41,9 @@ from .symbolic import (
     PiGradedValue,
     PolyQ,
     RatFuncQ,
+    is_json_int,
     lattice_member,
     lattice_order,
-    lattice_sum,
 )
 
 # Brute-force self-check budget: the raw multi-index sum for degree k runs
@@ -97,7 +98,11 @@ def cpn_lattice(k: int) -> Lattice:
 
 def _checked_q(n: int, k: int) -> Fraction:
     """q(n, k) with the closed form cross-checked against the raw multi-index
-    sum whenever k is inside the brute-force budget."""
+    sum whenever k is inside the brute-force budget.  Every cpn, blow-up and
+    product value prints its lattice generator pi^k/k!, so a k whose k! must
+    exceed the integer string limit is refused here, before any exact work."""
+    require_degree(n, k)
+    require_printable_factorial(k)
     q = cpn_q(n, k)
     if k <= RAW_CHECK_MAX_K:
         raw = cpn_weinstein_raw(n, k)
@@ -119,7 +124,8 @@ def cpn_weinstein(n: int, k: int) -> CosetValue:
 def blowup_lattice(k: int) -> Lattice:
     """Degree-2k period lattice of the one-point blow-up of CP^n: the CP^n
     lattice plus Z*(pi^k x^k / k!), that is <pi^k/k!, pi^k x^k/k!>."""
-    return lattice_sum(cpn_lattice(k), Lattice([(Fraction(1, factorial(k)), k, k)]))
+    generator = Fraction(1, factorial(k))
+    return Lattice([(generator, k, 0), (generator, k, k)])
 
 
 def blowup_weinstein(n: int, k: int) -> CosetValue:
@@ -176,29 +182,6 @@ def blowup_flags(n: int, k: int, order: OrderResult) -> list[str]:
 # Cartesian products
 
 
-def product_value(
-    a_value: PiGradedValue,
-    a_lattice: Lattice,
-    b_value: PiGradedValue,
-    b_lattice: Lattice,
-    full_lattice: Lattice,
-) -> CosetValue:
-    """Morphism value of a product class: the sum of the factor values, taken
-    against the full product period lattice.
-
-    The product lattice must contain the sum of the factor lattices; every
-    generator is checked for membership and a violation is rejected.
-    """
-    for coeff, pi_exp, x_exp in lattice_sum(a_lattice, b_lattice).generators:
-        gen_value = PiGradedValue.monomial(coeff, pi_exp, x_exp)
-        if not lattice_member(gen_value, full_lattice):
-            raise ValueError(
-                f"product lattice does not contain the factor generator "
-                f"{format_rational(coeff)}*pi^{pi_exp}*x^{x_exp}"
-            )
-    return CosetValue(a_value + b_value, full_lattice)
-
-
 class DescriptorError(ValueError):
     """Manifold descriptor validation failure, carrying the offending field."""
 
@@ -244,7 +227,7 @@ class ManifoldDescriptor:
         if not isinstance(doc, dict):
             raise DescriptorError("<root>", "descriptor must be a JSON object")
         dim = doc.get("dimension")
-        if not isinstance(dim, int) or dim < 2 or dim % 2:
+        if not is_json_int(dim) or dim < 2 or dim % 2:
             raise DescriptorError(
                 "dimension", f"must be a positive even integer, got {dim!r}"
             )
@@ -252,7 +235,7 @@ class ManifoldDescriptor:
 
         toh = doc.get("trivial_odd_homotopy", [])
         if not isinstance(toh, list) or not all(
-            isinstance(d, int) and d >= 1 and d % 2 == 1 for d in toh
+            is_json_int(d) and d >= 1 and d % 2 == 1 for d in toh
         ):
             raise DescriptorError(
                 "trivial_odd_homotopy", f"must be a list of odd degrees, got {toh!r}"
@@ -268,6 +251,10 @@ class ManifoldDescriptor:
                 raise DescriptorError(
                     f"periods.{key}",
                     f"degree must be even with 2 <= degree <= {dim}",
+                )
+            if degree in periods:
+                raise DescriptorError(
+                    f"periods.{key}", f"degree {degree} is listed under another key too"
                 )
             if not isinstance(gens, list):
                 raise DescriptorError(f"periods.{key}", "generators must be a list")
@@ -292,7 +279,7 @@ class ManifoldDescriptor:
                     f"classes.{name}", "must be an object with 'degree' and 'value'"
                 )
             degree = entry["degree"]
-            if not isinstance(degree, int) or degree < 1 or degree % 2 == 0:
+            if not is_json_int(degree) or degree < 1 or degree % 2 == 0:
                 raise DescriptorError(
                     f"classes.{name}.degree", f"must be a positive odd integer, got {degree!r}"
                 )
@@ -336,3 +323,48 @@ def product_cpn_lattice(n: int, k: int, m_desc: ManifoldDescriptor) -> Lattice:
         for p in m_desc.periods.get(2 * j, ()):
             gens.append((p / factorial(k - j), k - j, 0))
     return Lattice(gens)
+
+
+def product_value(
+    n: int, k: int, descriptor: ManifoldDescriptor, class_name: str | None = None
+) -> CosetValue:
+    """Morphism value of the product class on CP^n x M in degree 2k-1: the
+    CP^n value plus the descriptor's class `class_name` (the zero class when
+    None), taken against the product period lattice.
+
+    The rules run in order: 1 <= k <= n; the descriptor asserts trivial
+    homotopy in degree 2k-1; the class exists and lives in that degree; the
+    CP^n value (with its k! and self-check refusals); the product lattice
+    (with its dimension bound); and the product lattice contains both factor
+    lattices, checked generator by generator.
+    """
+    require_degree(n, k)
+    degree = 2 * k - 1
+    if degree not in descriptor.trivial_odd_homotopy:
+        raise ValueError(
+            f"descriptor does not assert trivial homotopy in degree {degree} "
+            f"(trivial_odd_homotopy: {sorted(descriptor.trivial_odd_homotopy)})"
+        )
+    m_value = PiGradedValue()
+    if class_name is not None:
+        named = descriptor.classes.get(class_name)
+        if named is None:
+            raise ValueError(
+                f"descriptor has no class named {class_name!r} "
+                f"(available: {sorted(descriptor.classes)})"
+            )
+        if named.degree != degree:
+            raise ValueError(
+                f"class {class_name!r} lives in degree {named.degree}, "
+                f"but k={k} needs degree {degree}"
+            )
+        m_value = named.value
+    cv = cpn_weinstein(n, k)
+    full = product_cpn_lattice(n, k, descriptor)
+    for coeff, pi_exp, x_exp in cv.lattice.generators + descriptor.period_lattice(k).generators:
+        if not lattice_member(PiGradedValue.monomial(coeff, pi_exp, x_exp), full):
+            raise ValueError(
+                f"product lattice does not contain the factor generator "
+                f"{format_rational(coeff)}*pi^{pi_exp}*x^{x_exp}"
+            )
+    return CosetValue(cv.value + m_value, full)

@@ -272,9 +272,15 @@ def rational_gcd(values: Iterable[Fraction]) -> Fraction:
 # pi-graded values
 
 
+def is_json_int(value) -> bool:
+    """A JSON integer: an int, never a float, string or boolean (JSON true
+    and false load as the ints True and False)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _json_int(value) -> int:
-    """An exponent read from JSON: an integer, never a float, string or boolean."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """An exponent read from JSON."""
+    if not is_json_int(value):
         raise ValueError(f"exponent must be an integer, got {value!r}")
     return value
 
@@ -447,11 +453,6 @@ class Lattice:
 
     def __repr__(self) -> str:
         return f"Lattice({self})"
-
-
-def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
-    """Z-module sum: concatenated generators, re-collapsed and deduplicated."""
-    return Lattice(a.generators + b.generators)
 
 
 @dataclass(frozen=True)

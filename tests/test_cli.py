@@ -349,12 +349,14 @@ def test_blowup_refuses_rho_before_building_the_value(capsys, monkeypatch):
         ),
         ("2499", "1", "3/2"): "error: rho must lie in (0, 1), got 3/2",
         ("2499", "1", "8/9"): (
-            f"error: --n 2499 --k 1: the result has a number of more than {limit} digits,"
-            f" the integer string limit"
+            f"error: --n 2499 --k 1 --rho 8/9: the result has a number of more than {limit}"
+            f" digits, the integer string limit"
         ),
         # The value is unprintable too (its coefficient has more than 4300
         # digits); the --rho error wins.
         ("1720", "1558", "3/2"): "error: rho must lie in (0, 1), got 3/2",
+        # So is the lattice generator pi^1600/1600!; the --rho error wins.
+        ("2000", "1600", "3/2"): "error: rho must lie in (0, 1), got 3/2",
     }
     for (n, k, rho), message in refusals.items():
         code, out, err = run_cli(capsys, "blowup", "--n", n, "--k", k, "--rho", rho)
@@ -385,7 +387,7 @@ def test_blowup_weight_refused_before_its_powers(capsys):
     assert code == 2
     assert out == ""
     assert err == (
-        f"error: --n 2499 --k 1: the result has a number of more than"
+        f"error: --n 2499 --k 1 --rho 8/9: the result has a number of more than"
         f" {sys.get_int_max_str_digits()} digits, the integer string limit\n"
     )
 
@@ -534,6 +536,26 @@ def test_product_rejects_class_degree_mismatch(capsys, tmp_path):
     )
     assert code == 2
     assert "degree" in err
+
+
+def test_product_checks_the_degree_before_the_descriptor(capsys, tmp_path):
+    # Both queries also break a descriptor rule (degree -1 is not asserted
+    # trivial; the loop lives in degree 1, not 3); the degree rule reports.
+    path = write_descriptor(
+        tmp_path,
+        {
+            "dimension": 4,
+            "trivial_odd_homotopy": [1],
+            "classes": {"loop": {"degree": 1, "value": []}},
+        },
+    )
+    for argv, (n, k) in (
+        (("--n", "2", "--k", "0"), (2, 0)),
+        (("--n", "1", "--k", "2", "--class", "loop"), (1, 2)),
+    ):
+        code, out, err = run_cli(capsys, "product", *argv, "--manifold", path)
+        message = f"error: k must satisfy 1 <= k <= n, got k={k} with n={n}\n"
+        assert (code, out, err) == (2, "", message)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """Morphism values: CP^n, blow-up, products, descriptors."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from weincalc.exactarith import factorial
+from weincalc import morphism
+from weincalc.exactarith import DigitLimitError, factorial
 from weincalc.morphism import (
     FINITE_ORDER_AT_TOP_DEGREE,
     DescriptorError,
@@ -192,39 +194,58 @@ def test_blowup_lattice_shape():
 # products
 
 
-def test_product_with_trivial_factor_reduces_to_cpn_coset():
-    cv = cpn_weinstein(2, 1)
-    m_lattice = Lattice([(1, 0, 0)])  # P_2(M) = Z
-    full = Lattice(cv.lattice.generators + m_lattice.generators)
-    product = product_value(
-        cv.value, cv.lattice, PiGradedValue(), m_lattice, full
-    )
-    assert product.value == cv.value
-    assert not lattice_member(product.value, product.lattice)
-    assert product.order() == OrderResult.finite(3)
-
-
-def test_product_zero_plus_zero_is_member():
-    full = Lattice([(1, 1, 0)])
-    product = product_value(
-        PiGradedValue(), Lattice([(1, 1, 0)]), PiGradedValue(), Lattice([]), full
-    )
-    assert lattice_member(product.value, product.lattice)
-    assert product.order() == OrderResult.finite(1)
-
-
-def test_product_rejects_non_containing_lattice():
-    cv = cpn_weinstein(2, 1)
-    too_small = Lattice([(2, 1, 0)])  # does not contain pi itself
-    with pytest.raises(ValueError):
-        product_value(cv.value, cv.lattice, PiGradedValue(), Lattice([]), too_small)
-
-
 SPHERE_DOC = {
     "dimension": 2,
     "trivial_odd_homotopy": [1],
     "periods": {"2": ["1"]},
 }
+
+
+def test_product_with_trivial_factor_reduces_to_cpn_coset():
+    product = product_value(2, 1, ManifoldDescriptor.from_json(SPHERE_DOC))
+    cv = cpn_weinstein(2, 1)
+    assert product.value == cv.value
+    assert product.lattice == Lattice(cv.lattice.generators + ((1, 0, 0),))  # P_2(M) = Z
+    assert not lattice_member(product.value, product.lattice)
+    assert product.order() == OrderResult.finite(3)
+
+
+def test_product_class_cancelling_the_cpn_value_is_member():
+    minus = {"pi_exp": 1, "num": [[0, "-1/3"]], "den": [[0, "1"]]}  # cpn(2, 1) is pi/3
+    doc = {**SPHERE_DOC, "classes": {"minus": {"degree": 1, "value": [minus]}}}
+    product = product_value(2, 1, ManifoldDescriptor.from_json(doc), "minus")
+    assert product.value == PiGradedValue()
+    assert lattice_member(product.value, product.lattice)
+    assert product.order() == OrderResult.finite(1)
+
+
+def test_product_rejects_non_containing_lattice(monkeypatch):
+    sphere = ManifoldDescriptor.from_json(SPHERE_DOC)
+    for lattice, generator in (
+        (Lattice([(2, 1, 0)]), "1*pi^1*x^0"),  # misses pi itself
+        (Lattice([(1, 1, 0)]), "1*pi^0*x^0"),  # misses the period of M
+    ):
+        monkeypatch.setattr(morphism, "product_cpn_lattice", lambda n, k, desc: lattice)
+        with pytest.raises(ValueError, match=rf"factor generator {re.escape(generator)}$"):
+            product_value(2, 1, sphere)
+
+
+def test_product_rules_run_in_order():
+    # Each query breaks two rules; the earlier rule reports.  The degree rule
+    # comes first (test_cli.test_product_checks_the_degree_before_the_descriptor).
+    desc = ManifoldDescriptor.from_json(
+        {"dimension": 2, "trivial_odd_homotopy": [1, 3, 3199], "classes": {"loop": {"degree": 1}}}
+    )
+    with pytest.raises(ValueError, match="does not assert trivial homotopy in degree 5 "):
+        product_value(3, 3, desc, "missing")
+    with pytest.raises(ValueError, match="^descriptor has no class named 'missing'"):
+        product_value(3, 2, desc, "missing")  # k = 2 also breaks the dimension bound
+    with pytest.raises(ValueError, match="^class 'loop' lives in degree 1"):
+        product_value(3, 2, desc, "loop")
+    with pytest.raises(DigitLimitError):  # 1600! is unprintable; k = 1600 also breaks it
+        product_value(2000, 1600, desc)
+    with pytest.raises(ValueError, match="dimension bound"):
+        product_value(3, 2, desc)
 
 
 def test_product_cpn_lattice_instances():
@@ -308,6 +329,11 @@ def test_descriptor_parses_classes():
             },
             "classes.twice.value",
         ),
+        # "2" and "02" name one degree; one of the lists was silently lost.
+        ({"dimension": 4, "periods": {"2": ["1/2"], "02": ["1"]}}, "periods.02"),
+        # JSON true loads as the int True, which is no degree.
+        ({"dimension": 4, "trivial_odd_homotopy": [True, 3]}, "trivial_odd_homotopy"),
+        ({"dimension": 4, "classes": {"h": {"degree": True, "value": []}}}, "classes.h.degree"),
     ],
 )
 def test_descriptor_rejects_bad_fields(doc, field):

@@ -27,7 +27,6 @@ from weincalc.symbolic import (
     RatFuncQ,
     lattice_member,
     lattice_order,
-    lattice_sum,
     poly_gcd,
     rational_gcd,
 )
@@ -348,17 +347,6 @@ def test_lattice_collapse_and_sign_dedup():
     lattice = Lattice([(Fraction(2, 3), 1, 0), (Fraction(-1, 2), 1, 0)])
     assert lattice.generators == ((Fraction(1, 6), 1, 0),)
     assert Lattice([(1, 1, 0), (-1, 1, 0)]).generators == ((Fraction(1), 1, 0),)
-
-
-def test_lattice_sum_examples():
-    pi_gen = Lattice([(1, 1, 0)])
-    assert lattice_sum(pi_gen, pi_gen) == pi_gen
-    mixed = lattice_sum(Lattice([(Fraction(1, 2), 2, 0)]), pi_gen)
-    assert mixed.generators == ((Fraction(1), 1, 0), (Fraction(1, 2), 2, 0))
-    blowup = lattice_sum(
-        Lattice([(Fraction(1, 2), 2, 0)]), Lattice([(Fraction(1, 2), 2, 2)])
-    )
-    assert blowup.generators == ((Fraction(1, 2), 2, 0), (Fraction(1, 2), 2, 2))
 
 
 def test_lattice_rejects_zero_generator():
