@@ -230,8 +230,8 @@ def _cmd_identity(args) -> int:
         raise ValueError(
             f"--k-max {args.k_max}: must be <= {RAW_CHECK_MAX_K} (the brute-force budget)"
         )
-    rows = combinatorics.verify_diagonal_identity(args.k_max)
-    all_ok = all(row["ok"] for row in rows)
+    result = verify.check_identity_suite(args.k_max)
+    rows, all_ok = result.details["rows"], result.passed
     lines = [f"{'k':>3}  {'bruteforce':>16}  {'closed':>16}  result"]
     lines += [
         f"{r['k']:>3}  {r['bruteforce']:>16}  {r['closed']:>16}  {'pass' if r['ok'] else 'FAIL'}"
@@ -241,10 +241,23 @@ def _cmd_identity(args) -> int:
     return _report(args, {"k_max": args.k_max}, body, lines, ok=all_ok)
 
 
+def _distinct_names(pairs: list[tuple[str, object]]) -> dict:
+    """A descriptor object whose names are distinct: RFC 8259 leaves a
+    repeated name undefined, and json.load would keep its last value."""
+    seen: set[str] = set()
+    for name, _ in pairs:
+        if name in seen:
+            raise ValueError(
+                f"manifold descriptor repeats the name {json.dumps(name)} in one object"
+            )
+        seen.add(name)
+    return dict(pairs)
+
+
 def _cmd_product(args) -> int:
     try:
         with open(args.manifold, encoding="utf-8") as fh:
-            descriptor_doc = json.load(fh)
+            descriptor_doc = json.load(fh, object_pairs_hook=_distinct_names)
     except OSError as exc:
         raise ValueError(f"cannot read manifold descriptor: {exc}")
     except json.JSONDecodeError as exc:

@@ -75,23 +75,6 @@ def moment_sum_closed(k: int, l: int) -> int:
     return 2**k * factorial(k) * binomial(k + l - 1, k)
 
 
-def verify_diagonal_identity(k_max: int) -> list[dict]:
-    """Check brute force against the closed form on the diagonal l = k.
-
-    Returns one row {"k", "bruteforce", "closed", "ok"} per 1 <= k <= k_max,
-    the two sums as decimal strings.
-    """
-    require_positive(k_max=k_max)
-    rows = []
-    for k in range(1, k_max + 1):
-        brute = moment_sum_bruteforce(k, k)
-        closed = moment_sum_closed(k, k)
-        rows.append(
-            {"k": k, "bruteforce": str(brute), "closed": str(closed), "ok": brute == closed}
-        )
-    return rows
-
-
 def ball_moment_exact(n: int, l: int, k: int) -> tuple[Fraction, int]:
     """Exact value of the ball moment integral
 

@@ -10,20 +10,12 @@ exact routes and the Monte Carlo oracles share them.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
-
-def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"``, ``"p"``, or an exact decimal string such as ``"0.25"``.
-
-    Decimal strings are exact (power-of-ten denominators), never binary floats.
-    """
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
 
 
 class DigitLimitError(ValueError):
@@ -34,6 +26,32 @@ class DigitLimitError(ValueError):
             f"the result has a number of more than {sys.get_int_max_str_digits()} digits,"
             f" the integer string limit"
         )
+
+
+# The exponent digits of a decimal string such as "1e-7", as Fraction reads them.
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\Z")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse ``"p/q"``, ``"p"``, or an exact decimal string such as ``"0.25"``
+    or ``"1e-7"``.
+
+    Decimal strings are exact (power-of-ten denominators), never binary floats.
+    Fraction expands an exponent N into 10^|N| before any digit limit applies,
+    so an exponent above the integer string limit in magnitude is refused with
+    DigitLimitError first.
+    """
+    literal = str(text).strip()
+    exponent = _EXPONENT.search(literal)
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and exponent:
+        digits = exponent[1].replace("_", "")
+        if len(digits) > limit or int(digits) > limit:
+            raise DigitLimitError()
+    try:
+        return Fraction(literal)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {json.dumps(text)}") from exc
 
 
 def format_rational(q: Fraction) -> str:

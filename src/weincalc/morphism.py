@@ -18,6 +18,7 @@ cleanly and give the familiar order n+1 in pi_1.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +26,7 @@ from typing import Mapping
 
 from . import combinatorics
 from .exactarith import (
+    DigitLimitError,
     binomial,
     factorial,
     format_rational,
@@ -229,32 +231,28 @@ class ManifoldDescriptor:
         dim = doc.get("dimension")
         if not is_json_int(dim) or dim < 2 or dim % 2:
             raise DescriptorError(
-                "dimension", f"must be a positive even integer, got {dim!r}"
+                "dimension", f"must be a positive even integer, got {json.dumps(dim)}"
             )
-        m = dim // 2
 
         toh = doc.get("trivial_odd_homotopy", [])
         if not isinstance(toh, list) or not all(
             is_json_int(d) and d >= 1 and d % 2 == 1 for d in toh
         ):
             raise DescriptorError(
-                "trivial_odd_homotopy", f"must be a list of odd degrees, got {toh!r}"
+                "trivial_odd_homotopy", f"must be a list of odd degrees, got {json.dumps(toh)}"
             )
 
         periods: dict[int, tuple[Fraction, ...]] = {}
+        width = len(str(dim))  # a key with more digits names a degree above dim
         for key, gens in _json_object(doc, "periods").items():
-            try:
-                degree = int(key)
-            except (TypeError, ValueError):
-                raise DescriptorError(f"periods.{key}", "degree key must be an integer")
-            if degree < 2 or degree % 2 or degree > dim:
+            # ASCII digits with no sign, space, underscore or leading zero: one key per degree.
+            plain = key.isascii() and key.isdigit() and len(key) <= width
+            degree = int(key) if plain else 0
+            if key != str(degree) or degree < 2 or degree % 2 or degree > dim:
                 raise DescriptorError(
                     f"periods.{key}",
-                    f"degree must be even with 2 <= degree <= {dim}",
-                )
-            if degree in periods:
-                raise DescriptorError(
-                    f"periods.{key}", f"degree {degree} is listed under another key too"
+                    f"key must be an even degree 2 <= d <= {dim} in plain digits,"
+                    f" got {json.dumps(key)}",
                 )
             if not isinstance(gens, list):
                 raise DescriptorError(f"periods.{key}", "generators must be a list")
@@ -262,14 +260,18 @@ class ManifoldDescriptor:
             for g in gens:
                 try:
                     parsed.append(parse_rational(g))
+                except DigitLimitError as exc:
+                    raise DescriptorError(f"periods.{key}", str(exc))
                 except ValueError:
                     raise DescriptorError(
                         f"periods.{key}",
-                        f"period {g!r} is not rational; only manifolds with "
+                        f"period {json.dumps(g)} is not rational; only manifolds with "
                         f"rational period groups are supported",
                     )
                 if parsed[-1] == 0:
-                    raise DescriptorError(f"periods.{key}", f"period {g!r} must be nonzero")
+                    raise DescriptorError(
+                        f"periods.{key}", f"period {json.dumps(g)} must be nonzero"
+                    )
             periods[degree] = tuple(parsed)
 
         classes: dict[str, NamedClass] = {}
@@ -281,27 +283,23 @@ class ManifoldDescriptor:
             degree = entry["degree"]
             if not is_json_int(degree) or degree < 1 or degree % 2 == 0:
                 raise DescriptorError(
-                    f"classes.{name}.degree", f"must be a positive odd integer, got {degree!r}"
+                    f"classes.{name}.degree",
+                    f"must be a positive odd integer, got {json.dumps(degree)}",
                 )
             try:
                 value = PiGradedValue.from_json(entry.get("value", []))
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise DescriptorError(f"classes.{name}.value", str(exc))
             classes[name] = NamedClass(degree=degree, value=value)
 
-        return cls(
-            dimension=dim,
-            trivial_odd_homotopy=frozenset(toh),
-            periods=periods,
-            classes=classes,
-        )
+        return cls(dim, frozenset(toh), periods, classes)
 
 
 def _json_object(doc: dict, fieldname: str) -> dict:
     """The optional field `fieldname` of `doc`, which must be a JSON object."""
     value = doc.get(fieldname, {})
     if not isinstance(value, dict):
-        raise DescriptorError(fieldname, f"must be a JSON object, got {value!r}")
+        raise DescriptorError(fieldname, f"must be a JSON object, got {json.dumps(value)}")
     return value
 
 
@@ -313,11 +311,6 @@ def product_cpn_lattice(n: int, k: int, m_desc: ManifoldDescriptor) -> Lattice:
     Degrees missing from the descriptor contribute nothing.
     """
     require_degree(n, k)
-    if k > m_desc.half_dimension:
-        raise ValueError(
-            f"k={k} exceeds the descriptor dimension bound "
-            f"(dimension {m_desc.dimension} allows k <= {m_desc.half_dimension})"
-        )
     gens: list[tuple[Fraction, int, int]] = [(Fraction(1, factorial(k)), k, 0)]
     for j in range(1, k + 1):
         for p in m_desc.periods.get(2 * j, ()):
@@ -332,11 +325,12 @@ def product_value(
     CP^n value plus the descriptor's class `class_name` (the zero class when
     None), taken against the product period lattice.
 
-    The rules run in order: 1 <= k <= n; the descriptor asserts trivial
-    homotopy in degree 2k-1; the class exists and lives in that degree; the
-    CP^n value (with its k! and self-check refusals); the product lattice
-    (with its dimension bound); and the product lattice contains both factor
-    lattices, checked generator by generator.
+    Every rule runs here, in this order: 1 <= k <= n; the descriptor asserts
+    trivial homotopy in degree 2k-1; the class exists and lives in that
+    degree; k <= m for the descriptor's dimension 2m; the CP^n value, with
+    its k! and self-check refusals; and the product lattice contains both
+    factor lattices, checked generator by generator.  Only the last two do
+    exact work.
     """
     require_degree(n, k)
     degree = 2 * k - 1
@@ -359,6 +353,11 @@ def product_value(
                 f"but k={k} needs degree {degree}"
             )
         m_value = named.value
+    if k > descriptor.half_dimension:
+        raise ValueError(
+            f"k={k} exceeds the descriptor dimension bound "
+            f"(dimension {descriptor.dimension} allows k <= {descriptor.half_dimension})"
+        )
     cv = cpn_weinstein(n, k)
     full = product_cpn_lattice(n, k, descriptor)
     for coeff, pi_exp, x_exp in cv.lattice.generators + descriptor.period_lattice(k).generators:

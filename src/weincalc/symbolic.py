@@ -13,6 +13,7 @@ and printing form each distinct coefficient once.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -281,13 +282,17 @@ def is_json_int(value) -> bool:
 def _json_int(value) -> int:
     """An exponent read from JSON."""
     if not is_json_int(value):
-        raise ValueError(f"exponent must be an integer, got {value!r}")
+        raise ValueError(f"exponent must be an integer, got {json.dumps(value)}")
     return value
 
 
 def _json_poly(pairs) -> PolyQ:
     """A polynomial read from JSON [exponent, coefficient] pairs; an exponent
     may appear once."""
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise ValueError(
+            f"terms must be a list of [exponent, coefficient] pairs, got {json.dumps(pairs)}"
+        )
     terms: dict[int, Fraction] = {}
     for e, c in pairs:
         e = _json_int(e)
@@ -362,12 +367,23 @@ class PiGradedValue:
 
     @classmethod
     def from_json(cls, doc: list[dict]) -> PiGradedValue:
+        """Read the to_json shape; a ValueError names the part that breaks it."""
+        if not isinstance(doc, list):
+            raise ValueError(f"must be a list of components, got {json.dumps(doc)}")
         comps: dict[int, RatFuncQ] = {}
         for entry in doc:
+            if not isinstance(entry, dict) or not {"pi_exp", "num", "den"} <= entry.keys():
+                raise ValueError(
+                    'a component must be an object with "pi_exp", "num" and "den",'
+                    f" got {json.dumps(entry)}"
+                )
             a = _json_int(entry["pi_exp"])
             if a in comps:
                 raise ValueError(f"duplicate pi_exp {a}")
-            comps[a] = RatFuncQ(_json_poly(entry["num"]), _json_poly(entry["den"]))
+            num, den = _json_poly(entry["num"]), _json_poly(entry["den"])
+            if not den:
+                raise ValueError(f"the den of pi_exp {a} is zero")
+            comps[a] = RatFuncQ(num, den)
         return cls(comps)
 
     def __str__(self) -> str:

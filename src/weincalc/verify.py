@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import combinatorics
-from .exactarith import format_rational
+from .exactarith import format_rational, require_positive
 from .montecarlo import (
     McEstimate,
     mc_ball_moment,
@@ -93,8 +93,17 @@ class CheckResult:
 
 
 def check_identity_suite(k_max: int = 7) -> CheckResult:
-    """Brute-force diagonal moment sums against 2^k k! C(2k-1, k)."""
-    rows = combinatorics.verify_diagonal_identity(k_max)
+    """Brute-force diagonal moment sums S(k, k) against 2^k k! C(2k-1, k):
+    one row {"k", "bruteforce", "closed", "ok"} per 1 <= k <= k_max, the two
+    sums as decimal strings.  The `identity` command prints these rows."""
+    require_positive(k_max=k_max)
+    rows = []
+    for k in range(1, k_max + 1):
+        brute = combinatorics.moment_sum_bruteforce(k, k)
+        closed = combinatorics.moment_sum_closed(k, k)
+        rows.append(
+            {"k": k, "bruteforce": str(brute), "closed": str(closed), "ok": brute == closed}
+        )
     ok = all(row["ok"] for row in rows)
     return CheckResult("identity-suite", ok, {"k_max": k_max, "rows": rows})
 

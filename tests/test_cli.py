@@ -450,6 +450,55 @@ def test_unprintable_degree_is_refused_before_exact_work(capsys, tmp_path):
     assert "integer string limit" in err
 
 
+def test_huge_exponents_are_refused_before_expansion(capsys, tmp_path):
+    # Fraction expands "1eN" into 10^|N| before any digit-limit test: each of
+    # these inputs ran for seconds before it was refused on the digit limit.
+    limit = sys.get_int_max_str_digits()
+    message = f"the result has a number of more than {limit} digits, the integer string limit"
+    period = write_descriptor(
+        tmp_path, {"dimension": 2, "trivial_odd_homotopy": [1], "periods": {"2": ["1e7000000"]}}
+    )
+    coefficient = tmp_path / "class.json"
+    value = [{"pi_exp": 0, "num": [[0, "1e7000000"]], "den": [[0, "1"]]}]
+    coefficient.write_text(
+        json.dumps({"dimension": 2, "classes": {"c": {"degree": 1, "value": value}}})
+    )
+    product = ("product", "--n", "2", "--k", "1", "--manifold")
+    for argv, prefix in (
+        (("blowup", "--n", "2", "--k", "1", "--rho", "1e-7000000"),
+         "--n 2 --k 1 --rho 1e-7000000"),
+        (("moment", "--n", "2", "--l", "1", "--k", "1", "--r0", "1e-7000000"),
+         "--n 2 --l 1 --k 1 --r0 1e-7000000"),
+        ((*product, period), "periods.2"),
+        ((*product, str(coefficient)), "classes.c.value"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.1, argv
+        assert (code, out, err) == (2, "", f"error: {prefix}: {message}\n")
+
+
+def test_product_refuses_repeated_names(capsys, tmp_path):
+    # json.load keeps the last of two equal names: this descriptor printed
+    # the lattice <1/2, pi> where the one list ["1/3", "1/2"] gives <1/6, pi>.
+    path = tmp_path / "manifold.json"
+    path.write_text(
+        '{"dimension": 2, "trivial_odd_homotopy": [1], "periods": {"2": ["1/3"], "2": ["1/2"]}}'
+    )
+    code, out, err = run_cli(capsys, "product", "--n", "2", "--k", "1", "--manifold", str(path))
+    assert (code, out) == (2, "")
+    assert err == 'error: manifold descriptor repeats the name "2" in one object\n'
+
+
+def test_product_names_the_dimension_bound(capsys, tmp_path):
+    path = write_descriptor(tmp_path, {"dimension": 2, "trivial_odd_homotopy": [15]})
+    code, out, err = run_cli(capsys, "product", "--n", "8", "--k", "8", "--manifold", path)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: k=8 exceeds the descriptor dimension bound (dimension 2 allows k <= 1)\n"
+    )
+
+
 def test_identity_rejects_k_max_above_budget(capsys):
     too_big = str(RAW_CHECK_MAX_K + 1)
     code, out, err = run_cli(capsys, "identity", "--k-max", too_big)

@@ -11,9 +11,9 @@ from weincalc.combinatorics import (
     ball_moment_exact,
     moment_sum_bruteforce,
     moment_sum_closed,
-    verify_diagonal_identity,
 )
 from weincalc.exactarith import binomial, double_factorial_odd, factorial, multinomial
+from weincalc.verify import check_identity_suite
 
 
 def exhaustive_compositions(weight: int, slots: int) -> set[tuple[int, ...]]:
@@ -86,8 +86,10 @@ def test_summand_identity(k, l):
         assert lhs == rhs
 
 
-def test_verify_diagonal_identity():
-    rows = verify_diagonal_identity(4)
+def test_identity_suite_rows():
+    result = check_identity_suite(4)
+    rows = result.details["rows"]
+    assert result.passed and result.details["k_max"] == 4
     assert [row["k"] for row in rows] == [1, 2, 3, 4]
     assert all(row["ok"] for row in rows)
     assert rows[0] == {"k": 1, "bruteforce": "2", "closed": "2", "ok": True}
@@ -121,4 +123,4 @@ def test_ball_moment_exact_rejects_bad_ranges():
     with pytest.raises(ValueError, match="l must be >= 1, got 0"):
         moment_sum_closed(1, 0)
     with pytest.raises(ValueError, match="k_max must be >= 1, got 0"):
-        verify_diagonal_identity(0)
+        check_identity_suite(0)

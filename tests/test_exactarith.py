@@ -124,6 +124,20 @@ def test_rational_parse_rejects_garbage():
             parse_rational(bad)
 
 
+def test_rational_exponents_are_bounded_by_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational("1.5e-3") == Fraction(3, 2000)
+    assert parse_rational(f"1e{limit}") == 10**limit
+    assert parse_rational(f" 1E-{limit} ") == Fraction(1, 10**limit)
+    assert parse_rational("1e1_0") == 10**10  # Fraction's underscore grouping
+    for huge in (f"1e{limit + 1}", f"2.5E-{limit + 1}", "1e7_000_000", "1e" + "9" * (limit + 1)):
+        with pytest.raises(DigitLimitError):
+            parse_rational(huge)
+    for bad in ("1e", "1e_1", "e5", "1e+-5"):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(bad)
+
+
 @given(
     st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4),
     st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from weincalc import morphism
+from weincalc import combinatorics, morphism
 from weincalc.exactarith import DigitLimitError, factorial
 from weincalc.morphism import (
     FINITE_ORDER_AT_TOP_DEGREE,
@@ -242,10 +242,26 @@ def test_product_rules_run_in_order():
         product_value(3, 2, desc, "missing")  # k = 2 also breaks the dimension bound
     with pytest.raises(ValueError, match="^class 'loop' lives in degree 1"):
         product_value(3, 2, desc, "loop")
-    with pytest.raises(DigitLimitError):  # 1600! is unprintable; k = 1600 also breaks it
+    with pytest.raises(ValueError, match="dimension bound"):  # 1600! is unprintable too
         product_value(2000, 1600, desc)
+    wide = ManifoldDescriptor.from_json({"dimension": 3200, "trivial_odd_homotopy": [3199]})
+    with pytest.raises(DigitLimitError):
+        product_value(2000, 1600, wide)
     with pytest.raises(ValueError, match="dimension bound"):
         product_value(3, 2, desc)
+
+
+def test_product_dimension_bound_runs_before_exact_work(monkeypatch):
+    # 1 <= k <= n and degree 15 is asserted trivial, but dimension 2 allows
+    # only k <= 1: the refusal comes before the CP^n value and its self-check.
+    calls = []
+    for module, name in ((morphism, "cpn_weinstein"), (combinatorics, "moment_sum_bruteforce")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    desc = ManifoldDescriptor.from_json({"dimension": 2, "trivial_odd_homotopy": [15]})
+    message = "k=8 exceeds the descriptor dimension bound (dimension 2 allows k <= 1)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        product_value(8, 8, desc)
+    assert calls == []
 
 
 def test_product_cpn_lattice_instances():
@@ -274,12 +290,6 @@ def test_product_cpn_lattice_instances():
     )
 
 
-def test_product_cpn_lattice_dimension_bound():
-    sphere = ManifoldDescriptor.from_json(SPHERE_DOC)
-    with pytest.raises(ValueError):
-        product_cpn_lattice(3, 2, sphere)  # sphere only allows k <= 1
-
-
 # ---------------------------------------------------------------------------
 # descriptor validation
 
@@ -306,40 +316,128 @@ def test_descriptor_parses_classes():
     assert desc.period_lattice(3).generators == ()
 
 
+def _class_value(value):
+    return {"dimension": 4, "classes": {"c": {"degree": 1, "value": value}}}
+
+
+def _component(num, den=((0, "1"),), pi_exp=0):
+    return {"pi_exp": pi_exp, "num": [list(t) for t in num], "den": [list(t) for t in den]}
+
+
+KEY_RULE = "key must be an even degree 2 <= d <= {} in plain digits, got {}"
+DIGIT_LIMIT = "the result has a number of more than 4300 digits, the integer string limit"
+SHAPE = 'a component must be an object with "pi_exp", "num" and "den", got '
+BAD_FIELDS = [
+    ({"dimension": 3}, "dimension", "must be a positive even integer, got 3"),
+    ({"dimension": 0}, "dimension", "must be a positive even integer, got 0"),
+    (
+        {"dimension": 4, "trivial_odd_homotopy": [2]},
+        "trivial_odd_homotopy",
+        "must be a list of odd degrees, got [2]",
+    ),
+    ({"dimension": 4, "periods": {"3": ["1"]}}, "periods.3", KEY_RULE.format(4, '"3"')),
+    ({"dimension": 4, "periods": {"6": ["1"]}}, "periods.6", KEY_RULE.format(4, '"6"')),
+    (
+        {"dimension": 4, "periods": {"2": ["sqrt(2)"]}},
+        "periods.2",
+        'period "sqrt(2)" is not rational; only manifolds with rational period groups'
+        " are supported",
+    ),
+    (
+        {"dimension": 4, "classes": {"x": {"degree": 2, "value": []}}},
+        "classes.x",
+        "must be a positive odd integer, got 2",
+    ),
+    ({"dimension": 4, "periods": ["1"]}, "periods", 'must be a JSON object, got ["1"]'),
+    (
+        {"dimension": 4, "classes": [{"degree": 1, "value": []}]},
+        "classes",
+        'must be a JSON object, got [{"degree": 1, "value": []}]',
+    ),
+    ({"dimension": 4, "periods": {"2": ["1", "0"]}}, "periods.2", 'period "0" must be nonzero'),
+    (
+        {
+            "dimension": 4,
+            "classes": {"twice": {"degree": 1, "value": [
+                _component([(0, "1")], pi_exp=1),
+                _component([(0, "2")], pi_exp=1),
+            ]}},
+        },
+        "classes.twice.value",
+        "duplicate pi_exp 1",
+    ),
+    # A key has one spelling, so "2" and "02" cannot name one degree.
+    (
+        {"dimension": 4, "periods": {"2": ["1/2"], "02": ["1"]}},
+        "periods.02",
+        KEY_RULE.format(4, '"02"'),
+    ),
+    # JSON true loads as the int True, which is no degree; the message quotes JSON.
+    (
+        {"dimension": 4, "trivial_odd_homotopy": [True, 3]},
+        "trivial_odd_homotopy",
+        "must be a list of odd degrees, got [true, 3]",
+    ),
+    (
+        {"dimension": 4, "classes": {"h": {"degree": True, "value": []}}},
+        "classes.h.degree",
+        "must be a positive odd integer, got true",
+    ),
+    # int() reads each of these keys as a degree; the key rule reads none.
+    ({"dimension": 4, "periods": {" 4": ["1"]}}, "periods. 4", KEY_RULE.format(4, '" 4"')),
+    ({"dimension": 4, "periods": {"+4": ["1"]}}, "periods.+4", KEY_RULE.format(4, '"+4"')),
+    ({"dimension": 4, "periods": {"٤": ["1"]}}, "periods.٤", KEY_RULE.format(4, '"\\u0664"')),
+    ({"dimension": 40, "periods": {"4_0": ["1"]}}, "periods.4_0", KEY_RULE.format(40, '"4_0"')),
+    ({"dimension": "4"}, "dimension", 'must be a positive even integer, got "4"'),
+    (
+        {"dimension": 4, "periods": {"2": [None]}},
+        "periods.2",
+        "period null is not rational; only manifolds with rational period groups are supported",
+    ),
+    # A class value names the part of its shape that is broken.
+    (
+        _class_value({"pi_exp": 0}),
+        "classes.c.value",
+        'must be a list of components, got {"pi_exp": 0}',
+    ),
+    (_class_value(["x"]), "classes.c.value", SHAPE + '"x"'),
+    (_class_value([{"num": [], "den": []}]), "classes.c.value", SHAPE + '{"num": [], "den": []}'),
+    (
+        _class_value([{"pi_exp": 0, "num": 3, "den": []}]),
+        "classes.c.value",
+        "terms must be a list of [exponent, coefficient] pairs, got 3",
+    ),
+    (
+        _class_value([_component([(1.5, "1")])]),
+        "classes.c.value",
+        "exponent must be an integer, got 1.5",
+    ),
+    (
+        _class_value([_component([(0, "x")])]),
+        "classes.c.value",
+        'not a rational number: "x"',
+    ),
+    (
+        _class_value([_component([(0, "1")], den=[(0, "0")])]),
+        "classes.c.value",
+        "the den of pi_exp 0 is zero",
+    ),
+    # An exponent beyond the integer string limit is refused before it is expanded.
+    ({"dimension": 4, "periods": {"2": ["1e7000000"]}}, "periods.2", DIGIT_LIMIT),
+    (_class_value([_component([(0, "1e7000000")])]), "classes.c.value", DIGIT_LIMIT),
+]
+
+
 @pytest.mark.parametrize(
-    "doc,field",
-    [
-        ({"dimension": 3}, "dimension"),
-        ({"dimension": 0}, "dimension"),
-        ({"dimension": 4, "trivial_odd_homotopy": [2]}, "trivial_odd_homotopy"),
-        ({"dimension": 4, "periods": {"3": ["1"]}}, "periods.3"),
-        ({"dimension": 4, "periods": {"6": ["1"]}}, "periods.6"),
-        ({"dimension": 4, "periods": {"2": ["sqrt(2)"]}}, "periods.2"),
-        ({"dimension": 4, "classes": {"x": {"degree": 2, "value": []}}}, "classes.x"),
-        ({"dimension": 4, "periods": ["1"]}, "periods"),
-        ({"dimension": 4, "classes": [{"degree": 1, "value": []}]}, "classes"),
-        ({"dimension": 4, "periods": {"2": ["1", "0"]}}, "periods.2"),
-        (
-            {
-                "dimension": 4,
-                "classes": {"twice": {"degree": 1, "value": [
-                    {"pi_exp": 1, "num": [[0, "1"]], "den": [[0, "1"]]},
-                    {"pi_exp": 1, "num": [[0, "2"]], "den": [[0, "1"]]},
-                ]}},
-            },
-            "classes.twice.value",
-        ),
-        # "2" and "02" name one degree; one of the lists was silently lost.
-        ({"dimension": 4, "periods": {"2": ["1/2"], "02": ["1"]}}, "periods.02"),
-        # JSON true loads as the int True, which is no degree.
-        ({"dimension": 4, "trivial_odd_homotopy": [True, 3]}, "trivial_odd_homotopy"),
-        ({"dimension": 4, "classes": {"h": {"degree": True, "value": []}}}, "classes.h.degree"),
-    ],
+    "doc,field,message",
+    BAD_FIELDS,
+    ids=[f"doc{i}-{field}" for i, (_, field, _) in enumerate(BAD_FIELDS)],
 )
-def test_descriptor_rejects_bad_fields(doc, field):
+def test_descriptor_rejects_bad_fields(doc, field, message):
     with pytest.raises(DescriptorError) as err:
         ManifoldDescriptor.from_json(doc)
     assert err.value.field.startswith(field)
+    assert str(err.value) == f"{err.value.field}: {message}"
 
 
 def test_descriptor_irrational_period_diagnostic_mentions_rationality():
