@@ -254,10 +254,25 @@ def _distinct_names(pairs: list[tuple[str, object]]) -> dict:
     return dict(pairs)
 
 
+def _descriptor_int(digits: str) -> int:
+    """A descriptor integer, refused with the limit named when it is longer
+    than the integer string limit (int() would point at an interpreter
+    setting instead)."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and len(digits.lstrip("-")) > limit:
+        raise ValueError(
+            f"manifold descriptor has an integer of more than {limit} digits,"
+            f" the integer string limit"
+        )
+    return int(digits)
+
+
 def _cmd_product(args) -> int:
     try:
         with open(args.manifold, encoding="utf-8") as fh:
-            descriptor_doc = json.load(fh, object_pairs_hook=_distinct_names)
+            descriptor_doc = json.load(
+                fh, object_pairs_hook=_distinct_names, parse_int=_descriptor_int
+            )
     except OSError as exc:
         raise ValueError(f"cannot read manifold descriptor: {exc}")
     except json.JSONDecodeError as exc:

@@ -16,11 +16,14 @@ standard error; the estimates of one call are therefore correlated.  An
 estimate depends only on (n, r0, its integrand, samples, seed), not on the
 other integrands of the grid.
 
-Chunk memory does not grow with n (for n <= CHUNK_SIZE): a chunk holds at
-most 2 * CHUNK_SIZE normals, then one C-contiguous (n, size) buffer of at
-most CHUNK_SIZE partial moduli, and while one column m is read, the powers of
-it that the grid reads (one array of `size` floats per degree k) plus a few
-temporaries of that size.
+Chunk memory does not grow with n (for n <= CHUNK_SIZE): a chunk holds one
+C-contiguous (n, size) buffer of at most CHUNK_SIZE partial moduli, one
+block of about BLOCK_NORMALS normals while they are drawn, the `size` radii
+until they become the last row of the buffer, and while one column m is
+read, the powers of it that the grid reads (one array of `size` floats per
+degree k), one mask per cutoff and one scratch array of `size` floats.  The
+normals are drawn block by block in the order of one (size, 2n) draw, so
+the block size changes no bit.
 
 NumPy is imported inside the functions that draw samples, so the exact
 commands, which import this module through `cli`, never load it.
@@ -46,6 +49,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 CHUNK_SIZE = 1 << 16
+BLOCK_NORMALS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -75,24 +79,34 @@ def sample_ball(
     in C^n: partial[:, m-1] = |z_1|^2 + ... + |z_m|^2, of shape (size, n), and
     total = |z|^2.  Consumes the rng stream in a fixed order: the (size, 2n)
     normals, then the `size` radii.  `partial` is the transpose of a
-    C-contiguous (n, size) array, so each column m is contiguous.
+    C-contiguous (n, size) array, so each column m is contiguous, and `total`
+    is its last column.
     """
     import numpy as np
 
     require_positive(n=n)
     require_radius(r0)
-    squares = rng.standard_normal((size, 2 * n))
-    total = r0 * r0 * rng.random(size) ** (1.0 / n)
-    np.square(squares, out=squares)
     # moduli[j] = |z_1|^2 + ... + |z_(j+1)|^2 of the normals, z_j being the
-    # real pair 2j-2, 2j-1; the normals are freed before the running sum.
-    moduli = np.add(squares[:, 0::2].T, squares[:, 1::2].T, order="C")
-    del squares
+    # real pair 2j-2, 2j-1; the normals of consecutive rows come one block
+    # at a time, as one (size, 2n) draw would have filled them.
+    moduli = np.empty((n, size))
+    rows = max(1, BLOCK_NORMALS // (2 * n))
+    block = np.empty((min(rows, size), 2 * n))
+    for start in range(0, size, rows):
+        squares = block[: size - start]
+        rng.standard_normal(out=squares)
+        np.square(squares, out=squares)
+        np.add(squares[:, 0::2].T, squares[:, 1::2].T, out=moduli[:, start : start + rows])
+    del block, squares  # the normals are freed before the radii are drawn
+    total = rng.random(size)
+    total **= 1.0 / n
+    total *= r0 * r0
     for j in range(1, n):  # one contiguous row at a time
         moduli[j] += moduli[j - 1]
-    moduli[:-1] *= total / moduli[-1]  # the shares times |z|^2
+    np.divide(total, moduli[-1], out=moduli[-1])  # |z|^2 over the sum of squares
+    moduli[:-1] *= moduli[-1]  # the shares times |z|^2
     moduli[-1] = total
-    return moduli.T, total
+    return moduli.T, moduli[-1]
 
 
 def _estimate(
@@ -144,6 +158,7 @@ def _accumulate(sums, integrands, columns, cutoffs, partial, norm_sq) -> None:
     import numpy as np
 
     outside = {cutoff: norm_sq > cutoff * cutoff for cutoff in cutoffs}
+    scratch = np.empty_like(norm_sq)  # the masked values, then the squares
     for m, readers in columns.items():
         column = partial[:, m - 1]
         powers = {1: column}
@@ -151,9 +166,9 @@ def _accumulate(sums, integrands, columns, cutoffs, partial, norm_sq) -> None:
             power = powers[k] = _power(column, k, powers)
             for index in readers[k]:
                 cutoff = integrands[index][2]
-                values = power * outside[cutoff] if cutoff else power
+                values = np.multiply(power, outside[cutoff], out=scratch) if cutoff else power
                 sums[index][0] += float(values.sum())
-                sums[index][1] += float(np.square(values).sum())
+                sums[index][1] += float(np.square(values, out=scratch).sum())
 
 
 def _power(column: np.ndarray, k: int, known: dict) -> np.ndarray:

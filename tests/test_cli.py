@@ -490,6 +490,48 @@ def test_product_refuses_repeated_names(capsys, tmp_path):
     assert err == 'error: manifold descriptor repeats the name "2" in one object\n'
 
 
+def test_product_refuses_an_integer_above_the_string_limit(capsys, tmp_path):
+    # json.load once refused it with int()'s text, which names no field of
+    # the descriptor and suggests changing an interpreter setting.
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "manifold.json"
+    path.write_text('{"dimension": ' + "4" * 5000 + ', "trivial_odd_homotopy": [1]}')
+    code, out, err = run_cli(capsys, "product", "--n", "2", "--k", "1", "--manifold", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: manifold descriptor has an integer of more than {limit} digits,"
+        f" the integer string limit\n"
+    )
+
+
+def test_product_refuses_a_class_exponent_above_the_bound(capsys, tmp_path, monkeypatch):
+    # Euclid on (x^d + x + 1)/(x^(d-1) + 3) took 0.78 s at d = 20000; every
+    # component is now read and bounded before the first one is reduced.
+    gcds = []
+    original = symbolic.poly_gcd
+    monkeypatch.setattr(symbolic, "poly_gcd", lambda a, b: gcds.append(1) or original(a, b))
+    bound = symbolic.MAX_JSON_EXPONENT
+    slow = {"pi_exp": 0, "num": [[20000, "1"], [1, "1"], [0, "1"]], "den": [[19999, "1"], [0, "3"]]}
+    fine = {"pi_exp": 1, "num": [[bound, "1"], [0, "1"]], "den": [[bound - 1, "1"], [0, "3"]]}
+    for value, wrong in (
+        ([slow], 20000),
+        ([fine, {**fine, "pi_exp": bound + 1}], bound + 1),
+        ([fine, {**fine, "pi_exp": 2, "den": [[bound + 1, "1"]]}], bound + 1),
+    ):
+        path = write_descriptor(
+            tmp_path,
+            {"dimension": 2, "trivial_odd_homotopy": [1],
+             "classes": {"c": {"degree": 1, "value": value}}},
+        )
+        code, out, err = run_cli(
+            capsys, "product", "--n", "2", "--k", "1", "--manifold", path, "--class", "c"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: classes.c.value: exponent must be at most {bound}, got {wrong}\n"
+        assert gcds == []
+    assert PiGradedValue.from_json([fine]).components[1].den.degree == bound - 1
+
+
 def test_product_names_the_dimension_bound(capsys, tmp_path):
     path = write_descriptor(tmp_path, {"dimension": 2, "trivial_odd_homotopy": [15]})
     code, out, err = run_cli(capsys, "product", "--n", "8", "--k", "8", "--manifold", path)
@@ -741,13 +783,14 @@ def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch, argv):
 
 
 # A fresh interpreter runs one query and prints its exit code and whether
-# NumPy was loaded; the query's own output is discarded.
+# NumPy and concurrent.futures were loaded; the query's own output is
+# discarded.
 NUMPY_PROBE = """
 import contextlib, io, sys
 from weincalc.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "concurrent.futures" in sys.modules)
 """
 
 
@@ -763,8 +806,8 @@ def run_fresh(*args):
 
 
 def probe_numpy(*argv):
-    code, loaded = run_fresh("-c", NUMPY_PROBE, *argv)
-    return int(code), loaded == "True"
+    code, numpy, futures = run_fresh("-c", NUMPY_PROBE, *argv)
+    return int(code), numpy == "True", futures == "True"
 
 
 @pytest.mark.parametrize(
@@ -782,10 +825,13 @@ def test_exact_commands_never_load_numpy(tmp_path, argv):
         tmp_path, {"dimension": 2, "trivial_odd_homotopy": [1], "periods": {"2": ["1"]}}
     )
     argv = [path if arg == "DESCRIPTOR" else arg for arg in argv]
-    assert probe_numpy(*argv) == (0, False)
+    assert probe_numpy(*argv) == (0, False, False)
 
 
 def test_import_never_loads_numpy_and_monte_carlo_does():
-    assert run_fresh("-c", "import sys, weincalc; print('numpy' in sys.modules)") == ["False"]
+    # concurrent.futures cost 10 ms per process; verify's helper thread uses
+    # threading, which `import weincalc.cli` loads anyway.
+    probe = "import sys, weincalc; print(*(m in sys.modules for m in sys.argv[1:]))"
+    assert run_fresh("-c", probe, "numpy", "concurrent.futures") == ["False", "False"]
     argv = ["moment", "--n", "2", "--l", "1", "--k", "1", "--mc", "--samples", "1000"]
-    assert probe_numpy(*argv) == (0, True)
+    assert probe_numpy(*argv) == (0, True, False)

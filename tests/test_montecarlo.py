@@ -5,6 +5,8 @@ Sample counts here are 10^5 for speed; the acceptance suite runs the full
 """
 
 import math
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ import pytest
 from weincalc import montecarlo, verify
 from weincalc.combinatorics import ball_moment_exact
 from weincalc.montecarlo import (
+    BLOCK_NORMALS,
     CHUNK_SIZE,
     McEstimate,
     mc_ball_moment,
@@ -37,6 +40,90 @@ def reference_squared_moduli(n, m, r0, rng, size):
     radii = r0 * rng.random(size) ** (1.0 / (2 * n))
     squares = np.square(directions * radii[:, None])
     return squares[:, : 2 * m].sum(axis=1), squares.sum(axis=1)
+
+
+def one_draw_sample_ball(n, r0, rng, size):
+    """The sampler before its normals came in blocks: one (size, 2n) draw,
+    then the radii, and the same arithmetic on whole arrays."""
+    squares = rng.standard_normal((size, 2 * n))
+    total = r0 * r0 * rng.random(size) ** (1.0 / n)
+    np.square(squares, out=squares)
+    moduli = np.add(squares[:, 0::2].T, squares[:, 1::2].T, order="C")
+    for j in range(1, n):
+        moduli[j] += moduli[j - 1]
+    moduli[:-1] *= total / moduli[-1]
+    moduli[-1] = total
+    return moduli.T, total
+
+
+def one_draw_estimates(n, r0, integrands, samples, seed):
+    """_estimate's contract with one_draw_sample_ball, written out per
+    integrand: chunks of CHUNK_SIZE // n samples, the power as the plain
+    product chain (k <= 3), the cutoff as a product with the mask, and the
+    sums reduced in chunk order."""
+    rng = np.random.default_rng(seed)
+    rows = max(1, CHUNK_SIZE // n)
+    sums = [[0.0, 0.0] for _ in integrands]
+    for start in range(0, samples, rows):
+        partial, total = one_draw_sample_ball(n, r0, rng, min(rows, samples - start))
+        for (m, k, cutoff, _), running in zip(integrands, sums):
+            values = partial[:, m - 1]
+            for _ in range(k - 1):
+                values = values * partial[:, m - 1]
+            if cutoff:
+                values = values * (total > cutoff * cutoff)
+            running[0] += float(values.sum())
+            running[1] += float(np.square(values).sum())
+    estimates = []
+    for (total, total_sq), (*_, scale) in zip(sums, integrands):
+        mean = total / samples
+        variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+        estimates.append(
+            McEstimate(scale * mean, scale * math.sqrt(variance / samples), samples, seed)
+        )
+    return estimates
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_sample_ball_is_bit_identical_to_one_draw(n):
+    # Sizes at a block edge, one whole chunk, and more than a chunk.
+    rows = max(1, BLOCK_NORMALS // (2 * n))
+    chunk = CHUNK_SIZE // n
+    for size in (1, rows - 1, rows, rows + 1, chunk, chunk + rows + 1):
+        rng, reference = np.random.default_rng(61), np.random.default_rng(61)
+        partial, total = sample_ball(n, 0.75, rng, size)
+        want_partial, want_total = one_draw_sample_ball(n, 0.75, reference, size)
+        assert partial.shape == want_partial.shape == (size, n)
+        assert np.array_equal(partial, want_partial), size
+        assert np.array_equal(total, want_total), size
+        assert rng.random() == reference.random(), size  # the same draws consumed
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_estimate_is_bit_identical_to_one_draw_accumulation(n):
+    integrands = [(1, 1, 0.5, 2.0), (n, n, 0.5, 1.0), (n, 3, 0.0, 1.0), (1, 2, 0.25, 3.0)]
+    samples = 2 * (CHUNK_SIZE // n) + 17  # two whole chunks and a tail
+    got = montecarlo._estimate(n, 0.75, integrands, samples, 62)
+    assert got == one_draw_estimates(n, 0.75, integrands, samples, 62)
+
+
+def test_a_stream_holds_about_two_chunks_of_floats():
+    # Two streams run at once in verify; each holds its (n, size) moduli,
+    # the radii, one block of normals and the accumulation's arrays, where
+    # it held three and more chunks' worth before the trim.
+    mc_cpn_average(1, [1], 100, 1)  # NumPy's own first-use allocations
+    for n in (1, 2, 3, 7):
+        for estimate in (
+            lambda: mc_cpn_average(n, range(1, n + 1), 3 * CHUNK_SIZE, 63),
+            lambda: mc_blowup_average(n, range(1, n + 1), 0.5, 3 * CHUNK_SIZE, 63),
+        ):
+            tracemalloc.start()
+            try:
+                estimate()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.75 * 8 * CHUNK_SIZE, (n, peak)
 
 
 @pytest.mark.parametrize("n, r0", [(1, 1.0), (2, 1.0), (3, 0.5), (5, 2.0), (6, 1.0)])
@@ -234,6 +321,57 @@ def test_each_mc_check_draws_one_stream_per_dimension(monkeypatch, check):
     assert {n: list(streams.values()) for n, streams in draws.items()} == {
         n: [samples] for n in range(1, verify.MC_N_MAX + 1)
     }
+
+
+def test_helper_thread_draws_n_below_the_top_in_n_order():
+    threads = {}
+
+    def estimate(n):
+        threads[n] = threading.current_thread()
+        return mc_cpn_average(n, range(1, n + 1), 2000, 400 + n)
+
+    before = threading.active_count()
+    got = verify._per_dimension(estimate)
+    assert threading.active_count() == before
+    top = verify.MC_N_MAX
+    assert got == [mc_cpn_average(n, range(1, n + 1), 2000, 400 + n) for n in range(1, top + 1)]
+    assert threads[top] is threading.current_thread()
+    assert len({threads[n] for n in range(1, top)} - {threading.current_thread()}) == 1
+
+
+class Refused(RuntimeError):
+    pass
+
+
+def test_helper_thread_exception_is_the_checks_exception(monkeypatch):
+    def refuse_n_1(n, *args):
+        if n == 1:
+            raise Refused(n)
+        return mc_ball_moment(n, *args)
+
+    monkeypatch.setattr(verify, "mc_ball_moment", refuse_n_1)
+    before = threading.active_count()
+    with pytest.raises(Refused, match="^1$"):
+        verify.check_ball_moments(samples=1000)
+    assert threading.active_count() == before
+
+
+def test_calling_thread_exception_still_joins_the_helper(monkeypatch):
+    finished = []
+
+    def refuse_top(n, *args):
+        if n == verify.MC_N_MAX:
+            raise Refused(n)
+        time.sleep(0.05)  # the helper is still drawing when the caller raises
+        finished.append(n)
+        return mc_cpn_average(n, *args)
+
+    monkeypatch.setattr(verify, "mc_cpn_average", refuse_top)
+    before = threading.active_count()
+    with pytest.raises(Refused, match=f"^{verify.MC_N_MAX}$"):
+        verify.check_cpn_monte_carlo(samples=1000)
+    assert finished == list(range(1, verify.MC_N_MAX))
+    assert threading.active_count() == before
 
 
 def test_parameter_validation():
