@@ -128,6 +128,8 @@ def _estimate(
     import numpy as np
 
     require_positive(samples=samples)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     for m, *_ in integrands:
         require_within(n, m=m)
     columns = {}  # m -> {k -> indices of the integrands reading column m ** k}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -44,6 +45,7 @@ from .symbolic import (
     PolyQ,
     RatFuncQ,
     is_json_int,
+    json_terms,
     lattice_member,
     lattice_order,
 )
@@ -55,6 +57,14 @@ from .symbolic import (
 # every k = 9 query, which costs about 0.1 s without it.  The same bound caps
 # `identity --k-max`.
 RAW_CHECK_MAX_K = 8
+
+# Upper bound on the terms of the reduced blow-up value, numerator and
+# denominator together: (n+k)/g + n/g with g = gcd(n, k).  The digit limit
+# bounds the coefficient at large k but never bites at small k, where the
+# time and the output grow with the term count alone.  The cap admits every
+# k = n-1 query that the digit limit admits (the largest is n = 1558, 4673
+# terms, about 0.23 s and 27 MB of JSON in process on a 2-core x86-64 box).
+MAX_BLOWUP_TERMS = 5000
 
 # Structured flag for the one case where the computed order is finite even
 # though the infinite-order statement for blow-up classes would cover it.
@@ -123,6 +133,19 @@ def cpn_weinstein(n: int, k: int) -> CosetValue:
     return CosetValue(value, cpn_lattice(k))
 
 
+def _blowup_step(n: int, k: int) -> int:
+    """g = gcd(n, k), the exponent step of the reduced blow-up value, once
+    1 <= k <= n holds and the value has at most MAX_BLOWUP_TERMS terms."""
+    require_degree(n, k)
+    g = math.gcd(n, k)
+    terms = (n + k) // g + n // g
+    if terms > MAX_BLOWUP_TERMS:
+        raise ValueError(
+            f"--n {n} --k {k}: the reduced value has {terms} terms, more than {MAX_BLOWUP_TERMS}"
+        )
+    return g
+
+
 def blowup_lattice(k: int) -> Lattice:
     """Degree-2k period lattice of the one-point blow-up of CP^n: the CP^n
     lattice plus Z*(pi^k x^k / k!), that is <pi^k/k!, pi^k x^k/k!>."""
@@ -147,8 +170,8 @@ def blowup_weinstein(n: int, k: int) -> CosetValue:
     correction factor divides exactly, f_n = (1/(2 n!)) (1 + x^n), and the
     computed order is Finite(2); see blowup_flags.
     """
+    g = _blowup_step(n, k)  # the term cap, before any exact work
     c = _checked_q(n, k) / factorial(k)
-    g = math.gcd(n, k)
     f = RatFuncQ._of(
         PolyQ._of(dict.fromkeys(range(0, n + k, g), c)),
         PolyQ._of(dict.fromkeys(range(0, n, g), Fraction(1))),
@@ -158,13 +181,15 @@ def blowup_weinstein(n: int, k: int) -> CosetValue:
 
 def blowup_at_weight(n: int, k: int, rho: Fraction) -> Fraction:
     """f_k(rho^2), the pi^k coefficient of the blow-up value at weight rho,
-    from its closed form.  DigitLimitError, before any power of x = rho^2 is
-    formed, when the reduced numerator must exceed the integer string limit."""
+    from its closed form, for the (n, k) that blowup_weinstein admits.
+    DigitLimitError, before any power of x = rho^2 is formed, when the
+    reduced numerator must exceed the integer string limit."""
+    g = _blowup_step(n, k)  # bounds n before the exact work of _checked_q
     require_weight(rho)
     c = _checked_q(n, k) / factorial(k)
     x = rho * rho
     # For x = a/b the reduced numerator is at least b^(n+k-g) / den(c).
-    require_printable_power(x.denominator, n + k - math.gcd(n, k), c.denominator)
+    require_printable_power(x.denominator, n + k - g, c.denominator)
     return c * (1 - x ** (n + k)) / (1 - x**n)
 
 
@@ -194,10 +219,16 @@ class DescriptorError(ValueError):
 
 @dataclass(frozen=True)
 class NamedClass:
-    """A named morphism value on the descriptor manifold, with its degree."""
+    """A named morphism value on the descriptor manifold, with its degree.
+    Its pi^a components are kept as read, checked but unreduced (num, den)
+    pairs, so only a class that a query reads costs a reduction."""
 
     degree: int
-    value: PiGradedValue
+    terms: Mapping[int, tuple[PolyQ, PolyQ]]
+
+    @property
+    def value(self) -> PiGradedValue:
+        return PiGradedValue.from_terms(self.terms)
 
 
 @dataclass(frozen=True)
@@ -223,6 +254,18 @@ class ManifoldDescriptor:
     def period_lattice(self, k: int) -> Lattice:
         """Degree-2k periods as a lattice of pi^0 generators (empty if none)."""
         return Lattice((p, 0, 0) for p in self.periods.get(2 * k, ()))
+
+    @classmethod
+    def read(cls, path: str) -> ManifoldDescriptor:
+        """The descriptor in the UTF-8 JSON file at `path`."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh, object_pairs_hook=_distinct_names, parse_int=_descriptor_int)
+        except (OSError, UnicodeDecodeError) as exc:  # not a readable UTF-8 file
+            raise ValueError(f"cannot read manifold descriptor: {exc}")
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"manifold descriptor is not valid JSON: {exc}")
+        return cls.from_json(doc)
 
     @classmethod
     def from_json(cls, doc: dict) -> ManifoldDescriptor:
@@ -287,12 +330,38 @@ class ManifoldDescriptor:
                     f"must be a positive odd integer, got {json.dumps(degree)}",
                 )
             try:
-                value = PiGradedValue.from_json(entry.get("value", []))
+                terms = json_terms(entry.get("value", []))
             except ValueError as exc:
                 raise DescriptorError(f"classes.{name}.value", str(exc))
-            classes[name] = NamedClass(degree=degree, value=value)
+            classes[name] = NamedClass(degree, terms)
 
         return cls(dim, frozenset(toh), periods, classes)
+
+
+def _distinct_names(pairs: list[tuple[str, object]]) -> dict:
+    """A descriptor object whose names are distinct: RFC 8259 leaves a
+    repeated name undefined, and json.load would keep its last value."""
+    seen: set[str] = set()
+    for name, _ in pairs:
+        if name in seen:
+            raise ValueError(
+                f"manifold descriptor repeats the name {json.dumps(name)} in one object"
+            )
+        seen.add(name)
+    return dict(pairs)
+
+
+def _descriptor_int(digits: str) -> int:
+    """A descriptor integer, refused with the limit named when it is longer
+    than the integer string limit (int() would point at an interpreter
+    setting instead)."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and len(digits.lstrip("-")) > limit:
+        raise ValueError(
+            f"manifold descriptor has an integer of more than {limit} digits,"
+            f" the integer string limit"
+        )
+    return int(digits)
 
 
 def _json_object(doc: dict, fieldname: str) -> dict:
@@ -330,7 +399,8 @@ def product_value(
     degree; k <= m for the descriptor's dimension 2m; the CP^n value, with
     its k! and self-check refusals; and the product lattice contains both
     factor lattices, checked generator by generator.  Only the last two do
-    exact work.
+    exact work.  The named class is reduced last, after every refusal, and
+    no other class of the descriptor is reduced.
     """
     require_degree(n, k)
     degree = 2 * k - 1
@@ -339,7 +409,7 @@ def product_value(
             f"descriptor does not assert trivial homotopy in degree {degree} "
             f"(trivial_odd_homotopy: {sorted(descriptor.trivial_odd_homotopy)})"
         )
-    m_value = PiGradedValue()
+    named = NamedClass(degree, {})  # the zero class
     if class_name is not None:
         named = descriptor.classes.get(class_name)
         if named is None:
@@ -352,7 +422,6 @@ def product_value(
                 f"class {class_name!r} lives in degree {named.degree}, "
                 f"but k={k} needs degree {degree}"
             )
-        m_value = named.value
     if k > descriptor.half_dimension:
         raise ValueError(
             f"k={k} exceeds the descriptor dimension bound "
@@ -366,4 +435,4 @@ def product_value(
                 f"product lattice does not contain the factor generator "
                 f"{format_rational(coeff)}*pi^{pi_exp}*x^{x_exp}"
             )
-    return CosetValue(cv.value + m_value, full)
+    return CosetValue(cv.value + named.value, full)

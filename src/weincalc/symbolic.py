@@ -199,8 +199,9 @@ class RatFuncQ:
             den = PolyQ.const(den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        g = poly_gcd(num, den)  # a zero numerator leaves den/g constant
-        num, den = divmod(num, g)[0], divmod(den, g)[0]
+        if den.degree > 0:  # a constant denominator shares no factor: no gcd
+            g = poly_gcd(num, den)  # a zero numerator leaves den/g constant
+            num, den = divmod(num, g)[0], divmod(den, g)[0]
         # Normalize: monic denominator, scale absorbed into the numerator.
         scale = 1 / den.leading_coeff()
         self.num = num * scale
@@ -279,10 +280,12 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# The largest pi or x exponent a value read from JSON may carry.  Reducing a
-# value runs Euclid on its terms, whose time grows about quadratically with
-# the degree: (x^d + x + 1)/(x^(d-1) + 3) takes 0.02 s at d = 1000 and 0.78 s
-# at d = 20000 on a 2-core x86-64 box (CPython 3.11).
+# The largest pi or x exponent a value read from JSON may carry.  It caps the
+# exponents, not the time to reduce the value.  Euclid over Q is cheap on a
+# sparse value, (x^d + x + 1)/(x^(d-1) + 3) takes 0.01 s at d = 1000, but on
+# a dense one the coefficients grow at every step: degree d over d - 1 with
+# random one-digit coefficients takes 0.007 s at d = 25, 0.05 s at d = 40
+# and 9 s at d = 100 (2-core x86-64 box, CPython 3.11).
 MAX_JSON_EXPONENT = 1000
 
 
@@ -309,6 +312,29 @@ def _json_poly(pairs) -> PolyQ:
             raise ValueError(f"duplicate term exponent {e}")
         terms[e] = parse_rational(c)
     return PolyQ(terms)
+
+
+def json_terms(doc) -> dict[int, tuple[PolyQ, PolyQ]]:
+    """The components of a value in the PiGradedValue.to_json shape, as
+    pi_exp -> (num, den), each read and checked but none reduced.  A
+    ValueError names the part that breaks the shape."""
+    if not isinstance(doc, list):
+        raise ValueError(f"must be a list of components, got {json.dumps(doc)}")
+    terms: dict[int, tuple[PolyQ, PolyQ]] = {}
+    for entry in doc:
+        if not isinstance(entry, dict) or not {"pi_exp", "num", "den"} <= entry.keys():
+            raise ValueError(
+                'a component must be an object with "pi_exp", "num" and "den",'
+                f" got {json.dumps(entry)}"
+            )
+        a = _json_int(entry["pi_exp"])
+        if a in terms:
+            raise ValueError(f"duplicate pi_exp {a}")
+        num, den = _json_poly(entry["num"]), _json_poly(entry["den"])
+        if not den:
+            raise ValueError(f"the den of pi_exp {a} is zero")
+        terms[a] = num, den
+    return terms
 
 
 class PiGradedValue:
@@ -375,26 +401,15 @@ class PiGradedValue:
         return out
 
     @classmethod
-    def from_json(cls, doc: list[dict]) -> PiGradedValue:
-        """Read the to_json shape; a ValueError names the part that breaks it."""
-        if not isinstance(doc, list):
-            raise ValueError(f"must be a list of components, got {json.dumps(doc)}")
-        terms: dict[int, tuple[PolyQ, PolyQ]] = {}
-        for entry in doc:
-            if not isinstance(entry, dict) or not {"pi_exp", "num", "den"} <= entry.keys():
-                raise ValueError(
-                    'a component must be an object with "pi_exp", "num" and "den",'
-                    f" got {json.dumps(entry)}"
-                )
-            a = _json_int(entry["pi_exp"])
-            if a in terms:
-                raise ValueError(f"duplicate pi_exp {a}")
-            num, den = _json_poly(entry["num"]), _json_poly(entry["den"])
-            if not den:
-                raise ValueError(f"the den of pi_exp {a} is zero")
-            terms[a] = num, den
-        # Every component is read and checked before the first is reduced.
+    def from_terms(cls, terms: Mapping[int, tuple[PolyQ, PolyQ]]) -> PiGradedValue:
+        """The value sum_a (num_a / den_a) * pi^a, each component reduced."""
         return cls({a: RatFuncQ(num, den) for a, (num, den) in terms.items()})
+
+    @classmethod
+    def from_json(cls, doc: list[dict]) -> PiGradedValue:
+        """Read the to_json shape; a ValueError names the part that breaks it.
+        Every component is read and checked before the first is reduced."""
+        return cls.from_terms(json_terms(doc))
 
     def __str__(self) -> str:
         if not self.components:

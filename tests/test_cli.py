@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from weincalc import cli, combinatorics, symbolic, verify
+from weincalc import cli, combinatorics, morphism, symbolic, verify
 from weincalc.cli import main
 from weincalc.morphism import RAW_CHECK_MAX_K, cpn_q
 from weincalc.symbolic import PiGradedValue
@@ -271,6 +271,36 @@ def test_moment_mc_rejects_float_overflow_of_the_volume(capsys):
         assert "Traceback" not in err
 
 
+def test_moment_mc_refuses_an_underflowing_moment(capsys, monkeypatch):
+    # At r0 = 1e-40 the moment is about 1e-400: the estimate and its standard
+    # error were both 0.0, so the check passed on no evidence.  At 1e-400 the
+    # float radius itself is 0.0, and the refusal named "r0 must be > 0".
+    drawn = []
+    monkeypatch.setattr(cli, "mc_ball_moment", lambda *a: drawn.append(a))
+    for r0 in ("1e-40", "1e-400"):
+        code, out, err = run_cli(
+            capsys, "moment", "--n", "3", "--l", "1", "--k", "2", "--r0", r0,
+            "--mc", "--samples", "100",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --n 3 --l 1 --k 2 --r0 {r0}: the moment underflows a float,"
+            f" so --mc cannot check it\n"
+        )
+        code, doc = run_json(capsys, "moment", "--n", "3", "--l", "1", "--k", "2", "--r0", r0)
+        assert (code, doc["value_float"]) == (0, 0.0)  # the exact moment still answers
+    assert drawn == []
+
+
+def test_moment_mc_refuses_a_negative_seed(capsys):
+    # NumPy refused it with "expected non-negative integer", naming no field.
+    code, out, err = run_cli(
+        capsys, "moment", "--n", "2", "--l", "1", "--k", "1", "--mc", "--samples", "10",
+        "--seed", "-1",
+    )
+    assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
+
 def test_moment_rejects_samples_above_cap(capsys, monkeypatch):
     # The cap bounds samples * n, the normals drawn, so it tightens with n.
     for n, samples in [(1, cli.MAX_MC_WORK + 1), (3, cli.MAX_MC_WORK // 3 + 1),
@@ -315,7 +345,7 @@ def test_blowup_rejects_term_count_above_cap(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --n 10000000 --k 1: the reduced value has 20000001 terms")
-    assert f"more than {cli.MAX_BLOWUP_TERMS}" in err
+    assert f"more than {morphism.MAX_BLOWUP_TERMS}" in err
     assert "Traceback" not in err
     # At the cap itself the query runs: n = 2499, k = 1 has 4999 terms.
     code, doc = run_json(capsys, "blowup", "--n", "2499", "--k", "1")
@@ -530,6 +560,40 @@ def test_product_refuses_a_class_exponent_above_the_bound(capsys, tmp_path, monk
         assert err == f"error: classes.c.value: exponent must be at most {bound}, got {wrong}\n"
         assert gcds == []
     assert PiGradedValue.from_json([fine]).components[1].den.degree == bound - 1
+
+
+def test_product_reduces_only_the_named_class(capsys, tmp_path, monkeypatch):
+    # 100 classes (x^1000 + x + 1)/(x^999 + 3) made every product query
+    # reduce all of them, about 1 s, although a query reads at most one.
+    calls = []
+    gcd = symbolic.poly_gcd
+    monkeypatch.setattr(symbolic, "poly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    value = [{"pi_exp": 0, "num": [[1000, "1"], [1, "1"], [0, "1"]], "den": [[999, "1"], [0, "3"]]}]
+    named = [{"pi_exp": 0, "num": [[0, "1"], [3, "1"]], "den": [[0, "1"], [2, "1"]]}]
+    classes = {f"c{i}": {"degree": 1, "value": value} for i in range(100)}
+    path = write_descriptor(
+        tmp_path,
+        {"dimension": 2, "trivial_odd_homotopy": [1],
+         "classes": {**classes, "named": {"degree": 1, "value": named}}},
+    )
+    product = ("product", "--n", "2", "--k", "1", "--manifold", path)
+    code, _ = run_json(capsys, *product)
+    assert (code, calls) == (0, [])
+    code, doc = run_json(capsys, *product, "--class", "named")
+    assert code == 0
+    assert calls == [(symbolic.PolyQ({3: 1, 0: 1}), symbolic.PolyQ({2: 1, 0: 1}))]
+    assert doc["value"][0] == named[0]  # reduced already: the gcd is 1
+
+
+def test_product_refuses_a_descriptor_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "manifold.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "product", "--n", "2", "--k", "1", "--manifold", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: cannot read manifold descriptor: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte\n"
+    )
 
 
 def test_product_names_the_dimension_bound(capsys, tmp_path):

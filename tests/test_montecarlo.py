@@ -385,6 +385,13 @@ def test_parameter_validation():
         mc_ball_moment(1, [(1, 1)], 0.0, 10, 0)
     with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
         mc_ball_moment(1, [(1, 1)], 1.0, 0, 0)
+    for oracle in (
+        lambda seed: mc_ball_moment(1, [(1, 1)], 1.0, 10, seed),
+        lambda seed: mc_cpn_average(1, [1], 10, seed),
+        lambda seed: mc_blowup_average(1, [1], 0.5, 10, seed),
+    ):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            oracle(-1)
     with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\), got 1.0"):
         mc_blowup_average(2, [1], 1.0, 10, 0)
     with pytest.raises(ValueError, match="k must satisfy 1 <= k <= n, got k=3 with n=2"):

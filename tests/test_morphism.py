@@ -105,6 +105,21 @@ def test_cpn_weinstein_rejects_bad_degrees():
         cpn_lattice(0)
 
 
+def test_blowup_refuses_more_terms_than_the_cap():
+    # 2000001 terms: building them took 0.13 s, and 10^7 ten times that.
+    # The value at a weight admits the same (n, k), tested before the weight.
+    message = (
+        f"--n 1000000 --k 1: the reduced value has 2000001 terms,"
+        f" more than {morphism.MAX_BLOWUP_TERMS}"
+    )
+    with pytest.raises(ValueError) as err:
+        blowup_weinstein(10**6, 1)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        blowup_at_weight(10**6, 1, Fraction(3, 2))
+    assert str(err.value) == message
+
+
 def test_cpn_lattice_generator():
     assert cpn_lattice(3).generators == ((Fraction(1, 6), 3, 0),)
 
