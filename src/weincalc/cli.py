@@ -11,21 +11,10 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import combinatorics, verify
-from .exactarith import (
-    DigitLimitError,
-    factorial,
-    format_rational,
-    parse_rational,
-    require_moment,
-    require_radius,
-    times_power,
-)
-from .montecarlo import mc_ball_moment
+from .exactarith import ParameterError, factorial, format_rational, parse_rational
 from .morphism import (
-    RAW_CHECK_MAX_K,
     ManifoldDescriptor,
     SelfCheckError,
     blowup_at_weight,
@@ -38,15 +27,6 @@ from .symbolic import OrderResult
 
 SCHEMA = "weincalc/1"
 
-# Upper bound on `moment --mc` work, samples * n: each sample draws 2n
-# normals, so the time grows about linearly in samples * n.  It admits
-# 10^8 samples at n = 3, 14 s of Monte Carlo (7.3 million samples per second
-# on a 2-core x86-64 box), and every sample count up to 10^8 at n <= 3.
-# Memory does not grow with it: at any n a Monte Carlo chunk holds at most
-# 2 * montecarlo.CHUNK_SIZE normals, then one buffer of at most
-# montecarlo.CHUNK_SIZE partial moduli and the powers of one column.
-MAX_MC_WORK = 3 * 10**8
-
 
 def _report(args, params: dict, body: dict, lines: list[str], flags=(), ok: bool = True) -> int:
     """Print the JSON document (with --json) or the human lines; return the
@@ -57,16 +37,6 @@ def _report(args, params: dict, body: dict, lines: list[str], flags=(), ok: bool
     else:
         print("\n".join(lines))
     return 0 if ok else 1
-
-
-def _times_pi_power(coeff: Fraction, pi_power: float) -> float:
-    """float(coeff) * pi_power, bit for bit wherever both are normal floats,
-    with the binary exponent of coeff split off so that a coefficient below
-    the float range still gives a normal product.  OverflowError above it."""
-    num, den = coeff.numerator, coeff.denominator
-    e = num.bit_length() - den.bit_length() + 1
-    mantissa = (num << max(-e, 0)) / (den << max(e, 0))  # in (1/4, 1): no overflow
-    return math.ldexp(mantissa * pi_power, e)
 
 
 def _cmd_cpn(args) -> int:
@@ -102,9 +72,9 @@ def _cmd_blowup(args) -> int:
         try:
             pi_k = math.pi**args.k
         except OverflowError:
-            raise ValueError(
-                f"--k {args.k}: the value at --rho exceeds the float range"
-                f" (pi enters as pi^{args.k})"
+            raise ParameterError(
+                f"the value at --rho exceeds the float range (pi enters as pi^{args.k})",
+                k=args.k,
             ) from None
         at_rho = {
             "rho": format_rational(rho),
@@ -146,40 +116,12 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_moment(args) -> int:
-    if args.mc and args.samples < 2:  # one sample has no standard error
-        raise ValueError(f"--samples {args.samples}: must be >= 2 with --mc")
     r0 = parse_rational(args.r0)
-    require_moment(args.n, args.l, args.k)
-    require_radius(r0)
-    if args.mc and args.samples * args.n > MAX_MC_WORK:
-        raise ValueError(
-            f"--samples {args.samples} --n {args.n}: samples * n must be <= {MAX_MC_WORK}"
-        )
-    try:  # before the exact coefficient, whose size grows with n
-        pi_n = math.pi**args.n
-    except OverflowError:
-        raise ValueError(
-            f"--n {args.n}: the moment exceeds the float range (pi enters as pi^{args.n})"
-        ) from None
-    base_coeff, pi_exp = combinatorics.ball_moment_exact(args.n, args.l, args.k)
+    coeff, base_coeff, numeric = combinatorics.ball_moment(args.n, args.l, args.k, r0)
     r0_exp = 2 * (args.n + args.k)
-    coeff = times_power(base_coeff, r0, r0_exp)
-    try:
-        numeric = _times_pi_power(coeff, pi_n)
-    except OverflowError:
-        # At r0 = 1 the coefficient is below 1, so only r0 can overflow the value.
-        raise ValueError(
-            f"--r0 {args.r0}: the moment exceeds the float range"
-            f" (r0 enters as r0^{r0_exp})"
-        ) from None
-    if args.mc and numeric < sys.float_info.min:  # a mean of zeros would pass
-        raise ValueError(
-            f"--n {args.n} --l {args.l} --k {args.k} --r0 {args.r0}: the moment underflows"
-            f" a float, so --mc cannot check it"
-        )
     body = {
         "coefficient": format_rational(coeff),
-        "pi_exp": pi_exp,
+        "pi_exp": args.n,
         "r0_exp": r0_exp,
         "coefficient_at_r0_1": format_rational(base_coeff),
         "value_float": numeric,
@@ -187,20 +129,14 @@ def _cmd_moment(args) -> int:
     lines = [
         f"integral over B^{2 * args.n}({format_rational(r0)}) of"
         f" (|z_1|^2+...+|z_{args.l}|^2)^{args.k}",
-        f"  exact     = {format_rational(coeff)} * pi^{pi_exp}   (r0 enters as r0^{r0_exp})",
+        f"  exact     = {format_rational(coeff)} * pi^{args.n}   (r0 enters as r0^{r0_exp})",
         f"  numeric   = {numeric!r}",
     ]
     ok = True
     if args.mc:
-        try:
-            (est,) = mc_ball_moment(
-                args.n, [(args.l, args.k)], float(r0), args.samples, args.seed
-            )
-        except OverflowError:  # the float ball volume pi^n r0^(2n)/n!
-            raise ValueError(
-                f"--n {args.n} --r0 {args.r0}: the Monte Carlo ball volume overflows a float"
-            ) from None
-        row = verify.mc_row({}, est, numeric)
+        est, row = verify.check_moment_mc(
+            args.n, args.l, args.k, r0, numeric, args.samples, args.seed
+        )
         body["mc"] = {**est.to_json(), "sigma_distance": row["sigma"]}
         ok = row["ok"]
         lines.append(
@@ -212,10 +148,6 @@ def _cmd_moment(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    if args.k_max > RAW_CHECK_MAX_K:
-        raise ValueError(
-            f"--k-max {args.k_max}: must be <= {RAW_CHECK_MAX_K} (the brute-force budget)"
-        )
     result = verify.check_identity_suite(args.k_max)
     rows, all_ok = result.details["rows"], result.passed
     lines = [f"{'k':>3}  {'bruteforce':>16}  {'closed':>16}  result"]
@@ -348,13 +280,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # includes DescriptorError and DigitLimitError
-        if isinstance(exc, DigitLimitError):
-            given = vars(args)  # the size flags of this subcommand that are set
-            flags = [key for key in ("n", "l", "k", "r0", "rho") if given.get(key) is not None]
-            sizes = [f"--{key} {given[key]}" for key in flags]
-            exc = f"{' '.join(sizes)}: {exc}"
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # includes DescriptorError, ParameterError and DigitLimitError
+        # Each parameter at fault that the query sets is named by its flag and
+        # its value as typed, so `--r0 1e400` reads 1e400.
+        given = vars(args)
+        named = [name for name in getattr(exc, "params", ()) if given.get(name) is not None]
+        flags = " ".join(f"--{name.replace('_', '-')} {given[name]}" for name in named)
+        print(f"error: {flags}: {exc}" if flags else f"error: {exc}", file=sys.stderr)
         return 2
     except SelfCheckError as exc:  # a closed form and its enumeration disagree
         print(f"error: self-check failed: {exc}", file=sys.stderr)
@@ -362,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -22,7 +22,16 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactarith import binomial, factorial, require_moment, require_positive
+from .exactarith import (
+    ParameterError,
+    binomial,
+    factorial,
+    require_moment,
+    require_positive,
+    require_radius,
+    times_pi_power,
+    times_power,
+)
 
 
 @lru_cache(maxsize=None)
@@ -87,3 +96,33 @@ def ball_moment_exact(n: int, l: int, k: int) -> tuple[Fraction, int]:
     """
     require_moment(n, l, k)
     return Fraction(binomial(k + l - 1, k), math.perm(n + k, n)), n
+
+
+def ball_moment(n: int, l: int, k: int, r0: Fraction) -> tuple[Fraction, Fraction, float]:
+    """(coeff, coeff at r0 = 1, float value) of the ball moment integral of
+    (|z_1|^2+...+|z_l|^2)^k over the radius-r0 ball in C^n, which is
+    coeff * pi^n with coeff = ball_moment_exact's times r0^(2(n+k)).
+
+    Every rule of the `moment` value runs here, in this order: n >= 1,
+    1 <= l <= n and k >= 1; r0 > 0; pi^n inside the float range, before any exact work,
+    whose size grows with n; the printable r0^(2(n+k)) (DigitLimitError);
+    and the float value inside the float range."""
+    require_moment(n, l, k)
+    require_radius(r0)
+    try:
+        pi_n = math.pi**n
+    except OverflowError:
+        raise ParameterError(
+            f"the moment exceeds the float range (pi enters as pi^{n})", n=n
+        ) from None
+    base, _ = ball_moment_exact(n, l, k)
+    r0_exp = 2 * (n + k)
+    coeff = times_power(base, r0, r0_exp)
+    try:
+        value = times_pi_power(coeff, pi_n)
+    except OverflowError:
+        # At r0 = 1 the coefficient is below 1, so only r0 can overflow the value.
+        raise ParameterError(
+            f"the moment exceeds the float range (r0 enters as r0^{r0_exp})", r0=r0
+        ) from None
+    return coeff, base, value

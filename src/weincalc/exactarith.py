@@ -2,10 +2,14 @@
 that every module checks its inputs against.
 
 Every identity check and lattice decision downstream must be a genuine
-decision procedure, so the arithmetic here is integer and ``Fraction`` only
--- no floats anywhere.  Each parameter rule has one ``require_*`` helper and
-one message text; the helpers compare whatever number they are given, so the
-exact routes and the Monte Carlo oracles share them.
+decision procedure, so the arithmetic here is integer and ``Fraction`` only.
+The one float is ``times_pi_power``, the rendering of an exact
+``coeff * pi^e`` that the commands print and the Monte Carlo checks compare
+against; no identity check or lattice decision reads it.
+Each parameter rule has one ``require_*`` helper and one message text; the
+helpers compare whatever number they are given, so the exact routes and the
+Monte Carlo oracles share them.  A rule that names the parameters at fault
+apart from its text raises ParameterError.
 """
 
 from __future__ import annotations
@@ -18,13 +22,28 @@ from fractions import Fraction
 from typing import Sequence
 
 
-class DigitLimitError(ValueError):
-    """A number longer than the interpreter's integer string limit, which bounds every output."""
+class ParameterError(ValueError):
+    """A parameter value refused by the rule that owns it.  The message is
+    the rule's text alone, and `params` maps the name of each parameter at
+    fault to its value, in order, so that each caller can name them its own
+    way: the command line writes each as its flag, `--name value`."""
+
+    def __init__(self, message: str, **params):
+        super().__init__(message)
+        self.params = params
+
+
+class DigitLimitError(ParameterError):
+    """A number longer than the interpreter's integer string limit, which
+    bounds every output.  Such a number grows with every size of a query, so
+    the error names all of them, with no value: the caller names those its
+    query sets."""
 
     def __init__(self):
         super().__init__(
             f"the result has a number of more than {sys.get_int_max_str_digits()} digits,"
-            f" the integer string limit"
+            f" the integer string limit",
+            **dict.fromkeys(("n", "l", "k", "r0", "rho")),
         )
 
 
@@ -94,6 +113,17 @@ def times_power(base: Fraction, r: Fraction, e: int) -> Fraction:
     return base * r**e
 
 
+def times_pi_power(coeff: Fraction, pi_power: float) -> float:
+    """The float of coeff * pi^e, given pi_power = pi^e: float(coeff) *
+    pi_power, bit for bit wherever both are normal floats, with the binary
+    exponent of coeff split off so that a coefficient below the float range
+    still gives a normal product.  OverflowError above it."""
+    num, den = coeff.numerator, coeff.denominator
+    e = num.bit_length() - den.bit_length() + 1
+    mantissa = (num << max(-e, 0)) / (den << max(e, 0))  # in (1/4, 1): no overflow
+    return math.ldexp(mantissa * pi_power, e)
+
+
 def factorial(n: int) -> int:
     """n! as an exact integer."""
     if n < 0:
@@ -142,7 +172,10 @@ def require_positive(**values: int) -> None:
 
 
 def require_within(n: int, **values: int) -> None:
-    """1 <= value <= n for each named value: a count of the n coordinates."""
+    """n >= 1, then 1 <= value <= n for each named value: a count of the n
+    coordinates."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got n={n}")
     for name, value in values.items():
         if not 1 <= value <= n:
             raise ValueError(
@@ -152,13 +185,11 @@ def require_within(n: int, **values: int) -> None:
 
 def require_degree(n: int, k: int) -> None:
     """1 <= k <= n: a degree 2k-1 class on CP^n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got n={n}")
     require_within(n, k=k)
 
 
 def require_moment(n: int, l: int, k: int) -> None:
-    """1 <= l <= n and k >= 1: the moment of |z_1..z_l|^2 to the k over B^2n."""
+    """n >= 1, 1 <= l <= n and k >= 1: the moment of |z_1..z_l|^2 to the k over B^2n."""
     require_within(n, l=l)
     require_positive(k=k)
 

@@ -28,6 +28,7 @@ from typing import Mapping
 from . import combinatorics
 from .exactarith import (
     DigitLimitError,
+    ParameterError,
     binomial,
     factorial,
     format_rational,
@@ -140,8 +141,8 @@ def _blowup_step(n: int, k: int) -> int:
     g = math.gcd(n, k)
     terms = (n + k) // g + n // g
     if terms > MAX_BLOWUP_TERMS:
-        raise ValueError(
-            f"--n {n} --k {k}: the reduced value has {terms} terms, more than {MAX_BLOWUP_TERMS}"
+        raise ParameterError(
+            f"the reduced value has {terms} terms, more than {MAX_BLOWUP_TERMS}", n=n, k=k
         )
     return g
 
@@ -209,6 +210,11 @@ def blowup_flags(n: int, k: int, order: OrderResult) -> list[str]:
 # Cartesian products
 
 
+# The fields of a descriptor and of one of its classes.
+DESCRIPTOR_FIELDS = ("dimension", "trivial_odd_homotopy", "periods", "classes")
+CLASS_FIELDS = ("degree", "value")
+
+
 class DescriptorError(ValueError):
     """Manifold descriptor validation failure, carrying the offending field."""
 
@@ -265,12 +271,20 @@ class ManifoldDescriptor:
             raise ValueError(f"cannot read manifold descriptor: {exc}")
         except json.JSONDecodeError as exc:
             raise ValueError(f"manifold descriptor is not valid JSON: {exc}")
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise ValueError("manifold descriptor nests arrays or objects too deeply to read")
         return cls.from_json(doc)
 
     @classmethod
     def from_json(cls, doc: dict) -> ManifoldDescriptor:
         if not isinstance(doc, dict):
             raise DescriptorError("<root>", "descriptor must be a JSON object")
+        # A misspelled optional field would be read as absent, and the answer be wrong.
+        for name in doc:
+            if name not in DESCRIPTOR_FIELDS:
+                raise DescriptorError(
+                    name, f"unknown field; the known ones are {', '.join(DESCRIPTOR_FIELDS)}"
+                )
         dim = doc.get("dimension")
         if not is_json_int(dim) or dim < 2 or dim % 2:
             raise DescriptorError(
@@ -321,8 +335,14 @@ class ManifoldDescriptor:
         for name, entry in _json_object(doc, "classes").items():
             if not isinstance(entry, dict) or "degree" not in entry:
                 raise DescriptorError(
-                    f"classes.{name}", "must be an object with 'degree' and 'value'"
+                    f"classes.{name}", "must be an object with 'degree' and optionally 'value'"
                 )
+            for key in entry:
+                if key not in CLASS_FIELDS:
+                    raise DescriptorError(
+                        f"classes.{name}.{key}",
+                        f"unknown field; the known ones are {', '.join(CLASS_FIELDS)}",
+                    )
             degree = entry["degree"]
             if not is_json_int(degree) or degree < 1 or degree % 2 == 0:
                 raise DescriptorError(

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import combinatorics
-from .exactarith import format_rational, require_positive
+from .exactarith import ParameterError, format_rational, require_positive, times_pi_power
 from .montecarlo import (
     McEstimate,
     mc_ball_moment,
@@ -100,8 +101,13 @@ class CheckResult:
 def check_identity_suite(k_max: int = 7) -> CheckResult:
     """Brute-force diagonal moment sums S(k, k) against 2^k k! C(2k-1, k):
     one row {"k", "bruteforce", "closed", "ok"} per 1 <= k <= k_max, the two
-    sums as decimal strings.  The `identity` command prints these rows."""
+    sums as decimal strings.  The `identity` command prints these rows.
+    k_max is at most RAW_CHECK_MAX_K, the brute-force budget."""
     require_positive(k_max=k_max)
+    if k_max > RAW_CHECK_MAX_K:
+        raise ParameterError(
+            f"must be <= {RAW_CHECK_MAX_K} (the brute-force budget)", k_max=k_max
+        )
     rows = []
     for k in range(1, k_max + 1):
         brute = combinatorics.moment_sum_bruteforce(k, k)
@@ -159,7 +165,7 @@ def check_ball_moments(samples: int = 10**6) -> CheckResult:
     for n, estimates in enumerate(per_n, start=1):
         for (l, k), est in zip(terms(n), estimates):
             coeff, pi_exp = combinatorics.ball_moment_exact(n, l, k)
-            exact = float(coeff) * math.pi**pi_exp
+            exact = times_pi_power(coeff, math.pi**pi_exp)
             mc_rows.append(mc_row({"n": n, "l": l, "k": k}, est, exact))
     ok &= all(row["ok"] for row in mc_rows)
     return CheckResult(
@@ -214,7 +220,7 @@ def check_cpn_monte_carlo(samples: int = 10**6) -> CheckResult:
     )
     for n, estimates in enumerate(per_n, start=1):
         for k, est in enumerate(estimates, start=1):
-            exact = float(cpn_q(n, k)) * math.pi**k / math.factorial(k)
+            exact = times_pi_power(cpn_q(n, k) / math.factorial(k), math.pi**k)
             rows.append(mc_row({"n": n, "k": k}, est, exact))
     ok = all(row["ok"] for row in rows)
     return CheckResult(
@@ -273,7 +279,7 @@ def check_blowup(n_max: int = 8, samples: int = 10**6) -> CheckResult:
         for k, est in enumerate(estimates, start=1):
             params = {"n": n, "k": k, "rho": format_rational(BLOWUP_RHO)}
             try:
-                exact = float(blowup_at_weight(n, k, BLOWUP_RHO)) * math.pi**k
+                exact = times_pi_power(blowup_at_weight(n, k, BLOWUP_RHO), math.pi**k)
             except SelfCheckError as exc:
                 mc_rows.append({**params, "error": str(exc), "ok": False})
                 continue
@@ -608,6 +614,21 @@ def mc_row(params: dict, est: McEstimate, exact: float) -> dict:
         "sigma": sigma,
         "ok": sigma < SIGMA_BAND,
     }
+
+
+def check_moment_mc(
+    n: int, l: int, k: int, r0: Fraction, exact: float, samples: int, seed: int
+) -> tuple[McEstimate, dict]:
+    """The Monte Carlo check of one ball moment whose float value is `exact`
+    (combinatorics.ball_moment's): its estimate from `samples` points drawn
+    with `seed`, and its mc_row.  A moment that underflows a float is refused
+    before any sample is drawn, since a mean of zeros would pass."""
+    if exact < sys.float_info.min:
+        raise ParameterError(
+            "the moment underflows a float, so --mc cannot check it", n=n, l=l, k=k, r0=r0
+        )
+    (est,) = mc_ball_moment(n, [(l, k)], float(r0), samples, seed)
+    return est, mc_row({}, est, exact)
 
 
 def run_all(quick: bool = False) -> list[CheckResult]:

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from weincalc import cli, combinatorics, morphism, symbolic, verify
+from weincalc import cli, combinatorics, montecarlo, morphism, symbolic, verify
 from weincalc.cli import main
+from weincalc.exactarith import times_pi_power
 from weincalc.morphism import RAW_CHECK_MAX_K, cpn_q
 from weincalc.symbolic import PiGradedValue
 
@@ -145,9 +146,9 @@ def test_moment_float_is_the_coefficient_times_pi_power(capsys):
         assert code == 0
         assert doc["value_float"] == float(Fraction(doc["coefficient"])) * math.pi**n
     # Near the top of the float range: pi^620 is about 1.7e308.
-    assert cli._times_pi_power(Fraction(3, 4), math.pi**620) == 0.75 * math.pi**620
+    assert times_pi_power(Fraction(3, 4), math.pi**620) == 0.75 * math.pi**620
     with pytest.raises(OverflowError):
-        cli._times_pi_power(Fraction(3, 2), math.pi**620)
+        times_pi_power(Fraction(3, 2), math.pi**620)
 
 
 def test_moment_float_below_the_coefficient_float_range(capsys):
@@ -224,6 +225,12 @@ def test_moment_rejects_overflowing_dimension(capsys):
     assert "Traceback" not in err
 
 
+def test_moment_without_a_coordinate_blames_n(capsys):
+    # It blamed l: "l must satisfy 1 <= l <= n, got l=1 with n=0".
+    code, out, err = run_cli(capsys, "moment", "--n", "0", "--l", "1", "--k", "1")
+    assert (code, out, err) == (2, "", "error: n must be >= 1, got n=0\n")
+
+
 def test_moment_tests_float_range_before_exact_work(capsys, monkeypatch):
     # At n = 10^6 the exact coefficient alone costs about 24 s; the float
     # range of pi^n must refuse the query before any of it is computed.
@@ -256,7 +263,7 @@ def test_moment_mc_rejects_a_single_sample(capsys):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: --samples 1: must be >= 2 with --mc")
+    assert err == "error: --samples 1: must be >= 2\n"
 
 
 def test_moment_mc_rejects_float_overflow_of_the_volume(capsys):
@@ -276,7 +283,7 @@ def test_moment_mc_refuses_an_underflowing_moment(capsys, monkeypatch):
     # error were both 0.0, so the check passed on no evidence.  At 1e-400 the
     # float radius itself is 0.0, and the refusal named "r0 must be > 0".
     drawn = []
-    monkeypatch.setattr(cli, "mc_ball_moment", lambda *a: drawn.append(a))
+    monkeypatch.setattr(verify, "mc_ball_moment", lambda *a: drawn.append(a))
     for r0 in ("1e-40", "1e-400"):
         code, out, err = run_cli(
             capsys, "moment", "--n", "3", "--l", "1", "--k", "2", "--r0", r0,
@@ -303,8 +310,8 @@ def test_moment_mc_refuses_a_negative_seed(capsys):
 
 def test_moment_rejects_samples_above_cap(capsys, monkeypatch):
     # The cap bounds samples * n, the normals drawn, so it tightens with n.
-    for n, samples in [(1, cli.MAX_MC_WORK + 1), (3, cli.MAX_MC_WORK // 3 + 1),
-                       (170, cli.MAX_MC_WORK // 170 + 1)]:
+    cap = montecarlo.MAX_MC_WORK
+    for n, samples in [(1, cap + 1), (3, cap // 3 + 1), (170, cap // 170 + 1)]:
         code, out, err = run_cli(
             capsys, "moment", "--n", str(n), "--l", "1", "--k", "1",
             "--mc", "--samples", str(samples),
@@ -312,20 +319,56 @@ def test_moment_rejects_samples_above_cap(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert err == (
-            f"error: --samples {samples} --n {n}: samples * n must be <= {cli.MAX_MC_WORK}\n"
+            f"error: --samples {samples} --n {n}: samples * n must be <= {cap}\n"
         )
     # Every sample count up to 10^8 is accepted at n <= 3, and the exact
     # moment, which draws no samples, is not bounded by it.
-    assert 3 * 10**8 <= cli.MAX_MC_WORK
+    assert 3 * 10**8 <= cap
     code, out, err = run_cli(capsys, "moment", "--n", "400", "--l", "1", "--k", "1")
     assert (code, err) == (0, "")
     # At the cap itself the request runs; one sample more is refused.
-    monkeypatch.setattr(cli, "MAX_MC_WORK", 3000)
+    monkeypatch.setattr(montecarlo, "MAX_MC_WORK", 3000)
     for samples, codes in [("1000", (0, 1)), ("1001", (2,))]:
         code, out, err = run_cli(
             capsys, "moment", "--n", "3", "--l", "1", "--k", "1", "--mc", "--samples", samples
         )
         assert code in codes
+
+
+DIGITS = (
+    f"the result has a number of more than {sys.get_int_max_str_digits()} digits,"
+    f" the integer string limit"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("moment --n 700 --l 1 --k 1",
+         "--n 700: the moment exceeds the float range (pi enters as pi^700)"),
+        ("moment --n 5 --l 1 --k 1 --r0 54700000000000000000000000",
+         "--r0 54700000000000000000000000: the moment exceeds the float range"
+         " (r0 enters as r0^12)"),
+        ("moment --n 1 --l 1 --k 1 --r0 1e400",
+         "--r0 1e400: the moment exceeds the float range (r0 enters as r0^4)"),
+        ("moment --n 1 --l 1 --k 1 --r0 1e-5000", f"--n 1 --l 1 --k 1 --r0 1e-5000: {DIGITS}"),
+        ("moment --n 3 --l 1 --k 2 --r0 1e-40 --mc --samples 100",
+         "--n 3 --l 1 --k 2 --r0 1e-40: the moment underflows a float, so --mc cannot check it"),
+        ("moment --n 171 --l 1 --k 1 --mc --samples 10",
+         "--n 171 --r0 1: the Monte Carlo ball volume overflows a float"),
+        ("moment --n 3 --l 1 --k 1 --mc --samples 100000001",
+         "--samples 100000001 --n 3: samples * n must be <= 300000000"),
+        ("identity --k-max 9", "--k-max 9: must be <= 8 (the brute-force budget)"),
+        ("blowup --n 10000000 --k 1",
+         "--n 10000000 --k 1: the reduced value has 20000001 terms, more than 5000"),
+        ("blowup --n 700 --k 650 --rho 1/2",
+         "--k 650: the value at --rho exceeds the float range (pi enters as pi^650)"),
+        ("blowup --n 2499 --k 1 --rho 8/9", f"--n 2499 --k 1 --rho 8/9: {DIGITS}"),
+    ],
+)
+def test_refusal_diagnostics_name_the_flags_as_typed(capsys, argv, message):
+    # Each rule is raised where it lives; the flags are written by cli.main alone.
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
 def test_blowup_rejects_overflowing_degree_at_weight(capsys):
@@ -506,6 +549,36 @@ def test_huge_exponents_are_refused_before_expansion(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 0.1, argv
         assert (code, out, err) == (2, "", f"error: {prefix}: {message}\n")
+
+
+def test_product_refuses_a_deeply_nested_descriptor(capsys, tmp_path):
+    # json.load raised RecursionError: a traceback and exit code 1.
+    path = tmp_path / "manifold.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run_cli(capsys, "product", "--n", "2", "--k", "1", "--manifold", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: manifold descriptor nests arrays or objects too deeply to read\n"
+
+
+def test_product_refuses_a_misspelled_field(capsys, tmp_path):
+    # "period" was read as no periods: order infinite, exit 0, where the
+    # same query with "periods" answers Finite(6).
+    value = [{"pi_exp": 0, "num": [[0, "1/2"]], "den": [[0, "1"]]}]
+    doc = {"dimension": 4, "trivial_odd_homotopy": [1], "periods": {"2": ["1/3"]},
+           "classes": {"c": {"degree": 1, "value": value}}}
+    argv = ("product", "--n", "2", "--k", "1", "--class", "c", "--manifold")
+    code, doc_out = run_json(capsys, *argv, write_descriptor(tmp_path, doc))
+    assert (code, doc_out["order"]) == (0, {"kind": "finite", "order": 6})
+    root = "dimension, trivial_odd_homotopy, periods, classes"
+    doc["period"] = doc.pop("periods")
+    misspelled_class = {"dimension": 4, "trivial_odd_homotopy": [1],
+                        "classes": {"c": {"degree": 1, "valeu": value}}}
+    for bad, message in [
+        (doc, f"period: unknown field; the known ones are {root}"),
+        (misspelled_class, "classes.c.valeu: unknown field; the known ones are degree, value"),
+    ]:
+        code, out, err = run_cli(capsys, *argv, write_descriptor(tmp_path, bad))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_product_refuses_repeated_names(capsys, tmp_path):

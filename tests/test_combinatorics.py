@@ -1,18 +1,29 @@
 """Moment sums against exhaustive oracles."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weincalc import combinatorics
 from weincalc.combinatorics import (
+    ball_moment,
     ball_moment_exact,
     moment_sum_bruteforce,
     moment_sum_closed,
 )
-from weincalc.exactarith import binomial, double_factorial_odd, factorial, multinomial
+from weincalc.exactarith import (
+    DigitLimitError,
+    ParameterError,
+    binomial,
+    double_factorial_odd,
+    factorial,
+    multinomial,
+)
+from weincalc.morphism import RAW_CHECK_MAX_K
 from weincalc.verify import check_identity_suite
 
 
@@ -124,3 +135,36 @@ def test_ball_moment_exact_rejects_bad_ranges():
         moment_sum_closed(1, 0)
     with pytest.raises(ValueError, match="k_max must be >= 1, got 0"):
         check_identity_suite(0)
+    # n is tested first: with no coordinate, l = 1 is not at fault.
+    with pytest.raises(ValueError, match="^n must be >= 1, got n=0$"):
+        ball_moment_exact(0, 1, 1)
+
+
+def test_identity_suite_refuses_k_max_above_the_brute_force_budget():
+    with pytest.raises(ParameterError, match=rf"^must be <= {RAW_CHECK_MAX_K} \(") as refused:
+        check_identity_suite(RAW_CHECK_MAX_K + 1)
+    assert refused.value.params == {"k_max": RAW_CHECK_MAX_K + 1}
+
+
+def test_ball_moment_value_and_rules_in_order(monkeypatch):
+    coeff, base, value = ball_moment(2, 1, 3, Fraction(1, 2))
+    assert base == Fraction(1, 20) and coeff == base / 2**10
+    assert value == float(coeff) * math.pi**2
+    with pytest.raises(ValueError, match="^n must be >= 1, got n=0$"):
+        ball_moment(0, 1, 1, Fraction(-1))  # the moment rule before the radius
+    with pytest.raises(ValueError, match="^r0 must be > 0, got 0$"):
+        ball_moment(10**6, 1, 1, Fraction(0))  # the radius before the float range
+
+    def exact_not_reached(*args):
+        raise AssertionError("ball_moment_exact called before the float range test")
+
+    monkeypatch.setattr(combinatorics, "ball_moment_exact", exact_not_reached)
+    with pytest.raises(ParameterError, match=r"\(pi enters as pi\^1000000\)$") as refused:
+        ball_moment(10**6, 1, 1, Fraction(1))
+    assert refused.value.params == {"n": 10**6}
+    monkeypatch.undo()
+    with pytest.raises(DigitLimitError):
+        ball_moment(1, 1, 1, Fraction(10) ** 5000)
+    with pytest.raises(ParameterError, match=r"\(r0 enters as r0\^4\)$") as refused:
+        ball_moment(1, 1, 1, Fraction(10) ** 400)
+    assert refused.value.params == {"r0": Fraction(10) ** 400}

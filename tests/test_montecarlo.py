@@ -15,6 +15,7 @@ import pytest
 
 from weincalc import montecarlo, verify
 from weincalc.combinatorics import ball_moment_exact
+from weincalc.exactarith import ParameterError
 from weincalc.montecarlo import (
     BLOCK_NORMALS,
     CHUNK_SIZE,
@@ -383,8 +384,10 @@ def test_parameter_validation():
         mc_ball_moment(1, [(1, 0)], 1.0, 10, 0)
     with pytest.raises(ValueError, match="r0 must be > 0, got 0.0"):
         mc_ball_moment(1, [(1, 1)], 0.0, 10, 0)
-    with pytest.raises(ValueError, match="samples must be >= 1, got 0"):
-        mc_ball_moment(1, [(1, 1)], 1.0, 0, 0)
+    for samples in (0, 1):  # one sample has no standard error
+        with pytest.raises(ParameterError, match="^must be >= 2$") as refused:
+            mc_ball_moment(1, [(1, 1)], 1.0, samples, 0)
+        assert refused.value.params == {"samples": samples}
     for oracle in (
         lambda seed: mc_ball_moment(1, [(1, 1)], 1.0, 10, seed),
         lambda seed: mc_cpn_average(1, [1], 10, seed),
@@ -411,6 +414,29 @@ def test_parameter_validation():
         sample_ball(0, 1.0, rng, 4)
     with pytest.raises(ValueError, match="r0 must be > 0, got -1.0"):
         sample_ball(1, -1.0, rng, 4)
+
+
+def test_every_oracle_refuses_work_above_the_cap_before_drawing(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(montecarlo, "sample_ball", lambda *a: drawn.append(a))
+    monkeypatch.setattr(montecarlo, "MAX_MC_WORK", 3000)
+    for oracle in (
+        lambda: mc_ball_moment(3, [(1, 1)], 1.0, 1001, 0),
+        lambda: mc_cpn_average(3, [1], 1001, 0),
+        lambda: mc_blowup_average(3, [1], 0.5, 1001, 0),
+    ):
+        with pytest.raises(ParameterError, match=r"^samples \* n must be <= 3000$") as refused:
+            oracle()
+        assert refused.value.params == {"samples": 1001, "n": 3}
+    assert drawn == []
+
+
+def test_mc_ball_moment_refuses_an_overflowing_volume():
+    # pi^n r0^(2n) / n! is refused whichever factor leaves the float range.
+    for n, r0 in [(171, 1.0), (100, 40.0), (700, 1.0)]:
+        with pytest.raises(ParameterError, match="^the Monte Carlo ball volume overflows") as refused:
+            mc_ball_moment(n, [(1, 1)], r0, 10, 0)
+        assert refused.value.params == {"n": n, "r0": r0}
 
 
 def test_sigma_distance_degenerate_cases():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from weincalc import combinatorics, morphism
-from weincalc.exactarith import DigitLimitError, factorial
+from weincalc.exactarith import DigitLimitError, ParameterError, factorial
 from weincalc.morphism import (
     FINITE_ORDER_AT_TOP_DEGREE,
     DescriptorError,
@@ -108,16 +108,15 @@ def test_cpn_weinstein_rejects_bad_degrees():
 def test_blowup_refuses_more_terms_than_the_cap():
     # 2000001 terms: building them took 0.13 s, and 10^7 ten times that.
     # The value at a weight admits the same (n, k), tested before the weight.
-    message = (
-        f"--n 1000000 --k 1: the reduced value has 2000001 terms,"
-        f" more than {morphism.MAX_BLOWUP_TERMS}"
-    )
-    with pytest.raises(ValueError) as err:
-        blowup_weinstein(10**6, 1)
-    assert str(err.value) == message
-    with pytest.raises(ValueError) as err:
-        blowup_at_weight(10**6, 1, Fraction(3, 2))
-    assert str(err.value) == message
+    # The error names n and k apart from its text; the CLI writes the flags.
+    message = f"the reduced value has 2000001 terms, more than {morphism.MAX_BLOWUP_TERMS}"
+    for refused in (
+        lambda: blowup_weinstein(10**6, 1),
+        lambda: blowup_at_weight(10**6, 1, Fraction(3, 2)),
+    ):
+        with pytest.raises(ParameterError) as err:
+            refused()
+        assert (str(err.value), err.value.params) == (message, {"n": 10**6, "k": 1})
 
 
 def test_cpn_lattice_generator():
@@ -440,6 +439,23 @@ BAD_FIELDS = [
     # An exponent beyond the integer string limit is refused before it is expanded.
     ({"dimension": 4, "periods": {"2": ["1e7000000"]}}, "periods.2", DIGIT_LIMIT),
     (_class_value([_component([(0, "1e7000000")])]), "classes.c.value", DIGIT_LIMIT),
+    # 'value' is optional: a class without it is the zero class.
+    (
+        {"dimension": 4, "classes": {"c": ["degree"]}},
+        "classes.c",
+        "must be an object with 'degree' and optionally 'value'",
+    ),
+    # A misspelled field was read as absent.
+    (
+        {"dimension": 4, "Periods": {"2": ["1"]}},
+        "Periods",
+        "unknown field; the known ones are dimension, trivial_odd_homotopy, periods, classes",
+    ),
+    (
+        {"dimension": 4, "classes": {"c": {"degree": 1, "values": []}}},
+        "classes.c.values",
+        "unknown field; the known ones are degree, value",
+    ),
 ]
 
 
