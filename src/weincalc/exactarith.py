@@ -4,12 +4,12 @@ that every module checks its inputs against.
 Every identity check and lattice decision downstream must be a genuine
 decision procedure, so the arithmetic here is integer and ``Fraction`` only.
 The one float is ``times_pi_power``, the rendering of an exact
-``coeff * pi^e`` that the commands print and the Monte Carlo checks compare
-against; no identity check or lattice decision reads it.
+``coeff * pi^e`` that the commands print and the Monte Carlo oracles and
+checks use; no identity check or lattice decision reads it.
 Each parameter rule has one ``require_*`` helper and one message text; the
 helpers compare whatever number they are given, so the exact routes and the
-Monte Carlo oracles share them.  A rule that names the parameters at fault
-apart from its text raises ParameterError.
+Monte Carlo oracles share them.  Every parameter rule raises ParameterError,
+with the parameters at fault in its `params` and none in its text.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ def times_pi_power(coeff: Fraction, pi_power: float) -> float:
     """The float of coeff * pi^e, given pi_power = pi^e: float(coeff) *
     pi_power, bit for bit wherever both are normal floats, with the binary
     exponent of coeff split off so that a coefficient below the float range
-    still gives a normal product.  OverflowError above it."""
+    still gives a normal product.  OverflowError above it.  The Monte Carlo
+    scales, the ball volume pi^n r0^(2n)/n! and pi^k/k!, are rendered here."""
     num, den = coeff.numerator, coeff.denominator
     e = num.bit_length() - den.bit_length() + 1
     mantissa = (num << max(-e, 0)) / (den << max(e, 0))  # in (1/4, 1): no overflow
@@ -168,24 +169,16 @@ def require_positive(**values: int) -> None:
     """Each named value is >= 1 (checked in the order given)."""
     for name, value in values.items():
         if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+            raise ParameterError("must be >= 1", **{name: value})
 
 
 def require_within(n: int, **values: int) -> None:
     """n >= 1, then 1 <= value <= n for each named value: a count of the n
     coordinates."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got n={n}")
+    require_positive(n=n)
     for name, value in values.items():
         if not 1 <= value <= n:
-            raise ValueError(
-                f"{name} must satisfy 1 <= {name} <= n, got {name}={value} with n={n}"
-            )
-
-
-def require_degree(n: int, k: int) -> None:
-    """1 <= k <= n: a degree 2k-1 class on CP^n."""
-    require_within(n, k=k)
+            raise ParameterError(f"must satisfy 1 <= {name} <= n", **{name: value, "n": n})
 
 
 def require_moment(n: int, l: int, k: int) -> None:
@@ -197,10 +190,10 @@ def require_moment(n: int, l: int, k: int) -> None:
 def require_radius(r0: Fraction | float) -> None:
     """A ball radius r0 > 0."""
     if r0 <= 0:
-        raise ValueError(f"r0 must be > 0, got {r0}")
+        raise ParameterError("must be > 0", r0=r0)
 
 
 def require_weight(rho: Fraction | float) -> None:
     """A blow-up weight 0 < rho < 1."""
     if not 0 < rho < 1:
-        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+        raise ParameterError("must lie in (0, 1)", rho=rho)

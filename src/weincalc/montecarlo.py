@@ -34,16 +34,17 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exactarith import (
     ParameterError,
-    require_degree,
     require_moment,
     require_positive,
     require_radius,
     require_weight,
     require_within,
+    times_pi_power,
 )
 
 if TYPE_CHECKING:
@@ -143,7 +144,7 @@ def _estimate(
     if samples * n > MAX_MC_WORK:
         raise ParameterError(f"samples * n must be <= {MAX_MC_WORK}", samples=samples, n=n)
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise ParameterError("must be >= 0", seed=seed)
     for m, *_ in integrands:
         require_within(n, m=m)
     columns = {}  # m -> {k -> indices of the integrands reading column m ** k}
@@ -207,15 +208,21 @@ def mc_ball_moment(
     """Estimate, for each (l, k) in `terms`, the ball moment integral of
     (|z_1|^2 + ... + |z_l|^2)^k over the radius-r0 ball in C^n with Lebesgue
     measure: ball volume times the sample mean of the integrand.  A volume
-    pi^n r0^(2n) / n! whose float form overflows is refused."""
+    pi^n r0^(2n) / n! above the float range, or a pi^n above it, is refused."""
     for l, k in terms:
         require_moment(n, l, k)
     require_radius(r0)
     try:
-        volume = math.pi**n * r0 ** (2 * n) / math.factorial(n)
+        pi_n = math.pi**n  # refused before n! is formed
+        volume = times_pi_power(Fraction(r0) ** (2 * n) / math.factorial(n), pi_n)
     except OverflowError:
         raise ParameterError("the Monte Carlo ball volume overflows a float", n=n, r0=r0) from None
     return _estimate(n, r0, [(l, k, 0.0, volume) for l, k in terms], samples, seed)
+
+
+def _generator(k: int) -> float:
+    """The float of pi^k/k!, the period lattice generator of CP^n."""
+    return times_pi_power(Fraction(1, math.factorial(k)), math.pi**k)
 
 
 def mc_cpn_average(n: int, degrees: Sequence[int], samples: int, seed: int) -> list[McEstimate]:
@@ -226,8 +233,8 @@ def mc_cpn_average(n: int, degrees: Sequence[int], samples: int, seed: int) -> l
     embedded point, because that point has |w| = 1.  Expected value:
     q(n,k) pi^k/k!."""
     for k in degrees:
-        require_degree(n, k)
-    integrands = [(k, k, 0.0, math.pi**k / math.factorial(k)) for k in degrees]
+        require_within(n, k=k)
+    integrands = [(k, k, 0.0, _generator(k)) for k in degrees]
     return _estimate(n, 1.0, integrands, samples, seed)
 
 
@@ -243,8 +250,8 @@ def mc_blowup_average(
     pi^n (1 - rho^(2n))/n!.  Expected value: f_k(rho^2) * pi^k.
     """
     for k in degrees:
-        require_degree(n, k)
+        require_within(n, k=k)
     require_weight(rho)
     volume_share = 1.0 - rho ** (2 * n)
-    integrands = [(k, k, rho, math.pi**k / math.factorial(k) / volume_share) for k in degrees]
+    integrands = [(k, k, rho, _generator(k) / volume_share) for k in degrees]
     return _estimate(n, 1.0, integrands, samples, seed)

@@ -33,11 +33,11 @@ from .exactarith import (
     factorial,
     format_rational,
     parse_rational,
-    require_degree,
     require_positive,
     require_printable_factorial,
     require_printable_power,
     require_weight,
+    require_within,
 )
 from .symbolic import (
     Lattice,
@@ -90,7 +90,7 @@ class CosetValue:
 def cpn_q(n: int, k: int) -> Fraction:
     """q(n, k) = n! k! C(2k-1, k) / (n+k)!: the multiple of pi^k/k! taken by
     the morphism on the standard unitary generator of degree 2k-1."""
-    require_degree(n, k)
+    require_within(n, k=k)
     # n!/(n+k)! as 1/perm(n+k, k): n! itself is never formed.
     return Fraction(factorial(k) * binomial(2 * k - 1, k), math.perm(n + k, k))
 
@@ -98,7 +98,7 @@ def cpn_q(n: int, k: int) -> Fraction:
 def cpn_weinstein_raw(n: int, k: int) -> Fraction:
     """The pre-simplification value n!/((n+k)! 2^k) * S(k, k), with S evaluated
     by brute-force enumeration.  Internal oracle for cpn_q."""
-    require_degree(n, k)
+    require_within(n, k=k)
     s = combinatorics.moment_sum_bruteforce(k, k)
     return Fraction(1, math.perm(n + k, k) * 2**k) * s
 
@@ -114,7 +114,7 @@ def _checked_q(n: int, k: int) -> Fraction:
     sum whenever k is inside the brute-force budget.  Every cpn, blow-up and
     product value prints its lattice generator pi^k/k!, so a k whose k! must
     exceed the integer string limit is refused here, before any exact work."""
-    require_degree(n, k)
+    require_within(n, k=k)
     require_printable_factorial(k)
     q = cpn_q(n, k)
     if k <= RAW_CHECK_MAX_K:
@@ -137,7 +137,7 @@ def cpn_weinstein(n: int, k: int) -> CosetValue:
 def _blowup_step(n: int, k: int) -> int:
     """g = gcd(n, k), the exponent step of the reduced blow-up value, once
     1 <= k <= n holds and the value has at most MAX_BLOWUP_TERMS terms."""
-    require_degree(n, k)
+    require_within(n, k=k)
     g = math.gcd(n, k)
     terms = (n + k) // g + n // g
     if terms > MAX_BLOWUP_TERMS:
@@ -399,7 +399,7 @@ def product_cpn_lattice(n: int, k: int, m_desc: ManifoldDescriptor) -> Lattice:
 
     Degrees missing from the descriptor contribute nothing.
     """
-    require_degree(n, k)
+    require_within(n, k=k)
     gens: list[tuple[Fraction, int, int]] = [(Fraction(1, factorial(k)), k, 0)]
     for j in range(1, k + 1):
         for p in m_desc.periods.get(2 * j, ()):
@@ -422,12 +422,13 @@ def product_value(
     exact work.  The named class is reduced last, after every refusal, and
     no other class of the descriptor is reduced.
     """
-    require_degree(n, k)
+    require_within(n, k=k)
     degree = 2 * k - 1
     if degree not in descriptor.trivial_odd_homotopy:
-        raise ValueError(
-            f"descriptor does not assert trivial homotopy in degree {degree} "
-            f"(trivial_odd_homotopy: {sorted(descriptor.trivial_odd_homotopy)})"
+        raise ParameterError(
+            f"the descriptor does not assert trivial homotopy in degree 2k-1 = {degree}"
+            f" (trivial_odd_homotopy: {sorted(descriptor.trivial_odd_homotopy)})",
+            k=k,
         )
     named = NamedClass(degree, {})  # the zero class
     if class_name is not None:
@@ -438,15 +439,13 @@ def product_value(
                 f"(available: {sorted(descriptor.classes)})"
             )
         if named.degree != degree:
-            raise ValueError(
-                f"class {class_name!r} lives in degree {named.degree}, "
-                f"but k={k} needs degree {degree}"
+            raise ParameterError(
+                f"class {class_name!r} lives in degree {named.degree}, not in 2k-1 = {degree}",
+                k=k,
             )
     if k > descriptor.half_dimension:
-        raise ValueError(
-            f"k={k} exceeds the descriptor dimension bound "
-            f"(dimension {descriptor.dimension} allows k <= {descriptor.half_dimension})"
-        )
+        bound = f"half the descriptor dimension {descriptor.dimension}"
+        raise ParameterError(f"must be <= {descriptor.half_dimension}, {bound}", k=k)
     cv = cpn_weinstein(n, k)
     full = product_cpn_lattice(n, k, descriptor)
     for coeff, pi_exp, x_exp in cv.lattice.generators + descriptor.period_lattice(k).generators:

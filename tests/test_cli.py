@@ -134,7 +134,7 @@ def test_moment_rejects_zero_radius(capsys):
     code, out, err = run_cli(capsys, "moment", "--n", "2", "--l", "1", "--k", "1", "--r0", "0")
     assert code == 2
     assert out == ""
-    assert err == "error: r0 must be > 0, got 0\n"
+    assert err == "error: --r0 0: must be > 0\n"
 
 
 def test_moment_float_is_the_coefficient_times_pi_power(capsys):
@@ -228,7 +228,7 @@ def test_moment_rejects_overflowing_dimension(capsys):
 def test_moment_without_a_coordinate_blames_n(capsys):
     # It blamed l: "l must satisfy 1 <= l <= n, got l=1 with n=0".
     code, out, err = run_cli(capsys, "moment", "--n", "0", "--l", "1", "--k", "1")
-    assert (code, out, err) == (2, "", "error: n must be >= 1, got n=0\n")
+    assert (code, out, err) == (2, "", "error: --n 0: must be >= 1\n")
 
 
 def test_moment_tests_float_range_before_exact_work(capsys, monkeypatch):
@@ -267,15 +267,23 @@ def test_moment_mc_rejects_a_single_sample(capsys):
 
 
 def test_moment_mc_rejects_float_overflow_of_the_volume(capsys):
-    for n, r0 in [("200", "1"), ("100", "40")]:
-        code, out, err = run_cli(
-            capsys, "moment", "--n", n, "--l", "1", "--k", "1", "--r0", r0,
-            "--mc", "--samples", "10",
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: --n {n} --r0 {r0}: the Monte Carlo ball volume")
-        assert "Traceback" not in err
+    # The volume pi^600 15.2^1200/600! is about 2.5e308; the moment, 0.38
+    # times it, is still a float.
+    argv = ["moment", "--n", "600", "--l", "1", "--k", "1", "--r0", "15.2"]
+    assert run_json(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *argv, "--mc", "--samples", "10") == (
+        2, "", "error: --n 600 --r0 15.2: the Monte Carlo ball volume overflows a float\n"
+    )
+
+
+def test_moment_mc_answers_where_only_n_factorial_overflows(capsys):
+    # pi^171/171! is about 8.3e-225, although 171! is above every float; the
+    # query was refused as an overflowing volume.
+    code, doc = run_json(
+        capsys, "moment", "--n", "171", "--l", "1", "--k", "1", "--mc", "--samples", "20000"
+    )
+    assert (code, doc["status"]) == (0, "ok")
+    assert doc["mc"]["sigma_distance"] < verify.SIGMA_BAND
 
 
 def test_moment_mc_refuses_an_underflowing_moment(capsys, monkeypatch):
@@ -305,7 +313,7 @@ def test_moment_mc_refuses_a_negative_seed(capsys):
         capsys, "moment", "--n", "2", "--l", "1", "--k", "1", "--mc", "--samples", "10",
         "--seed", "-1",
     )
-    assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+    assert (code, out, err) == (2, "", "error: --seed -1: must be >= 0\n")
 
 
 def test_moment_rejects_samples_above_cap(capsys, monkeypatch):
@@ -354,21 +362,30 @@ DIGITS = (
         ("moment --n 1 --l 1 --k 1 --r0 1e-5000", f"--n 1 --l 1 --k 1 --r0 1e-5000: {DIGITS}"),
         ("moment --n 3 --l 1 --k 2 --r0 1e-40 --mc --samples 100",
          "--n 3 --l 1 --k 2 --r0 1e-40: the moment underflows a float, so --mc cannot check it"),
-        ("moment --n 171 --l 1 --k 1 --mc --samples 10",
-         "--n 171 --r0 1: the Monte Carlo ball volume overflows a float"),
         ("moment --n 3 --l 1 --k 1 --mc --samples 100000001",
          "--samples 100000001 --n 3: samples * n must be <= 300000000"),
+        ("moment --n 2 --l 1 --k 1 --mc --samples 10 --seed -1", "--seed -1: must be >= 0"),
+        ("moment --n 2 --l 3 --k 1", "--l 3 --n 2: must satisfy 1 <= l <= n"),
+        ("moment --n 2 --l 1 --k 1 --r0 0", "--r0 0: must be > 0"),
+        ("identity --k-max 0", "--k-max 0: must be >= 1"),
         ("identity --k-max 9", "--k-max 9: must be <= 8 (the brute-force budget)"),
+        ("cpn --n 0 --k 1", "--n 0: must be >= 1"),
+        ("cpn --n 3 --k 5", "--k 5 --n 3: must satisfy 1 <= k <= n"),
+        ("blowup --n 3 --k 1 --rho 3/2", "--rho 3/2: must lie in (0, 1)"),
         ("blowup --n 10000000 --k 1",
          "--n 10000000 --k 1: the reduced value has 20000001 terms, more than 5000"),
         ("blowup --n 700 --k 650 --rho 1/2",
          "--k 650: the value at --rho exceeds the float range (pi enters as pi^650)"),
         ("blowup --n 2499 --k 1 --rho 8/9", f"--n 2499 --k 1 --rho 8/9: {DIGITS}"),
+        ("product --n 3 --k 2 --manifold {sphere}",
+         "--k 2: must be <= 1, half the descriptor dimension 2"),
     ],
 )
-def test_refusal_diagnostics_name_the_flags_as_typed(capsys, argv, message):
+def test_refusal_diagnostics_name_the_flags_as_typed(capsys, tmp_path, argv, message):
     # Each rule is raised where it lives; the flags are written by cli.main alone.
-    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+    sphere = write_descriptor(tmp_path, {"dimension": 2, "trivial_odd_homotopy": [3]})
+    argv = argv.format(sphere=sphere).split()
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_blowup_rejects_overflowing_degree_at_weight(capsys):
@@ -420,16 +437,16 @@ def test_blowup_refuses_rho_before_building_the_value(capsys, monkeypatch):
         ("1558", "1557", "1/2"): (
             "error: --k 1557: the value at --rho exceeds the float range (pi enters as pi^1557)"
         ),
-        ("2499", "1", "3/2"): "error: rho must lie in (0, 1), got 3/2",
+        ("2499", "1", "3/2"): "error: --rho 3/2: must lie in (0, 1)",
         ("2499", "1", "8/9"): (
             f"error: --n 2499 --k 1 --rho 8/9: the result has a number of more than {limit}"
             f" digits, the integer string limit"
         ),
         # The value is unprintable too (its coefficient has more than 4300
         # digits); the --rho error wins.
-        ("1720", "1558", "3/2"): "error: rho must lie in (0, 1), got 3/2",
+        ("1720", "1558", "3/2"): "error: --rho 3/2: must lie in (0, 1)",
         # So is the lattice generator pi^1600/1600!; the --rho error wins.
-        ("2000", "1600", "3/2"): "error: rho must lie in (0, 1), got 3/2",
+        ("2000", "1600", "3/2"): "error: --rho 3/2: must lie in (0, 1)",
     }
     for (n, k, rho), message in refusals.items():
         code, out, err = run_cli(capsys, "blowup", "--n", n, "--k", k, "--rho", rho)
@@ -673,9 +690,7 @@ def test_product_names_the_dimension_bound(capsys, tmp_path):
     path = write_descriptor(tmp_path, {"dimension": 2, "trivial_odd_homotopy": [15]})
     code, out, err = run_cli(capsys, "product", "--n", "8", "--k", "8", "--manifold", path)
     assert (code, out) == (2, "")
-    assert err == (
-        "error: k=8 exceeds the descriptor dimension bound (dimension 2 allows k <= 1)\n"
-    )
+    assert err == "error: --k 8: must be <= 1, half the descriptor dimension 2\n"
 
 
 def test_identity_rejects_k_max_above_budget(capsys):
@@ -744,9 +759,12 @@ def test_product_rejects_missing_triviality_assertion(capsys, tmp_path):
         tmp_path,
         {"dimension": 4, "trivial_odd_homotopy": [1], "periods": {"2": ["1"]}},
     )
-    code, _, err = run_cli(capsys, "product", "--n", "2", "--k", "2", "--manifold", path)
-    assert code == 2
-    assert "degree 3" in err
+    code, out, err = run_cli(capsys, "product", "--n", "2", "--k", "2", "--manifold", path)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --k 2: the descriptor does not assert trivial homotopy in degree 2k-1 = 3"
+        " (trivial_odd_homotopy: [1])\n"
+    )
 
 
 def test_product_rejects_class_degree_mismatch(capsys, tmp_path):
@@ -759,11 +777,11 @@ def test_product_rejects_class_degree_mismatch(capsys, tmp_path):
             "classes": {"loop": {"degree": 1, "value": []}},
         },
     )
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "product", "--n", "2", "--k", "2", "--manifold", path, "--class", "loop"
     )
-    assert code == 2
-    assert "degree" in err
+    assert (code, out) == (2, "")
+    assert err == "error: --k 2: class 'loop' lives in degree 1, not in 2k-1 = 3\n"
 
 
 def test_product_checks_the_degree_before_the_descriptor(capsys, tmp_path):
@@ -777,12 +795,9 @@ def test_product_checks_the_degree_before_the_descriptor(capsys, tmp_path):
             "classes": {"loop": {"degree": 1, "value": []}},
         },
     )
-    for argv, (n, k) in (
-        (("--n", "2", "--k", "0"), (2, 0)),
-        (("--n", "1", "--k", "2", "--class", "loop"), (1, 2)),
-    ):
-        code, out, err = run_cli(capsys, "product", *argv, "--manifold", path)
-        message = f"error: k must satisfy 1 <= k <= n, got k={k} with n={n}\n"
+    for n, k, *argv in (("2", "0"), ("1", "2", "--class", "loop")):
+        code, out, err = run_cli(capsys, "product", "--n", n, "--k", k, *argv, "--manifold", path)
+        message = f"error: --k {k} --n {n}: must satisfy 1 <= k <= n\n"
         assert (code, out, err) == (2, "", message)
 
 

@@ -3,10 +3,11 @@
 Argument vectors and manifold descriptors, well formed or arbitrary, go
 through `cli.main`: query commands exit 0 or 2 (1 only for a `moment --mc`
 estimate outside the sigma band, which is a verification failure), no
-exception escapes, and every value printed as JSON survives
-`PiGradedValue.from_json`/`to_json`.  Sizes stay small (n, k <= 12, at most
-10^3 samples) so that the suite runs in seconds; only rational exponents
-reach beyond the integer string limit, which refuses them at once.
+exception escapes, a `cpn`, `blowup`, `moment` or `identity` refusal names
+its flags or quotes its unreadable number, and every value printed as JSON
+survives `PiGradedValue.from_json`/`to_json`.  Sizes stay small (n, k <= 12,
+at most 10^3 samples) so that the suite runs in seconds; only rational
+exponents reach beyond the integer string limit, which refuses them at once.
 """
 
 import json
@@ -130,15 +131,20 @@ def strict_json(text):
 
 
 def check_contract(capsys, argv):
+    usage = False
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse usage errors
-        code = exc.code
+        code, usage = exc.code, True
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     if code == 2:
         assert out == ""
         assert err.strip()
+        if argv[0] != "product" and not usage:
+            # A query refusal names the flags at fault, as typed, or quotes
+            # the text that is not a number.
+            assert err.startswith(("error: --", "error: not a rational number: ")), (argv, err)
         return
     if code == 1:
         # Only the Monte Carlo cross-check of `moment --mc` may fail.

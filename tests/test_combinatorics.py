@@ -126,18 +126,13 @@ def test_ball_moment_exact_is_the_moment_sum_over_factorials():
                 assert ball_moment_exact(n, l, k) == (want, n)
 
 
-def test_ball_moment_exact_rejects_bad_ranges():
-    with pytest.raises(ValueError, match="l must satisfy 1 <= l <= n, got l=2 with n=1"):
-        ball_moment_exact(1, 2, 1)
-    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
-        ball_moment_exact(2, 1, 0)
-    with pytest.raises(ValueError, match="l must be >= 1, got 0"):
-        moment_sum_closed(1, 0)
-    with pytest.raises(ValueError, match="k_max must be >= 1, got 0"):
-        check_identity_suite(0)
+def test_ball_moment_exact_rejects_bad_ranges(refuses):
+    refuses(lambda: ball_moment_exact(1, 2, 1), "must satisfy 1 <= l <= n", l=2, n=1)
+    refuses(lambda: ball_moment_exact(2, 1, 0), "must be >= 1", k=0)
+    refuses(lambda: moment_sum_closed(1, 0), "must be >= 1", l=0)
+    refuses(lambda: check_identity_suite(0), "must be >= 1", k_max=0)
     # n is tested first: with no coordinate, l = 1 is not at fault.
-    with pytest.raises(ValueError, match="^n must be >= 1, got n=0$"):
-        ball_moment_exact(0, 1, 1)
+    refuses(lambda: ball_moment_exact(0, 1, 1), "must be >= 1", n=0)
 
 
 def test_identity_suite_refuses_k_max_above_the_brute_force_budget():
@@ -146,14 +141,13 @@ def test_identity_suite_refuses_k_max_above_the_brute_force_budget():
     assert refused.value.params == {"k_max": RAW_CHECK_MAX_K + 1}
 
 
-def test_ball_moment_value_and_rules_in_order(monkeypatch):
+def test_ball_moment_value_and_rules_in_order(monkeypatch, refuses):
     coeff, base, value = ball_moment(2, 1, 3, Fraction(1, 2))
     assert base == Fraction(1, 20) and coeff == base / 2**10
     assert value == float(coeff) * math.pi**2
-    with pytest.raises(ValueError, match="^n must be >= 1, got n=0$"):
-        ball_moment(0, 1, 1, Fraction(-1))  # the moment rule before the radius
-    with pytest.raises(ValueError, match="^r0 must be > 0, got 0$"):
-        ball_moment(10**6, 1, 1, Fraction(0))  # the radius before the float range
+    # The moment rule before the radius, the radius before the float range.
+    refuses(lambda: ball_moment(0, 1, 1, Fraction(-1)), "must be >= 1", n=0)
+    refuses(lambda: ball_moment(10**6, 1, 1, Fraction(0)), "must be > 0", r0=Fraction(0))
 
     def exact_not_reached(*args):
         raise AssertionError("ball_moment_exact called before the float range test")

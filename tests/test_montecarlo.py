@@ -375,45 +375,34 @@ def test_calling_thread_exception_still_joins_the_helper(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_parameter_validation():
+def test_parameter_validation(refuses):
     # The same rules and message texts as the exact routes (combinatorics,
     # morphism and the CLI).
-    with pytest.raises(ValueError, match="l must satisfy 1 <= l <= n, got l=2 with n=1"):
-        mc_ball_moment(1, [(2, 1)], 1.0, 10, 0)
-    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
-        mc_ball_moment(1, [(1, 0)], 1.0, 10, 0)
-    with pytest.raises(ValueError, match="r0 must be > 0, got 0.0"):
-        mc_ball_moment(1, [(1, 1)], 0.0, 10, 0)
+    refuses(lambda: mc_ball_moment(1, [(2, 1)], 1.0, 10, 0), "must satisfy 1 <= l <= n", l=2, n=1)
+    refuses(lambda: mc_ball_moment(1, [(1, 0)], 1.0, 10, 0), "must be >= 1", k=0)
+    refuses(lambda: mc_ball_moment(1, [(1, 1)], 0.0, 10, 0), "must be > 0", r0=0.0)
     for samples in (0, 1):  # one sample has no standard error
-        with pytest.raises(ParameterError, match="^must be >= 2$") as refused:
-            mc_ball_moment(1, [(1, 1)], 1.0, samples, 0)
-        assert refused.value.params == {"samples": samples}
+        refuses(lambda: mc_ball_moment(1, [(1, 1)], 1.0, samples, 0), "must be >= 2",
+                samples=samples)
     for oracle in (
         lambda seed: mc_ball_moment(1, [(1, 1)], 1.0, 10, seed),
         lambda seed: mc_cpn_average(1, [1], 10, seed),
         lambda seed: mc_blowup_average(1, [1], 0.5, 10, seed),
     ):
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            oracle(-1)
-    with pytest.raises(ValueError, match=r"rho must lie in \(0, 1\), got 1.0"):
-        mc_blowup_average(2, [1], 1.0, 10, 0)
-    with pytest.raises(ValueError, match="k must satisfy 1 <= k <= n, got k=3 with n=2"):
-        mc_cpn_average(2, [3], 10, 0)
-    with pytest.raises(ValueError, match="n must be >= 1, got n=0"):
-        mc_blowup_average(0, [1], 0.5, 10, 0)
-    with pytest.raises(ValueError, match="l must satisfy 1 <= l <= n, got l=2 with n=1"):
-        mc_ball_moment(1, [(1, 1), (2, 1)], 1.0, 10, 0)
-    with pytest.raises(ValueError, match="k must satisfy 1 <= k <= n, got k=3 with n=2"):
-        mc_blowup_average(2, [1, 3], 0.5, 10, 0)
-    with pytest.raises(ValueError, match="m must satisfy 1 <= m <= n, got m=3 with n=2"):
-        montecarlo._estimate(2, 1.0, [(1, 1, 0.0, 1.0), (3, 1, 0.0, 1.0)], 10, 0)
-    with pytest.raises(ValueError, match="m must satisfy 1 <= m <= n, got m=0 with n=2"):
-        montecarlo._estimate(2, 1.0, [(0, 1, 0.0, 1.0)], 10, 0)
+        refuses(lambda: oracle(-1), "must be >= 0", seed=-1)
+    refuses(lambda: mc_blowup_average(2, [1], 1.0, 10, 0), "must lie in (0, 1)", rho=1.0)
+    refuses(lambda: mc_cpn_average(2, [3], 10, 0), "must satisfy 1 <= k <= n", k=3, n=2)
+    refuses(lambda: mc_blowup_average(0, [1], 0.5, 10, 0), "must be >= 1", n=0)
+    refuses(lambda: mc_ball_moment(1, [(1, 1), (2, 1)], 1.0, 10, 0), "must satisfy 1 <= l <= n",
+            l=2, n=1)
+    refuses(lambda: mc_blowup_average(2, [1, 3], 0.5, 10, 0), "must satisfy 1 <= k <= n",
+            k=3, n=2)
+    for m in (3, 0):
+        refuses(lambda: montecarlo._estimate(2, 1.0, [(1, 1, 0.0, 1.0), (m, 1, 0.0, 1.0)], 10, 0),
+                "must satisfy 1 <= m <= n", m=m, n=2)
     rng = np.random.Generator(np.random.PCG64(5))
-    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-        sample_ball(0, 1.0, rng, 4)
-    with pytest.raises(ValueError, match="r0 must be > 0, got -1.0"):
-        sample_ball(1, -1.0, rng, 4)
+    refuses(lambda: sample_ball(0, 1.0, rng, 4), "must be >= 1", n=0)
+    refuses(lambda: sample_ball(1, -1.0, rng, 4), "must be > 0", r0=-1.0)
 
 
 def test_every_oracle_refuses_work_above_the_cap_before_drawing(monkeypatch):
@@ -431,12 +420,15 @@ def test_every_oracle_refuses_work_above_the_cap_before_drawing(monkeypatch):
     assert drawn == []
 
 
-def test_mc_ball_moment_refuses_an_overflowing_volume():
-    # pi^n r0^(2n) / n! is refused whichever factor leaves the float range.
-    for n, r0 in [(171, 1.0), (100, 40.0), (700, 1.0)]:
-        with pytest.raises(ParameterError, match="^the Monte Carlo ball volume overflows") as refused:
-            mc_ball_moment(n, [(1, 1)], r0, 10, 0)
-        assert refused.value.params == {"n": n, "r0": r0}
+def test_mc_ball_moment_refuses_an_overflowing_volume(refuses):
+    # pi^n r0^(2n) / n! is refused when it leaves the float range, and so is
+    # an n whose pi^n does, but not when only n! or r0^(2n) alone would.
+    for n, r0 in [(600, 15.2), (100, 1000.0), (700, 1.0)]:
+        refuses(lambda: mc_ball_moment(n, [(1, 1)], r0, 10, 0),
+                "the Monte Carlo ball volume overflows a float", n=n, r0=r0)
+    for n, r0 in [(171, 1.0), (100, 40.0)]:
+        (est,) = mc_ball_moment(n, [(1, 1)], r0, 10, 0)
+        assert est.mean > 0
 
 
 def test_sigma_distance_degenerate_cases():

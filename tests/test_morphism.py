@@ -89,20 +89,16 @@ def test_cpn_weinstein_self_check_trips_on_corruption(monkeypatch):
     assert blowup_weinstein(k, k).order() == OrderResult.finite(2)
 
 
-def test_cpn_weinstein_rejects_bad_degrees():
+def test_cpn_weinstein_rejects_bad_degrees(refuses):
     # One rule and one message text for cpn_q, the raw oracle, the value
     # constructors and the product lattice (and the Monte Carlo oracles).
+    sphere = ManifoldDescriptor.from_json(SPHERE_DOC)
     for n, k in [(1, 2), (3, 0), (2, -1)]:
-        message = f"k must satisfy 1 <= k <= n, got k={k} with n={n}"
         for entry in (cpn_q, cpn_weinstein_raw, cpn_weinstein, blowup_weinstein):
-            with pytest.raises(ValueError, match=message):
-                entry(n, k)
-        with pytest.raises(ValueError, match=message):
-            product_cpn_lattice(n, k, ManifoldDescriptor.from_json(SPHERE_DOC))
-    with pytest.raises(ValueError, match="n must be >= 1, got n=0"):
-        cpn_weinstein(0, 1)
-    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
-        cpn_lattice(0)
+            refuses(lambda: entry(n, k), "must satisfy 1 <= k <= n", k=k, n=n)
+        refuses(lambda: product_cpn_lattice(n, k, sphere), "must satisfy 1 <= k <= n", k=k, n=n)
+    refuses(lambda: cpn_weinstein(0, 1), "must be >= 1", n=0)
+    refuses(lambda: cpn_lattice(0), "must be >= 1", k=0)
 
 
 def test_blowup_refuses_more_terms_than_the_cap():
@@ -147,7 +143,7 @@ def test_blowup_specializes_to_cpn_at_zero():
             assert f.num.terms[0] / f.den.terms[0] == cpn_q(n, k) / factorial(k)
 
 
-def test_blowup_at_weight_is_the_value_at_rho_squared():
+def test_blowup_at_weight_is_the_value_at_rho_squared(refuses):
     # The built value, substituted term by term, against the closed form.
     x = Fraction(1, 9)
     for n in range(1, 6):
@@ -156,8 +152,7 @@ def test_blowup_at_weight_is_the_value_at_rho_squared():
             num = sum(c * x**e for e, c in f.num.terms.items())
             den = sum(c * x**e for e, c in f.den.terms.items())
             assert blowup_at_weight(n, k, Fraction(1, 3)) == num / den
-    with pytest.raises(ValueError, match="rho must lie in"):
-        blowup_at_weight(2, 1, Fraction(1))
+    refuses(lambda: blowup_at_weight(2, 1, Fraction(1)), "must lie in (0, 1)", rho=Fraction(1))
 
 
 def test_blowup_orders():
@@ -244,37 +239,39 @@ def test_product_rejects_non_containing_lattice(monkeypatch):
             product_value(2, 1, sphere)
 
 
-def test_product_rules_run_in_order():
+def test_product_rules_run_in_order(refuses):
     # Each query breaks two rules; the earlier rule reports.  The degree rule
     # comes first (test_cli.test_product_checks_the_degree_before_the_descriptor).
     desc = ManifoldDescriptor.from_json(
         {"dimension": 2, "trivial_odd_homotopy": [1, 3, 3199], "classes": {"loop": {"degree": 1}}}
     )
-    with pytest.raises(ValueError, match="does not assert trivial homotopy in degree 5 "):
-        product_value(3, 3, desc, "missing")
+    refuses(
+        lambda: product_value(3, 3, desc, "missing"),
+        "the descriptor does not assert trivial homotopy in degree 2k-1 = 5"
+        " (trivial_odd_homotopy: [1, 3, 3199])",
+        k=3,
+    )
     with pytest.raises(ValueError, match="^descriptor has no class named 'missing'"):
         product_value(3, 2, desc, "missing")  # k = 2 also breaks the dimension bound
-    with pytest.raises(ValueError, match="^class 'loop' lives in degree 1"):
-        product_value(3, 2, desc, "loop")
-    with pytest.raises(ValueError, match="dimension bound"):  # 1600! is unprintable too
-        product_value(2000, 1600, desc)
+    refuses(lambda: product_value(3, 2, desc, "loop"),
+            "class 'loop' lives in degree 1, not in 2k-1 = 3", k=2)
+    dimension = "must be <= 1, half the descriptor dimension 2"
+    refuses(lambda: product_value(2000, 1600, desc), dimension, k=1600)  # 1600! is unprintable too
     wide = ManifoldDescriptor.from_json({"dimension": 3200, "trivial_odd_homotopy": [3199]})
     with pytest.raises(DigitLimitError):
         product_value(2000, 1600, wide)
-    with pytest.raises(ValueError, match="dimension bound"):
-        product_value(3, 2, desc)
+    refuses(lambda: product_value(3, 2, desc), dimension, k=2)
 
 
-def test_product_dimension_bound_runs_before_exact_work(monkeypatch):
+def test_product_dimension_bound_runs_before_exact_work(monkeypatch, refuses):
     # 1 <= k <= n and degree 15 is asserted trivial, but dimension 2 allows
     # only k <= 1: the refusal comes before the CP^n value and its self-check.
     calls = []
     for module, name in ((morphism, "cpn_weinstein"), (combinatorics, "moment_sum_bruteforce")):
         monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
     desc = ManifoldDescriptor.from_json({"dimension": 2, "trivial_odd_homotopy": [15]})
-    message = "k=8 exceeds the descriptor dimension bound (dimension 2 allows k <= 1)"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        product_value(8, 8, desc)
+    refuses(lambda: product_value(8, 8, desc), "must be <= 1, half the descriptor dimension 2",
+            k=8)
     assert calls == []
 
 
