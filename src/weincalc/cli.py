@@ -73,8 +73,9 @@ def _cmd_blowup(args) -> int:
             pi_k = math.pi**args.k
         except OverflowError:
             raise ParameterError(
-                f"the value at --rho exceeds the float range (pi enters as pi^{args.k})",
+                f"the value at the weight exceeds the float range (pi enters as pi^{args.k})",
                 k=args.k,
+                rho=rho,
             ) from None
         at_rho = {
             "rho": format_rational(rho),

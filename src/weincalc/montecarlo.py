@@ -5,7 +5,9 @@ Every oracle averages integrands scale * (|z_1|^2+...+|z_m|^2)^k times
 only the squared moduli these read: |z|^2 = r0^2 U^(1/n), and every partial
 one |z_1|^2+...+|z_m|^2 as |z|^2 times the share of the first 2m of 2n
 standard normals in their sum of squares (Muller's Gaussian directions, 1959;
-rejection sampling is useless in 2n >= 8 dimensions).
+rejection sampling is useless in 2n >= 8 dimensions).  Each grid has one
+builder (ball_moment_integrands, cpn_integrands, blowup_integrands), which
+its oracle and verify's shared pass both call.
 
 Determinism contract: an oracle call takes a grid of integrands at one n and
 draws every sample from one generator, numpy.random.default_rng(seed), in
@@ -202,22 +204,36 @@ def _power(column: np.ndarray, k: int, known: dict) -> np.ndarray:
     return half * half
 
 
-def mc_ball_moment(
-    n: int, terms: Sequence[tuple[int, int]], r0: float, samples: int, seed: int
-) -> list[McEstimate]:
-    """Estimate, for each (l, k) in `terms`, the ball moment integral of
-    (|z_1|^2 + ... + |z_l|^2)^k over the radius-r0 ball in C^n with Lebesgue
-    measure: ball volume times the sample mean of the integrand.  A volume
-    pi^n r0^(2n) / n! above the float range, or a pi^n above it, is refused."""
+def ball_moment_integrands(
+    n: int, terms: Sequence[tuple[int, int]], r0: float
+) -> list[tuple[int, int, float, float]]:
+    """The integrands (l, k, 0, volume) whose estimates are the ball moment
+    integrals of (|z_1|^2 + ... + |z_l|^2)^k over the radius-r0 ball in C^n
+    with Lebesgue measure, one per (l, k) in `terms`: ball volume times the
+    sample mean.  A pi^n above the float range, or a volume
+    pi^n r0^(2n) / n! above it, is refused."""
     for l, k in terms:
         require_moment(n, l, k)
     require_radius(r0)
     try:
         pi_n = math.pi**n  # refused before n! is formed
+    except OverflowError:
+        raise ParameterError(
+            f"the Monte Carlo scale exceeds the float range (pi enters as pi^{n})", n=n
+        ) from None
+    try:
         volume = times_pi_power(Fraction(r0) ** (2 * n) / math.factorial(n), pi_n)
     except OverflowError:
         raise ParameterError("the Monte Carlo ball volume overflows a float", n=n, r0=r0) from None
-    return _estimate(n, r0, [(l, k, 0.0, volume) for l, k in terms], samples, seed)
+    return [(l, k, 0.0, volume) for l, k in terms]
+
+
+def mc_ball_moment(
+    n: int, terms: Sequence[tuple[int, int]], r0: float, samples: int, seed: int
+) -> list[McEstimate]:
+    """Estimate, for each (l, k) in `terms`, the ball moment integral of
+    (|z_1|^2 + ... + |z_l|^2)^k over the radius-r0 ball in C^n."""
+    return _estimate(n, r0, ball_moment_integrands(n, terms, r0), samples, seed)
 
 
 def _generator(k: int) -> float:
@@ -225,33 +241,46 @@ def _generator(k: int) -> float:
     return times_pi_power(Fraction(1, math.factorial(k)), math.pi**k)
 
 
-def mc_cpn_average(n: int, degrees: Sequence[int], samples: int, seed: int) -> list[McEstimate]:
-    """Estimate the morphism value on CP^n for each k in `degrees` by
-    averaging (pi^k/k!) (|z_1|^2 + ... + |z_k|^2)^k over the unit ball, whose
-    image under z -> w = [z : sqrt(1 - |z|^2)] fills CP^n up to measure zero.
-    This is the trace volume (pi^k/k!) (sum_{j<=k} |w_j|^2/|w|^2)^k of the
+def cpn_integrands(n: int, degrees: Sequence[int]) -> list[tuple[int, int, float, float]]:
+    """The unit-ball integrands (k, k, 0, pi^k/k!) whose estimates are the
+    morphism values on CP^n, one per k in `degrees`: the average of
+    (pi^k/k!) (|z_1|^2 + ... + |z_k|^2)^k over the unit ball, whose image
+    under z -> w = [z : sqrt(1 - |z|^2)] fills CP^n up to measure zero.  This
+    is the trace volume (pi^k/k!) (sum_{j<=k} |w_j|^2/|w|^2)^k of the
     embedded point, because that point has |w| = 1.  Expected value:
     q(n,k) pi^k/k!."""
     for k in degrees:
         require_within(n, k=k)
-    integrands = [(k, k, 0.0, _generator(k)) for k in degrees]
-    return _estimate(n, 1.0, integrands, samples, seed)
+    return [(k, k, 0.0, _generator(k)) for k in degrees]
 
 
-def mc_blowup_average(
-    n: int, degrees: Sequence[int], rho: float, samples: int, seed: int
-) -> list[McEstimate]:
-    """Estimate the morphism value on the weight-rho blow-up of CP^n for each
-    k in `degrees`.
+def mc_cpn_average(n: int, degrees: Sequence[int], samples: int, seed: int) -> list[McEstimate]:
+    """Estimate the morphism value on CP^n for each k in `degrees`."""
+    return _estimate(n, 1.0, cpn_integrands(n, degrees), samples, seed)
 
-    Realizes the difference of the full-manifold integral and the integral
-    over the removed ball as a single stream over the unit ball with the
-    complement indicator, normalized by the blow-up volume
+
+def blowup_integrands(
+    n: int, degrees: Sequence[int], rho: float
+) -> list[tuple[int, int, float, float]]:
+    """The unit-ball integrands (k, k, rho, pi^k/k! / (1 - rho^(2n))) whose
+    estimates are the morphism values on the weight-rho blow-up of CP^n, one
+    per k in `degrees`.
+
+    They realize the difference of the full-manifold integral and the
+    integral over the removed ball as a single average over the unit ball
+    with the complement indicator, normalized by the blow-up volume
     pi^n (1 - rho^(2n))/n!.  Expected value: f_k(rho^2) * pi^k.
     """
     for k in degrees:
         require_within(n, k=k)
     require_weight(rho)
     volume_share = 1.0 - rho ** (2 * n)
-    integrands = [(k, k, rho, _generator(k) / volume_share) for k in degrees]
-    return _estimate(n, 1.0, integrands, samples, seed)
+    return [(k, k, rho, _generator(k) / volume_share) for k in degrees]
+
+
+def mc_blowup_average(
+    n: int, degrees: Sequence[int], rho: float, samples: int, seed: int
+) -> list[McEstimate]:
+    """Estimate the morphism value on the weight-rho blow-up of CP^n for each
+    k in `degrees`."""
+    return _estimate(n, 1.0, blowup_integrands(n, degrees, rho), samples, seed)

@@ -109,13 +109,19 @@ def cpn_lattice(k: int) -> Lattice:
     return Lattice([(Fraction(1, factorial(k)), k, 0)])
 
 
-def _checked_q(n: int, k: int) -> Fraction:
+def _checked_q(n: int, k: int, alone: bool = True) -> Fraction:
     """q(n, k) with the closed form cross-checked against the raw multi-index
     sum whenever k is inside the brute-force budget.  Every cpn, blow-up and
     product value prints its lattice generator pi^k/k!, so a k whose k! must
-    exceed the integer string limit is refused here, before any exact work."""
+    exceed the integer string limit is refused here, before any exact work.
+    So is, when c = q(n, k)/k! is printed `alone` (not summed with a class of
+    a product), an (n, k) whose c must have a denominator beyond that limit:
+    c = C(2k-1, k) / perm(n+k, k), so that denominator is at least
+    (n+1)^k / C(2k-1, k), tested before perm(n+k, k) is formed."""
     require_within(n, k=k)
     require_printable_factorial(k)
+    if alone:
+        require_printable_power(n + 1, k, binomial(2 * k - 1, k))
     q = cpn_q(n, k)
     if k <= RAW_CHECK_MAX_K:
         raw = cpn_weinstein_raw(n, k)
@@ -126,10 +132,12 @@ def _checked_q(n: int, k: int) -> Fraction:
     return q
 
 
-def cpn_weinstein(n: int, k: int) -> CosetValue:
+def cpn_weinstein(n: int, k: int, alone: bool = True) -> CosetValue:
     """Morphism value on the degree-(2k-1) unitary generator acting on CP^n:
-    (q(n,k)/k!) * pi^k in R / <pi^k/k!>."""
-    q = _checked_q(n, k)
+    (q(n,k)/k!) * pi^k in R / <pi^k/k!>.  With `alone` false, as in a
+    product, where a class can cancel the denominator of q/k!, that
+    denominator is not tested against the digit limit."""
+    q = _checked_q(n, k, alone)
     value = PiGradedValue.monomial(q / factorial(k), k, 0)
     return CosetValue(value, cpn_lattice(k))
 
@@ -187,7 +195,7 @@ def blowup_at_weight(n: int, k: int, rho: Fraction) -> Fraction:
     reduced numerator must exceed the integer string limit."""
     g = _blowup_step(n, k)  # bounds n before the exact work of _checked_q
     require_weight(rho)
-    c = _checked_q(n, k) / factorial(k)
+    c = _checked_q(n, k, alone=False) / factorial(k)  # the weight's factor can cancel den(c)
     x = rho * rho
     # For x = a/b the reduced numerator is at least b^(n+k-g) / den(c).
     require_printable_power(x.denominator, n + k - g, c.denominator)
@@ -446,7 +454,7 @@ def product_value(
     if k > descriptor.half_dimension:
         bound = f"half the descriptor dimension {descriptor.dimension}"
         raise ParameterError(f"must be <= {descriptor.half_dimension}, {bound}", k=k)
-    cv = cpn_weinstein(n, k)
+    cv = cpn_weinstein(n, k, alone=False)
     full = product_cpn_lattice(n, k, descriptor)
     for coeff, pi_exp, x_exp in cv.lattice.generators + descriptor.period_lattice(k).generators:
         if not lattice_member(PiGradedValue.monomial(coeff, pi_exp, x_exp), full):

@@ -7,12 +7,15 @@ bounded exhaustive search over integer coefficient vectors for the lattice
 decision procedures.  The CLI `verify` command and the acceptance tests both
 run exactly this suite.
 
-All seeds are fixed so that repeated runs produce identical output.  Each
-Monte Carlo check draws one seeded sample stream per ball dimension n, and
-every row of that n is estimated on it.  A check draws its streams on two
-threads, one helper for n < MC_N_MAX and the calling thread for MC_N_MAX,
-and joins the helper before it builds a row; every stream has its own
-generator, so the threads change no bit of any estimate.
+All seeds are fixed so that repeated runs produce identical output.  The
+three Monte Carlo checks (ball-moments, cpn-monte-carlo and blowup) share one
+pass: one seeded sample stream per ball dimension n, on which every row of
+that n of all three checks is estimated (draw_mc_pass).  run_all draws the
+pass once and hands each check its share; a check called alone draws the
+whole pass itself.  The pass draws its streams on two threads, one helper
+for n < MC_N_MAX and the calling thread for MC_N_MAX, and joins the helper
+before any row is built; every stream has its own generator, so the threads
+change no bit of any estimate.
 """
 
 from __future__ import annotations
@@ -24,14 +27,16 @@ import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TypeVar
 
-from . import combinatorics
+from . import combinatorics, montecarlo
 from .exactarith import ParameterError, format_rational, require_positive, times_pi_power
 from .montecarlo import (
     McEstimate,
+    ball_moment_integrands,
+    blowup_integrands,
+    cpn_integrands,
     mc_ball_moment,
-    mc_blowup_average,
-    mc_cpn_average,
     sample_ball,
 )
 from .morphism import (
@@ -69,9 +74,10 @@ DECISION_SEED = BASE_SEED + 4000
 DECISION_INSTANCES = 200
 DECISION_BOUND = 50
 
-# Each Monte Carlo check estimates all its rows at one n on one stream.
+# The three Monte Carlo checks estimate all their rows at one n on one stream.
 MC_STREAMS = (
-    "one seed and one sample stream per n: the rows of one n share them and are correlated"
+    "one seed and one sample stream per n, shared by ball-moments, cpn-monte-carlo and"
+    " blowup: the rows of one n share them and are correlated"
 )
 
 # Frozen spot values for the ball moment integral, each derived from the
@@ -84,6 +90,45 @@ MOMENT_SPOT_VALUES = {
     (2, 1, 1): (Fraction(1, 6), 2),
     (1, 1, 2): (Fraction(1, 3), 1),
 }
+
+
+@dataclass(frozen=True)
+class McPass:
+    """The estimates of one Monte Carlo pass of `samples` points per n, each
+    a list per n = 1..MC_N_MAX: the ball moments in _moment_terms(n) order,
+    the CP^n values and the blow-up values at weight BLOWUP_RHO for
+    k = 1..n."""
+
+    samples: int
+    ball_moments: list[list[McEstimate]]
+    cpn: list[list[McEstimate]]
+    blowup: list[list[McEstimate]]
+
+
+def _moment_terms(n: int) -> list[tuple[int, int]]:
+    """The (l, k) ball moments that ball-moments checks at n."""
+    return [(l, k) for l in range(1, n + 1) for k in range(1, MOMENT_K_MAX + 1)]
+
+
+def draw_mc_pass(samples: int) -> McPass:
+    """The one Monte Carlo pass of verify: for each n, one montecarlo
+    estimate over the ball-moment, CP^n and blow-up grids together, drawn
+    from one stream with seed BASE_SEED + 100 n.  An estimate does not depend
+    on the other integrands of its grid, so each is the one its own oracle
+    (mc_ball_moment, mc_cpn_average, mc_blowup_average) gives at that seed."""
+
+    def estimate(n: int) -> list[list[McEstimate]]:
+        degrees = range(1, n + 1)
+        grids = [
+            ball_moment_integrands(n, _moment_terms(n), 1.0),
+            cpn_integrands(n, degrees),
+            blowup_integrands(n, degrees, float(BLOWUP_RHO)),
+        ]
+        union = [integrand for grid in grids for integrand in grid]
+        estimates = iter(montecarlo._estimate(n, 1.0, union, samples, BASE_SEED + 100 * n))
+        return [[next(estimates) for _ in grid] for grid in grids]
+
+    return McPass(samples, *map(list, zip(*_per_dimension(estimate))))
 
 
 @dataclass(frozen=True)
@@ -135,9 +180,10 @@ def check_moment_sums(k_max: int = 6) -> CheckResult:
     )
 
 
-def check_ball_moments(samples: int = 10**6) -> CheckResult:
+def check_ball_moments(samples: int = 10**6, mc_pass: McPass | None = None) -> CheckResult:
     """Exact moment formula against frozen quadrature spots, then Monte Carlo
-    against the exact value on the (n <= 3, l <= n, k <= 3) grid."""
+    against the exact value on the (n <= 3, l <= n, k <= 3) grid, read from
+    `mc_pass`, a pass of `samples` points drawn here if none is given."""
     ok = True
     spots = []
     for (n, l, k), (coeff, pi_exp) in sorted(MOMENT_SPOT_VALUES.items()):
@@ -154,16 +200,10 @@ def check_ball_moments(samples: int = 10**6) -> CheckResult:
                 "ok": match,
             }
         )
-
-    def terms(n: int) -> list[tuple[int, int]]:
-        return [(l, k) for l in range(1, n + 1) for k in range(1, MOMENT_K_MAX + 1)]
-
+    mc_pass = mc_pass or draw_mc_pass(samples)
     mc_rows = []
-    per_n = _per_dimension(
-        lambda n: mc_ball_moment(n, terms(n), 1.0, samples, BASE_SEED + 100 * n)
-    )
-    for n, estimates in enumerate(per_n, start=1):
-        for (l, k), est in zip(terms(n), estimates):
+    for n, estimates in enumerate(mc_pass.ball_moments, start=1):
+        for (l, k), est in zip(_moment_terms(n), estimates):
             coeff, pi_exp = combinatorics.ball_moment_exact(n, l, k)
             exact = times_pi_power(coeff, math.pi**pi_exp)
             mc_rows.append(mc_row({"n": n, "l": l, "k": k}, est, exact))
@@ -171,7 +211,12 @@ def check_ball_moments(samples: int = 10**6) -> CheckResult:
     return CheckResult(
         "ball-moments",
         ok,
-        {"samples": samples, "streams": MC_STREAMS, "spots": spots, "monte_carlo": mc_rows},
+        {
+            "samples": mc_pass.samples,
+            "streams": MC_STREAMS,
+            "spots": spots,
+            "monte_carlo": mc_rows,
+        },
     )
 
 
@@ -212,29 +257,32 @@ def check_cpn_exact(n_max: int = 8) -> CheckResult:
     )
 
 
-def check_cpn_monte_carlo(samples: int = 10**6) -> CheckResult:
-    """Monte Carlo trace-volume average against q(n,k) pi^k/k!."""
+def check_cpn_monte_carlo(samples: int = 10**6, mc_pass: McPass | None = None) -> CheckResult:
+    """Monte Carlo trace-volume average against q(n,k) pi^k/k!, read from
+    `mc_pass`, a pass of `samples` points drawn here if none is given."""
+    mc_pass = mc_pass or draw_mc_pass(samples)
     rows = []
-    per_n = _per_dimension(
-        lambda n: mc_cpn_average(n, range(1, n + 1), samples, BASE_SEED + 1000 + 10 * n)
-    )
-    for n, estimates in enumerate(per_n, start=1):
+    for n, estimates in enumerate(mc_pass.cpn, start=1):
         for k, est in enumerate(estimates, start=1):
             exact = times_pi_power(cpn_q(n, k) / math.factorial(k), math.pi**k)
             rows.append(mc_row({"n": n, "k": k}, est, exact))
     ok = all(row["ok"] for row in rows)
     return CheckResult(
-        "cpn-monte-carlo", ok, {"samples": samples, "streams": MC_STREAMS, "rows": rows}
+        "cpn-monte-carlo", ok, {"samples": mc_pass.samples, "streams": MC_STREAMS, "rows": rows}
     )
 
 
-def check_blowup(n_max: int = 8, samples: int = 10**6) -> CheckResult:
+def check_blowup(
+    n_max: int = 8, samples: int = 10**6, mc_pass: McPass | None = None
+) -> CheckResult:
     """Blow-up suite for all k <= n <= n_max: the value against the Euclidean
     reduction of c (1 - x^(n+k)) / (1 - x^n) with c = q(n,k)/k!, infinite
     order for every k < n, the flagged Finite(2) at k = n, the x -> 0
     degeneration to the CP^n value, and Monte Carlo at weight BLOWUP_RHO
     against blowup_at_weight, the closed form `blowup --rho` prints (the exact
-    rows tie it to the printed value).  A self-check refusal fails its row."""
+    rows tie it to the printed value), read from `mc_pass`, a pass of
+    `samples` points drawn here if none is given.  A self-check refusal
+    fails its row."""
     ok = True
     rows = []
     for n in range(1, n_max + 1):
@@ -269,13 +317,9 @@ def check_blowup(n_max: int = 8, samples: int = 10**6) -> CheckResult:
                     "ok": good,
                 }
             )
+    mc_pass = mc_pass or draw_mc_pass(samples)
     mc_rows = []
-    per_n = _per_dimension(
-        lambda n: mc_blowup_average(
-            n, range(1, n + 1), float(BLOWUP_RHO), samples, BASE_SEED + 2000 + 10 * n
-        )
-    )
-    for n, estimates in enumerate(per_n, start=1):
+    for n, estimates in enumerate(mc_pass.blowup, start=1):
         for k, est in enumerate(estimates, start=1):
             params = {"n": n, "k": k, "rho": format_rational(BLOWUP_RHO)}
             try:
@@ -290,7 +334,7 @@ def check_blowup(n_max: int = 8, samples: int = 10**6) -> CheckResult:
         ok,
         {
             "n_max": n_max,
-            "samples": samples,
+            "samples": mc_pass.samples,
             "streams": MC_STREAMS,
             "rows": rows,
             "monte_carlo": mc_rows,
@@ -573,14 +617,17 @@ def check_decision_procedures() -> CheckResult:
     )
 
 
-def _per_dimension(estimate: Callable[[int], list[McEstimate]]) -> list[list[McEstimate]]:
+T = TypeVar("T")
+
+
+def _per_dimension(estimate: Callable[[int], T]) -> list[T]:
     """[estimate(n) for n in 1..MC_N_MAX], with the streams n < MC_N_MAX drawn
     on one helper thread while the calling thread draws n = MC_N_MAX.  A
     stream costs about n units, so at MC_N_MAX = 3 the split is 1 + 2
     against 3, and NumPy's normal fill, most of a stream, releases the GIL.  The helper is joined
     before anything returns or raises; its exception, if any, is raised
     here."""
-    done: list[list[McEstimate]] = []
+    done: list[T] = []
     failed: list[BaseException] = []
 
     def helper() -> None:
@@ -625,7 +672,11 @@ def check_moment_mc(
     before any sample is drawn, since a mean of zeros would pass."""
     if exact < sys.float_info.min:
         raise ParameterError(
-            "the moment underflows a float, so --mc cannot check it", n=n, l=l, k=k, r0=r0
+            "the moment underflows a float, so Monte Carlo cannot check it",
+            n=n,
+            l=l,
+            k=k,
+            r0=r0,
         )
     (est,) = mc_ball_moment(n, [(l, k)], float(r0), samples, seed)
     return est, mc_row({}, est, exact)
@@ -633,18 +684,20 @@ def check_moment_mc(
 
 def run_all(quick: bool = False) -> list[CheckResult]:
     """The full verification suite; `quick` caps brute force at k <= 4 and
-    Monte Carlo at 10^5 samples."""
+    Monte Carlo at 10^5 samples.  The Monte Carlo pass is drawn once, for
+    the three checks that read it."""
     if quick:
         samples, k_cap, n_cap = 10**5, 4, 4
     else:
         samples, k_cap, n_cap = 10**6, 7, 8
+    mc_pass = draw_mc_pass(samples)
     return [
         check_identity_suite(k_max=k_cap),
         check_moment_sums(k_max=min(k_cap, 6)),
-        check_ball_moments(samples=samples),
+        check_ball_moments(samples=samples, mc_pass=mc_pass),
         check_cpn_exact(n_max=n_cap),
-        check_cpn_monte_carlo(samples=samples),
-        check_blowup(n_max=n_cap, samples=samples),
+        check_cpn_monte_carlo(samples=samples, mc_pass=mc_pass),
+        check_blowup(n_max=n_cap, samples=samples, mc_pass=mc_pass),
         check_product(n_max=min(n_cap, 5)),
         check_decision_procedures(),
         check_mc_determinism(samples=min(samples, 10**5)),

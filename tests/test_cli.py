@@ -300,7 +300,7 @@ def test_moment_mc_refuses_an_underflowing_moment(capsys, monkeypatch):
         assert (code, out) == (2, "")
         assert err == (
             f"error: --n 3 --l 1 --k 2 --r0 {r0}: the moment underflows a float,"
-            f" so --mc cannot check it\n"
+            f" so Monte Carlo cannot check it\n"
         )
         code, doc = run_json(capsys, "moment", "--n", "3", "--l", "1", "--k", "2", "--r0", r0)
         assert (code, doc["value_float"]) == (0, 0.0)  # the exact moment still answers
@@ -361,7 +361,8 @@ DIGITS = (
          "--r0 1e400: the moment exceeds the float range (r0 enters as r0^4)"),
         ("moment --n 1 --l 1 --k 1 --r0 1e-5000", f"--n 1 --l 1 --k 1 --r0 1e-5000: {DIGITS}"),
         ("moment --n 3 --l 1 --k 2 --r0 1e-40 --mc --samples 100",
-         "--n 3 --l 1 --k 2 --r0 1e-40: the moment underflows a float, so --mc cannot check it"),
+         "--n 3 --l 1 --k 2 --r0 1e-40: the moment underflows a float,"
+         " so Monte Carlo cannot check it"),
         ("moment --n 3 --l 1 --k 1 --mc --samples 100000001",
          "--samples 100000001 --n 3: samples * n must be <= 300000000"),
         ("moment --n 2 --l 1 --k 1 --mc --samples 10 --seed -1", "--seed -1: must be >= 0"),
@@ -375,7 +376,8 @@ DIGITS = (
         ("blowup --n 10000000 --k 1",
          "--n 10000000 --k 1: the reduced value has 20000001 terms, more than 5000"),
         ("blowup --n 700 --k 650 --rho 1/2",
-         "--k 650: the value at --rho exceeds the float range (pi enters as pi^650)"),
+         "--k 650 --rho 1/2: the value at the weight exceeds the float range"
+         " (pi enters as pi^650)"),
         ("blowup --n 2499 --k 1 --rho 8/9", f"--n 2499 --k 1 --rho 8/9: {DIGITS}"),
         ("product --n 3 --k 2 --manifold {sphere}",
          "--k 2: must be <= 1, half the descriptor dimension 2"),
@@ -392,7 +394,7 @@ def test_blowup_rejects_overflowing_degree_at_weight(capsys):
     code, out, err = run_cli(capsys, "blowup", "--n", "700", "--k", "650", "--rho", "1/2")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: --k 650:")
+    assert err.startswith("error: --k 650 --rho 1/2:")
     assert "float range" in err
     assert "Traceback" not in err
 
@@ -435,7 +437,8 @@ def test_blowup_refuses_rho_before_building_the_value(capsys, monkeypatch):
     limit = sys.get_int_max_str_digits()
     refusals = {
         ("1558", "1557", "1/2"): (
-            "error: --k 1557: the value at --rho exceeds the float range (pi enters as pi^1557)"
+            "error: --k 1557 --rho 1/2: the value at the weight exceeds the float range"
+            " (pi enters as pi^1557)"
         ),
         ("2499", "1", "3/2"): "error: --rho 3/2: must lie in (0, 1)",
         ("2499", "1", "8/9"): (
@@ -538,6 +541,51 @@ def test_unprintable_degree_is_refused_before_exact_work(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cpn", "--n", "1559", "--k", "1559", "--json")
     assert code == 2
     assert "integer string limit" in err
+
+
+def test_unprintable_coefficient_is_refused_before_perm(capsys, monkeypatch):
+    # cpn and blowup print c = q/k! = C(2k-1, k) / perm(n+k, k), whose
+    # denominator is at least (n+1)^k / C(2k-1, k).  At a 4000-digit n,
+    # forming perm(n+k, k) first ran for 20 s before the same refusal.
+    def refusal(n, k):
+        return (
+            f"error: --n {n} --k {k}: the result has a number of more than"
+            f" {sys.get_int_max_str_digits()} digits, the integer string limit\n"
+        )
+
+    queries = [("cpn", "1" + "0" * 3999, "1500"), ("cpn", "4500", "1500"), ("blowup", "4500", "1500")]
+    perm = math.perm
+    formed = []
+    monkeypatch.setattr(math, "perm", lambda *a: formed.append(a) or perm(*a))
+    start = time.perf_counter()
+    for command, n, k in queries:
+        assert run_cli(capsys, command, "--n", n, "--k", k) == (2, "", refusal(n, k))
+    assert time.perf_counter() - start < 1.0
+    assert formed == []
+    # The message is the one the value's own printing gives without the test.
+    monkeypatch.setattr(morphism, "require_printable_power", lambda *a: None)
+    for command, n, k in queries[1:]:
+        assert run_cli(capsys, command, "--n", n, "--k", k) == (2, "", refusal(n, k))
+    assert formed != []
+
+
+def test_cpn_refuses_only_unprintable_coefficients(capsys):
+    # Across the test's threshold, a refused query's q/k! truly has a
+    # denominator of more than 4300 digits (counted with the limit lifted).
+    limit = sys.get_int_max_str_digits()
+    outcomes = set()
+    for k, first, step in ((1000, 20000, 24000), (1500, 1500, 300)):
+        for n in range(first, first + 10 * step, step):
+            code, out, err = run_cli(capsys, "cpn", "--n", str(n), "--k", str(k), "--json")
+            sys.set_int_max_str_digits(0)
+            try:
+                digits = len(str((cpn_q(n, k) / math.factorial(k)).denominator))
+            finally:
+                sys.set_int_max_str_digits(limit)
+            assert code == (2 if digits > limit else 0), (n, k, digits)
+            assert ("integer string limit" in err) == (code == 2)
+            outcomes.add(code)
+    assert outcomes == {0, 2}
 
 
 def test_huge_exponents_are_refused_before_expansion(capsys, tmp_path):

@@ -300,28 +300,68 @@ def test_chunk_memory_does_not_grow_with_dimension(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "check",
+    "suite, samples",
     [
-        verify.check_ball_moments,
-        verify.check_cpn_monte_carlo,
-        lambda samples: verify.check_blowup(n_max=2, samples=samples),
+        (lambda: [verify.check_ball_moments(samples=1000)], 1000),
+        (lambda: [verify.check_cpn_monte_carlo(samples=1000)], 1000),
+        (lambda: [verify.check_blowup(n_max=2, samples=1000)], 1000),
+        (lambda: verify.run_all(quick=True), 10**5),
     ],
-    ids=["ball-moments", "cpn-monte-carlo", "blowup"],
+    ids=["ball-moments", "cpn-monte-carlo", "blowup", "run_all"],
 )
-def test_each_mc_check_draws_one_stream_per_dimension(monkeypatch, check):
-    draws = {}
+def test_each_mc_check_draws_one_stream_per_dimension(monkeypatch, suite, samples):
+    # One stream per n, seeded BASE_SEED + 100 n, serves the three Monte Carlo
+    # checks, whether one of them runs alone or the whole suite runs; the
+    # suite adds only mc-determinism's own repeated streams.
+    streams = {}  # id(rng) -> [rng, seed, n, points drawn]; rng kept alive
+    default_rng = np.random.default_rng
+
+    def seeded(seed):
+        rng = default_rng(seed)
+        streams[id(rng)] = [rng, seed, None, 0]
+        return rng
 
     def spy(n, r0, rng, size):
-        draws.setdefault(n, {}).setdefault(id(rng), 0)
-        draws[n][id(rng)] += size
+        stream = streams[id(rng)]
+        assert stream[2] in (None, n)
+        stream[2:] = [n, stream[3] + size]
         return sample_ball(n, r0, rng, size)
 
+    monkeypatch.setattr(np.random, "default_rng", seeded)
     monkeypatch.setattr(montecarlo, "sample_ball", spy)
-    samples = 1000
-    assert check(samples=samples).passed
-    assert {n: list(streams.values()) for n, streams in draws.items()} == {
-        n: [samples] for n in range(1, verify.MC_N_MAX + 1)
-    }
+    monkeypatch.setattr(verify, "sample_ball", spy)
+    results = suite()
+    assert all(result.passed for result in results)
+    expected = [(n, verify.BASE_SEED + 100 * n, samples) for n in range(1, verify.MC_N_MAX + 1)]
+    if len(results) > 1:  # mc-determinism: two estimates and two short draws
+        expected += [(2, verify.BASE_SEED + 3000, 10**5)] * 2
+        expected += [(3, verify.BASE_SEED + 3000, 64)] * 2
+    drawn = [(n, seed, size) for _, seed, n, size in streams.values()]
+    assert sorted(drawn) == sorted(expected)
+
+
+def test_shared_pass_equals_the_oracles_at_its_seeds():
+    # Every estimate of the pass is bit for bit the one its own oracle gives
+    # on the pass's stream, so the ball-moment rows are those of
+    # mc_ball_moment at seed BASE_SEED + 100 n.
+    samples = 3000
+    mc_pass = verify.draw_mc_pass(samples)
+    assert mc_pass.samples == samples
+    rho = float(verify.BLOWUP_RHO)
+    for n in range(1, verify.MC_N_MAX + 1):
+        seed, degrees = verify.BASE_SEED + 100 * n, range(1, n + 1)
+        terms = verify._moment_terms(n)
+        assert mc_pass.ball_moments[n - 1] == mc_ball_moment(n, terms, 1.0, samples, seed)
+        assert mc_pass.cpn[n - 1] == mc_cpn_average(n, degrees, samples, seed)
+        assert mc_pass.blowup[n - 1] == mc_blowup_average(n, degrees, rho, samples, seed)
+
+
+def test_each_check_alone_equals_its_share_of_run_all():
+    suite = {result.name: result for result in verify.run_all(quick=True)}
+    samples = 10**5
+    assert verify.check_ball_moments(samples=samples) == suite["ball-moments"]
+    assert verify.check_cpn_monte_carlo(samples=samples) == suite["cpn-monte-carlo"]
+    assert verify.check_blowup(n_max=4, samples=samples) == suite["blowup"]
 
 
 def test_helper_thread_draws_n_below_the_top_in_n_order():
@@ -345,12 +385,14 @@ class Refused(RuntimeError):
 
 
 def test_helper_thread_exception_is_the_checks_exception(monkeypatch):
+    estimate = montecarlo._estimate
+
     def refuse_n_1(n, *args):
         if n == 1:
             raise Refused(n)
-        return mc_ball_moment(n, *args)
+        return estimate(n, *args)
 
-    monkeypatch.setattr(verify, "mc_ball_moment", refuse_n_1)
+    monkeypatch.setattr(montecarlo, "_estimate", refuse_n_1)
     before = threading.active_count()
     with pytest.raises(Refused, match="^1$"):
         verify.check_ball_moments(samples=1000)
@@ -359,15 +401,16 @@ def test_helper_thread_exception_is_the_checks_exception(monkeypatch):
 
 def test_calling_thread_exception_still_joins_the_helper(monkeypatch):
     finished = []
+    estimate = montecarlo._estimate
 
     def refuse_top(n, *args):
         if n == verify.MC_N_MAX:
             raise Refused(n)
         time.sleep(0.05)  # the helper is still drawing when the caller raises
         finished.append(n)
-        return mc_cpn_average(n, *args)
+        return estimate(n, *args)
 
-    monkeypatch.setattr(verify, "mc_cpn_average", refuse_top)
+    monkeypatch.setattr(montecarlo, "_estimate", refuse_top)
     before = threading.active_count()
     with pytest.raises(Refused, match=f"^{verify.MC_N_MAX}$"):
         verify.check_cpn_monte_carlo(samples=1000)
@@ -423,9 +466,11 @@ def test_every_oracle_refuses_work_above_the_cap_before_drawing(monkeypatch):
 def test_mc_ball_moment_refuses_an_overflowing_volume(refuses):
     # pi^n r0^(2n) / n! is refused when it leaves the float range, and so is
     # an n whose pi^n does, but not when only n! or r0^(2n) alone would.
-    for n, r0 in [(600, 15.2), (100, 1000.0), (700, 1.0)]:
+    for n, r0 in [(600, 15.2), (100, 1000.0)]:
         refuses(lambda: mc_ball_moment(n, [(1, 1)], r0, 10, 0),
                 "the Monte Carlo ball volume overflows a float", n=n, r0=r0)
+    refuses(lambda: mc_ball_moment(700, [(1, 1)], 1.0, 10, 0),
+            "the Monte Carlo scale exceeds the float range (pi enters as pi^700)", n=700)
     for n, r0 in [(171, 1.0), (100, 40.0)]:
         (est,) = mc_ball_moment(n, [(1, 1)], r0, 10, 0)
         assert est.mean > 0

@@ -24,8 +24,11 @@ def test_every_trace_target_resolves():
 
 def test_traced_mc_oracles_see_their_samples(monkeypatch):
     # montecarlo.<oracle>.samples_per_s counts the `samples` argument that the
-    # traced spans read from each mc_* call; a verify check that stopped
-    # calling an oracle, or called it without `samples`, would report 0.
+    # traced spans read from each mc_* call.  verify's three Monte Carlo
+    # checks call no oracle: they read one pass, drawn through
+    # montecarlo._estimate, that the trace sees as sample_ball spans only,
+    # one stream of `samples` points per n.  The oracle spans see the rest of
+    # the suite, mc-determinism's two mc_ball_moment calls.
     namespace = runpy.run_path(str(TRACE_CHILD))
     from weincalc import montecarlo, verify
 
@@ -35,14 +38,19 @@ def test_traced_mc_oracles_see_their_samples(monkeypatch):
         info_of = namespace["_info_function"](f"montecarlo.{name}", original)
 
         def traced(*args, **kwargs):
-            seen.setdefault(name, []).append(info_of(args, kwargs)["samples"])
+            if name == "sample_ball":
+                n, size = args[0], args[3]
+                seen.setdefault(name, {}).setdefault(n, 0)
+                seen[name][n] += size
+            else:
+                seen.setdefault(name, []).append(info_of(args, kwargs)["samples"])
             return original(*args, **kwargs)
 
         return traced
 
-    oracles = ("mc_ball_moment", "mc_cpn_average", "mc_blowup_average")
+    targets = ("mc_ball_moment", "mc_cpn_average", "mc_blowup_average", "sample_ball")
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "weincalc"]
-    for name in oracles:
+    for name in targets:
         original = getattr(montecarlo, name)
         traced = spy(name, original)
         for module in modules:
@@ -50,7 +58,12 @@ def test_traced_mc_oracles_see_their_samples(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, key, traced)
     samples = 200
-    verify.check_ball_moments(samples=samples)
-    verify.check_cpn_monte_carlo(samples=samples)
-    verify.check_blowup(n_max=2, samples=samples)
-    assert seen == {name: [samples] * verify.MC_N_MAX for name in oracles}
+    mc_pass = verify.draw_mc_pass(samples)
+    verify.check_ball_moments(samples=samples, mc_pass=mc_pass)
+    verify.check_cpn_monte_carlo(samples=samples, mc_pass=mc_pass)
+    verify.check_blowup(n_max=2, samples=samples, mc_pass=mc_pass)
+    assert seen == {"sample_ball": {n: samples for n in range(1, verify.MC_N_MAX + 1)}}
+    seen.clear()
+    verify.check_mc_determinism(samples=samples)
+    assert seen.pop("mc_ball_moment") == [samples, samples]
+    assert list(seen) == ["sample_ball"]  # its own short draws
