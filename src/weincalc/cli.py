@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from math import factorial
 
 from . import combinatorics, verify
-from .exactarith import ParameterError, factorial, format_rational, parse_rational
+from .exactarith import format_rational, parse_rational, pi_power
 from .morphism import (
     ManifoldDescriptor,
     SelfCheckError,
@@ -69,14 +69,7 @@ def _cmd_blowup(args) -> int:
     if args.rho is not None:  # refused before the value is built
         rho = parse_rational(args.rho)
         coeff = blowup_at_weight(args.n, args.k, rho)
-        try:
-            pi_k = math.pi**args.k
-        except OverflowError:
-            raise ParameterError(
-                f"the value at the weight exceeds the float range (pi enters as pi^{args.k})",
-                k=args.k,
-                rho=rho,
-            ) from None
+        pi_k = pi_power(k=args.k)
         at_rho = {
             "rho": format_rational(rho),
             "x": format_rational(rho * rho),

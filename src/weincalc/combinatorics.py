@@ -24,8 +24,7 @@ from functools import lru_cache
 
 from .exactarith import (
     ParameterError,
-    binomial,
-    factorial,
+    pi_power,
     require_moment,
     require_positive,
     require_radius,
@@ -53,7 +52,7 @@ def moment_sum_bruteforce(k: int, l: int) -> int:
     for i in range(2, k + 1):
         df[i] = df[i - 1] * (2 * i - 1)
     # step[r][i]: factor of a slot taking i of r units.
-    step = [[binomial(r, i) * df[i] for i in range(r + 1)] for r in range(k + 1)]
+    step = [[math.comb(r, i) * df[i] for i in range(r + 1)] for r in range(k + 1)]
     # A one-slot tail takes all r units, with C(r, r) = 1; each pass puts one
     # more slot in front of it.
     tail = [[df[r]] for r in range(k + 1)]
@@ -81,7 +80,7 @@ def moment_sum_bruteforce(k: int, l: int) -> int:
 def moment_sum_closed(k: int, l: int) -> int:
     """S(k, l) = 2^k * k! * C(k+l-1, k)."""
     require_positive(k=k, l=l)
-    return 2**k * factorial(k) * binomial(k + l - 1, k)
+    return 2**k * math.factorial(k) * math.comb(k + l - 1, k)
 
 
 def ball_moment_exact(n: int, l: int, k: int) -> tuple[Fraction, int]:
@@ -95,7 +94,7 @@ def ball_moment_exact(n: int, l: int, k: int) -> tuple[Fraction, int]:
     radius-r0 ball the coefficient gains the factor r0^(2(n+k)).
     """
     require_moment(n, l, k)
-    return Fraction(binomial(k + l - 1, k), math.perm(n + k, n)), n
+    return Fraction(math.comb(k + l - 1, k), math.perm(n + k, n)), n
 
 
 def ball_moment(n: int, l: int, k: int, r0: Fraction) -> tuple[Fraction, Fraction, float]:
@@ -104,17 +103,12 @@ def ball_moment(n: int, l: int, k: int, r0: Fraction) -> tuple[Fraction, Fractio
     coeff * pi^n with coeff = ball_moment_exact's times r0^(2(n+k)).
 
     Every rule of the `moment` value runs here, in this order: n >= 1,
-    1 <= l <= n and k >= 1; r0 > 0; pi^n inside the float range, before any exact work,
-    whose size grows with n; the printable r0^(2(n+k)) (DigitLimitError);
-    and the float value inside the float range."""
+    1 <= l <= n and k >= 1; r0 > 0; pi^n inside the float range (pi_power),
+    before any exact work, whose size grows with n; the printable
+    r0^(2(n+k)) (DigitLimitError); and the float value inside the float range."""
     require_moment(n, l, k)
     require_radius(r0)
-    try:
-        pi_n = math.pi**n
-    except OverflowError:
-        raise ParameterError(
-            f"the moment exceeds the float range (pi enters as pi^{n})", n=n
-        ) from None
+    pi_n = pi_power(n=n)
     base, _ = ball_moment_exact(n, l, k)
     r0_exp = 2 * (n + k)
     coeff = times_power(base, r0, r0_exp)

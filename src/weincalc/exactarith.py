@@ -3,11 +3,13 @@ that every module checks its inputs against.
 
 Every identity check and lattice decision downstream must be a genuine
 decision procedure, so the arithmetic here is integer and ``Fraction`` only.
-The one float is ``times_pi_power``, the rendering of an exact
-``coeff * pi^e`` that the commands print and the Monte Carlo oracles and
-checks use; no identity check or lattice decision reads it.
-Each parameter rule has one ``require_*`` helper and one message text; the
-helpers compare whatever number they are given, so the exact routes and the
+The one float is ``coeff * pi^e``, every value the morphism takes being a
+rational times a power of pi: ``pi_power`` forms pi^e, refused above the
+float range, and ``times_pi_power`` renders the product that the commands
+print and the Monte Carlo oracles and checks use; no identity check or
+lattice decision reads it.
+Each parameter rule has one helper (``require_*``, or ``pi_power`` for the
+float range) and one message text; the helpers compare whatever number they are given, so the exact routes and the
 Monte Carlo oracles share them.  Every parameter rule raises ParameterError,
 with the parameters at fault in its `params` and none in its text.
 """
@@ -113,6 +115,16 @@ def times_power(base: Fraction, r: Fraction, e: int) -> Fraction:
     return base * r**e
 
 
+def pi_power(**exponent: int) -> float:
+    """pi^e for the one named exponent e, refused with ParameterError naming
+    it when pi^e is above the float range."""
+    ((_, e),) = exponent.items()
+    try:
+        return math.pi**e
+    except OverflowError:
+        raise ParameterError(f"pi^{e} exceeds the float range", **exponent) from None
+
+
 def times_pi_power(coeff: Fraction, pi_power: float) -> float:
     """The float of coeff * pi^e, given pi_power = pi^e: float(coeff) *
     pi_power, bit for bit wherever both are normal floats, with the binary
@@ -125,13 +137,6 @@ def times_pi_power(coeff: Fraction, pi_power: float) -> float:
     return math.ldexp(mantissa * pi_power, e)
 
 
-def factorial(n: int) -> int:
-    """n! as an exact integer."""
-    if n < 0:
-        raise ValueError(f"factorial requires n >= 0, got {n}")
-    return math.factorial(n)
-
-
 def double_factorial_odd(i: int) -> int:
     """(2i-1)!! = 1*3*5*...*(2i-1), with the convention (2*0-1)!! = 1."""
     if i < 0:
@@ -140,13 +145,6 @@ def double_factorial_odd(i: int) -> int:
     for odd in range(3, 2 * i, 2):
         out *= odd
     return out
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k); zero when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial requires n, k >= 0, got n={n}, k={k}")
-    return math.comb(n, k)
 
 
 def multinomial(k: int, parts: Sequence[int]) -> int:

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING
 
 from .exactarith import (
     ParameterError,
+    pi_power,
     require_moment,
     require_positive,
     require_radius,
@@ -215,12 +216,7 @@ def ball_moment_integrands(
     for l, k in terms:
         require_moment(n, l, k)
     require_radius(r0)
-    try:
-        pi_n = math.pi**n  # refused before n! is formed
-    except OverflowError:
-        raise ParameterError(
-            f"the Monte Carlo scale exceeds the float range (pi enters as pi^{n})", n=n
-        ) from None
+    pi_n = pi_power(n=n)  # refused before n! is formed
     try:
         volume = times_pi_power(Fraction(r0) ** (2 * n) / math.factorial(n), pi_n)
     except OverflowError:
@@ -238,7 +234,8 @@ def mc_ball_moment(
 
 def _generator(k: int) -> float:
     """The float of pi^k/k!, the period lattice generator of CP^n."""
-    return times_pi_power(Fraction(1, math.factorial(k)), math.pi**k)
+    pi_k = pi_power(k=k)  # refused before k! is formed
+    return times_pi_power(Fraction(1, math.factorial(k)), pi_k)
 
 
 def cpn_integrands(n: int, degrees: Sequence[int]) -> list[tuple[int, int, float, float]]:

@@ -29,8 +29,6 @@ from . import combinatorics
 from .exactarith import (
     DigitLimitError,
     ParameterError,
-    binomial,
-    factorial,
     format_rational,
     parse_rational,
     require_positive,
@@ -92,7 +90,7 @@ def cpn_q(n: int, k: int) -> Fraction:
     the morphism on the standard unitary generator of degree 2k-1."""
     require_within(n, k=k)
     # n!/(n+k)! as 1/perm(n+k, k): n! itself is never formed.
-    return Fraction(factorial(k) * binomial(2 * k - 1, k), math.perm(n + k, k))
+    return Fraction(math.factorial(k) * math.comb(2 * k - 1, k), math.perm(n + k, k))
 
 
 def cpn_weinstein_raw(n: int, k: int) -> Fraction:
@@ -106,7 +104,7 @@ def cpn_weinstein_raw(n: int, k: int) -> Fraction:
 def cpn_lattice(k: int) -> Lattice:
     """Degree-2k period lattice of CP^n: the single generator pi^k/k!."""
     require_positive(k=k)
-    return Lattice([(Fraction(1, factorial(k)), k, 0)])
+    return Lattice([(Fraction(1, math.factorial(k)), k, 0)])
 
 
 def _checked_q(n: int, k: int, alone: bool = True) -> Fraction:
@@ -121,7 +119,7 @@ def _checked_q(n: int, k: int, alone: bool = True) -> Fraction:
     require_within(n, k=k)
     require_printable_factorial(k)
     if alone:
-        require_printable_power(n + 1, k, binomial(2 * k - 1, k))
+        require_printable_power(n + 1, k, math.comb(2 * k - 1, k))
     q = cpn_q(n, k)
     if k <= RAW_CHECK_MAX_K:
         raw = cpn_weinstein_raw(n, k)
@@ -138,7 +136,7 @@ def cpn_weinstein(n: int, k: int, alone: bool = True) -> CosetValue:
     product, where a class can cancel the denominator of q/k!, that
     denominator is not tested against the digit limit."""
     q = _checked_q(n, k, alone)
-    value = PiGradedValue.monomial(q / factorial(k), k, 0)
+    value = PiGradedValue.monomial(q / math.factorial(k), k, 0)
     return CosetValue(value, cpn_lattice(k))
 
 
@@ -158,7 +156,7 @@ def _blowup_step(n: int, k: int) -> int:
 def blowup_lattice(k: int) -> Lattice:
     """Degree-2k period lattice of the one-point blow-up of CP^n: the CP^n
     lattice plus Z*(pi^k x^k / k!), that is <pi^k/k!, pi^k x^k/k!>."""
-    generator = Fraction(1, factorial(k))
+    generator = Fraction(1, math.factorial(k))
     return Lattice([(generator, k, 0), (generator, k, k)])
 
 
@@ -180,7 +178,7 @@ def blowup_weinstein(n: int, k: int) -> CosetValue:
     computed order is Finite(2); see blowup_flags.
     """
     g = _blowup_step(n, k)  # the term cap, before any exact work
-    c = _checked_q(n, k) / factorial(k)
+    c = _checked_q(n, k) / math.factorial(k)
     f = RatFuncQ._of(
         PolyQ._of(dict.fromkeys(range(0, n + k, g), c)),
         PolyQ._of(dict.fromkeys(range(0, n, g), Fraction(1))),
@@ -195,7 +193,7 @@ def blowup_at_weight(n: int, k: int, rho: Fraction) -> Fraction:
     reduced numerator must exceed the integer string limit."""
     g = _blowup_step(n, k)  # bounds n before the exact work of _checked_q
     require_weight(rho)
-    c = _checked_q(n, k, alone=False) / factorial(k)  # the weight's factor can cancel den(c)
+    c = _checked_q(n, k, alone=False) / math.factorial(k)  # the weight's factor can cancel den(c)
     x = rho * rho
     # For x = a/b the reduced numerator is at least b^(n+k-g) / den(c).
     require_printable_power(x.denominator, n + k - g, c.denominator)
@@ -408,10 +406,10 @@ def product_cpn_lattice(n: int, k: int, m_desc: ManifoldDescriptor) -> Lattice:
     Degrees missing from the descriptor contribute nothing.
     """
     require_within(n, k=k)
-    gens: list[tuple[Fraction, int, int]] = [(Fraction(1, factorial(k)), k, 0)]
+    gens: list[tuple[Fraction, int, int]] = [(Fraction(1, math.factorial(k)), k, 0)]
     for j in range(1, k + 1):
         for p in m_desc.periods.get(2 * j, ()):
-            gens.append((p / factorial(k - j), k - j, 0))
+            gens.append((p / math.factorial(k - j), k - j, 0))
     return Lattice(gens)
 
 

@@ -10,10 +10,10 @@ run exactly this suite.
 All seeds are fixed so that repeated runs produce identical output.  The
 three Monte Carlo checks (ball-moments, cpn-monte-carlo and blowup) share one
 pass: one seeded sample stream per ball dimension n, on which every row of
-that n of all three checks is estimated (draw_mc_pass).  run_all draws the
-pass once and hands each check its share; a check called alone draws the
-whole pass itself.  The pass draws its streams on two threads, one helper
-for n < MC_N_MAX and the calling thread for MC_N_MAX, and joins the helper
+that n of all three checks is estimated (draw_mc_pass).  Each of the three
+takes the pass it reads, and run_all draws it once and hands it to all
+three.  The pass draws its streams on two threads, one helper for
+n < MC_N_MAX and the calling thread for MC_N_MAX, and joins the helper
 before any row is built; every stream has its own generator, so the threads
 change no bit of any estimate.
 """
@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import TypeVar
 
 from . import combinatorics, montecarlo
-from .exactarith import ParameterError, format_rational, require_positive, times_pi_power
+from .exactarith import ParameterError, format_rational, pi_power, require_positive, times_pi_power
 from .montecarlo import (
     McEstimate,
     ball_moment_integrands,
@@ -180,10 +180,10 @@ def check_moment_sums(k_max: int = 6) -> CheckResult:
     )
 
 
-def check_ball_moments(samples: int = 10**6, mc_pass: McPass | None = None) -> CheckResult:
+def check_ball_moments(mc_pass: McPass) -> CheckResult:
     """Exact moment formula against frozen quadrature spots, then Monte Carlo
     against the exact value on the (n <= 3, l <= n, k <= 3) grid, read from
-    `mc_pass`, a pass of `samples` points drawn here if none is given."""
+    `mc_pass`."""
     ok = True
     spots = []
     for (n, l, k), (coeff, pi_exp) in sorted(MOMENT_SPOT_VALUES.items()):
@@ -200,12 +200,11 @@ def check_ball_moments(samples: int = 10**6, mc_pass: McPass | None = None) -> C
                 "ok": match,
             }
         )
-    mc_pass = mc_pass or draw_mc_pass(samples)
     mc_rows = []
     for n, estimates in enumerate(mc_pass.ball_moments, start=1):
         for (l, k), est in zip(_moment_terms(n), estimates):
             coeff, pi_exp = combinatorics.ball_moment_exact(n, l, k)
-            exact = times_pi_power(coeff, math.pi**pi_exp)
+            exact = times_pi_power(coeff, pi_power(n=pi_exp))
             mc_rows.append(mc_row({"n": n, "l": l, "k": k}, est, exact))
     ok &= all(row["ok"] for row in mc_rows)
     return CheckResult(
@@ -257,14 +256,13 @@ def check_cpn_exact(n_max: int = 8) -> CheckResult:
     )
 
 
-def check_cpn_monte_carlo(samples: int = 10**6, mc_pass: McPass | None = None) -> CheckResult:
+def check_cpn_monte_carlo(mc_pass: McPass) -> CheckResult:
     """Monte Carlo trace-volume average against q(n,k) pi^k/k!, read from
-    `mc_pass`, a pass of `samples` points drawn here if none is given."""
-    mc_pass = mc_pass or draw_mc_pass(samples)
+    `mc_pass`."""
     rows = []
     for n, estimates in enumerate(mc_pass.cpn, start=1):
         for k, est in enumerate(estimates, start=1):
-            exact = times_pi_power(cpn_q(n, k) / math.factorial(k), math.pi**k)
+            exact = times_pi_power(cpn_q(n, k) / math.factorial(k), pi_power(k=k))
             rows.append(mc_row({"n": n, "k": k}, est, exact))
     ok = all(row["ok"] for row in rows)
     return CheckResult(
@@ -272,17 +270,14 @@ def check_cpn_monte_carlo(samples: int = 10**6, mc_pass: McPass | None = None) -
     )
 
 
-def check_blowup(
-    n_max: int = 8, samples: int = 10**6, mc_pass: McPass | None = None
-) -> CheckResult:
+def check_blowup(mc_pass: McPass, n_max: int = 8) -> CheckResult:
     """Blow-up suite for all k <= n <= n_max: the value against the Euclidean
     reduction of c (1 - x^(n+k)) / (1 - x^n) with c = q(n,k)/k!, infinite
     order for every k < n, the flagged Finite(2) at k = n, the x -> 0
     degeneration to the CP^n value, and Monte Carlo at weight BLOWUP_RHO
     against blowup_at_weight, the closed form `blowup --rho` prints (the exact
-    rows tie it to the printed value), read from `mc_pass`, a pass of
-    `samples` points drawn here if none is given.  A self-check refusal
-    fails its row."""
+    rows tie it to the printed value), read from `mc_pass`.  A self-check
+    refusal fails its row."""
     ok = True
     rows = []
     for n in range(1, n_max + 1):
@@ -317,13 +312,12 @@ def check_blowup(
                     "ok": good,
                 }
             )
-    mc_pass = mc_pass or draw_mc_pass(samples)
     mc_rows = []
     for n, estimates in enumerate(mc_pass.blowup, start=1):
         for k, est in enumerate(estimates, start=1):
             params = {"n": n, "k": k, "rho": format_rational(BLOWUP_RHO)}
             try:
-                exact = times_pi_power(blowup_at_weight(n, k, BLOWUP_RHO), math.pi**k)
+                exact = times_pi_power(blowup_at_weight(n, k, BLOWUP_RHO), pi_power(k=k))
             except SelfCheckError as exc:
                 mc_rows.append({**params, "error": str(exc), "ok": False})
                 continue
@@ -694,10 +688,10 @@ def run_all(quick: bool = False) -> list[CheckResult]:
     return [
         check_identity_suite(k_max=k_cap),
         check_moment_sums(k_max=min(k_cap, 6)),
-        check_ball_moments(samples=samples, mc_pass=mc_pass),
+        check_ball_moments(mc_pass),
         check_cpn_exact(n_max=n_cap),
-        check_cpn_monte_carlo(samples=samples, mc_pass=mc_pass),
-        check_blowup(n_max=n_cap, samples=samples, mc_pass=mc_pass),
+        check_cpn_monte_carlo(mc_pass),
+        check_blowup(mc_pass, n_max=n_cap),
         check_product(n_max=min(n_cap, 5)),
         check_decision_procedures(),
         check_mc_determinism(samples=min(samples, 10**5)),

@@ -6,12 +6,12 @@ wall-clock measurements of the criterion body alone.
 """
 
 import json
+import math
 import time
 
 from weincalc import verify
 from weincalc.cli import main
 from weincalc.combinatorics import moment_sum_bruteforce
-from weincalc.exactarith import binomial, factorial
 
 
 def timed(fn):
@@ -33,7 +33,7 @@ def test_criterion_1_identity_suite():
     # S_k brute force equals 2^k k! C(2k-1, k) exactly for 1 <= k <= 7.
     def body():
         return all(
-            moment_sum_bruteforce(k, k) == 2**k * factorial(k) * binomial(2 * k - 1, k)
+            moment_sum_bruteforce(k, k) == 2**k * math.factorial(k) * math.comb(2 * k - 1, k)
             for k in range(1, 8)
         )
 
@@ -45,7 +45,7 @@ def test_criterion_2_general_moment_sums():
     # Brute force equals 2^k k! C(k+l-1, k) exactly for 1 <= k, l <= 6.
     def body():
         return all(
-            moment_sum_bruteforce(k, l) == 2**k * factorial(k) * binomial(k + l - 1, k)
+            moment_sum_bruteforce(k, l) == 2**k * math.factorial(k) * math.comb(k + l - 1, k)
             for k in range(1, 7)
             for l in range(1, 7)
         )
@@ -57,7 +57,7 @@ def test_criterion_2_general_moment_sums():
 def test_criterion_3_ball_moments():
     # Exact spot values pi/2, pi^2/6, pi/3, plus 10^6-sample Monte Carlo
     # within 4 standard errors on the whole n <= 3, l <= n, k <= 3 grid.
-    result, elapsed = timed(lambda: verify.check_ball_moments(samples=10**6))
+    result, elapsed = timed(lambda: verify.check_ball_moments(verify.draw_mc_pass(10**6)))
     report("criterion-3 ball moments (exact spots + MC grid)", result.passed, elapsed, 120.0)
 
 
@@ -71,7 +71,7 @@ def test_criterion_4_cpn_exact_suite():
 
 def test_criterion_5_cpn_monte_carlo():
     # 10^6-sample morphism average within 4 sigma of q(n,k) pi^k/k!, n <= 3.
-    result, elapsed = timed(lambda: verify.check_cpn_monte_carlo(samples=10**6))
+    result, elapsed = timed(lambda: verify.check_cpn_monte_carlo(verify.draw_mc_pass(10**6)))
     report("criterion-5 CP^n Monte Carlo (n <= 3)", result.passed, elapsed, 120.0)
 
 
@@ -79,7 +79,7 @@ def test_criterion_6_blowup():
     # Infinite order for all 1 <= k < n <= 8; x -> 0 degeneration equals the
     # CP^n value exactly; MC at rho = 1/2 within 4 sigma for n <= 3; and the
     # k = n case computes Finite(2) with the inconsistency flag set.
-    result, elapsed = timed(lambda: verify.check_blowup(n_max=8, samples=10**6))
+    result, elapsed = timed(lambda: verify.check_blowup(verify.draw_mc_pass(10**6), n_max=8))
     flagged = [
         row
         for row in result.details["rows"]

@@ -241,9 +241,7 @@ def test_moment_tests_float_range_before_exact_work(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "moment", "--n", "1000000", "--l", "1", "--k", "1")
     assert code == 2
     assert out == ""
-    assert err == (
-        "error: --n 1000000: the moment exceeds the float range (pi enters as pi^1000000)\n"
-    )
+    assert err == "error: --n 1000000: pi^1000000 exceeds the float range\n"
 
 
 def test_moment_mc_keeps_the_standard_error_of_a_tiny_moment(capsys):
@@ -352,8 +350,9 @@ DIGITS = (
 @pytest.mark.parametrize(
     "argv, message",
     [
-        ("moment --n 700 --l 1 --k 1",
-         "--n 700: the moment exceeds the float range (pi enters as pi^700)"),
+        ("moment --n 700 --l 1 --k 1", "--n 700: pi^700 exceeds the float range"),
+        ("moment --n 700 --l 1 --k 1 --mc --samples 10",
+         "--n 700: pi^700 exceeds the float range"),
         ("moment --n 5 --l 1 --k 1 --r0 54700000000000000000000000",
          "--r0 54700000000000000000000000: the moment exceeds the float range"
          " (r0 enters as r0^12)"),
@@ -375,9 +374,7 @@ DIGITS = (
         ("blowup --n 3 --k 1 --rho 3/2", "--rho 3/2: must lie in (0, 1)"),
         ("blowup --n 10000000 --k 1",
          "--n 10000000 --k 1: the reduced value has 20000001 terms, more than 5000"),
-        ("blowup --n 700 --k 650 --rho 1/2",
-         "--k 650 --rho 1/2: the value at the weight exceeds the float range"
-         " (pi enters as pi^650)"),
+        ("blowup --n 700 --k 650 --rho 1/2", "--k 650: pi^650 exceeds the float range"),
         ("blowup --n 2499 --k 1 --rho 8/9", f"--n 2499 --k 1 --rho 8/9: {DIGITS}"),
         ("product --n 3 --k 2 --manifold {sphere}",
          "--k 2: must be <= 1, half the descriptor dimension 2"),
@@ -394,7 +391,7 @@ def test_blowup_rejects_overflowing_degree_at_weight(capsys):
     code, out, err = run_cli(capsys, "blowup", "--n", "700", "--k", "650", "--rho", "1/2")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: --k 650 --rho 1/2:")
+    assert err.startswith("error: --k 650:")
     assert "float range" in err
     assert "Traceback" not in err
 
@@ -436,10 +433,7 @@ def test_blowup_refuses_rho_before_building_the_value(capsys, monkeypatch):
     monkeypatch.setattr(cli, "blowup_weinstein", lambda *a: built.append(a))
     limit = sys.get_int_max_str_digits()
     refusals = {
-        ("1558", "1557", "1/2"): (
-            "error: --k 1557 --rho 1/2: the value at the weight exceeds the float range"
-            " (pi enters as pi^1557)"
-        ),
+        ("1558", "1557", "1/2"): "error: --k 1557: pi^1557 exceeds the float range",
         ("2499", "1", "3/2"): "error: --rho 3/2: must lie in (0, 1)",
         ("2499", "1", "8/9"): (
             f"error: --n 2499 --k 1 --rho 8/9: the result has a number of more than {limit}"
@@ -459,7 +453,7 @@ def test_blowup_refuses_rho_before_building_the_value(capsys, monkeypatch):
 
 def test_blowup_weight_and_verify_share_one_value(capsys):
     # verify's Monte Carlo rows compare against the float that --rho prints.
-    rows = verify.check_blowup(n_max=3, samples=200).details["monte_carlo"]
+    rows = verify.check_blowup(verify.draw_mc_pass(200), n_max=3).details["monte_carlo"]
     assert [(row["n"], row["k"]) for row in rows] == [
         (n, k) for n in range(1, 4) for k in range(1, n + 1)
     ]

@@ -10,46 +10,14 @@ from hypothesis import strategies as st
 
 from weincalc.exactarith import (
     DigitLimitError,
-    binomial,
     double_factorial_odd,
-    factorial,
     format_rational,
     multinomial,
     parse_rational,
+    pi_power,
     require_printable_factorial,
     times_power,
 )
-
-
-def repeated_product(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def pascal_triangle(rows: int) -> list[list[int]]:
-    tri = [[1]]
-    for _ in range(rows):
-        prev = tri[-1]
-        tri.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-    return tri
-
-
-def test_factorial_examples():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(12) == repeated_product(12) == 479001600
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
-
-
-@given(st.integers(min_value=1, max_value=60))
-def test_factorial_recurrence(n):
-    assert factorial(n) == n * factorial(n - 1)
 
 
 def test_double_factorial_examples():
@@ -65,33 +33,13 @@ def test_double_factorial_examples():
 @given(st.integers(min_value=0, max_value=40))
 def test_double_factorial_identity(i):
     # (2i-1)!! * 2^i * i! == (2i)!
-    assert double_factorial_odd(i) * 2**i * factorial(i) == factorial(2 * i)
-
-
-def test_binomial_examples():
-    assert binomial(3, 2) == 3
-    for n in range(8):
-        assert binomial(n, 0) == 1
-    tri = pascal_triangle(10)
-    assert binomial(10, 5) == tri[10][5] == 252
-
-
-def test_binomial_above_diagonal_is_zero():
-    assert binomial(3, 5) == 0
-    assert binomial(0, 1) == 0
-
-
-@given(st.integers(0, 12), st.integers(0, 12))
-def test_binomial_matches_pascal(n, k):
-    tri = pascal_triangle(12)
-    expected = tri[n][k] if k <= n else 0
-    assert binomial(n, k) == expected
+    assert double_factorial_odd(i) * 2**i * math.factorial(i) == math.factorial(2 * i)
 
 
 def test_multinomial_examples():
     assert multinomial(2, [1, 1, 0, 0]) == 2
     assert multinomial(2, [2, 0, 0, 0]) == 1
-    assert multinomial(4, [2, 1, 1]) == factorial(4) // (factorial(2) * factorial(1) * factorial(1)) == 12
+    assert multinomial(4, [2, 1, 1]) == math.factorial(4) // math.factorial(2) == 12
 
 
 def test_multinomial_rejects_bad_sum():
@@ -174,6 +122,15 @@ def test_times_power_refuses_only_unprintable_results(base, r):
 
 def test_times_power_never_refuses_a_unit_radius():
     assert times_power(Fraction(1, 7), Fraction(1), 10**12) == Fraction(1, 7)
+
+
+def test_pi_power_refuses_only_above_the_float_range(refuses):
+    # pi^620 is about 1.7e308, the last power of pi below the float maximum.
+    for e in (1, 2, 300, 620):
+        assert pi_power(n=e) == math.pi**e
+    assert math.pi**620 * math.pi > sys.float_info.max
+    for name, e in (("n", 621), ("k", 650), ("n", 10**6)):
+        refuses(lambda: pi_power(**{name: e}), f"pi^{e} exceeds the float range", **{name: e})
 
 
 def test_printable_factorial_refuses_only_unprintable_factorials():

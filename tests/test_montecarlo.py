@@ -302,17 +302,17 @@ def test_chunk_memory_does_not_grow_with_dimension(monkeypatch):
 @pytest.mark.parametrize(
     "suite, samples",
     [
-        (lambda: [verify.check_ball_moments(samples=1000)], 1000),
-        (lambda: [verify.check_cpn_monte_carlo(samples=1000)], 1000),
-        (lambda: [verify.check_blowup(n_max=2, samples=1000)], 1000),
+        (lambda: [verify.check_ball_moments(verify.draw_mc_pass(1000))], 1000),
+        (lambda: [verify.check_cpn_monte_carlo(verify.draw_mc_pass(1000))], 1000),
+        (lambda: [verify.check_blowup(verify.draw_mc_pass(1000), n_max=2)], 1000),
         (lambda: verify.run_all(quick=True), 10**5),
     ],
     ids=["ball-moments", "cpn-monte-carlo", "blowup", "run_all"],
 )
 def test_each_mc_check_draws_one_stream_per_dimension(monkeypatch, suite, samples):
     # One stream per n, seeded BASE_SEED + 100 n, serves the three Monte Carlo
-    # checks, whether one of them runs alone or the whole suite runs; the
-    # suite adds only mc-determinism's own repeated streams.
+    # checks: each reads the pass it is given and draws no stream of its own,
+    # and the suite adds only mc-determinism's own repeated streams.
     streams = {}  # id(rng) -> [rng, seed, n, points drawn]; rng kept alive
     default_rng = np.random.default_rng
 
@@ -358,10 +358,10 @@ def test_shared_pass_equals_the_oracles_at_its_seeds():
 
 def test_each_check_alone_equals_its_share_of_run_all():
     suite = {result.name: result for result in verify.run_all(quick=True)}
-    samples = 10**5
-    assert verify.check_ball_moments(samples=samples) == suite["ball-moments"]
-    assert verify.check_cpn_monte_carlo(samples=samples) == suite["cpn-monte-carlo"]
-    assert verify.check_blowup(n_max=4, samples=samples) == suite["blowup"]
+    mc_pass = verify.draw_mc_pass(10**5)
+    assert verify.check_ball_moments(mc_pass) == suite["ball-moments"]
+    assert verify.check_cpn_monte_carlo(mc_pass) == suite["cpn-monte-carlo"]
+    assert verify.check_blowup(mc_pass, n_max=4) == suite["blowup"]
 
 
 def test_helper_thread_draws_n_below_the_top_in_n_order():
@@ -395,7 +395,7 @@ def test_helper_thread_exception_is_the_checks_exception(monkeypatch):
     monkeypatch.setattr(montecarlo, "_estimate", refuse_n_1)
     before = threading.active_count()
     with pytest.raises(Refused, match="^1$"):
-        verify.check_ball_moments(samples=1000)
+        verify.check_ball_moments(verify.draw_mc_pass(1000))
     assert threading.active_count() == before
 
 
@@ -413,7 +413,7 @@ def test_calling_thread_exception_still_joins_the_helper(monkeypatch):
     monkeypatch.setattr(montecarlo, "_estimate", refuse_top)
     before = threading.active_count()
     with pytest.raises(Refused, match=f"^{verify.MC_N_MAX}$"):
-        verify.check_cpn_monte_carlo(samples=1000)
+        verify.check_cpn_monte_carlo(verify.draw_mc_pass(1000))
     assert finished == list(range(1, verify.MC_N_MAX))
     assert threading.active_count() == before
 
@@ -440,6 +440,10 @@ def test_parameter_validation(refuses):
             l=2, n=1)
     refuses(lambda: mc_blowup_average(2, [1, 3], 0.5, 10, 0), "must satisfy 1 <= k <= n",
             k=3, n=2)
+    # pi^k/k! is finite at k = 650, but pi^650 alone is not.
+    refuses(lambda: mc_cpn_average(700, [650], 10, 0), "pi^650 exceeds the float range", k=650)
+    refuses(lambda: mc_blowup_average(700, [1, 650], 0.5, 10, 0),
+            "pi^650 exceeds the float range", k=650)
     for m in (3, 0):
         refuses(lambda: montecarlo._estimate(2, 1.0, [(1, 1, 0.0, 1.0), (m, 1, 0.0, 1.0)], 10, 0),
                 "must satisfy 1 <= m <= n", m=m, n=2)
@@ -470,7 +474,7 @@ def test_mc_ball_moment_refuses_an_overflowing_volume(refuses):
         refuses(lambda: mc_ball_moment(n, [(1, 1)], r0, 10, 0),
                 "the Monte Carlo ball volume overflows a float", n=n, r0=r0)
     refuses(lambda: mc_ball_moment(700, [(1, 1)], 1.0, 10, 0),
-            "the Monte Carlo scale exceeds the float range (pi enters as pi^700)", n=700)
+            "pi^700 exceeds the float range", n=700)
     for n, r0 in [(171, 1.0), (100, 40.0)]:
         (est,) = mc_ball_moment(n, [(1, 1)], r0, 10, 0)
         assert est.mean > 0

@@ -1,12 +1,13 @@
 """Morphism values: CP^n, blow-up, products, descriptors."""
 
+import math
 import re
 from fractions import Fraction
 
 import pytest
 
 from weincalc import combinatorics, morphism
-from weincalc.exactarith import DigitLimitError, ParameterError, factorial
+from weincalc.exactarith import DigitLimitError, ParameterError
 from weincalc.morphism import (
     FINITE_ORDER_AT_TOP_DEGREE,
     DescriptorError,
@@ -140,7 +141,7 @@ def test_blowup_specializes_to_cpn_at_zero():
         for k in range(1, n + 1):
             f = blowup_weinstein(n, k).value.components[k]
             # f(0) is the ratio of the constant terms
-            assert f.num.terms[0] / f.den.terms[0] == cpn_q(n, k) / factorial(k)
+            assert f.num.terms[0] / f.den.terms[0] == cpn_q(n, k) / math.factorial(k)
 
 
 def test_blowup_at_weight_is_the_value_at_rho_squared(refuses):
@@ -171,7 +172,7 @@ def test_blowup_flags_only_at_top_degree():
 def test_verify_blowup_rows_check_the_reduced_form(monkeypatch):
     from weincalc import morphism, verify
 
-    result = verify.check_blowup(n_max=5, samples=200)
+    result = verify.check_blowup(verify.draw_mc_pass(200), n_max=5)
     assert result.passed
     assert all(row["reduced_form_matches"] for row in result.details["rows"])
 
@@ -185,7 +186,7 @@ def test_verify_blowup_rows_check_the_reduced_form(monkeypatch):
         return morphism.CosetValue(PiGradedValue({k: g}), cv.lattice)
 
     monkeypatch.setattr(verify, "blowup_weinstein", unreduced)
-    rows = verify.check_blowup(n_max=3, samples=200).details["rows"]
+    rows = verify.check_blowup(verify.draw_mc_pass(200), n_max=3).details["rows"]
     bad = [row for row in rows if not row["ok"]]
     assert bad and all(not row["reduced_form_matches"] for row in bad)
     assert all(row["x0_matches_cpn"] for row in rows)

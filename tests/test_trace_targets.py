@@ -59,9 +59,9 @@ def test_traced_mc_oracles_see_their_samples(monkeypatch):
                     monkeypatch.setattr(module, key, traced)
     samples = 200
     mc_pass = verify.draw_mc_pass(samples)
-    verify.check_ball_moments(samples=samples, mc_pass=mc_pass)
-    verify.check_cpn_monte_carlo(samples=samples, mc_pass=mc_pass)
-    verify.check_blowup(n_max=2, samples=samples, mc_pass=mc_pass)
+    verify.check_ball_moments(mc_pass)
+    verify.check_cpn_monte_carlo(mc_pass)
+    verify.check_blowup(mc_pass, n_max=2)
     assert seen == {"sample_ball": {n: samples for n in range(1, verify.MC_N_MAX + 1)}}
     seen.clear()
     verify.check_mc_determinism(samples=samples)
