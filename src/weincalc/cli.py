@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import factorial
 
@@ -288,6 +289,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # weincalc calls no BLAS routine, yet NumPy's OpenBLAS starts its worker
+    # threads when NumPy loads, about 75 ms of CPU per process on a 2-core
+    # box.  NumPy loads only later, inside the Monte Carlo calls.  A value the
+    # user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

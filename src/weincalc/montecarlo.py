@@ -9,23 +9,30 @@ rejection sampling is useless in 2n >= 8 dimensions).  Each grid has one
 builder (ball_moment_integrands, cpn_integrands, blowup_integrands), which
 its oracle and verify's shared pass both call.
 
-Determinism contract: an oracle call takes a grid of integrands at one n and
-draws every sample from one generator, numpy.random.default_rng(seed), in
-chunks of max(1, CHUNK_SIZE // n) samples that run one after another.  Every
-integrand of the grid is evaluated on the same points (common random
-numbers), keeps its own sums, reduced in chunk order, and gets its own
-standard error; the estimates of one call are therefore correlated.  An
-estimate depends only on (n, r0, its integrand, samples, seed), not on the
-other integrands of the grid.
+Determinism contract: an oracle call takes a grid of integrands and draws
+every sample from one generator, numpy.random.default_rng(seed), as points
+of the ball in C^n, in chunks of max(1, CHUNK_SIZE // n) samples that run
+one after another.  An integrand may average over a ball in C^d with
+d <= n (verify's pass draws every d <= 3 from one stream at n = 3): its
+point is nested in the drawn one, the first 2d normals with the same radius
+uniform U, so |z|^2_d = r0^2 U^(1/d) and the partial modulus m is
+|z|^2_d S_m / S_d, S_m the sum of squares of the first 2m normals (computed
+as P_m |z|^2_d / P_d from the n-ball's partial moduli P).  At d = n that is
+the n-ball point itself.  Every integrand of the grid is evaluated on the
+same points (common random numbers), keeps its own sums, reduced in chunk
+order, and gets its own standard error; the estimates of one call are
+therefore correlated, across d too.  An estimate depends only on (n, d, r0,
+its integrand, samples, seed), not on the other integrands of the grid.
 
-Chunk memory does not grow with n (for n <= CHUNK_SIZE): a chunk holds one
-C-contiguous (n, size) buffer of at most CHUNK_SIZE partial moduli, one
-block of about BLOCK_NORMALS normals while they are drawn, the `size` radii
-until they become the last row of the buffer, and while one column m is
-read, the powers of it that the grid reads (one array of `size` floats per
-degree k), one mask per cutoff and one scratch array of `size` floats.  The
-normals are drawn block by block in the order of one (size, 2n) draw, so
-the block size changes no bit.
+Chunk memory does not grow with n (for n <= CHUNK_SIZE), and a call
+allocates it once and refills it in every chunk (_Buffers): one (n, size)
+buffer of at most CHUNK_SIZE partial moduli, one block of about
+BLOCK_NORMALS normals, the `size` radii (until they become the last row of
+the buffer; then the scratch array), the powers of one column that the grid
+reads (one array of `size` floats per degree k), one mask per cutoff and,
+for d < n, four more arrays of `size` floats.  The normals are drawn block
+by block in the order of one (size, 2n) draw, so the block size changes no
+bit.
 
 NumPy is imported inside the functions that draw samples, so the exact
 commands, which import this module through `cli`, never load it.
@@ -58,11 +65,11 @@ BLOCK_NORMALS = 1 << 13
 
 # Upper bound on the work of one oracle call, samples * n: each sample draws
 # 2n normals, so the time grows about linearly in samples * n.  It admits
-# 10^8 samples at n = 3, 14 s of Monte Carlo (7.3 million samples per second
-# on a 2-core x86-64 box), and every sample count up to 10^8 at n <= 3.
-# Memory does not grow with it: at any n a chunk holds at most
-# 2 * CHUNK_SIZE normals, then one buffer of at most CHUNK_SIZE partial
-# moduli and the powers of one column.
+# 10^8 samples at n = 3, about 13 s of Monte Carlo (7.8 million samples per
+# second at one integrand, one thread of a 2-core x86-64 box), and every
+# sample count up to 10^8 at n <= 3.  Memory does not grow with it: a call
+# holds one buffer of at most CHUNK_SIZE partial moduli, one block of normals
+# and a few arrays of one chunk's floats.
 MAX_MC_WORK = 3 * 10**8
 
 
@@ -86,35 +93,61 @@ class McEstimate:
         return asdict(self)
 
 
+class _Buffers:
+    """The arrays of one _estimate call, allocated once and refilled with
+    out= in every chunk of at most `rows` samples, so that a call maps its
+    memory once and not once per chunk: the (n, rows) partial moduli, one
+    block of normals, the radii (the accumulation's scratch once a chunk is
+    drawn), `powers` arrays for the powers of one column and one mask per
+    cutoff.  With `nested`, also the radius uniforms U of the chunk and, for
+    a ball of dimension d < n, its squared radii, the share |z|^2_d / P_d and
+    one partial modulus."""
+
+    def __init__(self, n: int, rows: int, powers: int = 0, cutoffs=(), nested: bool = False):
+        import numpy as np
+
+        self.moduli = np.empty((n, rows))
+        self.block = np.empty((min(max(1, BLOCK_NORMALS // (2 * n)), rows), 2 * n))
+        self.radii = np.empty(rows)
+        self.powers = [np.empty(rows) for _ in range(powers)]
+        self.masks = {cutoff: np.empty(rows, dtype=bool) for cutoff in cutoffs}
+        self.uniforms, self.nested_radii, self.share, self.column = (
+            [np.empty(rows) for _ in range(4)] if nested else [None] * 4
+        )
+
+
 def sample_ball(
-    n: int, r0: float, rng: np.random.Generator, size: int
+    n: int, r0: float, rng: np.random.Generator, size: int, out: _Buffers | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(partial, total) for `size` uniform points of the open radius-r0 ball
     in C^n: partial[:, m-1] = |z_1|^2 + ... + |z_m|^2, of shape (size, n), and
     total = |z|^2.  Consumes the rng stream in a fixed order: the (size, 2n)
-    normals, then the `size` radii.  `partial` is the transpose of a
-    C-contiguous (n, size) array, so each column m is contiguous, and `total`
-    is its last column.
+    normals, then the `size` radius uniforms.  `partial` is the transpose of
+    an (n, size) array whose rows are contiguous, so each column m is
+    contiguous, and `total` is its last column.  The arrays are views of
+    `out`'s, written over by the next chunk, or of fresh ones; with
+    out.uniforms, the uniforms stay there for the nested balls.
     """
     import numpy as np
 
     require_positive(n=n)
     require_radius(r0)
+    if out is None:
+        out = _Buffers(n, size)
     # moduli[j] = |z_1|^2 + ... + |z_(j+1)|^2 of the normals, z_j being the
     # real pair 2j-2, 2j-1; the normals of consecutive rows come one block
     # at a time, as one (size, 2n) draw would have filled them.
-    moduli = np.empty((n, size))
-    rows = max(1, BLOCK_NORMALS // (2 * n))
-    block = np.empty((min(rows, size), 2 * n))
+    moduli = out.moduli[:, :size]
+    rows = len(out.block)
     for start in range(0, size, rows):
-        squares = block[: size - start]
+        squares = out.block[: size - start]
         rng.standard_normal(out=squares)
         np.square(squares, out=squares)
         np.add(squares[:, 0::2].T, squares[:, 1::2].T, out=moduli[:, start : start + rows])
-    del block, squares  # the normals are freed before the radii are drawn
-    total = rng.random(size)
-    total **= 1.0 / n
-    total *= r0 * r0
+    total = out.radii[:size]
+    uniforms = total if out.uniforms is None else out.uniforms[:size]
+    rng.random(out=uniforms)
+    _squared_radii(uniforms, n, r0, total)
     for j in range(1, n):  # one contiguous row at a time
         moduli[j] += moduli[j - 1]
     np.divide(total, moduli[-1], out=moduli[-1])  # |z|^2 over the sum of squares
@@ -123,23 +156,39 @@ def sample_ball(
     return moduli.T, moduli[-1]
 
 
+def _squared_radii(uniforms: np.ndarray, d: int, r0: float, out: np.ndarray) -> np.ndarray:
+    """r0^2 U^(1/d) into `out`, which may be `uniforms`: the squared radii of
+    uniform points of the radius-r0 ball in C^d."""
+    import numpy as np
+
+    if out is not uniforms:
+        np.copyto(out, uniforms)
+    out **= 1.0 / d
+    out *= r0 * r0
+    return out
+
+
 def _estimate(
     n: int,
     r0: float,
     integrands: Sequence[tuple[int, int, float, float]],
     samples: int,
     seed: int,
+    dims: Sequence[int] | None = None,
 ) -> list[McEstimate]:
     """One estimate per integrand (m, k, cutoff, scale) of the module doc over
-    the radius-r0 ball in C^n, all from one default_rng(seed) stream drawn in
-    chunks of max(1, CHUNK_SIZE // n) samples, so memory stays bounded as n
-    grows.  In each chunk the powers of a column and the mask of a cutoff are
-    formed once and shared by the integrands that read them, and an
-    integrand's values are the same bits whatever else the grid holds.  The
-    sums run over the unscaled integrand, and `scale` multiplies the mean and
-    the standard error once, so a tiny scale cannot underflow the sum of
-    squares.  At least 2 samples, for a standard error, and at most
-    MAX_MC_WORK / n, both refused before any sample is drawn."""
+    the radius-r0 ball in C^d, d = dims[i] <= n for integrand i (n for all by
+    default), all from one default_rng(seed) stream of points of the n-ball
+    drawn in chunks of max(1, CHUNK_SIZE // n) samples, so memory stays
+    bounded as n grows.  The d-ball point is the nested one of the module
+    doc.  The chunk arrays are allocated once per call (_Buffers).  In each
+    chunk the powers of a column and the mask of a cutoff are formed once
+    and shared by the integrands that read them, and an integrand's values
+    are the same bits whatever else the grid holds.  The sums run over the
+    unscaled integrand, and `scale` multiplies the mean and the standard
+    error once, so a tiny scale cannot underflow the sum of squares.  At
+    least 2 samples, for a standard error, and at most MAX_MC_WORK / n, both
+    refused before any sample is drawn."""
     import numpy as np
 
     if samples < 2:
@@ -148,19 +197,26 @@ def _estimate(
         raise ParameterError(f"samples * n must be <= {MAX_MC_WORK}", samples=samples, n=n)
     if seed < 0:
         raise ParameterError("must be >= 0", seed=seed)
-    for m, *_ in integrands:
-        require_within(n, m=m)
-    columns = {}  # m -> {k -> indices of the integrands reading column m ** k}
-    for index, (m, k, _, _) in enumerate(integrands):
-        columns.setdefault(m, {}).setdefault(k, []).append(index)
-    cutoffs = {cutoff for _, _, cutoff, _ in integrands if cutoff}
+    dims = [n] * len(integrands) if dims is None else dims
+    groups = {}  # d -> {m -> {k -> indices of the integrands reading column m ** k}}
+    for index, ((m, k, _, _), d) in enumerate(zip(integrands, dims, strict=True)):
+        require_within(n, d=d)
+        require_within(d, m=m)
+        groups.setdefault(d, {}).setdefault(m, {}).setdefault(k, []).append(index)
+    chunk = max(1, CHUNK_SIZE // n)
+    buffers = _Buffers(
+        n,
+        min(chunk, samples),
+        powers=max((len(ks.keys() - {1}) for g in groups.values() for ks in g.values()), default=0),
+        cutoffs={cutoff for _, _, cutoff, _ in integrands if cutoff},
+        nested=any(d < n for d in groups),
+    )
     rng = np.random.default_rng(seed)
-    rows = max(1, CHUNK_SIZE // n)
     sums = [[0.0, 0.0] for _ in integrands]
-    for start in range(0, samples, rows):
-        size = min(rows, samples - start)
-        # The chunk lives only for the call: two chunks are never held at once.
-        _accumulate(sums, integrands, columns, cutoffs, *sample_ball(n, r0, rng, size))
+    for start in range(0, samples, chunk):
+        size = min(chunk, samples - start)
+        partial, total = sample_ball(n, r0, rng, size, buffers)
+        _accumulate(sums, integrands, groups, buffers, r0, partial, total)
     estimates = []
     for (total, total_sq), (*_, scale) in zip(sums, integrands):
         mean = total / samples
@@ -170,39 +226,61 @@ def _estimate(
     return estimates
 
 
-def _accumulate(sums, integrands, columns, cutoffs, partial, norm_sq) -> None:
+def _accumulate(sums, integrands, groups, buffers, r0, partial, norm_sq) -> None:
     """Add one chunk's sum and sum of squares to the `sums` of each integrand.
-    Each column m gets one power per k that its integrands read, and each
-    cutoff one mask; the integrands that read them share them."""
+    For each ball dimension d, each column m gets one power per k that its
+    integrands read, and each cutoff one mask; the integrands that read them
+    share them.  At d < n the columns are those of the nested point:
+    |z|^2_d = r0^2 U^(1/d) and P_m |z|^2_d / P_d for m < d."""
     import numpy as np
 
-    outside = {cutoff: norm_sq > cutoff * cutoff for cutoff in cutoffs}
-    scratch = np.empty_like(norm_sq)  # the masked values, then the squares
-    for m, readers in columns.items():
-        column = partial[:, m - 1]
-        powers = {1: column}
-        for k in sorted(readers):
-            power = powers[k] = _power(column, k, powers)
-            for index in readers[k]:
-                cutoff = integrands[index][2]
-                values = np.multiply(power, outside[cutoff], out=scratch) if cutoff else power
-                sums[index][0] += float(values.sum())
-                sums[index][1] += float(np.square(values, out=scratch).sum())
+    size, n = partial.shape
+    scratch = buffers.radii[:size]  # free: sample_ball copied the radii to norm_sq
+    for d, columns in groups.items():
+        radii = norm_sq
+        if d < n:
+            radii = _squared_radii(buffers.uniforms[:size], d, r0, buffers.nested_radii[:size])
+            share = np.divide(radii, partial[:, d - 1], out=buffers.share[:size])
+        outside = {
+            cutoff: np.greater(radii, cutoff * cutoff, out=mask[:size])
+            for cutoff, mask in buffers.masks.items()
+        }
+        for m, readers in columns.items():
+            if d == n:
+                column = partial[:, m - 1]
+            elif m == d:
+                column = radii
+            else:
+                column = np.multiply(partial[:, m - 1], share, out=buffers.column[:size])
+            powers = {1: column}
+            spare = iter(buffers.powers)
+            for k in sorted(readers):
+                if k not in powers:
+                    powers[k] = _power(column, k, powers, next(spare)[:size])
+                for index in readers[k]:
+                    cutoff = integrands[index][2]
+                    values = powers[k]
+                    if cutoff:
+                        values = np.multiply(values, outside[cutoff], out=scratch)
+                    sums[index][0] += float(values.sum())
+                    sums[index][1] += float(np.square(values, out=scratch).sum())
 
 
-def _power(column: np.ndarray, k: int, known: dict) -> np.ndarray:
-    """column ** k by multiplication alone: column ** (k - 1) times the column
-    for odd k, the square of column ** (k / 2) for even k, so k <= 3 is the
-    plain chain and a large k takes about 2 log2(k) products, holding two
-    arrays at a time.  A power found in `known` was formed by the same
-    products, so the bits do not depend on what `known` holds.  A product
-    costs about a sixth of NumPy's general `pow`."""
+def _power(column: np.ndarray, k: int, known: dict, out: np.ndarray) -> np.ndarray:
+    """column ** k by multiplication alone, formed in `out`: column ** (k - 1)
+    times the column for odd k, the square of column ** (k / 2) for even k, so
+    k <= 3 is the plain chain and a large k takes about 2 log2(k) products in
+    place.  A power found in `known` was formed by the same products, so the
+    bits do not depend on what `known` holds.  A product costs about a sixth
+    of NumPy's general `pow`."""
+    import numpy as np
+
     if k in known:
         return known[k]
     if k % 2:
-        return _power(column, k - 1, known) * column
-    half = _power(column, k // 2, known)
-    return half * half
+        return np.multiply(_power(column, k - 1, known, out), column, out=out)
+    half = _power(column, k // 2, known, out)
+    return np.multiply(half, half, out=out)
 
 
 def ball_moment_integrands(

@@ -9,13 +9,11 @@ run exactly this suite.
 
 All seeds are fixed so that repeated runs produce identical output.  The
 three Monte Carlo checks (ball-moments, cpn-monte-carlo and blowup) share one
-pass: one seeded sample stream per ball dimension n, on which every row of
-that n of all three checks is estimated (draw_mc_pass).  Each of the three
-takes the pass it reads, and run_all draws it once and hands it to all
-three.  The pass draws its streams on two threads, one helper for
-n < MC_N_MAX and the calling thread for MC_N_MAX, and joins the helper
-before any row is built; every stream has its own generator, so the threads
-change no bit of any estimate.
+pass: one seeded stream of points of the ball in C^MC_N_MAX, on which every
+row of all three checks is estimated, a row at n < MC_N_MAX on the n-ball
+point nested in each drawn point (draw_mc_pass, montecarlo's module doc).
+Each of the three takes the pass it reads, and run_all draws it once and
+hands it to all three.  The pass runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -23,11 +21,8 @@ from __future__ import annotations
 import math
 import random
 import sys
-import threading
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TypeVar
 
 from . import combinatorics, montecarlo
 from .exactarith import ParameterError, format_rational, pi_power, require_positive, times_pi_power
@@ -74,10 +69,12 @@ DECISION_SEED = BASE_SEED + 4000
 DECISION_INSTANCES = 200
 DECISION_BOUND = 50
 
-# The three Monte Carlo checks estimate all their rows at one n on one stream.
+# The three Monte Carlo checks estimate all their rows on one stream.
 MC_STREAMS = (
-    "one seed and one sample stream per n, shared by ball-moments, cpn-monte-carlo and"
-    " blowup: the rows of one n share them and are correlated"
+    f"one seed and one sample stream of points of the n = {MC_N_MAX} ball, shared by"
+    f" ball-moments, cpn-monte-carlo and blowup: a row at n < {MC_N_MAX} reads the n-ball"
+    " point nested in each (its first n coordinates, rescaled to the n-ball radius of the"
+    " same uniform), so all rows are correlated"
 )
 
 # Frozen spot values for the ball moment integral, each derived from the
@@ -94,8 +91,8 @@ MOMENT_SPOT_VALUES = {
 
 @dataclass(frozen=True)
 class McPass:
-    """The estimates of one Monte Carlo pass of `samples` points per n, each
-    a list per n = 1..MC_N_MAX: the ball moments in _moment_terms(n) order,
+    """The estimates of one Monte Carlo pass of `samples` points, each a list
+    per n = 1..MC_N_MAX: the ball moments in _moment_terms(n) order,
     the CP^n values and the blow-up values at weight BLOWUP_RHO for
     k = 1..n."""
 
@@ -111,24 +108,28 @@ def _moment_terms(n: int) -> list[tuple[int, int]]:
 
 
 def draw_mc_pass(samples: int) -> McPass:
-    """The one Monte Carlo pass of verify: for each n, one montecarlo
-    estimate over the ball-moment, CP^n and blow-up grids together, drawn
-    from one stream with seed BASE_SEED + 100 n.  An estimate does not depend
-    on the other integrands of its grid, so each is the one its own oracle
-    (mc_ball_moment, mc_cpn_average, mc_blowup_average) gives at that seed."""
-
-    def estimate(n: int) -> list[list[McEstimate]]:
+    """The one Monte Carlo pass of verify: one montecarlo estimate over the
+    ball-moment, CP^n and blow-up grids of every n <= MC_N_MAX together,
+    drawn from one stream of MC_N_MAX-ball points with seed
+    BASE_SEED + 100 MC_N_MAX; a grid at n < MC_N_MAX reads the nested n-ball
+    points.  An estimate does not depend on the other integrands of its grid,
+    so each at n = MC_N_MAX is the one its own oracle (mc_ball_moment,
+    mc_cpn_average, mc_blowup_average) gives at that seed."""
+    grids, dims = [], []
+    for n in range(1, MC_N_MAX + 1):
         degrees = range(1, n + 1)
-        grids = [
+        for grid in (
             ball_moment_integrands(n, _moment_terms(n), 1.0),
             cpn_integrands(n, degrees),
             blowup_integrands(n, degrees, float(BLOWUP_RHO)),
-        ]
-        union = [integrand for grid in grids for integrand in grid]
-        estimates = iter(montecarlo._estimate(n, 1.0, union, samples, BASE_SEED + 100 * n))
-        return [[next(estimates) for _ in grid] for grid in grids]
-
-    return McPass(samples, *map(list, zip(*_per_dimension(estimate))))
+        ):
+            grids.append(grid)
+            dims += [n] * len(grid)
+    union = [integrand for grid in grids for integrand in grid]
+    seed = BASE_SEED + 100 * MC_N_MAX
+    estimates = iter(montecarlo._estimate(MC_N_MAX, 1.0, union, samples, seed, dims))
+    per_grid = [[next(estimates) for _ in grid] for grid in grids]
+    return McPass(samples, per_grid[0::3], per_grid[1::3], per_grid[2::3])
 
 
 @dataclass(frozen=True)
@@ -609,37 +610,6 @@ def check_decision_procedures() -> CheckResult:
             "mismatches": mismatches,
         },
     )
-
-
-T = TypeVar("T")
-
-
-def _per_dimension(estimate: Callable[[int], T]) -> list[T]:
-    """[estimate(n) for n in 1..MC_N_MAX], with the streams n < MC_N_MAX drawn
-    on one helper thread while the calling thread draws n = MC_N_MAX.  A
-    stream costs about n units, so at MC_N_MAX = 3 the split is 1 + 2
-    against 3, and NumPy's normal fill, most of a stream, releases the GIL.  The helper is joined
-    before anything returns or raises; its exception, if any, is raised
-    here."""
-    done: list[T] = []
-    failed: list[BaseException] = []
-
-    def helper() -> None:
-        try:
-            for n in range(1, MC_N_MAX):
-                done.append(estimate(n))
-        except BaseException as exc:  # raised again on the calling thread
-            failed.append(exc)
-
-    thread = threading.Thread(target=helper, name="verify-mc-helper")
-    thread.start()
-    try:
-        last = estimate(MC_N_MAX)
-    finally:
-        thread.join()
-    if failed:
-        raise failed[0]
-    return [*done, last]
 
 
 def mc_row(params: dict, est: McEstimate, exact: float) -> dict:

@@ -988,10 +988,10 @@ print(code, "numpy" in sys.modules, "concurrent.futures" in sys.modules)
 """
 
 
-def run_fresh(*args):
+def run_fresh(*args, environ=os.environ):
     src = str(Path(cli.__file__).resolve().parents[1])
-    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    path = [src, *filter(None, environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
@@ -1023,9 +1023,30 @@ def test_exact_commands_never_load_numpy(tmp_path, argv):
 
 
 def test_import_never_loads_numpy_and_monte_carlo_does():
-    # concurrent.futures cost 10 ms per process; verify's helper thread uses
-    # threading, which `import weincalc.cli` loads anyway.
+    # concurrent.futures cost 10 ms per process.
     probe = "import sys, weincalc; print(*(m in sys.modules for m in sys.argv[1:]))"
     assert run_fresh("-c", probe, "numpy", "concurrent.futures") == ["False", "False"]
     argv = ["moment", "--n", "2", "--l", "1", "--k", "1", "--mc", "--samples", "1000"]
     assert probe_numpy(*argv) == (0, True, False)
+
+
+# A fresh interpreter runs one query through the console-script entry point
+# and prints OPENBLAS_NUM_THREADS as the query left it, whether NumPy was
+# loaded, and the process's thread count where /proc shows it.
+BLAS_PROBE = """
+import contextlib, io, os, sys
+from weincalc.cli import entry
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    entry()
+tasks = "/proc/self/task"
+print(os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules,
+      len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)
+"""
+
+
+def test_entry_gives_numpy_one_blas_thread_unless_the_user_set_a_count():
+    argv = ["moment", "--n", "2", "--l", "1", "--k", "1", "--mc", "--samples", "1000"]
+    unset = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    assert run_fresh("-c", BLAS_PROBE, *argv, environ=unset) == ["1", "True", "1"]
+    given = {**unset, "OPENBLAS_NUM_THREADS": "2"}
+    assert run_fresh("-c", BLAS_PROBE, *argv, environ=given)[:2] == ["2", "True"]

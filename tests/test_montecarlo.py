@@ -5,8 +5,6 @@ Sample counts here are 10^5 for speed; the acceptance suite runs the full
 """
 
 import math
-import threading
-import time
 import tracemalloc
 from fractions import Fraction
 
@@ -43,31 +41,40 @@ def reference_squared_moduli(n, m, r0, rng, size):
     return squares[:, : 2 * m].sum(axis=1), squares.sum(axis=1)
 
 
-def one_draw_sample_ball(n, r0, rng, size):
+def one_draw_points(n, r0, rng, size):
     """The sampler before its normals came in blocks: one (size, 2n) draw,
-    then the radii, and the same arithmetic on whole arrays."""
+    then the radius uniforms U, and the same arithmetic on whole arrays.
+    Returns the partial moduli, |z|^2 and U."""
     squares = rng.standard_normal((size, 2 * n))
-    total = r0 * r0 * rng.random(size) ** (1.0 / n)
+    uniforms = rng.random(size)
+    total = r0 * r0 * uniforms ** (1.0 / n)
     np.square(squares, out=squares)
     moduli = np.add(squares[:, 0::2].T, squares[:, 1::2].T, order="C")
     for j in range(1, n):
         moduli[j] += moduli[j - 1]
     moduli[:-1] *= total / moduli[-1]
     moduli[-1] = total
-    return moduli.T, total
+    return moduli.T, total, uniforms
 
 
-def one_draw_estimates(n, r0, integrands, samples, seed):
-    """_estimate's contract with one_draw_sample_ball, written out per
-    integrand: chunks of CHUNK_SIZE // n samples, the power as the plain
-    product chain (k <= 3), the cutoff as a product with the mask, and the
-    sums reduced in chunk order."""
+def one_draw_estimates(n, r0, integrands, samples, seed, dims=None):
+    """_estimate's contract with one_draw_points, written out per integrand:
+    chunks of CHUNK_SIZE // n samples of the n-ball, the d-ball point nested
+    in each (|z|^2_d = r0^2 U^(1/d), the partial moduli m < d scaled by
+    |z|^2_d / P_d), the power as the plain product chain (k <= 3), the cutoff
+    as a product with the mask, and the sums reduced in chunk order."""
     rng = np.random.default_rng(seed)
     rows = max(1, CHUNK_SIZE // n)
     sums = [[0.0, 0.0] for _ in integrands]
     for start in range(0, samples, rows):
-        partial, total = one_draw_sample_ball(n, r0, rng, min(rows, samples - start))
-        for (m, k, cutoff, _), running in zip(integrands, sums):
+        points = one_draw_points(n, r0, rng, min(rows, samples - start))
+        for (m, k, cutoff, _), d, running in zip(integrands, dims or [n] * len(integrands), sums):
+            partial, total, uniforms = points
+            if d < n:
+                total = r0 * r0 * uniforms ** (1.0 / d)
+                partial = np.column_stack(
+                    [partial[:, j] * (total / partial[:, d - 1]) for j in range(d - 1)] + [total]
+                )
             values = partial[:, m - 1]
             for _ in range(k - 1):
                 values = values * partial[:, m - 1]
@@ -93,7 +100,7 @@ def test_sample_ball_is_bit_identical_to_one_draw(n):
     for size in (1, rows - 1, rows, rows + 1, chunk, chunk + rows + 1):
         rng, reference = np.random.default_rng(61), np.random.default_rng(61)
         partial, total = sample_ball(n, 0.75, rng, size)
-        want_partial, want_total = one_draw_sample_ball(n, 0.75, reference, size)
+        want_partial, want_total, _ = one_draw_points(n, 0.75, reference, size)
         assert partial.shape == want_partial.shape == (size, n)
         assert np.array_equal(partial, want_partial), size
         assert np.array_equal(total, want_total), size
@@ -109,9 +116,9 @@ def test_estimate_is_bit_identical_to_one_draw_accumulation(n):
 
 
 def test_a_stream_holds_about_two_chunks_of_floats():
-    # Two streams run at once in verify; each holds its (n, size) moduli,
-    # the radii, one block of normals and the accumulation's arrays, where
-    # it held three and more chunks' worth before the trim.
+    # A stream holds its (n, size) moduli, the radii, one block of normals
+    # and the accumulation's arrays, where it held three and more chunks'
+    # worth before the trim.
     mc_cpn_average(1, [1], 100, 1)  # NumPy's own first-use allocations
     for n in (1, 2, 3, 7):
         for estimate in (
@@ -285,10 +292,10 @@ def test_high_powers_match_pow_in_bounded_memory():
 def test_chunk_memory_does_not_grow_with_dimension(monkeypatch):
     sizes = []
 
-    def spy(n, r0, rng, size):
+    def spy(n, r0, rng, size, *buffers):
         sizes.append(size)
         assert size * 2 * n <= 2 * CHUNK_SIZE, (n, size)
-        partial, total = sample_ball(n, r0, rng, size)
+        partial, total = sample_ball(n, r0, rng, size, *buffers)
         held = partial if partial.base is None else partial.base
         assert held.size <= CHUNK_SIZE, (n, size)
         return partial, total
@@ -310,9 +317,10 @@ def test_chunk_memory_does_not_grow_with_dimension(monkeypatch):
     ids=["ball-moments", "cpn-monte-carlo", "blowup", "run_all"],
 )
 def test_each_mc_check_draws_one_stream_per_dimension(monkeypatch, suite, samples):
-    # One stream per n, seeded BASE_SEED + 100 n, serves the three Monte Carlo
-    # checks: each reads the pass it is given and draws no stream of its own,
-    # and the suite adds only mc-determinism's own repeated streams.
+    # One stream of MC_N_MAX-ball points, seeded BASE_SEED + 100 MC_N_MAX,
+    # serves every dimension n <= MC_N_MAX of the three Monte Carlo checks:
+    # each reads the pass it is given and draws no stream of its own, and the
+    # suite adds only mc-determinism's own repeated streams.
     streams = {}  # id(rng) -> [rng, seed, n, points drawn]; rng kept alive
     default_rng = np.random.default_rng
 
@@ -321,18 +329,19 @@ def test_each_mc_check_draws_one_stream_per_dimension(monkeypatch, suite, sample
         streams[id(rng)] = [rng, seed, None, 0]
         return rng
 
-    def spy(n, r0, rng, size):
+    def spy(n, r0, rng, size, *buffers):
         stream = streams[id(rng)]
         assert stream[2] in (None, n)
         stream[2:] = [n, stream[3] + size]
-        return sample_ball(n, r0, rng, size)
+        return sample_ball(n, r0, rng, size, *buffers)
 
     monkeypatch.setattr(np.random, "default_rng", seeded)
     monkeypatch.setattr(montecarlo, "sample_ball", spy)
     monkeypatch.setattr(verify, "sample_ball", spy)
     results = suite()
     assert all(result.passed for result in results)
-    expected = [(n, verify.BASE_SEED + 100 * n, samples) for n in range(1, verify.MC_N_MAX + 1)]
+    top = verify.MC_N_MAX
+    expected = [(top, verify.BASE_SEED + 100 * top, samples)]
     if len(results) > 1:  # mc-determinism: two estimates and two short draws
         expected += [(2, verify.BASE_SEED + 3000, 10**5)] * 2
         expected += [(3, verify.BASE_SEED + 3000, 64)] * 2
@@ -341,19 +350,29 @@ def test_each_mc_check_draws_one_stream_per_dimension(monkeypatch, suite, sample
 
 
 def test_shared_pass_equals_the_oracles_at_its_seeds():
-    # Every estimate of the pass is bit for bit the one its own oracle gives
-    # on the pass's stream, so the ball-moment rows are those of
-    # mc_ball_moment at seed BASE_SEED + 100 n.
-    samples = 3000
+    # The pass draws one stream at n = MC_N_MAX.  Its top-dimension estimates
+    # are bit for bit those of the oracles at seed BASE_SEED + 100 MC_N_MAX;
+    # at n < MC_N_MAX they are those of the one-draw reference with the
+    # n-ball point nested in the top one.
+    samples = CHUNK_SIZE // verify.MC_N_MAX + 17  # across a chunk edge
     mc_pass = verify.draw_mc_pass(samples)
     assert mc_pass.samples == samples
-    rho = float(verify.BLOWUP_RHO)
-    for n in range(1, verify.MC_N_MAX + 1):
-        seed, degrees = verify.BASE_SEED + 100 * n, range(1, n + 1)
-        terms = verify._moment_terms(n)
-        assert mc_pass.ball_moments[n - 1] == mc_ball_moment(n, terms, 1.0, samples, seed)
-        assert mc_pass.cpn[n - 1] == mc_cpn_average(n, degrees, samples, seed)
-        assert mc_pass.blowup[n - 1] == mc_blowup_average(n, degrees, rho, samples, seed)
+    top, rho = verify.MC_N_MAX, float(verify.BLOWUP_RHO)
+    seed, degrees = verify.BASE_SEED + 100 * top, range(1, top + 1)
+    assert mc_pass.ball_moments[-1] == mc_ball_moment(
+        top, verify._moment_terms(top), 1.0, samples, seed
+    )
+    assert mc_pass.cpn[-1] == mc_cpn_average(top, degrees, samples, seed)
+    assert mc_pass.blowup[-1] == mc_blowup_average(top, degrees, rho, samples, seed)
+    for n in range(1, top):
+        degrees = range(1, n + 1)
+        for got, integrands in [
+            (mc_pass.ball_moments, montecarlo.ball_moment_integrands(n, verify._moment_terms(n), 1.0)),
+            (mc_pass.cpn, montecarlo.cpn_integrands(n, degrees)),
+            (mc_pass.blowup, montecarlo.blowup_integrands(n, degrees, rho)),
+        ]:
+            want = one_draw_estimates(top, 1.0, integrands, samples, seed, [n] * len(integrands))
+            assert got[n - 1] == want, n
 
 
 def test_each_check_alone_equals_its_share_of_run_all():
@@ -364,58 +383,29 @@ def test_each_check_alone_equals_its_share_of_run_all():
     assert verify.check_blowup(mc_pass, n_max=4) == suite["blowup"]
 
 
-def test_helper_thread_draws_n_below_the_top_in_n_order():
-    threads = {}
+def test_estimate_allocates_its_chunk_arrays_once(monkeypatch):
+    # The arrays of a chunk are allocated once per call and refilled, so five
+    # chunks allocate as many chunk-sized arrays (through np.empty and its
+    # kin) as one, for an oracle's grid and for verify's nested pass.
+    chunk = CHUNK_SIZE // verify.MC_N_MAX
+    integrands = [(1, 1, 0.0, 1.0), (2, 2, 0.5, 1.0), (3, 3, 0.0, 1.0)]
+    counts = []
+    for samples in (chunk, 5 * chunk):
+        allocated = []
+        for name in ("empty", "empty_like", "zeros"):
 
-    def estimate(n):
-        threads[n] = threading.current_thread()
-        return mc_cpn_average(n, range(1, n + 1), 2000, 400 + n)
+            def counting(*args, _original=getattr(np, name), **kwargs):
+                array = _original(*args, **kwargs)
+                allocated.append(array.size)
+                return array
 
-    before = threading.active_count()
-    got = verify._per_dimension(estimate)
-    assert threading.active_count() == before
-    top = verify.MC_N_MAX
-    assert got == [mc_cpn_average(n, range(1, n + 1), 2000, 400 + n) for n in range(1, top + 1)]
-    assert threads[top] is threading.current_thread()
-    assert len({threads[n] for n in range(1, top)} - {threading.current_thread()}) == 1
-
-
-class Refused(RuntimeError):
-    pass
-
-
-def test_helper_thread_exception_is_the_checks_exception(monkeypatch):
-    estimate = montecarlo._estimate
-
-    def refuse_n_1(n, *args):
-        if n == 1:
-            raise Refused(n)
-        return estimate(n, *args)
-
-    monkeypatch.setattr(montecarlo, "_estimate", refuse_n_1)
-    before = threading.active_count()
-    with pytest.raises(Refused, match="^1$"):
-        verify.check_ball_moments(verify.draw_mc_pass(1000))
-    assert threading.active_count() == before
-
-
-def test_calling_thread_exception_still_joins_the_helper(monkeypatch):
-    finished = []
-    estimate = montecarlo._estimate
-
-    def refuse_top(n, *args):
-        if n == verify.MC_N_MAX:
-            raise Refused(n)
-        time.sleep(0.05)  # the helper is still drawing when the caller raises
-        finished.append(n)
-        return estimate(n, *args)
-
-    monkeypatch.setattr(montecarlo, "_estimate", refuse_top)
-    before = threading.active_count()
-    with pytest.raises(Refused, match=f"^{verify.MC_N_MAX}$"):
-        verify.check_cpn_monte_carlo(verify.draw_mc_pass(1000))
-    assert finished == list(range(1, verify.MC_N_MAX))
-    assert threading.active_count() == before
+            monkeypatch.setattr(np, name, counting)
+        montecarlo._estimate(verify.MC_N_MAX, 1.0, integrands, samples, 64)
+        verify.draw_mc_pass(samples)
+        monkeypatch.undo()
+        counts.append(sum(size >= chunk for size in allocated))
+    assert counts[0] > 0
+    assert counts[0] == counts[1]
 
 
 def test_parameter_validation(refuses):
@@ -447,6 +437,11 @@ def test_parameter_validation(refuses):
     for m in (3, 0):
         refuses(lambda: montecarlo._estimate(2, 1.0, [(1, 1, 0.0, 1.0), (m, 1, 0.0, 1.0)], 10, 0),
                 "must satisfy 1 <= m <= n", m=m, n=2)
+    # A nested ball lies inside the drawn one, and a column inside its ball.
+    refuses(lambda: montecarlo._estimate(2, 1.0, [(1, 1, 0.0, 1.0)], 10, 0, [3]),
+            "must satisfy 1 <= d <= n", d=3, n=2)
+    refuses(lambda: montecarlo._estimate(3, 1.0, [(2, 1, 0.0, 1.0)], 10, 0, [1]),
+            "must satisfy 1 <= m <= n", m=2, n=1)
     rng = np.random.Generator(np.random.PCG64(5))
     refuses(lambda: sample_ball(0, 1.0, rng, 4), "must be >= 1", n=0)
     refuses(lambda: sample_ball(1, -1.0, rng, 4), "must be > 0", r0=-1.0)

@@ -27,8 +27,9 @@ def test_traced_mc_oracles_see_their_samples(monkeypatch):
     # traced spans read from each mc_* call.  verify's three Monte Carlo
     # checks call no oracle: they read one pass, drawn through
     # montecarlo._estimate, that the trace sees as sample_ball spans only,
-    # one stream of `samples` points per n.  The oracle spans see the rest of
-    # the suite, mc-determinism's two mc_ball_moment calls.
+    # one stream of `samples` points at n = MC_N_MAX for every n.  The oracle
+    # spans see the rest of the suite, mc-determinism's two mc_ball_moment
+    # calls.
     namespace = runpy.run_path(str(TRACE_CHILD))
     from weincalc import montecarlo, verify
 
@@ -62,7 +63,7 @@ def test_traced_mc_oracles_see_their_samples(monkeypatch):
     verify.check_ball_moments(mc_pass)
     verify.check_cpn_monte_carlo(mc_pass)
     verify.check_blowup(mc_pass, n_max=2)
-    assert seen == {"sample_ball": {n: samples for n in range(1, verify.MC_N_MAX + 1)}}
+    assert seen == {"sample_ball": {verify.MC_N_MAX: samples}}
     seen.clear()
     verify.check_mc_determinism(samples=samples)
     assert seen.pop("mc_ball_moment") == [samples, samples]
