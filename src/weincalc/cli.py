@@ -13,6 +13,9 @@ import os
 import sys
 from math import factorial
 
+# Eager, although only `moment --mc` and `verify` use `verify`: perfbench's
+# trace_child.install wraps what it finds in sys.modules after
+# `from weincalc import cli`, and its setup_s times the whole package.
 from . import combinatorics, verify
 from .exactarith import format_rational, parse_rational, pi_power
 from .morphism import (
@@ -286,6 +289,15 @@ def main(argv: list[str] | None = None) -> int:
     except SelfCheckError as exc:  # a closed form and its enumeration disagree
         print(f"error: self-check failed: {exc}", file=sys.stderr)
         return 1
+    except ModuleNotFoundError as exc:  # exit 1 means only a failed verification
+        if exc.name != "numpy":
+            raise
+        print(
+            f"error: {args.command} needs NumPy"
+            " (the runtime dependency numpy>=1.24 is not installed)",
+            file=sys.stderr,
+        )
+        return 2
 
 
 def entry() -> None:

@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exactarith import (
     ParameterError,
@@ -73,8 +72,7 @@ BLOCK_NORMALS = 1 << 13
 MAX_MC_WORK = 3 * 10**8
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Monte Carlo estimate: sample mean, standard error, and provenance."""
 
     mean: float
@@ -90,7 +88,7 @@ class McEstimate:
         return diff / self.std_error
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 class _Buffers:

@@ -21,9 +21,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import combinatorics
 from .exactarith import (
@@ -74,8 +74,7 @@ class SelfCheckError(RuntimeError):
     """Closed form and independent raw evaluation disagree; refuse to answer."""
 
 
-@dataclass(frozen=True)
-class CosetValue:
+class CosetValue(NamedTuple):
     """A morphism value together with the period lattice it is reduced by."""
 
     value: PiGradedValue
@@ -229,8 +228,7 @@ class DescriptorError(ValueError):
         self.field = fieldname
 
 
-@dataclass(frozen=True)
-class NamedClass:
+class NamedClass(NamedTuple):
     """A named morphism value on the descriptor manifold, with its degree.
     Its pi^a components are kept as read, checked but unreduced (num, den)
     pairs, so only a class that a query reads costs a reduction."""
@@ -243,21 +241,20 @@ class NamedClass:
         return PiGradedValue.from_terms(self.terms)
 
 
-@dataclass(frozen=True)
-class ManifoldDescriptor:
+class ManifoldDescriptor(NamedTuple):
     """Period data of a closed symplectic manifold of dimension 2m.
 
     `periods[2j]` lists rational generators of the degree-2j period group
     (as coefficients of pi^0 -- real periods).  `trivial_odd_homotopy` lists
     the odd degrees 2k-1 in which the manifold's homotopy is asserted trivial
     (required for the morphism to be defined).  `classes` optionally names
-    known morphism values.
+    known morphism values, in a read-only mapping (empty by default).
     """
 
     dimension: int
     trivial_odd_homotopy: frozenset[int]
     periods: Mapping[int, tuple[Fraction, ...]]
-    classes: Mapping[str, NamedClass] = field(default_factory=dict)
+    classes: Mapping[str, NamedClass] = MappingProxyType({})
 
     @property
     def half_dimension(self) -> int:
@@ -361,7 +358,7 @@ class ManifoldDescriptor:
                 raise DescriptorError(f"classes.{name}.value", str(exc))
             classes[name] = NamedClass(degree, terms)
 
-        return cls(dim, frozenset(toh), periods, classes)
+        return cls(dim, frozenset(toh), periods, MappingProxyType(classes))
 
 
 def _distinct_names(pairs: list[tuple[str, object]]) -> dict:

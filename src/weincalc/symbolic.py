@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .exactarith import format_rational, parse_rational, require_positive
 
@@ -496,8 +495,7 @@ class Lattice:
         return f"Lattice({self})"
 
 
-@dataclass(frozen=True)
-class OrderResult:
+class OrderResult(NamedTuple):
     """Order of a value in R / lattice: Finite(order) or Infinite (order None).
 
     For infinite order, `witness` names the obstruction (a non-polynomial

@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import combinatorics, montecarlo
 from .exactarith import ParameterError, format_rational, pi_power, require_positive, times_pi_power
@@ -89,8 +89,7 @@ MOMENT_SPOT_VALUES = {
 }
 
 
-@dataclass(frozen=True)
-class McPass:
+class McPass(NamedTuple):
     """The estimates of one Monte Carlo pass of `samples` points, each a list
     per n = 1..MC_N_MAX: the ball moments in _moment_terms(n) order,
     the CP^n values and the blow-up values at weight BLOWUP_RHO for
@@ -132,8 +131,7 @@ def draw_mc_pass(samples: int) -> McPass:
     return McPass(samples, per_grid[0::3], per_grid[1::3], per_grid[2::3])
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one verification check, with JSON-safe details."""
 
     name: str

@@ -976,32 +976,42 @@ def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch, argv):
     assert refused and all(row["error"].startswith("closed form q(") for row in refused)
 
 
-# A fresh interpreter runs one query and prints its exit code and whether
-# NumPy and concurrent.futures were loaded; the query's own output is
-# discarded.
-NUMPY_PROBE = """
+# Modules that no exact query loads.  Only a Monte Carlo query loads NumPy
+# (about 0.1 s per process); concurrent.futures costs 10 ms, and dataclasses,
+# which pulls in inspect, 8-12 ms.
+WATCHED = ("numpy", "concurrent.futures", "dataclasses", "inspect")
+
+# A fresh interpreter runs one query and prints its exit code and which
+# WATCHED modules it loaded, counting none that the interpreter's start-up
+# loaded before; the query's own output is discarded.
+NUMPY_PROBE = f"""
 import contextlib, io, sys
+before = set(sys.modules)
 from weincalc.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, "numpy" in sys.modules, "concurrent.futures" in sys.modules)
+print(code, *(m for m in {WATCHED!r} if m in sys.modules and m not in before))
 """
 
 
-def run_fresh(*args, environ=os.environ):
+def fresh_process(*args, environ=os.environ):
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src, *filter(None, environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**environ, "PYTHONPATH": os.pathsep.join(path)}
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def run_fresh(*args, environ=os.environ):
+    done = fresh_process(*args, environ=environ)
     assert done.returncode == 0, done.stderr
     return done.stdout.split()
 
 
 def probe_numpy(*argv):
-    code, numpy, futures = run_fresh("-c", NUMPY_PROBE, *argv)
-    return int(code), numpy == "True", futures == "True"
+    code, *loaded = run_fresh("-c", NUMPY_PROBE, *argv)
+    return int(code), set(loaded)
 
 
 @pytest.mark.parametrize(
@@ -1019,15 +1029,52 @@ def test_exact_commands_never_load_numpy(tmp_path, argv):
         tmp_path, {"dimension": 2, "trivial_odd_homotopy": [1], "periods": {"2": ["1"]}}
     )
     argv = [path if arg == "DESCRIPTOR" else arg for arg in argv]
-    assert probe_numpy(*argv) == (0, False, False)
+    assert probe_numpy(*argv) == (0, set())
 
 
 def test_import_never_loads_numpy_and_monte_carlo_does():
-    # concurrent.futures cost 10 ms per process.
-    probe = "import sys, weincalc; print(*(m in sys.modules for m in sys.argv[1:]))"
-    assert run_fresh("-c", probe, "numpy", "concurrent.futures") == ["False", "False"]
+    probe = (
+        "import sys; before = set(sys.modules); import weincalc.cli;"
+        " print(*(m in sys.modules and m not in before for m in sys.argv[1:]))"
+    )
+    assert run_fresh("-c", probe, *WATCHED) == ["False"] * len(WATCHED)
     argv = ["moment", "--n", "2", "--l", "1", "--k", "1", "--mc", "--samples", "1000"]
-    assert probe_numpy(*argv) == (0, True, False)
+    code, loaded = probe_numpy(*argv)
+    assert code == 0 and loaded & {"numpy", "concurrent.futures"} == {"numpy"}
+
+
+# A fresh interpreter in which `import numpy` fails, as where it is not
+# installed, runs one query through main and exits with its code.
+NO_NUMPY_PROBE = """
+import sys
+sys.modules["numpy"] = None
+from weincalc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--quick"],
+        ["moment", "--n", "1", "--l", "1", "--k", "1", "--mc", "--samples", "1000", "--json"],
+    ],
+)
+def test_monte_carlo_without_numpy_exits_2_with_one_line(argv):
+    done = fresh_process("-c", NO_NUMPY_PROBE, *argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"error: {argv[0]} needs NumPy (the runtime dependency numpy>=1.24 is not installed)\n"
+    )
+
+
+def test_only_a_missing_numpy_is_refused(monkeypatch):
+    def run_all(quick):
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+
+    monkeypatch.setattr(verify, "run_all", run_all)
+    with pytest.raises(ModuleNotFoundError, match="scipy"):
+        main(["verify"])
 
 
 # A fresh interpreter runs one query through the console-script entry point
