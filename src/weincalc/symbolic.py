@@ -231,6 +231,12 @@ class RatFuncQ:
         return hash((self.num, self.den))
 
     def __add__(self, other: RatFuncQ) -> RatFuncQ:
+        """The reduced sum.  A polynomial p on either side needs no gcd:
+        p + a/b = (a + p b)/b is reduced, since gcd(a + p b, b) = gcd(a, b) = 1,
+        and b stays monic."""
+        for p, f in ((self, other), (other, self)):
+            if p.is_polynomial:
+                return RatFuncQ._of(f.num + p.num * f.den, f.den)
         return RatFuncQ(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __mul__(self, scalar: Fraction | int) -> RatFuncQ:
@@ -289,9 +295,11 @@ MAX_JSON_EXPONENT = 1000
 
 
 def _json_int(value) -> int:
-    """An exponent read from JSON, at most MAX_JSON_EXPONENT."""
+    """An exponent read from JSON, 0 <= value <= MAX_JSON_EXPONENT."""
     if not is_json_int(value):
         raise ValueError(f"exponent must be an integer, got {json.dumps(value)}")
+    if value < 0:
+        raise ValueError(f"exponent must be >= 0, got {value}")
     if value > MAX_JSON_EXPONENT:
         raise ValueError(f"exponent must be at most {MAX_JSON_EXPONENT}, got {value}")
     return value
@@ -313,6 +321,9 @@ def _json_poly(pairs) -> PolyQ:
     return PolyQ(terms)
 
 
+COMPONENT_FIELDS = ("pi_exp", "num", "den")
+
+
 def json_terms(doc) -> dict[int, tuple[PolyQ, PolyQ]]:
     """The components of a value in the PiGradedValue.to_json shape, as
     pi_exp -> (num, den), each read and checked but none reduced.  A
@@ -321,10 +332,16 @@ def json_terms(doc) -> dict[int, tuple[PolyQ, PolyQ]]:
         raise ValueError(f"must be a list of components, got {json.dumps(doc)}")
     terms: dict[int, tuple[PolyQ, PolyQ]] = {}
     for entry in doc:
-        if not isinstance(entry, dict) or not {"pi_exp", "num", "den"} <= entry.keys():
+        if not isinstance(entry, dict) or not entry.keys() >= set(COMPONENT_FIELDS):
             raise ValueError(
                 'a component must be an object with "pi_exp", "num" and "den",'
                 f" got {json.dumps(entry)}"
+            )
+        extra = [key for key in entry if key not in COMPONENT_FIELDS]
+        if extra:
+            raise ValueError(
+                f"unknown component key {json.dumps(extra[0])};"
+                f" the known ones are {', '.join(COMPONENT_FIELDS)}"
             )
         a = _json_int(entry["pi_exp"])
         if a in terms:

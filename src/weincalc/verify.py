@@ -90,45 +90,46 @@ MOMENT_SPOT_VALUES = {
 
 
 class McPass(NamedTuple):
-    """The estimates of one Monte Carlo pass of `samples` points, each a list
-    per n = 1..MC_N_MAX: the ball moments in _moment_terms(n) order,
-    the CP^n values and the blow-up values at weight BLOWUP_RHO for
-    k = 1..n."""
+    """The estimates of one Monte Carlo pass of `samples` points, as
+    (params, estimate) rows in draw order, n = 1..MC_N_MAX: the ball moments
+    {"n", "l", "k"}, the CP^n values {"n", "k"} and the blow-up values
+    {"n", "k", "rho"} at weight BLOWUP_RHO."""
 
     samples: int
-    ball_moments: list[list[McEstimate]]
-    cpn: list[list[McEstimate]]
-    blowup: list[list[McEstimate]]
-
-
-def _moment_terms(n: int) -> list[tuple[int, int]]:
-    """The (l, k) ball moments that ball-moments checks at n."""
-    return [(l, k) for l in range(1, n + 1) for k in range(1, MOMENT_K_MAX + 1)]
+    ball_moments: list[tuple[dict, McEstimate]]
+    cpn: list[tuple[dict, McEstimate]]
+    blowup: list[tuple[dict, McEstimate]]
 
 
 def draw_mc_pass(samples: int) -> McPass:
-    """The one Monte Carlo pass of verify: one montecarlo estimate over the
-    ball-moment, CP^n and blow-up grids of every n <= MC_N_MAX together,
-    drawn from one stream of MC_N_MAX-ball points with seed
-    BASE_SEED + 100 MC_N_MAX; a grid at n < MC_N_MAX reads the nested n-ball
-    points.  An estimate does not depend on the other integrands of its grid,
-    so each at n = MC_N_MAX is the one its own oracle (mc_ball_moment,
-    mc_cpn_average, mc_blowup_average) gives at that seed."""
-    grids, dims = [], []
+    """The one Monte Carlo pass of verify, the one home of its grid: one
+    montecarlo estimate over the ball-moment, CP^n and blow-up rows of every
+    n <= MC_N_MAX together, drawn from one stream of MC_N_MAX-ball points
+    with seed BASE_SEED + 100 MC_N_MAX; a row at n < MC_N_MAX reads the
+    nested n-ball points.  An estimate does not depend on the other
+    integrands of the pass, so each at n = MC_N_MAX is the one its own oracle
+    (mc_ball_moment, mc_cpn_average, mc_blowup_average) gives at that seed."""
+    rho = format_rational(BLOWUP_RHO)
+    labels, integrands = [], []
     for n in range(1, MC_N_MAX + 1):
+        terms = [(l, k) for l in range(1, n + 1) for k in range(1, MOMENT_K_MAX + 1)]
         degrees = range(1, n + 1)
-        for grid in (
-            ball_moment_integrands(n, _moment_terms(n), 1.0),
-            cpn_integrands(n, degrees),
-            blowup_integrands(n, degrees, float(BLOWUP_RHO)),
+        for check, params, grid in (
+            ("ball_moments", [{"n": n, "l": l, "k": k} for l, k in terms],
+             ball_moment_integrands(n, terms, 1.0)),
+            ("cpn", [{"n": n, "k": k} for k in degrees], cpn_integrands(n, degrees)),
+            ("blowup", [{"n": n, "k": k, "rho": rho} for k in degrees],
+             blowup_integrands(n, degrees, float(BLOWUP_RHO))),
         ):
-            grids.append(grid)
-            dims += [n] * len(grid)
-    union = [integrand for grid in grids for integrand in grid]
+            labels += [(check, row) for row in params]
+            integrands += grid
+    dims = [row["n"] for _, row in labels]
     seed = BASE_SEED + 100 * MC_N_MAX
-    estimates = iter(montecarlo._estimate(MC_N_MAX, 1.0, union, samples, seed, dims))
-    per_grid = [[next(estimates) for _ in grid] for grid in grids]
-    return McPass(samples, per_grid[0::3], per_grid[1::3], per_grid[2::3])
+    estimates = montecarlo._estimate(MC_N_MAX, 1.0, integrands, samples, seed, dims)
+    rows = {check: [] for check in McPass._fields[1:]}
+    for (check, params), est in zip(labels, estimates, strict=True):
+        rows[check].append((params, est))
+    return McPass(samples, **rows)
 
 
 class CheckResult(NamedTuple):
@@ -200,11 +201,9 @@ def check_ball_moments(mc_pass: McPass) -> CheckResult:
             }
         )
     mc_rows = []
-    for n, estimates in enumerate(mc_pass.ball_moments, start=1):
-        for (l, k), est in zip(_moment_terms(n), estimates):
-            coeff, pi_exp = combinatorics.ball_moment_exact(n, l, k)
-            exact = times_pi_power(coeff, pi_power(n=pi_exp))
-            mc_rows.append(mc_row({"n": n, "l": l, "k": k}, est, exact))
+    for params, est in mc_pass.ball_moments:
+        coeff, pi_exp = combinatorics.ball_moment_exact(**params)
+        mc_rows.append(mc_row(params, est, times_pi_power(coeff, pi_power(n=pi_exp))))
     ok &= all(row["ok"] for row in mc_rows)
     return CheckResult(
         "ball-moments",
@@ -259,10 +258,10 @@ def check_cpn_monte_carlo(mc_pass: McPass) -> CheckResult:
     """Monte Carlo trace-volume average against q(n,k) pi^k/k!, read from
     `mc_pass`."""
     rows = []
-    for n, estimates in enumerate(mc_pass.cpn, start=1):
-        for k, est in enumerate(estimates, start=1):
-            exact = times_pi_power(cpn_q(n, k) / math.factorial(k), pi_power(k=k))
-            rows.append(mc_row({"n": n, "k": k}, est, exact))
+    for params, est in mc_pass.cpn:
+        k = params["k"]
+        exact = times_pi_power(cpn_q(**params) / math.factorial(k), pi_power(k=k))
+        rows.append(mc_row(params, est, exact))
     ok = all(row["ok"] for row in rows)
     return CheckResult(
         "cpn-monte-carlo", ok, {"samples": mc_pass.samples, "streams": MC_STREAMS, "rows": rows}
@@ -312,15 +311,14 @@ def check_blowup(mc_pass: McPass, n_max: int = 8) -> CheckResult:
                 }
             )
     mc_rows = []
-    for n, estimates in enumerate(mc_pass.blowup, start=1):
-        for k, est in enumerate(estimates, start=1):
-            params = {"n": n, "k": k, "rho": format_rational(BLOWUP_RHO)}
-            try:
-                exact = times_pi_power(blowup_at_weight(n, k, BLOWUP_RHO), pi_power(k=k))
-            except SelfCheckError as exc:
-                mc_rows.append({**params, "error": str(exc), "ok": False})
-                continue
-            mc_rows.append(mc_row(params, est, exact))
+    for params, est in mc_pass.blowup:
+        n, k, rho = params["n"], params["k"], Fraction(params["rho"])
+        try:
+            exact = times_pi_power(blowup_at_weight(n, k, rho), pi_power(k=k))
+        except SelfCheckError as exc:
+            mc_rows.append({**params, "error": str(exc), "ok": False})
+            continue
+        mc_rows.append(mc_row(params, est, exact))
     ok &= all(row["ok"] for row in mc_rows)
     return CheckResult(
         "blowup",

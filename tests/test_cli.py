@@ -13,7 +13,7 @@ import pytest
 
 from weincalc import cli, combinatorics, montecarlo, morphism, symbolic, verify
 from weincalc.cli import main
-from weincalc.exactarith import times_pi_power
+from weincalc.exactarith import format_rational, times_pi_power
 from weincalc.morphism import RAW_CHECK_MAX_K, cpn_q
 from weincalc.symbolic import PiGradedValue
 
@@ -715,6 +715,58 @@ def test_product_reduces_only_the_named_class(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert calls == [(symbolic.PolyQ({3: 1, 0: 1}), symbolic.PolyQ({2: 1, 0: 1}))]
     assert doc["value"][0] == named[0]  # reduced already: the gcd is 1
+
+
+def test_adding_a_class_to_the_cpn_value_runs_one_gcd(capsys, tmp_path, monkeypatch):
+    # The class is reduced once; adding it to the CP^n monomial ran a second
+    # gcd, which a dense class of degree 50 paid as much as its reduction.
+    calls = []
+    gcd = symbolic.poly_gcd
+    monkeypatch.setattr(symbolic, "poly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    # (x^2 - 1)(x + 3) / ((x - 1)(2x + 5)), with a shared factor x - 1
+    num = {3: 1, 2: 3, 1: -1, 0: -3}
+    den = {2: 2, 1: 3, 0: -5}
+    value = [{"pi_exp": 1, "num": [[e, str(c)] for e, c in num.items()],
+              "den": [[e, str(c)] for e, c in den.items()]}]
+    path = write_descriptor(
+        tmp_path,
+        {"dimension": 2, "trivial_odd_homotopy": [1],
+         "classes": {"c": {"degree": 1, "value": value}}},
+    )
+    argv = ("product", "--n", "2", "--k", "1", "--manifold", path, "--class", "c")
+    code, doc = run_json(capsys, *argv)
+    assert (code, len(calls)) == (0, 1)
+    monkeypatch.undo()
+    num, den = symbolic.PolyQ(num), symbolic.PolyQ(den)
+    generic = symbolic.RatFuncQ(num + symbolic.PolyQ.const(cpn_q(2, 1)) * den, den)
+    assert doc["value"] == PiGradedValue({1: generic}).to_json()
+
+
+def test_product_reads_a_period_number_as_written(capsys, tmp_path):
+    # A period written as a JSON number went through a binary float and lost
+    # its digits: this one printed the lattice coefficient 1/10.
+    digits = "0.1000000000000000055511151231257827"
+    lattices = []
+    for period in (digits, f'"{digits}"'):
+        path = tmp_path / "manifold.json"
+        path.write_text(
+            '{"dimension": 2, "trivial_odd_homotopy": [1], "periods": {"2": [' + period + "]}}"
+        )
+        code, doc = run_json(capsys, "product", "--n", "2", "--k", "1", "--manifold", str(path))
+        assert code == 0
+        lattices.append(doc["lattice"])
+    assert lattices[0] == lattices[1]
+    assert lattices[0][0]["coeff"] == format_rational(Fraction(digits))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_product_refuses_a_descriptor_above_the_size_limit(capsys):
+    # Reading /dev/zero grew the process until a MemoryError traceback and
+    # exit 1, or until the kernel killed it.
+    limit = morphism.MAX_DESCRIPTOR_CHARS
+    code, out, err = run_cli(capsys, "product", "--n", "2", "--k", "1", "--manifold", "/dev/zero")
+    assert (code, out) == (2, "")
+    assert err == f"error: manifold descriptor is longer than {limit} characters\n"
 
 
 def test_product_refuses_a_descriptor_that_is_not_utf8(capsys, tmp_path):

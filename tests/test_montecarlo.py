@@ -350,29 +350,51 @@ def test_each_mc_check_draws_one_stream_per_dimension(monkeypatch, suite, sample
 
 
 def test_shared_pass_equals_the_oracles_at_its_seeds():
-    # The pass draws one stream at n = MC_N_MAX.  Its top-dimension estimates
-    # are bit for bit those of the oracles at seed BASE_SEED + 100 MC_N_MAX;
-    # at n < MC_N_MAX they are those of the one-draw reference with the
-    # n-ball point nested in the top one.
+    # The pass draws one stream at n = MC_N_MAX and labels each estimate with
+    # its row's parameters.  Every row's estimate is, bit for bit, the one
+    # computed from those parameters alone: at n = MC_N_MAX by its oracle at
+    # seed BASE_SEED + 100 MC_N_MAX, below by the one-draw reference with the
+    # n-ball point nested in the top one.  So a mislabelled row fails.
     samples = CHUNK_SIZE // verify.MC_N_MAX + 17  # across a chunk edge
     mc_pass = verify.draw_mc_pass(samples)
     assert mc_pass.samples == samples
-    top, rho = verify.MC_N_MAX, float(verify.BLOWUP_RHO)
-    seed, degrees = verify.BASE_SEED + 100 * top, range(1, top + 1)
-    assert mc_pass.ball_moments[-1] == mc_ball_moment(
-        top, verify._moment_terms(top), 1.0, samples, seed
-    )
-    assert mc_pass.cpn[-1] == mc_cpn_average(top, degrees, samples, seed)
-    assert mc_pass.blowup[-1] == mc_blowup_average(top, degrees, rho, samples, seed)
-    for n in range(1, top):
-        degrees = range(1, n + 1)
-        for got, integrands in [
-            (mc_pass.ball_moments, montecarlo.ball_moment_integrands(n, verify._moment_terms(n), 1.0)),
-            (mc_pass.cpn, montecarlo.cpn_integrands(n, degrees)),
-            (mc_pass.blowup, montecarlo.blowup_integrands(n, degrees, rho)),
-        ]:
-            want = one_draw_estimates(top, 1.0, integrands, samples, seed, [n] * len(integrands))
-            assert got[n - 1] == want, n
+    top, seed = verify.MC_N_MAX, verify.BASE_SEED + 100 * verify.MC_N_MAX
+    pairs = [(n, k) for n in range(1, top + 1) for k in range(1, n + 1)]
+    moments = [(n, l, k) for n in range(1, top + 1) for l in range(1, n + 1)
+               for k in range(1, verify.MOMENT_K_MAX + 1)]
+    assert [params for params, _ in mc_pass.ball_moments] == [
+        {"n": n, "l": l, "k": k} for n, l, k in moments
+    ]
+    assert [params for params, _ in mc_pass.cpn] == [{"n": n, "k": k} for n, k in pairs]
+    assert [params for params, _ in mc_pass.blowup] == [
+        {"n": n, "k": k, "rho": "1/2"} for n, k in pairs
+    ]
+
+    def rho(params):
+        return float(Fraction(params["rho"]))
+
+    routes = {  # check -> (the row's integrands, its oracle)
+        "ball_moments": (
+            lambda p: montecarlo.ball_moment_integrands(p["n"], [(p["l"], p["k"])], 1.0),
+            lambda p: mc_ball_moment(p["n"], [(p["l"], p["k"])], 1.0, samples, seed),
+        ),
+        "cpn": (
+            lambda p: montecarlo.cpn_integrands(p["n"], [p["k"]]),
+            lambda p: mc_cpn_average(p["n"], [p["k"]], samples, seed),
+        ),
+        "blowup": (
+            lambda p: montecarlo.blowup_integrands(p["n"], [p["k"]], rho(p)),
+            lambda p: mc_blowup_average(p["n"], [p["k"]], rho(p), samples, seed),
+        ),
+    }
+    for check, (integrands, oracle) in routes.items():
+        for params, got in getattr(mc_pass, check):
+            n = params["n"]
+            if n == top:
+                want = oracle(params)
+            else:
+                want = one_draw_estimates(top, 1.0, integrands(params), samples, seed, [n])
+            assert [got] == want, (check, params)
 
 
 def test_each_check_alone_equals_its_share_of_run_all():

@@ -454,6 +454,16 @@ BAD_FIELDS = [
         "classes.c.values",
         "unknown field; the known ones are degree, value",
     ),
+    # A negative pi exponent was accepted on read and refused, with no
+    # field, only by a query that named the class.
+    (_class_value([_component([(0, "1")], pi_exp=-1)]), "classes.c.value",
+     "exponent must be >= 0, got -1"),
+    # An unknown component key was accepted without a word.
+    (
+        _class_value([{**_component([(0, "1")]), "extra": 5}]),
+        "classes.c.value",
+        'unknown component key "extra"; the known ones are pi_exp, num, den',
+    ),
 ]
 
 

@@ -24,7 +24,7 @@ def records():
         (cpn_weinstein(2, 1), "value"),
         (descriptor.classes["c"], "degree"),
         (descriptor, "classes"),
-        (McPass(0, [[]], [[]], [[]]), "samples"),
+        (McPass(0, [], [], []), "samples"),
         (check_identity_suite(2), "passed"),
     ]
 

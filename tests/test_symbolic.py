@@ -209,6 +209,24 @@ def test_ratfunc_scalar_product_matches_reduction():
         reduced[0] * reduced[0]
 
 
+@given(small_poly, small_poly, nonzero_poly)
+@settings(max_examples=80)
+def test_ratfunc_sum_with_a_polynomial_runs_no_gcd(p, a, b):
+    # p + a/b = (a + p b)/b is reduced already: gcd(a + p b, b) = gcd(a, b) = 1.
+    f, poly = RatFuncQ(a, b), RatFuncQ(p)
+    expected = RatFuncQ(f.num + p * f.den, f.den)
+    calls = []
+    gcd = symbolic.poly_gcd
+    symbolic.poly_gcd = lambda x, y: calls.append(1) or gcd(x, y)
+    try:
+        sums = [poly + f, f + poly, poly + poly]
+    finally:
+        symbolic.poly_gcd = gcd
+    assert calls == []
+    assert sums[:2] == [expected, expected]
+    assert sums[2] == RatFuncQ(p * 2)
+
+
 def test_rational_gcd_examples():
     assert rational_gcd([Fraction(2, 3), Fraction(1, 2)]) == Fraction(1, 6)
     assert rational_gcd([Fraction(1)]) == 1
