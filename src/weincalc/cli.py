@@ -13,7 +13,8 @@ import os
 import sys
 from math import factorial
 
-# Eager, although only `moment --mc` and `verify` use `verify`: perfbench's
+# `identity`, `moment --mc` and `verify` call `verify`, and the parser reads
+# its BASE_SEED as the `--seed` default.  Eager also because perfbench's
 # trace_child.install wraps what it finds in sys.modules after
 # `from weincalc import cli`, and its setup_s times the whole package.
 from . import combinatorics, verify
@@ -180,12 +181,10 @@ def _cmd_product(args) -> int:
 
 
 def _check_summary(details: dict) -> str:
-    rows = [
-        row
-        for key in ("monte_carlo", "rows")
-        for row in details.get(key, [])
-        if isinstance(row, dict)
-    ]
+    """What a check covered and, if it failed, how many of its rows failed:
+    a row whose `ok` (a product row's `nontrivial`) is false, and every entry
+    of `failures` and `mismatches`."""
+    rows = [row for key in ("spots", "monte_carlo", "rows") for row in details.get(key, [])]
     sigmas = [row["sigma"] for row in rows if "sigma" in row]
     parts = []
     if "rows" in details and not sigmas:
@@ -198,8 +197,10 @@ def _check_summary(details: dict) -> str:
         parts.append(f"{details['samples']} samples")
     if sigmas:
         parts.append(f"max {max(sigmas):.2f} sigma over {len(sigmas)} estimates")
-    if "mismatches" in details and details["mismatches"]:
-        parts.append(f"{len(details['mismatches'])} mismatches")
+    failed = sum(not row.get("ok", row.get("nontrivial", True)) for row in rows)
+    failed += len(details.get("failures", ())) + len(details.get("mismatches", ()))
+    if failed:
+        parts.append(f"{failed} failed")
     refused = sum("error" in row for row in rows)
     if refused:
         parts.append(f"{refused} refused by the self-check")

@@ -5,9 +5,9 @@ Every oracle averages integrands scale * (|z_1|^2+...+|z_m|^2)^k times
 only the squared moduli these read: |z|^2 = r0^2 U^(1/n), and every partial
 one |z_1|^2+...+|z_m|^2 as |z|^2 times the share of the first 2m of 2n
 standard normals in their sum of squares (Muller's Gaussian directions, 1959;
-rejection sampling is useless in 2n >= 8 dimensions).  Each grid has one
-builder (ball_moment_integrands, cpn_integrands, blowup_integrands), which
-its oracle and verify's shared pass both call.
+rejection sampling is useless in 2n >= 8 dimensions).  Each integrand has
+one builder, ball_moment_integrands or trace_volume_integrands (CP^n, and its
+blow-up given a weight), which its oracles and verify's shared pass call.
 
 Determinism contract: an oracle call takes a grid of integrands and draws
 every sample from one generator, numpy.random.default_rng(seed), as points
@@ -281,22 +281,31 @@ def _power(column: np.ndarray, k: int, known: dict, out: np.ndarray) -> np.ndarr
     return np.multiply(half, half, out=out)
 
 
+def _ball_volume(r0: float, **dimension: int) -> float:
+    """The volume pi^d r0^(2d) / d! of the radius-r0 ball in C^d, d the one
+    named dimension, formed exactly so that d! alone refuses nothing.  pi^d
+    above the float range is refused naming d; the volume, naming d and r0."""
+    ((_, d),) = dimension.items()
+    pi_d = pi_power(**dimension)  # refused before d! is formed
+    try:
+        return times_pi_power(Fraction(r0) ** (2 * d) / math.factorial(d), pi_d)
+    except OverflowError:
+        raise ParameterError(
+            "the Monte Carlo ball volume overflows a float", **dimension, r0=r0
+        ) from None
+
+
 def ball_moment_integrands(
     n: int, terms: Sequence[tuple[int, int]], r0: float
 ) -> list[tuple[int, int, float, float]]:
     """The integrands (l, k, 0, volume) whose estimates are the ball moment
     integrals of (|z_1|^2 + ... + |z_l|^2)^k over the radius-r0 ball in C^n
     with Lebesgue measure, one per (l, k) in `terms`: ball volume times the
-    sample mean.  A pi^n above the float range, or a volume
-    pi^n r0^(2n) / n! above it, is refused."""
+    sample mean."""
     for l, k in terms:
         require_moment(n, l, k)
     require_radius(r0)
-    pi_n = pi_power(n=n)  # refused before n! is formed
-    try:
-        volume = times_pi_power(Fraction(r0) ** (2 * n) / math.factorial(n), pi_n)
-    except OverflowError:
-        raise ParameterError("the Monte Carlo ball volume overflows a float", n=n, r0=r0) from None
+    volume = _ball_volume(r0, n=n)
     return [(l, k, 0.0, volume) for l, k in terms]
 
 
@@ -308,47 +317,29 @@ def mc_ball_moment(
     return _estimate(n, r0, ball_moment_integrands(n, terms, r0), samples, seed)
 
 
-def _generator(k: int) -> float:
-    """The float of pi^k/k!, the period lattice generator of CP^n."""
-    pi_k = pi_power(k=k)  # refused before k! is formed
-    return times_pi_power(Fraction(1, math.factorial(k)), pi_k)
-
-
-def cpn_integrands(n: int, degrees: Sequence[int]) -> list[tuple[int, int, float, float]]:
-    """The unit-ball integrands (k, k, 0, pi^k/k!) whose estimates are the
-    morphism values on CP^n, one per k in `degrees`: the average of
-    (pi^k/k!) (|z_1|^2 + ... + |z_k|^2)^k over the unit ball, whose image
-    under z -> w = [z : sqrt(1 - |z|^2)] fills CP^n up to measure zero.  This
-    is the trace volume (pi^k/k!) (sum_{j<=k} |w_j|^2/|w|^2)^k of the
-    embedded point, because that point has |w| = 1.  Expected value:
-    q(n,k) pi^k/k!."""
+def trace_volume_integrands(
+    n: int, degrees: Sequence[int], rho: float | None = None
+) -> list[tuple[int, int, float, float]]:
+    """The unit-ball integrands (k, k, cutoff, pi^k/k! / share), one per k in
+    `degrees`, of the trace volume (pi^k/k!) (|z_1|^2 + ... + |z_k|^2)^k over
+    the image [z : sqrt(1 - |z|^2)] of the unit ball, which fills CP^n up to
+    measure zero; pi^k/k! is the unit-ball volume in C^k.  With no weight
+    nothing is removed (cutoff 0, share 1): expected value q(n,k) pi^k/k!.
+    A weight cuts out [|z| <= rho] and renormalizes by the blow-up's volume
+    share 1 - rho^(2n): expected value f_k(rho^2) pi^k.  Rules in this order:
+    1 <= k <= n, 0 < rho < 1, pi^k inside the float range."""
     for k in degrees:
         require_within(n, k=k)
-    return [(k, k, 0.0, _generator(k)) for k in degrees]
+    cutoff, share = 0.0, 1.0
+    if rho is not None:
+        require_weight(rho)
+        cutoff, share = rho, 1.0 - rho ** (2 * n)
+    return [(k, k, cutoff, _ball_volume(1.0, k=k) / share) for k in degrees]
 
 
 def mc_cpn_average(n: int, degrees: Sequence[int], samples: int, seed: int) -> list[McEstimate]:
     """Estimate the morphism value on CP^n for each k in `degrees`."""
-    return _estimate(n, 1.0, cpn_integrands(n, degrees), samples, seed)
-
-
-def blowup_integrands(
-    n: int, degrees: Sequence[int], rho: float
-) -> list[tuple[int, int, float, float]]:
-    """The unit-ball integrands (k, k, rho, pi^k/k! / (1 - rho^(2n))) whose
-    estimates are the morphism values on the weight-rho blow-up of CP^n, one
-    per k in `degrees`.
-
-    They realize the difference of the full-manifold integral and the
-    integral over the removed ball as a single average over the unit ball
-    with the complement indicator, normalized by the blow-up volume
-    pi^n (1 - rho^(2n))/n!.  Expected value: f_k(rho^2) * pi^k.
-    """
-    for k in degrees:
-        require_within(n, k=k)
-    require_weight(rho)
-    volume_share = 1.0 - rho ** (2 * n)
-    return [(k, k, rho, _generator(k) / volume_share) for k in degrees]
+    return _estimate(n, 1.0, trace_volume_integrands(n, degrees), samples, seed)
 
 
 def mc_blowup_average(
@@ -356,4 +347,4 @@ def mc_blowup_average(
 ) -> list[McEstimate]:
     """Estimate the morphism value on the weight-rho blow-up of CP^n for each
     k in `degrees`."""
-    return _estimate(n, 1.0, blowup_integrands(n, degrees, rho), samples, seed)
+    return _estimate(n, 1.0, trace_volume_integrands(n, degrees, rho), samples, seed)

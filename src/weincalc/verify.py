@@ -29,10 +29,9 @@ from .exactarith import ParameterError, format_rational, pi_power, require_posit
 from .montecarlo import (
     McEstimate,
     ball_moment_integrands,
-    blowup_integrands,
-    cpn_integrands,
     mc_ball_moment,
     sample_ball,
+    trace_volume_integrands,
 )
 from .morphism import (
     FINITE_ORDER_AT_TOP_DEGREE,
@@ -117,9 +116,9 @@ def draw_mc_pass(samples: int) -> McPass:
         for check, params, grid in (
             ("ball_moments", [{"n": n, "l": l, "k": k} for l, k in terms],
              ball_moment_integrands(n, terms, 1.0)),
-            ("cpn", [{"n": n, "k": k} for k in degrees], cpn_integrands(n, degrees)),
+            ("cpn", [{"n": n, "k": k} for k in degrees], trace_volume_integrands(n, degrees)),
             ("blowup", [{"n": n, "k": k, "rho": rho} for k in degrees],
-             blowup_integrands(n, degrees, float(BLOWUP_RHO))),
+             trace_volume_integrands(n, degrees, float(BLOWUP_RHO))),
         ):
             labels += [(check, row) for row in params]
             integrands += grid

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON schema stability, human/JSON agreement."""
 
+import hashlib
 import json
 import math
 import os
@@ -978,6 +979,63 @@ def test_verify_quick_passes(capsys):
         "mc-determinism",
     ]
     assert all(c["passed"] for c in doc["checks"])
+
+
+# The sha256 of each part of `verify --json` that no Monte Carlo draw feeds,
+# as printed: the five exact checks whole, blowup's exact rows and
+# ball-moments' quadrature spots.  The Monte Carlo rows are left out, because
+# NumPy pins their stream only per version.  A changed byte fails below with
+# the part named; updating a digest is its own documented step.
+EXACT_CHECKS = ("identity-suite", "moment-sums", "cpn-exact", "product", "decision-procedures")
+EXACT_PART_SHA256 = {
+    "--quick": {
+        "identity-suite": "323253703dd0e8025fb7a41c2fa476c3a38ef3f4498b54b8c54506ccf79b3b15",
+        "moment-sums": "a777278be1a9b84e4eb0deaf0250bc6520fff8112786192d8d7978059174a954",
+        "cpn-exact": "d172be5cd761407bbca3547525e9e538a2ee90a35a3f5a130e094ee92e8841e6",
+        "product": "2631924eba60240045f4d2f9d6c510cd00ce2d44b4c580cda1130d1fe5bd054f",
+        "decision-procedures": "95972a55fc270b69fea5560f1c7e92b338fca05513b8fa91ae76cdf89c004af6",
+        "blowup.rows": "daca0a8178299c8fb9979757972b2d6378b250f3d50538641eae9438e08777eb",
+        "ball-moments.spots": "53dd29b3ff9550e231e128765b4ae414a818bcbc94a2dbb9e5c5f130bf91283c",
+    },
+    "": {
+        "identity-suite": "55f87ddca9675980961dfdd7248ba93a70fca6c572670efc2559b34ba9037a6e",
+        "moment-sums": "a42f82beb8f03746ee250038af907213e84091b82388a0eba46c25438a613079",
+        "cpn-exact": "ef56b515dfe2b5247e04cccb3ad929ff0e6b46b22b25ef0f8526341290f7d337",
+        "product": "7f981f878cf120b99379f5474d1193f55e52b0a1a5c44418c16cd9f9de19b5d1",
+        "decision-procedures": "95972a55fc270b69fea5560f1c7e92b338fca05513b8fa91ae76cdf89c004af6",
+        "blowup.rows": "f08d4d5d965d2088b3f0725ecaec2f1cda221c33e2e1b1b45b0d281619a392bb",
+        "ball-moments.spots": "53dd29b3ff9550e231e128765b4ae414a818bcbc94a2dbb9e5c5f130bf91283c",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", EXACT_PART_SHA256, ids=["quick", "full"])
+def test_verify_exact_output_is_pinned(capsys, mode):
+    out = run_cli(capsys, "verify", *mode.split(), "--json")[1]
+    checks = {check["name"]: check for check in json.loads(out)["checks"]}
+    parts = {name: checks[name] for name in EXACT_CHECKS}
+    parts["blowup.rows"] = checks["blowup"]["details"]["rows"]
+    parts["ball-moments.spots"] = checks["ball-moments"]["details"]["spots"]
+    printed = {name: json.dumps(part) for name, part in parts.items()}
+    assert all(text in out for text in printed.values())  # the bytes as printed
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in printed.items()}
+    assert digests == EXACT_PART_SHA256[mode]
+
+
+def test_a_failed_check_counts_its_failed_rows(monkeypatch):
+    # Every row of cpn-exact fails with a wrong q, and one pair of
+    # moment-sums with a wrong S(3, 2); the line counts those, not the cases.
+    monkeypatch.setattr(verify, "cpn_q", lambda n, k: cpn_q(n, k) * Fraction(1001, 1000))
+    result = verify.check_cpn_exact(4)
+    assert not result.passed
+    assert cli._check_summary(result.details) == "10 cases, 10 failed"
+    closed = combinatorics.moment_sum_closed
+    monkeypatch.setattr(
+        combinatorics, "moment_sum_closed", lambda k, l: closed(k, l) + ((k, l) == (3, 2))
+    )
+    result = verify.check_moment_sums()
+    assert not result.passed
+    assert cli._check_summary(result.details) == "36 pairs, 1 failed"
 
 
 def test_usage_errors_exit_2(capsys):

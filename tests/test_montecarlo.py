@@ -13,7 +13,7 @@ import pytest
 
 from weincalc import montecarlo, verify
 from weincalc.combinatorics import ball_moment_exact
-from weincalc.exactarith import ParameterError
+from weincalc.exactarith import ParameterError, times_pi_power
 from weincalc.montecarlo import (
     BLOCK_NORMALS,
     CHUNK_SIZE,
@@ -226,6 +226,22 @@ def test_mc_blowup_agreement_at_half_weight():
         assert est.sigma_distance(exact) < 4, (n, k, est)
 
 
+def test_cpn_grid_is_the_blowup_grid_with_no_ball_removed():
+    # One trace-volume builder: with no weight the cutoff is 0 and the scale
+    # the unit-ball volume pi^k/k! of C^k; a weight cuts out its ball and
+    # divides by the remaining volume share, nothing else.
+    for n in (1, 3, 9):
+        degrees = range(1, n + 1)
+        cpn = montecarlo.trace_volume_integrands(n, degrees)
+        assert cpn == [
+            (k, k, 0.0, times_pi_power(Fraction(1, math.factorial(k)), math.pi**k)) for k in degrees
+        ]
+        share = 1.0 - 0.5 ** (2 * n)
+        assert montecarlo.trace_volume_integrands(n, degrees, 0.5) == [
+            (k, k, 0.5, scale / share) for k, _, _, scale in cpn
+        ]
+
+
 def test_estimates_are_deterministic_and_seed_sensitive():
     samples = CHUNK_SIZE // 2 + 17  # n = 2 draws chunks of CHUNK_SIZE // 2: crosses an edge
     a = mc_ball_moment(2, [(2, 1)], 1.0, samples, 310)
@@ -379,11 +395,11 @@ def test_shared_pass_equals_the_oracles_at_its_seeds():
             lambda p: mc_ball_moment(p["n"], [(p["l"], p["k"])], 1.0, samples, seed),
         ),
         "cpn": (
-            lambda p: montecarlo.cpn_integrands(p["n"], [p["k"]]),
+            lambda p: montecarlo.trace_volume_integrands(p["n"], [p["k"]]),
             lambda p: mc_cpn_average(p["n"], [p["k"]], samples, seed),
         ),
         "blowup": (
-            lambda p: montecarlo.blowup_integrands(p["n"], [p["k"]], rho(p)),
+            lambda p: montecarlo.trace_volume_integrands(p["n"], [p["k"]], rho(p)),
             lambda p: mc_blowup_average(p["n"], [p["k"]], rho(p), samples, seed),
         ),
     }
