@@ -229,48 +229,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cpn", help="morphism value on CP^n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_cpn)
+    def command(name: str, func, summary: str, *sizes: str) -> argparse.ArgumentParser:
+        """The subcommand `name`, with a required integer flag per size."""
+        p = sub.add_parser(name, help=summary)
+        for size in sizes:
+            p.add_argument(f"--{size}", type=int, required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("blowup", help="morphism value on the blow-up of CP^n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    command("cpn", _cmd_cpn, "morphism value on CP^n", "n", "k")
+    p = command("blowup", _cmd_blowup, "morphism value on the blow-up of CP^n", "n", "k")
     p.add_argument("--rho", type=str, default=None, help="weight in (0,1), as p/q or decimal")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_blowup)
-
-    p = sub.add_parser("moment", help="exact ball moment integral, optionally MC-checked")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = command("moment", _cmd_moment, "exact ball moment integral, optionally MC-checked",
+                "n", "l", "k")
     p.add_argument("--r0", type=str, default="1", help="radius, as p/q or decimal")
     p.add_argument("--mc", action="store_true")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=verify.BASE_SEED)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_moment)
-
-    p = sub.add_parser("identity", help="diagonal moment-sum identity table")
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_identity)
-
-    p = sub.add_parser("product", help="morphism value on CP^n x M from a descriptor")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    command("identity", _cmd_identity, "diagonal moment-sum identity table", "k-max")
+    p = command("product", _cmd_product, "morphism value on CP^n x M from a descriptor", "n", "k")
     p.add_argument("--manifold", type=str, required=True, help="descriptor JSON file")
     p.add_argument("--class", dest="class_name", type=str, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("verify", help="run the self-verification suite")
+    p = command("verify", _cmd_verify, "run the self-verification suite")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
-
+    for p in sub.choices.values():  # --json comes last in every command
+        p.add_argument("--json", action="store_true")
     return parser
 
 

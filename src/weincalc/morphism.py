@@ -114,14 +114,14 @@ def cpn_lattice(k: int) -> Lattice:
 
 
 def _checked_q(n: int, k: int, alone: bool = True) -> Fraction:
-    """q(n, k) with the closed form cross-checked against the raw multi-index
-    sum whenever k is inside the brute-force budget.  Every cpn, blow-up and
-    product value prints its lattice generator pi^k/k!, so a k whose k! must
-    exceed the integer string limit is refused here, before any exact work.
-    So is, when c = q(n, k)/k! is printed `alone` (not summed with a class of
-    a product), an (n, k) whose c must have a denominator beyond that limit:
-    c = C(2k-1, k) / perm(n+k, k), so that denominator is at least
-    (n+1)^k / C(2k-1, k), tested before perm(n+k, k) is formed."""
+    """q(n, k), through the one gate every cpn, blow-up and product value
+    passes, in this order: 1 <= k <= n; a printable k!, since each value
+    prints its lattice generator pi^k/k!; a printable c = q(n, k)/k!, whose
+    denominator is at least (n+1)^k / C(2k-1, k), tested before perm(n+k, k)
+    is formed; then the closed form against the raw multi-index sum whenever
+    k is inside the brute-force budget.  Only a product whose class has a
+    nonzero pi^k component prints c summed with that component, which can
+    cancel den(c); it passes `alone` false and skips the third test."""
     require_within(n, k=k)
     require_printable_factorial(k)
     if alone:
@@ -138,9 +138,8 @@ def _checked_q(n: int, k: int, alone: bool = True) -> Fraction:
 
 def cpn_weinstein(n: int, k: int, alone: bool = True) -> CosetValue:
     """Morphism value on the degree-(2k-1) unitary generator acting on CP^n:
-    (q(n,k)/k!) * pi^k in R / <pi^k/k!>.  With `alone` false, as in a
-    product, where a class can cancel the denominator of q/k!, that
-    denominator is not tested against the digit limit."""
+    (q(n,k)/k!) * pi^k in R / <pi^k/k!>, refused by the gate of _checked_q,
+    to which `alone` is passed."""
     q = _checked_q(n, k, alone)
     value = PiGradedValue.monomial(q / math.factorial(k), k, 0)
     return CosetValue(value, cpn_lattice(k))
@@ -194,12 +193,13 @@ def blowup_weinstein(n: int, k: int) -> CosetValue:
 
 def blowup_at_weight(n: int, k: int, rho: Fraction) -> Fraction:
     """f_k(rho^2), the pi^k coefficient of the blow-up value at weight rho,
-    from its closed form, for the (n, k) that blowup_weinstein admits.
+    from its closed form, for the (n, k) that blowup_weinstein admits: the
+    term count, the weight range and the full gate of _checked_q, then
     DigitLimitError, before any power of x = rho^2 is formed, when the
     reduced numerator must exceed the integer string limit."""
     g = _blowup_step(n, k)  # bounds n before the exact work of _checked_q
     require_weight(rho)
-    c = _checked_q(n, k, alone=False) / math.factorial(k)  # the weight's factor can cancel den(c)
+    c = _checked_q(n, k) / math.factorial(k)
     x = rho * rho
     # For x = a/b the reduced numerator is at least b^(n+k-g) / den(c).
     require_printable_power(x.denominator, n + k - g, c.denominator)
@@ -452,11 +452,14 @@ def product_value(
 
     Every rule runs here, in this order: 1 <= k <= n; the descriptor asserts
     trivial homotopy in degree 2k-1; the class exists and lives in that
-    degree; k <= m for the descriptor's dimension 2m; the CP^n value, with
-    its k! and self-check refusals; and the product lattice contains both
-    factor lattices, checked generator by generator.  Only the last two do
-    exact work.  The named class is reduced last, after every refusal, and
-    no other class of the descriptor is reduced.
+    degree; k <= m for the descriptor's dimension 2m; the gate of the CP^n
+    value (_checked_q), whose printable-c test is skipped only when the
+    class has a nonzero pi^k component to cancel den(c); and the product
+    lattice contains both factor lattices, checked generator by generator.
+    Only the last two do exact work.  No descriptor can fail the last, so
+    a generator missing from the product lattice is a SelfCheckError.  The
+    named class is reduced last, after every refusal, and no other class of
+    the descriptor is reduced.
     """
     require_within(n, k=k)
     degree = 2 * k - 1
@@ -482,11 +485,11 @@ def product_value(
     if k > descriptor.half_dimension:
         bound = f"half the descriptor dimension {descriptor.dimension}"
         raise ParameterError(f"must be <= {descriptor.half_dimension}, {bound}", k=k)
-    cv = cpn_weinstein(n, k, alone=False)
+    cv = cpn_weinstein(n, k, alone=not (k in named.terms and named.terms[k][0]))
     full = product_cpn_lattice(n, k, descriptor)
     for coeff, pi_exp, x_exp in cv.lattice.generators + descriptor.period_lattice(k).generators:
         if not lattice_member(PiGradedValue.monomial(coeff, pi_exp, x_exp), full):
-            raise ValueError(
+            raise SelfCheckError(
                 f"product lattice does not contain the factor generator "
                 f"{format_rational(coeff)}*pi^{pi_exp}*x^{x_exp}"
             )

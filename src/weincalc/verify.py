@@ -335,8 +335,9 @@ def check_blowup(mc_pass: McPass, n_max: int = 8) -> CheckResult:
 def check_product(n_max: int = 5) -> CheckResult:
     """Product suite: cpn(n,k) x trivial against a rational-period descriptor
     is nontrivial for all k <= n <= n_max, with the factor-lattice containment
-    checked generator by generator inside product_value.  A CP^n value
-    refused by its self-check fails its row with the message."""
+    checked generator by generator inside product_value.  A value refused by
+    a self-check, of q or of that containment, fails its row with the
+    message."""
     descriptor = ManifoldDescriptor.from_json(
         {
             "dimension": 2 * n_max,

@@ -564,6 +564,61 @@ def test_unprintable_coefficient_is_refused_before_perm(capsys, monkeypatch):
     assert formed != []
 
 
+def test_product_skips_the_coefficient_test_only_for_a_cancelling_class(
+    capsys, tmp_path, monkeypatch
+):
+    # product prints c = q/k! summed with the class's pi^k component, which
+    # alone can cancel den(c).  Without one, the query is refused as cpn
+    # refuses it, before q is formed: at k = 1500 forming it first took 18 s.
+    n = "9" * 4000
+    cancel = {"pi_exp": 2, "num": [[0, f"-3/{int(n) + 1}"]], "den": [[0, str(int(n) + 2)]]}
+    empty = {"pi_exp": 2, "num": [], "den": [[0, "1"]]}
+    path = write_descriptor(
+        tmp_path,
+        {"dimension": 3000, "trivial_odd_homotopy": [3, 2999],
+         "classes": {"empty": {"degree": 3, "value": [empty]},
+                     "cancel": {"degree": 3, "value": [cancel]}}},
+    )
+    formed = []
+    monkeypatch.setattr(morphism, "cpn_q", lambda *a: formed.append(a) or cpn_q(*a))
+    limit = sys.get_int_max_str_digits()
+    product = ("product", "--n", n, "--manifold", path)
+    for k, chosen in (("1500", ()), ("2", ()), ("2", ("--class", "empty"))):
+        assert run_cli(capsys, *product, "--k", k, *chosen) == (
+            2, "",
+            f"error: --n {n} --k {k}: the result has a number of more than {limit}"
+            f" digits, the integer string limit\n",
+        )
+    assert formed == []
+    # c(n, 2) = 3/((n+1)(n+2)), which this class cancels.
+    code, doc = run_json(capsys, *product, "--k", "2", "--class", "cancel")
+    assert (code, doc["value"], doc["order"]) == (0, [], {"kind": "finite", "order": 1})
+    assert formed == [(int(n), 2)]
+
+
+def test_a_product_lattice_defect_fails_the_self_check(capsys, tmp_path, monkeypatch):
+    # The containment test read as a parameter error: verify aborted with
+    # exit 2 and printed no report.
+    original = morphism.product_cpn_lattice
+    monkeypatch.setattr(
+        morphism, "product_cpn_lattice",
+        lambda n, k, m_desc: original(n, k, m_desc._replace(periods={})),
+    )
+    sphere = write_descriptor(tmp_path, {"dimension": 2, "trivial_odd_homotopy": [1],
+                                         "periods": {"2": ["1"]}})
+    assert run_cli(capsys, "product", "--n", "2", "--k", "1", "--manifold", sphere) == (
+        1, "",
+        "error: self-check failed: product lattice does not contain the factor generator"
+        " 1*pi^0*x^0\n",
+    )
+    code, out, err = run_cli(capsys, "verify", "--quick")
+    lines = out.splitlines()
+    assert (code, err, len(lines), lines[-1]) == (1, "", 10, "VERIFICATION FAILED (8/9)")
+    (failed,) = [line for line in lines if line.startswith("FAIL")]
+    assert failed.split()[1] == "product"
+    assert failed.endswith("10 failed, 10 refused by the self-check")
+
+
 def test_cpn_refuses_only_unprintable_coefficients(capsys):
     # Across the test's threshold, a refused query's q/k! truly has a
     # denominator of more than 4300 digits (counted with the limit lifted).

@@ -12,6 +12,7 @@ from weincalc.morphism import (
     FINITE_ORDER_AT_TOP_DEGREE,
     DescriptorError,
     ManifoldDescriptor,
+    SelfCheckError,
     blowup_at_weight,
     blowup_flags,
     blowup_lattice,
@@ -156,6 +157,14 @@ def test_blowup_at_weight_is_the_value_at_rho_squared(refuses):
     refuses(lambda: blowup_at_weight(2, 1, Fraction(1)), "must lie in (0, 1)", rho=Fraction(1))
 
 
+def test_blowup_at_weight_takes_the_full_gate():
+    # c = q/k! must have a denominator of more than 4300 digits at
+    # (7500, 1500), so the blow-up value that `blowup --rho` builds next
+    # refuses it; the value at a weight runs the same gate and refuses first.
+    with pytest.raises(DigitLimitError):
+        blowup_at_weight(7500, 1500, Fraction(1, 2))
+
+
 def test_blowup_orders():
     assert not blowup_weinstein(2, 1).order().is_finite
     assert not blowup_weinstein(3, 1).order().is_finite
@@ -230,13 +239,15 @@ def test_product_class_cancelling_the_cpn_value_is_member():
 
 
 def test_product_rejects_non_containing_lattice(monkeypatch):
+    # No descriptor can break the containment, so a miss is a defect of the
+    # lattice builder: a self-check failure, not a parameter error.
     sphere = ManifoldDescriptor.from_json(SPHERE_DOC)
     for lattice, generator in (
         (Lattice([(2, 1, 0)]), "1*pi^1*x^0"),  # misses pi itself
         (Lattice([(1, 1, 0)]), "1*pi^0*x^0"),  # misses the period of M
     ):
         monkeypatch.setattr(morphism, "product_cpn_lattice", lambda n, k, desc: lattice)
-        with pytest.raises(ValueError, match=rf"factor generator {re.escape(generator)}$"):
+        with pytest.raises(SelfCheckError, match=rf"factor generator {re.escape(generator)}$"):
             product_value(2, 1, sphere)
 
 

@@ -1,5 +1,5 @@
-"""The verification-power gate: each row seeds one defect in a closed form or
-an integrand builder, and `verify.run_all` must fail with the checks the row
+"""The verification-power gate: each row seeds one defect in a closed form, a
+builder of an integrand or a lattice, or the order decision, and `verify.run_all` must fail with the checks the row
 names among the failed ones (DeMillo, Lipton and Sayward, "Hints on test
 data selection", IEEE Computer 11(4), 1978).
 
@@ -27,7 +27,8 @@ from fractions import Fraction
 
 import pytest
 
-from weincalc import combinatorics, montecarlo, morphism, verify
+from weincalc import combinatorics, montecarlo, morphism, symbolic, verify
+from weincalc.symbolic import Lattice, OrderResult
 
 
 def ball_moment_off_at_k3(original):
@@ -63,6 +64,24 @@ def trace_volume_scaled(original):
     return mutant
 
 
+def blowup_lattice_without_x_power(original):
+    return lambda k: Lattice(original(k).generators[:1])  # drops pi^k x^k/k!
+
+
+def product_lattice_without_periods(original):
+    return lambda n, k, m_desc: original(n, k, m_desc._replace(periods={}))
+
+
+def finite_orders_doubled(original):
+    def mutant(value, lattice):
+        order = original(value, lattice)
+        if order.is_finite and order.order > 1:
+            return OrderResult.finite(2 * order.order)
+        return order
+
+    return mutant
+
+
 # (module, name, defect, quick, checks that must fail).  In the quick suite a
 # 1 % error at k = 3 of the ball moments, or in the trace-volume scale, sits
 # about 5 standard errors out, too close to the band; the full suite puts it
@@ -87,6 +106,18 @@ MUTANTS = [
     pytest.param(
         montecarlo, "trace_volume_integrands", trace_volume_scaled, False,
         {"cpn-monte-carlo", "blowup"}, id="trace_volume_integrands-scale-times-1.01",
+    ),
+    pytest.param(
+        morphism, "blowup_lattice", blowup_lattice_without_x_power, True,
+        {"blowup"}, id="blowup_lattice-without-x^k",
+    ),
+    pytest.param(
+        morphism, "product_cpn_lattice", product_lattice_without_periods, True,
+        {"product"}, id="product_cpn_lattice-without-periods",
+    ),
+    pytest.param(
+        symbolic, "lattice_order", finite_orders_doubled, True,
+        {"cpn-exact", "blowup", "decision-procedures"}, id="lattice_order-finite-doubled",
     ),
 ]
 
