@@ -8,6 +8,7 @@ document with --json; both carry the same numeric content.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -284,13 +285,59 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+class _Stdout:
+    """sys.stdout for the console script.  Once the reader has closed the
+    pipe (`weinstein-calc verify --json | head -c 10`), the rest of the
+    output goes to os.devnull: the command still finishes and exits with its
+    own code, and neither it nor the interpreter's exit flush writes a
+    BrokenPipeError to stderr."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._discard()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._discard()
+
+    def _discard(self) -> None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self._stream.fileno())
+        os.close(devnull)
+
+
 def entry() -> None:
     # weincalc calls no BLAS routine, yet NumPy's OpenBLAS starts its worker
     # threads when NumPy loads, about 75 ms of CPU per process on a 2-core
     # box.  NumPy loads only later, inside the Monte Carlo calls.  A value the
     # user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(main())
+    # What is alive now, and after the command, lives until the process
+    # exits, so no collection need walk it: frozen, the import heap is
+    # skipped by the full collections of the run and, with NumPy's heap, by
+    # the interpreter's collections at shutdown.  Unfrozen, each full
+    # collection after `verify --quick` walks about 22k objects in 5-10 ms
+    # (2-core x86-64 box, CPython 3.11); frozen, it takes under 0.01 ms.
+    gc.freeze()
+    stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
+    try:
+        code = main()
+        gc.freeze()
+    finally:  # argparse's --help and usage errors exit inside main
+        sys.stdout.flush()
+        sys.stdout = stdout
+    sys.exit(code)
 
 
 if __name__ == "__main__":

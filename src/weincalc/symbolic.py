@@ -35,7 +35,7 @@ class PolyQ:
             for exp, coeff in terms.items():
                 if exp < 0:
                     raise ValueError(f"exponent must be >= 0, got {exp}")
-                c = Fraction(coeff)
+                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
                 if c:
                     clean[int(exp)] = c
         self.terms = clean
@@ -49,11 +49,11 @@ class PolyQ:
 
     @classmethod
     def const(cls, c: Fraction | int) -> PolyQ:
-        return cls({0: Fraction(c)})
+        return cls({0: c})
 
     @classmethod
     def monomial(cls, exp: int, coeff: Fraction | int = 1) -> PolyQ:
-        return cls({exp: Fraction(coeff)})
+        return cls({exp: coeff})
 
     @classmethod
     def one_minus_x_pow(cls, m: int) -> PolyQ:
@@ -85,8 +85,13 @@ class PolyQ:
     def __add__(self, other: PolyQ) -> PolyQ:
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return PolyQ(out)
+            if e in out:
+                c += out[e]
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
+        return PolyQ._of(out)
 
     def __mul__(self, other: PolyQ | Fraction | int) -> PolyQ:
         if isinstance(other, (int, Fraction)):
@@ -186,6 +191,10 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     return a.monic()
 
 
+# The terms of the denominator 1, that of every polynomial RatFuncQ.
+_ONE = {0: Fraction(1)}
+
+
 class RatFuncQ:
     """Reduced rational function over Q: gcd(num, den) = 1, den monic, nonzero."""
 
@@ -202,9 +211,12 @@ class RatFuncQ:
             g = poly_gcd(num, den)  # a zero numerator leaves den/g constant
             num, den = divmod(num, g)[0], divmod(den, g)[0]
         # Normalize: monic denominator, scale absorbed into the numerator.
-        scale = 1 / den.leading_coeff()
-        self.num = num * scale
-        self.den = den * scale
+        lead = den.leading_coeff()
+        if lead != 1:
+            scale = 1 / lead
+            num, den = num * scale, den * scale
+        self.num = num
+        self.den = den
 
     @classmethod
     def _of(cls, num: PolyQ, den: PolyQ) -> RatFuncQ:
@@ -217,7 +229,7 @@ class RatFuncQ:
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den == PolyQ.const(1)
+        return self.den.terms == _ONE
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -236,7 +248,8 @@ class RatFuncQ:
         and b stays monic."""
         for p, f in ((self, other), (other, self)):
             if p.is_polynomial:
-                return RatFuncQ._of(f.num + p.num * f.den, f.den)
+                scaled = p.num if f.is_polynomial else p.num * f.den
+                return RatFuncQ._of(f.num + scaled, f.den)
         return RatFuncQ(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __mul__(self, scalar: Fraction | int) -> RatFuncQ:
@@ -377,7 +390,7 @@ class PiGradedValue:
     @classmethod
     def monomial(cls, coeff: Fraction | int, pi_exp: int, x_exp: int = 0) -> PiGradedValue:
         """coeff * pi^pi_exp * x^x_exp."""
-        return cls({pi_exp: RatFuncQ(PolyQ.monomial(x_exp, Fraction(coeff)))})
+        return cls({pi_exp: RatFuncQ(PolyQ.monomial(x_exp, coeff))})
 
     def __bool__(self) -> bool:
         return bool(self.components)

@@ -4,8 +4,11 @@ Every closed-form result in the package is checked here against an
 independent route: brute-force enumeration for the combinatorial sums,
 frozen quadrature spot values and Monte Carlo for the integrals, and a
 bounded exhaustive search over integer coefficient vectors for the lattice
-decision procedures.  The CLI `verify` command and the acceptance tests both
-run exactly this suite.
+decision procedures.  That search reads only a value's coefficients and
+searches one integer table per monomial cell of an instance, built once for
+the value and every multiple of it that an order needs, so it runs neither
+the arithmetic of `symbolic` nor its lattice code.  The CLI `verify` command
+and the acceptance tests both run exactly this suite.
 
 All seeds are fixed so that repeated runs produce identical output.  The
 three Monte Carlo checks (ball-moments, cpn-monte-carlo and blowup) share one
@@ -22,7 +25,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import combinatorics, montecarlo
 from .exactarith import ParameterError, format_rational, pi_power, require_positive, times_pi_power
@@ -395,25 +398,82 @@ def check_mc_determinism(samples: int = 10**5) -> CheckResult:
 # decision-procedure oracle: bounded exhaustive search over integer vectors
 
 
-def _box_solvable(gens: list[Fraction], target: Fraction, bound: int) -> bool:
-    """Exhaustively search integer coefficients in [-bound, bound] for a
-    combination of `gens` equal to `target`.  Supports 1-3 generators.
+class _BoxTable(NamedTuple):
+    """One monomial cell's generators, cleared to integers over their common
+    denominator `den` and split for meet in the middle (Horowitz and Sahni,
+    1974): the set of every combination of all but the last generator, and
+    the set of every multiple of the last, all coefficients in
+    [-bound, bound], as `small` and `large` by size.  A cleared target t is
+    in the box iff t - s is in `large` for some s in `small`, so three
+    generators cost (2 bound + 1)^2 steps, not ^3."""
 
-    Meet in the middle (Horowitz and Sahni, 1974): every sum of the first
-    len(gens) - 1 generators goes in a set, and each target - c * g_last is
-    looked up in it, so three generators cost (2 bound + 1)^2 steps, not ^3."""
+    den: int
+    small: set[int]
+    large: set[int]
+
+
+def _box_table(gens: list[Fraction], bound: int) -> _BoxTable:
+    """The table of 0-3 generators; no generator leaves 0 alone in the box."""
     if len(gens) > 3:
         raise ValueError("box search supports at most 3 generators per monomial")
-    den = math.lcm(target.denominator, *(g.denominator for g in gens))
-    t = int(target * den)
-    if not gens:
-        return t == 0
-    *head, last = (int(g * den) for g in gens)
+    den = math.lcm(*(g.denominator for g in gens))
     coeffs = range(-bound, bound + 1)
-    sums = {0}
-    for g in head:
-        sums = {s + c * g for s in sums for c in coeffs}
-    return any(t - c * last in sums for c in coeffs)
+    sums, lasts = {0}, {0}
+    if gens:
+        *head, last = (g.numerator * (den // g.denominator) for g in gens)
+        for g in head:
+            sums = {s + c * g for s in sums for c in coeffs}
+        lasts = {c * last for c in coeffs}
+    return _BoxTable(den, *sorted((sums, lasts), key=len))
+
+
+def _in_box(table: _BoxTable, num: int, den: int) -> bool:
+    """Whether num/den is a combination in `table`'s box: num/den cleared to
+    an integer over table.den, if it clears, then looked up."""
+    scaled = num * table.den
+    if scaled % den:
+        return False
+    t = scaled // den
+    return any(t - s in table.large for s in table.small)
+
+
+def _box_solvable(gens: list[Fraction], target: Fraction, bound: int) -> bool:
+    """Exhaustively search integer coefficients in [-bound, bound] for a
+    combination of `gens` equal to `target`.  Supports 0-3 generators."""
+    return _in_box(_box_table(gens, bound), target.numerator, target.denominator)
+
+
+def _multiples_in_box(
+    value: PiGradedValue,
+    raw_generators: list[tuple[Fraction, int, int]],
+    bound: int,
+) -> Callable[[int], bool]:
+    """The test m -> whether m * value is a combination of the raw generators
+    with coefficients in [-bound, bound], for any multiple m >= 1.
+
+    Reads only the value's components: integer combinations of monomial
+    generators are polynomial and supported on the generator monomials, so a
+    non-polynomial component or a monomial with no generators is out of the
+    box at every multiple.  Otherwise each monomial is an independent
+    coordinate of the linear system, with one table per occupied cell, built
+    once for every multiple; coefficient p/q reaches the box at m iff m p/q
+    does in its cell's table.  No multiple of the value is formed."""
+    groups: dict[tuple[int, int], list[Fraction]] = {}
+    for coeff, a, b in raw_generators:
+        groups.setdefault((a, b), []).append(coeff)
+    tables: dict[tuple[int, int], _BoxTable] = {}
+    targets = []
+    for a, f in value.components.items():
+        if not f.is_polynomial:
+            return lambda m: False
+        for b, coeff in f.num.terms.items():
+            cell = (a, b)
+            if cell not in groups:
+                return lambda m: False
+            if cell not in tables:
+                tables[cell] = _box_table(groups[cell], bound)
+            targets.append((tables[cell], coeff.numerator, coeff.denominator))
+    return lambda m: all(_in_box(table, m * p, q) for table, p, q in targets)
 
 
 def brute_force_member(
@@ -422,40 +482,20 @@ def brute_force_member(
     bound: int,
 ) -> bool:
     """Membership by bounded exhaustive search, independent of the lattice
-    decision procedures: works on the raw (uncollapsed) generator list and
-    never touches rational_gcd or divisibility reasoning.
-
-    Integer combinations of monomial generators are polynomial and supported
-    on the generator monomials, so a non-polynomial component or a monomial
-    with no generators decides immediately; otherwise each monomial is an
-    independent coordinate of the linear system and is searched exhaustively.
-    """
-    groups: dict[tuple[int, int], list[Fraction]] = {}
-    for coeff, a, b in raw_generators:
-        groups.setdefault((a, b), []).append(Fraction(coeff))
-    for a, f in value.components.items():
-        if not f.is_polynomial:
-            return False
-        for b, coeff in f.num.terms.items():
-            gens = groups.get((a, b))
-            if not gens:
-                return False
-            if not _box_solvable(gens, coeff, bound):
-                return False
-    return True
+    decision procedures: reads only the value's coefficients, searches one
+    integer table per occupied monomial of the raw (uncollapsed) generator
+    list, and never touches rational_gcd, the lattice code or the arithmetic
+    of `symbolic`."""
+    return _multiples_in_box(value, raw_generators, bound)(1)
 
 
 def _proper_divisors(d: int) -> list[int]:
     return [m for m in range(1, d) if d % m == 0]
 
 
-def _confirm_order(
-    value: PiGradedValue,
-    raw_generators: list[tuple[Fraction, int, int]],
-    order: OrderResult,
-    bound: int,
-) -> bool:
-    """Confirm an order result against the box search.
+def _confirm_order(in_box: Callable[[int], bool], order: OrderResult) -> bool:
+    """Confirm an order result against the box search `in_box` of one value
+    (_multiples_in_box).
 
     Finite(d): d*value must be reachable and no proper divisor multiple may
     be (multiples m with m*value in the lattice form a subgroup d'*Z of Z, so
@@ -464,15 +504,8 @@ def _confirm_order(
     """
     if order.is_finite:
         d = order.order
-        if not brute_force_member(d * value, raw_generators, bound):
-            return False
-        return all(
-            not brute_force_member(m * value, raw_generators, bound)
-            for m in _proper_divisors(d)
-        )
-    return all(
-        not brute_force_member(m * value, raw_generators, bound) for m in range(1, 9)
-    )
+        return in_box(d) and not any(map(in_box, _proper_divisors(d)))
+    return not any(map(in_box, range(1, 9)))
 
 
 def _random_instance(rnd: random.Random, kind: str):
@@ -579,8 +612,9 @@ def check_decision_procedures() -> CheckResult:
         lattice = Lattice(raw_gens)
         member = lattice_member(value, lattice)
         order = lattice_order(value, lattice)
-        brute = brute_force_member(value, raw_gens, DECISION_BOUND)
-        order_ok = _confirm_order(value, raw_gens, order, DECISION_BOUND)
+        in_box = _multiples_in_box(value, raw_gens, DECISION_BOUND)
+        brute = in_box(1)
+        order_ok = _confirm_order(in_box, order)
         if member != brute or not order_ok:
             mismatches.append(
                 {

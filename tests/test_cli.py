@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON schema stability, human/JSON agreement."""
 
+import gc
 import hashlib
 import json
 import math
@@ -1159,12 +1160,17 @@ print(code, *(m for m in {WATCHED!r} if m in sys.modules and m not in before))
 """
 
 
-def fresh_process(*args, environ=os.environ):
+def fresh_process(*args, environ=os.environ, stdout=subprocess.PIPE):
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src, *filter(None, environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**environ, "PYTHONPATH": os.pathsep.join(path)}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=120,
     )
 
 
@@ -1262,3 +1268,25 @@ def test_entry_gives_numpy_one_blas_thread_unless_the_user_set_a_count():
     assert run_fresh("-c", BLAS_PROBE, *argv, environ=unset) == ["1", "True", "1"]
     given = {**unset, "OPENBLAS_NUM_THREADS": "2"}
     assert run_fresh("-c", BLAS_PROBE, *argv, environ=given)[:2] == ["2", "True"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--quick", "--json"], ["cpn", "--n", "2", "--k", "1"]]
+)
+def test_entry_exits_with_its_own_code_and_no_traceback_when_stdout_is_closed(argv):
+    # The reader of the pipe is gone before the child writes its first byte,
+    # as after `weinstein-calc verify --json | head -c 10`.
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        done = fresh_process("-c", "from weincalc.cli import entry; entry()", *argv, stdout=writer)
+    finally:
+        os.close(writer)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_only_entry_freezes_the_heap(capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["verify", "--quick"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    assert (gc.isenabled(), gc.get_freeze_count()) == before

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weincalc import symbolic
+from weincalc import symbolic, verify
 from weincalc.exactarith import format_rational
 from weincalc.morphism import blowup_weinstein
 from weincalc.symbolic import (
@@ -114,6 +114,8 @@ def test_poly_basic_arithmetic():
     q = PolyQ({1: Fraction(1, 2)})
     assert p + q == PolyQ({0: 1, 1: Fraction(1, 2), 2: -1})
     assert (p * q).terms == {1: Fraction(1, 2), 3: Fraction(-1, 2)}
+    assert (p + PolyQ({2: 1})).terms == {0: 1}  # a cancelled term is not stored
+    assert not p + PolyQ({0: -1, 2: 1})
     assert not PolyQ()
     assert PolyQ().degree == -1
     assert (p.degree, p.leading_coeff()) == (2, -1)
@@ -390,6 +392,18 @@ def test_member_agrees_with_bounded_search_small_instances():
             scale = Fraction(rnd.randint(-8, 8), rnd.choice([1, 2]))
             value = value + PiGradedValue.monomial(coeff * scale, a, b)
         assert lattice_member(value, Lattice(gens)) == brute_force_member(value, gens, 20)
+
+
+def test_decision_oracle_forms_no_multiple_of_a_value(monkeypatch):
+    # The box search reads a value's coefficients and scales them as integers,
+    # so the scalar products of `symbolic`, code under test, never run.
+    def refuse(*args):
+        raise AssertionError("the decision oracle multiplied a value")
+
+    for cls in (PiGradedValue, RatFuncQ):
+        monkeypatch.setattr(cls, "__mul__", refuse)
+        monkeypatch.setattr(cls, "__rmul__", refuse)
+    assert verify.check_decision_procedures().passed
 
 
 # ---------------------------------------------------------------------------
