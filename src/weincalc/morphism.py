@@ -38,12 +38,14 @@ from .exactarith import (
     require_within,
 )
 from .symbolic import (
+    FieldError,
     Lattice,
     OrderResult,
     PiGradedValue,
     PolyQ,
     RatFuncQ,
     is_json_int,
+    json_object,
     json_terms,
     lattice_member,
     lattice_order,
@@ -113,19 +115,18 @@ def cpn_lattice(k: int) -> Lattice:
     return Lattice([(Fraction(1, math.factorial(k)), k, 0)])
 
 
-def _checked_q(n: int, k: int, alone: bool = True) -> Fraction:
+def _checked_q(n: int, k: int, cancel: int = 1) -> Fraction:
     """q(n, k), through the one gate every cpn, blow-up and product value
     passes, in this order: 1 <= k <= n; a printable k!, since each value
     prints its lattice generator pi^k/k!; a printable c = q(n, k)/k!, whose
     denominator is at least (n+1)^k / C(2k-1, k), tested before perm(n+k, k)
     is formed; then the closed form against the raw multi-index sum whenever
-    k is inside the brute-force budget.  Only a product whose class has a
-    nonzero pi^k component prints c summed with that component, which can
-    cancel den(c); it passes `alone` false and skips the third test."""
+    k is inside the brute-force budget.  A product prints c summed with a
+    class coefficient whose denominator `cancel` can cancel at most that
+    factor of den(c), so the printable-c test divides its bound by `cancel`."""
     require_within(n, k=k)
     require_printable_factorial(k)
-    if alone:
-        require_printable_power(n + 1, k, math.comb(2 * k - 1, k))
+    require_printable_power(n + 1, k, math.comb(2 * k - 1, k) * cancel)
     q = cpn_q(n, k)
     if k <= RAW_CHECK_MAX_K:
         raw = cpn_weinstein_raw(n, k)
@@ -136,11 +137,11 @@ def _checked_q(n: int, k: int, alone: bool = True) -> Fraction:
     return q
 
 
-def cpn_weinstein(n: int, k: int, alone: bool = True) -> CosetValue:
+def cpn_weinstein(n: int, k: int, cancel: int = 1) -> CosetValue:
     """Morphism value on the degree-(2k-1) unitary generator acting on CP^n:
     (q(n,k)/k!) * pi^k in R / <pi^k/k!>, refused by the gate of _checked_q,
-    to which `alone` is passed."""
-    q = _checked_q(n, k, alone)
+    to which `cancel` is passed."""
+    q = _checked_q(n, k, cancel)
     value = PiGradedValue.monomial(q / math.factorial(k), k, 0)
     return CosetValue(value, cpn_lattice(k))
 
@@ -222,9 +223,8 @@ def blowup_flags(n: int, k: int, order: OrderResult) -> list[str]:
 # Cartesian products
 
 
-# The fields of a descriptor and of one of its classes.
+# The fields of a descriptor, all optional (a missing dimension is refused by its own rule).
 DESCRIPTOR_FIELDS = ("dimension", "trivial_odd_homotopy", "periods", "classes")
-CLASS_FIELDS = ("degree", "value")
 
 
 class DescriptorError(ValueError):
@@ -299,14 +299,7 @@ class ManifoldDescriptor(NamedTuple):
 
     @classmethod
     def from_json(cls, doc: dict) -> ManifoldDescriptor:
-        if not isinstance(doc, dict):
-            raise DescriptorError("<root>", "descriptor must be a JSON object")
-        # A misspelled optional field would be read as absent, and the answer be wrong.
-        for name in doc:
-            if name not in DESCRIPTOR_FIELDS:
-                raise DescriptorError(
-                    name, f"unknown field; the known ones are {', '.join(DESCRIPTOR_FIELDS)}"
-                )
+        doc = _on_field("", json_object, doc, (), DESCRIPTOR_FIELDS)
         dim = doc.get("dimension")
         if not is_json_int(dim) or dim < 2 or dim % 2:
             raise DescriptorError(
@@ -323,7 +316,7 @@ class ManifoldDescriptor(NamedTuple):
 
         periods: dict[int, tuple[Fraction, ...]] = {}
         width = len(str(dim))  # a key with more digits names a degree above dim
-        for key, gens in _json_object(doc, "periods").items():
+        for key, gens in _on_field("periods", json_object, doc.get("periods", {})).items():
             # ASCII digits with no sign, space, underscore or leading zero: one key per degree.
             plain = key.isascii() and key.isdigit() and len(key) <= width
             degree = int(key) if plain else 0
@@ -354,27 +347,15 @@ class ManifoldDescriptor(NamedTuple):
             periods[degree] = tuple(parsed)
 
         classes: dict[str, NamedClass] = {}
-        for name, entry in _json_object(doc, "classes").items():
-            if not isinstance(entry, dict) or "degree" not in entry:
-                raise DescriptorError(
-                    f"classes.{name}", "must be an object with 'degree' and optionally 'value'"
-                )
-            for key in entry:
-                if key not in CLASS_FIELDS:
-                    raise DescriptorError(
-                        f"classes.{name}.{key}",
-                        f"unknown field; the known ones are {', '.join(CLASS_FIELDS)}",
-                    )
+        for name, entry in _on_field("classes", json_object, doc.get("classes", {})).items():
+            entry = _on_field(f"classes.{name}", json_object, entry, ("degree",), ("value",))
             degree = entry["degree"]
             if not is_json_int(degree) or degree < 1 or degree % 2 == 0:
                 raise DescriptorError(
                     f"classes.{name}.degree",
                     f"must be a positive odd integer, got {json.dumps(degree)}",
                 )
-            try:
-                terms = json_terms(entry.get("value", []))
-            except ValueError as exc:
-                raise DescriptorError(f"classes.{name}.value", str(exc))
+            terms = _on_field(f"classes.{name}.value", json_terms, entry.get("value", []))
             classes[name] = NamedClass(degree, terms)
 
         return cls(dim, frozenset(toh), periods, MappingProxyType(classes))
@@ -420,12 +401,15 @@ class _DescriptorNumber(float):
         return self.literal
 
 
-def _json_object(doc: dict, fieldname: str) -> dict:
-    """The optional field `fieldname` of `doc`, which must be a JSON object."""
-    value = doc.get(fieldname, {})
-    if not isinstance(value, dict):
-        raise DescriptorError(fieldname, f"must be a JSON object, got {json.dumps(value)}")
-    return value
+def _on_field(path: str, read, *args):
+    """read(*args), which reads the descriptor field at `path` ("" for the
+    root), with its ValueError raised as a DescriptorError on the field at
+    fault: `path` itself, or the field below it that a FieldError names."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        name = exc.name if isinstance(exc, FieldError) else None
+        raise DescriptorError(".".join(filter(None, (path, name))) or "<root>", str(exc))
 
 
 def product_cpn_lattice(n: int, k: int, m_desc: ManifoldDescriptor) -> Lattice:
@@ -452,14 +436,17 @@ def product_value(
 
     Every rule runs here, in this order: 1 <= k <= n; the descriptor asserts
     trivial homotopy in degree 2k-1; the class exists and lives in that
-    degree; k <= m for the descriptor's dimension 2m; the gate of the CP^n
-    value (_checked_q), whose printable-c test is skipped only when the
-    class has a nonzero pi^k component to cancel den(c); and the product
-    lattice contains both factor lattices, checked generator by generator.
-    Only the last two do exact work.  No descriptor can fail the last, so
-    a generator missing from the product lattice is a SelfCheckError.  The
-    named class is reduced last, after every refusal, and no other class of
-    the descriptor is reduced.
+    degree; k <= m for the descriptor's dimension 2m; a printable k!.  None
+    of these reads the class value.  Then the named class, and no other
+    class of the descriptor, is reduced, once, to a/b with b monic; that
+    reduction is the one summed into the printed value.  Then the gate of
+    the CP^n value (_checked_q), whose printable-c test allows for the
+    denominator of the coefficient of x^deg(b) in a: the printed sum
+    (a + c b)/b has the coefficient c + a_j there, and
+    den(c + a_j) >= den(c) / den(a_j).  Last, the product lattice contains
+    both factor lattices, checked generator by generator.  No descriptor
+    can fail the last, so a generator missing from the product lattice is a
+    SelfCheckError.
     """
     require_within(n, k=k)
     degree = 2 * k - 1
@@ -485,7 +472,11 @@ def product_value(
     if k > descriptor.half_dimension:
         bound = f"half the descriptor dimension {descriptor.dimension}"
         raise ParameterError(f"must be <= {descriptor.half_dimension}, {bound}", k=k)
-    cv = cpn_weinstein(n, k, alone=not (k in named.terms and named.terms[k][0]))
+    require_printable_factorial(k)
+    value = named.value
+    f = value.components.get(k)
+    cancel = f.num.terms.get(f.den.degree, Fraction(0)).denominator if f else 1
+    cv = cpn_weinstein(n, k, cancel)
     full = product_cpn_lattice(n, k, descriptor)
     for coeff, pi_exp, x_exp in cv.lattice.generators + descriptor.period_lattice(k).generators:
         if not lattice_member(PiGradedValue.monomial(coeff, pi_exp, x_exp), full):
@@ -493,4 +484,4 @@ def product_value(
                 f"product lattice does not contain the factor generator "
                 f"{format_rational(coeff)}*pi^{pi_exp}*x^{x_exp}"
             )
-    return CosetValue(cv.value + named.value, full)
+    return CosetValue(cv.value + value, full)

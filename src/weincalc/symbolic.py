@@ -298,6 +298,36 @@ def is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+class FieldError(ValueError):
+    """A JSON object refused by a field rule of json_object.  The message is
+    the rule's text alone, and `name` is the dotted path of the field at
+    fault below the object, or None for the object itself, so that each
+    caller can name it in its own field path."""
+
+    def __init__(self, message: str, name: str | None = None):
+        super().__init__(message)
+        self.name = name
+
+
+def json_object(
+    value, required: tuple[str, ...] = (), optional: tuple[str, ...] | None = None
+) -> dict:
+    """`value`, a JSON object that holds every name of `required` and, unless
+    `optional` is None, no name outside `required` and `optional`: a
+    misspelled optional field would otherwise be read as absent."""
+    if not isinstance(value, dict):
+        raise FieldError(f"must be a JSON object, got {json.dumps(value)}")
+    if optional is not None:
+        known = required + optional
+        for name in value:
+            if name not in known:
+                raise FieldError(f"unknown field; the known ones are {', '.join(known)}", name)
+    for name in required:
+        if name not in value:
+            raise FieldError("required field is missing", name)
+    return value
+
+
 # The largest pi or x exponent a value read from JSON may carry.  It caps the
 # exponents, not the time to reduce the value.  Euclid over Q is cheap on a
 # sparse value, (x^d + x + 1)/(x^(d-1) + 3) takes 0.01 s at d = 1000, but on
@@ -340,22 +370,16 @@ COMPONENT_FIELDS = ("pi_exp", "num", "den")
 def json_terms(doc) -> dict[int, tuple[PolyQ, PolyQ]]:
     """The components of a value in the PiGradedValue.to_json shape, as
     pi_exp -> (num, den), each read and checked but none reduced.  A
-    ValueError names the part that breaks the shape."""
+    ValueError names the part that breaks the shape; a component that breaks
+    the field rule is a FieldError whose name starts with its index."""
     if not isinstance(doc, list):
         raise ValueError(f"must be a list of components, got {json.dumps(doc)}")
     terms: dict[int, tuple[PolyQ, PolyQ]] = {}
-    for entry in doc:
-        if not isinstance(entry, dict) or not entry.keys() >= set(COMPONENT_FIELDS):
-            raise ValueError(
-                'a component must be an object with "pi_exp", "num" and "den",'
-                f" got {json.dumps(entry)}"
-            )
-        extra = [key for key in entry if key not in COMPONENT_FIELDS]
-        if extra:
-            raise ValueError(
-                f"unknown component key {json.dumps(extra[0])};"
-                f" the known ones are {', '.join(COMPONENT_FIELDS)}"
-            )
+    for i, entry in enumerate(doc):
+        try:
+            json_object(entry, COMPONENT_FIELDS, ())
+        except FieldError as exc:  # named by its place in the list
+            raise FieldError(str(exc), ".".join(filter(None, (str(i), exc.name))))
         a = _json_int(entry["pi_exp"])
         if a in terms:
             raise ValueError(f"duplicate pi_exp {a}")

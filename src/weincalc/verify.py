@@ -437,12 +437,6 @@ def _in_box(table: _BoxTable, num: int, den: int) -> bool:
     return any(t - s in table.large for s in table.small)
 
 
-def _box_solvable(gens: list[Fraction], target: Fraction, bound: int) -> bool:
-    """Exhaustively search integer coefficients in [-bound, bound] for a
-    combination of `gens` equal to `target`.  Supports 0-3 generators."""
-    return _in_box(_box_table(gens, bound), target.numerator, target.denominator)
-
-
 def _multiples_in_box(
     value: PiGradedValue,
     raw_generators: list[tuple[Fraction, int, int]],

@@ -565,12 +565,13 @@ def test_unprintable_coefficient_is_refused_before_perm(capsys, monkeypatch):
     assert formed != []
 
 
-def test_product_skips_the_coefficient_test_only_for_a_cancelling_class(
+def test_product_coefficient_test_allows_for_the_class_denominator(
     capsys, tmp_path, monkeypatch
 ):
-    # product prints c = q/k! summed with the class's pi^k component, which
-    # alone can cancel den(c).  Without one, the query is refused as cpn
-    # refuses it, before q is formed: at k = 1500 forming it first took 18 s.
+    # product prints c = q/k! summed with the class's pi^k component a/b,
+    # whose coefficient a_j at x^deg(b) can cancel at most den(a_j) of
+    # den(c).  With no such coefficient the query is refused as cpn refuses
+    # it, before q is formed: at k = 1500 forming it first took 18 s.
     n = "9" * 4000
     cancel = {"pi_exp": 2, "num": [[0, f"-3/{int(n) + 1}"]], "den": [[0, str(int(n) + 2)]]}
     empty = {"pi_exp": 2, "num": [], "den": [[0, "1"]]}
@@ -595,6 +596,30 @@ def test_product_skips_the_coefficient_test_only_for_a_cancelling_class(
     code, doc = run_json(capsys, *product, "--k", "2", "--class", "cancel")
     assert (code, doc["value"], doc["order"]) == (0, [], {"kind": "finite", "order": 1})
     assert formed == [(int(n), 2)]
+
+
+def test_a_class_that_cannot_cancel_den_c_is_refused_before_q(capsys, tmp_path, monkeypatch):
+    # The class pi^1000 has a_0 = 1, which cancels nothing, yet it once
+    # switched the printable-c test off: the query formed perm(n+k, k) and
+    # ran 8-10 s as a process before the same refusal.
+    n = "9" * 4000
+    value = [{"pi_exp": 1000, "num": [[0, "1"]], "den": [[0, "1"]]}]
+    path = write_descriptor(
+        tmp_path,
+        {"dimension": 2000, "trivial_odd_homotopy": [1999],
+         "classes": {"c": {"degree": 1999, "value": value}}},
+    )
+    formed = []
+    monkeypatch.setattr(morphism, "cpn_q", lambda *a: formed.append(a) or cpn_q(*a))
+    perm = math.perm
+    monkeypatch.setattr(math, "perm", lambda *a: formed.append(a) or perm(*a))
+    argv = ("product", "--n", n, "--k", "1000", "--manifold", path, "--class", "c")
+    assert run_cli(capsys, *argv) == (
+        2, "",
+        f"error: --n {n} --k 1000: the result has a number of more than"
+        f" {sys.get_int_max_str_digits()} digits, the integer string limit\n",
+    )
+    assert formed == []
 
 
 def test_a_product_lattice_defect_fails_the_self_check(capsys, tmp_path, monkeypatch):

@@ -8,12 +8,16 @@ its flags or quotes its unreadable number, and every value printed as JSON
 survives `PiGradedValue.from_json`/`to_json`.  Sizes stay small (n, k <= 12,
 at most 10^3 samples) so that the suite runs in seconds; only rational
 exponents reach beyond the integer string limit, which refuses them at once.
+The one exception is the product gate's property, whose `--n` has hundreds
+of digits so that the denominator of the CP^n value nears a lowered limit.
 """
 
 import json
+import math
+import sys
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from weincalc.cli import main
@@ -203,3 +207,94 @@ def test_value_json_round_trips(value):
     back = PiGradedValue.from_json(json.loads(json.dumps(doc)))
     assert back == value
     assert back.to_json() == doc
+
+
+def partial_fractions(n, k):
+    """c(n, k) = C(2k-1, k) / perm(n+k, k) as its k partial fractions
+    A_i / (n+i), i = 1..k, whose denominators are about n each."""
+    top = math.comb(2 * k - 1, k)
+    return [
+        Fraction(top, math.prod(j - i for j in range(1, k + 1) if j != i) * (n + i))
+        for i in range(1, k + 1)
+    ]
+
+
+small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(
+    k=st.integers(2, 4),
+    cancelled=st.sets(st.integers(0, 3)),
+    digits=st.integers(100, 620),
+    offset=st.integers(0, 10**100),
+    shape=st.sampled_from(["constant", "polynomial", "rational", "quadratic"]),
+    r=st.lists(small_fractions, min_size=3, max_size=3),
+    beta=small_fractions.filter(bool),
+)
+@example(k=2, cancelled={0}, digits=500, offset=0, shape="constant",
+         r=[Fraction(1, 2)] * 3, beta=Fraction(1))
+@example(k=3, cancelled={0, 2}, digits=300, offset=7, shape="rational",
+         r=[Fraction(1, 2)] * 3, beta=Fraction(-2))
+@example(k=2, cancelled=set(), digits=500, offset=0, shape="polynomial",
+         r=[Fraction(1, 2)] * 3, beta=Fraction(1))
+def test_product_refuses_only_what_it_cannot_print(
+    capsys, tmp_path, k, cancelled, digits, offset, shape, r, beta
+):
+    # The class a/b (b monic) cancels the partial fractions of c = q/k!
+    # numbered in `cancelled`, so the printed sum (a + c b)/b keeps the rest
+    # and den(c) may exceed the limit while every printed number fits.
+    # Under a 640-digit limit the query answers exactly when every number it
+    # prints fits: the lattice generator 1/k!, the sum's coefficients and
+    # b's.  A finite order divides the denominator of the sum's constant.
+    limit = 640
+    cancelled = {i for i in cancelled if i < k}
+    d = min(digits, 620 // max(len(cancelled), 1))
+    n = 10 ** (d - 1) + offset % 10 ** (d - 1)
+    terms = partial_fractions(n, k)
+    dropped = sum((terms[i] for i in cancelled), Fraction(0))
+    b = {
+        "constant": {0: Fraction(1)},
+        "polynomial": {0: Fraction(1)},
+        "rational": {1: Fraction(1), 0: beta},
+        "quadratic": {2: Fraction(1), 0: abs(beta)},
+    }[shape]
+    rest = {"constant": r[:1], "polynomial": r, "rational": r[:2], "quadratic": r[:2]}[shape]
+    rest = {e: coeff for e, coeff in enumerate(rest) if coeff}
+    if shape == "rational":  # gcd(rest, x + beta) = 1
+        assume(sum(coeff * (-beta) ** e for e, coeff in rest.items()))
+    elif shape == "quadratic":  # x^2 + |beta| is irreducible over Q
+        assume(rest)
+    # a = rest - dropped * b, so that gcd(a, b) = gcd(rest, b) = 1.
+    a = {e: rest.get(e, 0) - dropped * b.get(e, 0) for e in {*rest, *b}}
+    a = {e: coeff for e, coeff in a.items() if coeff}
+    c = Fraction(math.comb(2 * k - 1, k), math.perm(n + k, k))
+    total = {e: a.get(e, 0) + c * b.get(e, 0) for e in {*a, *b}}
+    total = {e: coeff for e, coeff in total.items() if coeff}
+
+    printed = [math.factorial(k)]
+    for coeff in (*total.values(), *b.values()):
+        printed += [coeff.numerator, coeff.denominator]
+    fits = all(len(str(abs(m))) <= limit for m in printed)
+
+    value = [{"pi_exp": k, "num": [[e, str(coeff)] for e, coeff in sorted(a.items())],
+              "den": [[e, str(coeff)] for e, coeff in sorted(b.items())]}]
+    descriptor = {"dimension": 2 * k, "trivial_odd_homotopy": [2 * k - 1],
+                  "classes": {"c": {"degree": 2 * k - 1, "value": value}}}
+    assert all(len(text) <= limit for part in value[0]["num"] for text in part[1].split("/"))
+    path = tmp_path / "descriptor.json"
+    path.write_text(json.dumps(descriptor), encoding="utf-8")
+    argv = ["product", "--n", str(n), "--k", str(k), "--manifold", str(path), "--class", "c"]
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code = main([*argv, "--json"])
+        out, err = capsys.readouterr()
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert code == (0 if fits else 2), (code, err[-120:])
+    if fits:
+        (component,) = json.loads(out)["value"] or [{"pi_exp": k, "num": []}]
+        assert component["num"] == [[e, str(coeff)] for e, coeff in sorted(total.items())]
+    else:
+        assert err.endswith("the integer string limit\n")

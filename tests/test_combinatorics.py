@@ -15,12 +15,8 @@ from weincalc.combinatorics import (
     moment_sum_bruteforce,
     moment_sum_closed,
 )
-from weincalc.exactarith import (
-    DigitLimitError,
-    ParameterError,
-    double_factorial_odd,
-    multinomial,
-)
+from references import double_factorial_odd, multinomial
+from weincalc.exactarith import DigitLimitError, ParameterError
 from weincalc.morphism import RAW_CHECK_MAX_K
 from weincalc.verify import check_identity_suite
 

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from references import double_factorial_odd, multinomial
 from weincalc.exactarith import (
     DigitLimitError,
-    double_factorial_odd,
     format_rational,
-    multinomial,
     parse_rational,
     pi_power,
     require_printable_factorial,

@@ -349,7 +349,6 @@ def _component(num, den=((0, "1"),), pi_exp=0):
 
 KEY_RULE = "key must be an even degree 2 <= d <= {} in plain digits, got {}"
 DIGIT_LIMIT = "the result has a number of more than 4300 digits, the integer string limit"
-SHAPE = 'a component must be an object with "pi_exp", "num" and "den", got '
 BAD_FIELDS = [
     ({"dimension": 3}, "dimension", "must be a positive even integer, got 3"),
     ({"dimension": 0}, "dimension", "must be a positive even integer, got 0"),
@@ -423,8 +422,8 @@ BAD_FIELDS = [
         "classes.c.value",
         'must be a list of components, got {"pi_exp": 0}',
     ),
-    (_class_value(["x"]), "classes.c.value", SHAPE + '"x"'),
-    (_class_value([{"num": [], "den": []}]), "classes.c.value", SHAPE + '{"num": [], "den": []}'),
+    (_class_value(["x"]), "classes.c.value", 'must be a JSON object, got "x"'),
+    (_class_value([{"num": [], "den": []}]), "classes.c.value", "required field is missing"),
     (
         _class_value([{"pi_exp": 0, "num": 3, "den": []}]),
         "classes.c.value",
@@ -452,7 +451,7 @@ BAD_FIELDS = [
     (
         {"dimension": 4, "classes": {"c": ["degree"]}},
         "classes.c",
-        "must be an object with 'degree' and optionally 'value'",
+        'must be a JSON object, got ["degree"]',
     ),
     # A misspelled field was read as absent.
     (
@@ -473,8 +472,11 @@ BAD_FIELDS = [
     (
         _class_value([{**_component([(0, "1")]), "extra": 5}]),
         "classes.c.value",
-        'unknown component key "extra"; the known ones are pi_exp, num, den',
+        "unknown field; the known ones are pi_exp, num, den",
     ),
+    # A class without its degree is refused on the missing field.
+    ({"dimension": 4, "classes": {"c": {"value": []}}}, "classes.c.degree",
+     "required field is missing"),
 ]
 
 

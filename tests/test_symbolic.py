@@ -30,7 +30,12 @@ from weincalc.symbolic import (
     poly_gcd,
     rational_gcd,
 )
-from weincalc.verify import _box_solvable, brute_force_member
+from weincalc.verify import _box_table, _in_box, brute_force_member
+
+
+def in_box(gens, target, bound):
+    """Whether `target` is a combination of `gens` with coefficients in [-bound, bound]."""
+    return _in_box(_box_table(gens, bound), target.numerator, target.denominator)
 
 # ---------------------------------------------------------------------------
 # dense-list polynomial oracle
@@ -229,6 +234,25 @@ def test_ratfunc_sum_with_a_polynomial_runs_no_gcd(p, a, b):
     assert sums[2] == RatFuncQ(p * 2)
 
 
+def test_ratfunc_sum_of_two_fractions_is_reduced():
+    # Neither side a polynomial: the general path, checked against sums
+    # reduced by hand.
+    x = PolyQ.monomial(1)
+    one = PolyQ.const(1)
+    # 1/(x+1) + 1/(x-1) = 2x/(x^2 - 1), with no common factor.
+    assert RatFuncQ(one, x + one) + RatFuncQ(one, x + PolyQ.const(-1)) == RatFuncQ._of(
+        PolyQ({1: 2}), PolyQ({2: 1, 0: -1})
+    )
+    # 1/(x+1) + x/(x+1) = 1: the shared factor cancels down to a polynomial.
+    assert RatFuncQ(one, x + one) + RatFuncQ(x, x + one) == RatFuncQ._of(one, one)
+    # (1/2)/(2x) + (1/3)/(x^2 + x) = (3x + 7)/(12 x^2 + 12 x), reduced and
+    # made monic: ((1/4)x + 7/12)/(x^2 + x).
+    sum_ = RatFuncQ(PolyQ.const(Fraction(1, 2)), PolyQ({1: 2})) + RatFuncQ(
+        PolyQ.const(Fraction(1, 3)), PolyQ({2: 1, 1: 1})
+    )
+    assert sum_ == RatFuncQ._of(PolyQ({1: Fraction(1, 4), 0: Fraction(7, 12)}), PolyQ({2: 1, 1: 1}))
+
+
 def test_rational_gcd_examples():
     assert rational_gcd([Fraction(2, 3), Fraction(1, 2)]) == Fraction(1, 6)
     assert rational_gcd([Fraction(1)]) == 1
@@ -256,10 +280,10 @@ def test_rational_gcd_membership_matches_box_search(values, witness):
     # is reachable by the bounded search; shifting it by g/2 makes both fail.
     member = sum(n * v for n, v in zip(witness, values))
     assert (member / g).denominator == 1
-    assert _box_solvable(values, Fraction(member), 30)
+    assert in_box(values, Fraction(member), 30)
     shifted = member + g / 2
     assert (shifted / g).denominator != 1
-    assert not _box_solvable(values, shifted, 30)
+    assert not in_box(values, shifted, 30)
 
 
 def box_reference(gens, target, bound):
@@ -286,16 +310,16 @@ def test_box_search_matches_exhaustive_reference():
         reached = sum((c * g for c, g in zip(witness, gens)), Fraction(0))
         for target in (reached, reached + Fraction(1, 5), generator()):
             expected = box_reference(gens, target, bound)
-            assert _box_solvable(gens, target, bound) == expected, (gens, target, bound)
+            assert in_box(gens, target, bound) == expected, (gens, target, bound)
             outcomes.append(expected)
     assert outcomes.count(True) > 300 and outcomes.count(False) > 300
     # Edge cases: the box edge itself, one step outside it, and no generators.
-    assert _box_solvable([Fraction(1, 3)], Fraction(2, 3), 2)
-    assert not _box_solvable([Fraction(1, 3)], Fraction(1), 2)
-    assert _box_solvable([], Fraction(0), 5)
-    assert not _box_solvable([], Fraction(1, 2), 5)
+    assert in_box([Fraction(1, 3)], Fraction(2, 3), 2)
+    assert not in_box([Fraction(1, 3)], Fraction(1), 2)
+    assert in_box([], Fraction(0), 5)
+    assert not in_box([], Fraction(1, 2), 5)
     with pytest.raises(ValueError, match="at most 3 generators"):
-        _box_solvable([Fraction(1)] * 4, Fraction(0), 1)
+        in_box([Fraction(1)] * 4, Fraction(0), 1)
 
 
 # ---------------------------------------------------------------------------
