@@ -181,38 +181,11 @@ def _cmd_product(args) -> int:
     return _report(args, params, body, lines)
 
 
-def _check_summary(details: dict) -> str:
-    """What a check covered and, if it failed, how many of its rows failed:
-    a row whose `ok` (a product row's `nontrivial`) is false, and every entry
-    of `failures` and `mismatches`."""
-    rows = [row for key in ("spots", "monte_carlo", "rows") for row in details.get(key, [])]
-    sigmas = [row["sigma"] for row in rows if "sigma" in row]
-    parts = []
-    if "rows" in details and not sigmas:
-        parts.append(f"{len(details['rows'])} cases")
-    if "pairs" in details:
-        parts.append(f"{details['pairs']} pairs")
-    if "instances" in details:
-        parts.append(f"{details['instances']} instances, bound {details['bound']}")
-    if "samples" in details:
-        parts.append(f"{details['samples']} samples")
-    if sigmas:
-        parts.append(f"max {max(sigmas):.2f} sigma over {len(sigmas)} estimates")
-    failed = sum(not row.get("ok", row.get("nontrivial", True)) for row in rows)
-    failed += len(details.get("failures", ())) + len(details.get("mismatches", ()))
-    if failed:
-        parts.append(f"{failed} failed")
-    refused = sum("error" in row for row in rows)
-    if refused:
-        parts.append(f"{refused} refused by the self-check")
-    return ", ".join(parts)
-
-
 def _cmd_verify(args) -> int:
     results = verify.run_all(quick=args.quick)
     all_ok = all(r.passed for r in results)
     lines = [
-        f"{'PASS' if r.passed else 'FAIL'}  {r.name:22s} {_check_summary(r.details)}".rstrip()
+        f"{'PASS' if r.passed else 'FAIL'}  {r.name:22s} {r.summary()}".rstrip()
         for r in results
     ]
     lines.append(
@@ -263,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # includes DescriptorError, ParameterError and DigitLimitError
+    except ValueError as exc:  # includes FieldError, ParameterError and DigitLimitError
         # Each parameter at fault that the query sets is named by its flag and
         # its value as typed, so `--r0 1e400` reads 1e400.
         given = vars(args)

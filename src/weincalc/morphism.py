@@ -38,7 +38,6 @@ from .exactarith import (
     require_within,
 )
 from .symbolic import (
-    FieldError,
     Lattice,
     OrderResult,
     PiGradedValue,
@@ -49,6 +48,7 @@ from .symbolic import (
     json_terms,
     lattice_member,
     lattice_order,
+    on_field,
 )
 
 # Brute-force self-check budget: the raw multi-index sum for degree k runs
@@ -227,14 +227,6 @@ def blowup_flags(n: int, k: int, order: OrderResult) -> list[str]:
 DESCRIPTOR_FIELDS = ("dimension", "trivial_odd_homotopy", "periods", "classes")
 
 
-class DescriptorError(ValueError):
-    """Manifold descriptor validation failure, carrying the offending field."""
-
-    def __init__(self, fieldname: str, message: str):
-        super().__init__(f"{fieldname}: {message}")
-        self.field = fieldname
-
-
 class NamedClass(NamedTuple):
     """A named morphism value on the descriptor manifold, with its degree.
     Its pi^a components are kept as read, checked but unreduced (num, den)
@@ -299,66 +291,73 @@ class ManifoldDescriptor(NamedTuple):
 
     @classmethod
     def from_json(cls, doc: dict) -> ManifoldDescriptor:
-        doc = _on_field("", json_object, doc, (), DESCRIPTOR_FIELDS)
+        """The descriptor in the JSON document `doc`; a FieldError names the
+        field at fault by its path from the root."""
+        with on_field(""):
+            json_object(doc, (), DESCRIPTOR_FIELDS)
         dim = doc.get("dimension")
-        if not is_json_int(dim) or dim < 2 or dim % 2:
-            raise DescriptorError(
-                "dimension", f"must be a positive even integer, got {json.dumps(dim)}"
-            )
+        with on_field("dimension"):
+            if not is_json_int(dim) or dim < 2 or dim % 2:
+                raise ValueError(f"must be a positive even integer, got {json.dumps(dim)}")
 
         toh = doc.get("trivial_odd_homotopy", [])
-        if not isinstance(toh, list) or not all(
-            is_json_int(d) and d >= 1 and d % 2 == 1 for d in toh
-        ):
-            raise DescriptorError(
-                "trivial_odd_homotopy", f"must be a list of odd degrees, got {json.dumps(toh)}"
-            )
+        with on_field("trivial_odd_homotopy"):
+            if not isinstance(toh, list) or not all(
+                is_json_int(d) and d >= 1 and d % 2 == 1 for d in toh
+            ):
+                raise ValueError(f"must be a list of odd degrees, got {json.dumps(toh)}")
 
         periods: dict[int, tuple[Fraction, ...]] = {}
         width = len(str(dim))  # a key with more digits names a degree above dim
-        for key, gens in _on_field("periods", json_object, doc.get("periods", {})).items():
-            # ASCII digits with no sign, space, underscore or leading zero: one key per degree.
-            plain = key.isascii() and key.isdigit() and len(key) <= width
-            degree = int(key) if plain else 0
-            if key != str(degree) or degree < 2 or degree % 2 or degree > dim:
-                raise DescriptorError(
-                    f"periods.{key}",
-                    f"key must be an even degree 2 <= d <= {dim} in plain digits,"
-                    f" got {json.dumps(key)}",
-                )
-            if not isinstance(gens, list):
-                raise DescriptorError(f"periods.{key}", "generators must be a list")
-            parsed = []
-            for g in gens:
-                try:
-                    parsed.append(parse_rational(g))
-                except DigitLimitError as exc:
-                    raise DescriptorError(f"periods.{key}", str(exc))
-                except ValueError:
-                    raise DescriptorError(
-                        f"periods.{key}",
-                        f"period {json.dumps(g)} is not rational; only manifolds with "
-                        f"rational period groups are supported",
+        with on_field("periods"):
+            groups = json_object(doc.get("periods", {}))
+        for key, gens in groups.items():
+            with on_field(f"periods.{key}"):
+                # ASCII digits with no sign, space, underscore or leading zero: one key per degree.
+                plain = key.isascii() and key.isdigit() and len(key) <= width
+                degree = int(key) if plain else 0
+                if key != str(degree) or degree < 2 or degree % 2 or degree > dim:
+                    raise ValueError(
+                        f"key must be an even degree 2 <= d <= {dim} in plain digits,"
+                        f" got {json.dumps(key)}"
                     )
-                if parsed[-1] == 0:
-                    raise DescriptorError(
-                        f"periods.{key}", f"period {json.dumps(g)} must be nonzero"
-                    )
-            periods[degree] = tuple(parsed)
+                if not isinstance(gens, list):
+                    raise ValueError("generators must be a list")
+                periods[degree] = tuple(map(_period, gens))
 
         classes: dict[str, NamedClass] = {}
-        for name, entry in _on_field("classes", json_object, doc.get("classes", {})).items():
-            entry = _on_field(f"classes.{name}", json_object, entry, ("degree",), ("value",))
-            degree = entry["degree"]
-            if not is_json_int(degree) or degree < 1 or degree % 2 == 0:
-                raise DescriptorError(
-                    f"classes.{name}.degree",
-                    f"must be a positive odd integer, got {json.dumps(degree)}",
-                )
-            terms = _on_field(f"classes.{name}.value", json_terms, entry.get("value", []))
-            classes[name] = NamedClass(degree, terms)
+        with on_field("classes"):
+            entries = json_object(doc.get("classes", {}))
+        for name, entry in entries.items():
+            with on_field(f"classes.{name}"):
+                json_object(entry, ("degree",), ("value",))
+                with on_field("degree"):
+                    degree = entry["degree"]
+                    if not is_json_int(degree) or degree < 1 or degree % 2 == 0:
+                        raise ValueError(
+                            f"must be a positive odd integer, got {json.dumps(degree)}"
+                        )
+                with on_field("value"):
+                    classes[name] = NamedClass(degree, json_terms(entry.get("value", [])))
 
         return cls(dim, frozenset(toh), periods, MappingProxyType(classes))
+
+
+def _period(text) -> Fraction:
+    """A nonzero rational period as the descriptor writes it; a number
+    beyond the integer string limit is refused as such."""
+    try:
+        period = parse_rational(text)
+    except DigitLimitError:
+        raise
+    except ValueError:
+        raise ValueError(
+            f"period {json.dumps(text)} is not rational; only manifolds with rational"
+            f" period groups are supported"
+        ) from None
+    if period == 0:
+        raise ValueError(f"period {json.dumps(text)} must be nonzero")
+    return period
 
 
 def _distinct_names(pairs: list[tuple[str, object]]) -> dict:
@@ -399,17 +398,6 @@ class _DescriptorNumber(float):
 
     def __str__(self) -> str:
         return self.literal
-
-
-def _on_field(path: str, read, *args):
-    """read(*args), which reads the descriptor field at `path` ("" for the
-    root), with its ValueError raised as a DescriptorError on the field at
-    fault: `path` itself, or the field below it that a FieldError names."""
-    try:
-        return read(*args)
-    except ValueError as exc:
-        name = exc.name if isinstance(exc, FieldError) else None
-        raise DescriptorError(".".join(filter(None, (path, name))) or "<root>", str(exc))
 
 
 def product_cpn_lattice(n: int, k: int, m_desc: ManifoldDescriptor) -> Lattice:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
@@ -299,14 +300,27 @@ def is_json_int(value) -> bool:
 
 
 class FieldError(ValueError):
-    """A JSON object refused by a field rule of json_object.  The message is
-    the rule's text alone, and `name` is the dotted path of the field at
-    fault below the object, or None for the object itself, so that each
-    caller can name it in its own field path."""
+    """A JSON field refused by its rule: `message` is the rule's text alone and
+    `name` the dotted path of the field at fault, or None for the object the
+    rule read.  on_field extends the path at each level, up to the root of
+    the document; once a field is named, the error prints as `name: message`."""
 
     def __init__(self, message: str, name: str | None = None):
-        super().__init__(message)
+        super().__init__(message if name is None else f"{name}: {message}")
+        self.message = message
         self.name = name
+
+
+@contextmanager
+def on_field(path: str):
+    """The one step that names a field: a ValueError raised in the block is
+    raised again as a FieldError on the field `path` ("" for the root, named
+    <root>), or on the field below `path` that a FieldError already names."""
+    try:
+        yield
+    except ValueError as exc:
+        below = exc if isinstance(exc, FieldError) else FieldError(str(exc))
+        raise FieldError(below.message, ".".join(filter(None, (path, below.name))) or "<root>")
 
 
 def json_object(
@@ -371,15 +385,13 @@ def json_terms(doc) -> dict[int, tuple[PolyQ, PolyQ]]:
     """The components of a value in the PiGradedValue.to_json shape, as
     pi_exp -> (num, den), each read and checked but none reduced.  A
     ValueError names the part that breaks the shape; a component that breaks
-    the field rule is a FieldError whose name starts with its index."""
+    the field rule is a FieldError named by its index."""
     if not isinstance(doc, list):
         raise ValueError(f"must be a list of components, got {json.dumps(doc)}")
     terms: dict[int, tuple[PolyQ, PolyQ]] = {}
     for i, entry in enumerate(doc):
-        try:
+        with on_field(str(i)):
             json_object(entry, COMPONENT_FIELDS, ())
-        except FieldError as exc:  # named by its place in the list
-            raise FieldError(str(exc), ".".join(filter(None, (str(i), exc.name))))
         a = _json_int(entry["pi_exp"])
         if a in terms:
             raise ValueError(f"duplicate pi_exp {a}")

@@ -134,12 +134,56 @@ def draw_mc_pass(samples: int) -> McPass:
     return McPass(samples, **rows)
 
 
+def _rows(details: dict) -> list[dict]:
+    return [row for key in ("spots", "monte_carlo", "rows") for row in details.get(key, [])]
+
+
+def _failed(details: dict) -> int:
+    """The one failed-row rule: a row of `spots`, `monte_carlo` or `rows`
+    whose `ok` (a product row's `nontrivial`) is false, and every entry of
+    `failures` and `mismatches`."""
+    failed = sum(not row.get("ok", row.get("nontrivial", True)) for row in _rows(details))
+    return failed + len(details.get("failures", ())) + len(details.get("mismatches", ()))
+
+
 class CheckResult(NamedTuple):
-    """Outcome of one verification check, with JSON-safe details."""
+    """Outcome of one verification check, with JSON-safe details.  A check
+    with rows takes its verdict from them (of_rows); mc-determinism, which
+    has none, states its own."""
 
     name: str
     passed: bool
     details: dict
+
+    @classmethod
+    def of_rows(cls, name: str, details: dict) -> CheckResult:
+        """The check `name`, passed when none of its rows failed (_failed)."""
+        return cls(name, not _failed(details), details)
+
+    def summary(self) -> str:
+        """What the check covered and, if it failed, how many of its rows
+        failed and how many a self-check refused."""
+        details = self.details
+        rows = _rows(details)
+        sigmas = [row["sigma"] for row in rows if "sigma" in row]
+        parts = []
+        if "rows" in details and not sigmas:
+            parts.append(f"{len(details['rows'])} cases")
+        if "pairs" in details:
+            parts.append(f"{details['pairs']} pairs")
+        if "instances" in details:
+            parts.append(f"{details['instances']} instances, bound {details['bound']}")
+        if "samples" in details:
+            parts.append(f"{details['samples']} samples")
+        if sigmas:
+            parts.append(f"max {max(sigmas):.2f} sigma over {len(sigmas)} estimates")
+        failed = _failed(details)
+        if failed:
+            parts.append(f"{failed} failed")
+        refused = sum("error" in row for row in rows)
+        if refused:
+            parts.append(f"{refused} refused by the self-check")
+        return ", ".join(parts)
 
     def to_json(self) -> dict:
         return {"name": self.name, "passed": self.passed, "details": self.details}
@@ -162,8 +206,7 @@ def check_identity_suite(k_max: int = 7) -> CheckResult:
         rows.append(
             {"k": k, "bruteforce": str(brute), "closed": str(closed), "ok": brute == closed}
         )
-    ok = all(row["ok"] for row in rows)
-    return CheckResult("identity-suite", ok, {"k_max": k_max, "rows": rows})
+    return CheckResult.of_rows("identity-suite", {"k_max": k_max, "rows": rows})
 
 
 def check_moment_sums(k_max: int = 6) -> CheckResult:
@@ -175,9 +218,8 @@ def check_moment_sums(k_max: int = 6) -> CheckResult:
             closed = combinatorics.moment_sum_closed(k, l)
             if brute != closed:
                 failures.append({"k": k, "l": l, "bruteforce": str(brute), "closed": str(closed)})
-    return CheckResult(
+    return CheckResult.of_rows(
         "moment-sums",
-        not failures,
         {"k_max": k_max, "l_max": k_max, "pairs": k_max * k_max, "failures": failures},
     )
 
@@ -186,12 +228,10 @@ def check_ball_moments(mc_pass: McPass) -> CheckResult:
     """Exact moment formula against frozen quadrature spots, then Monte Carlo
     against the exact value on the (n <= 3, l <= n, k <= 3) grid, read from
     `mc_pass`."""
-    ok = True
     spots = []
     for (n, l, k), (coeff, pi_exp) in sorted(MOMENT_SPOT_VALUES.items()):
         got = combinatorics.ball_moment_exact(n, l, k)
         match = got == (coeff, pi_exp)
-        ok &= match
         spots.append(
             {
                 "n": n,
@@ -206,10 +246,8 @@ def check_ball_moments(mc_pass: McPass) -> CheckResult:
     for params, est in mc_pass.ball_moments:
         coeff, pi_exp = combinatorics.ball_moment_exact(**params)
         mc_rows.append(mc_row(params, est, times_pi_power(coeff, pi_power(n=pi_exp))))
-    ok &= all(row["ok"] for row in mc_rows)
-    return CheckResult(
+    return CheckResult.of_rows(
         "ball-moments",
-        ok,
         {
             "samples": mc_pass.samples,
             "streams": MC_STREAMS,
@@ -224,7 +262,6 @@ def check_cpn_exact(n_max: int = 8) -> CheckResult:
     raw multi-index value equal to the closed form, and the two anchors
     q(n, 1) = 1/(n+1) with order n+1, q(n, n) = 1/2 with order 2.  A value
     refused by its self-check fails its row with the message."""
-    ok = True
     rows = []
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
@@ -249,10 +286,9 @@ def check_cpn_exact(n_max: int = 8) -> CheckResult:
                 if k == n:
                     good &= q == Fraction(1, 2) and order == OrderResult.finite(2)
             entry["ok"] = good
-            ok &= good
             rows.append(entry)
-    return CheckResult(
-        "cpn-exact", ok, {"n_max": n_max, "raw_k_max": RAW_CHECK_MAX_K, "rows": rows}
+    return CheckResult.of_rows(
+        "cpn-exact", {"n_max": n_max, "raw_k_max": RAW_CHECK_MAX_K, "rows": rows}
     )
 
 
@@ -264,9 +300,8 @@ def check_cpn_monte_carlo(mc_pass: McPass) -> CheckResult:
         k = params["k"]
         exact = times_pi_power(cpn_q(**params) / math.factorial(k), pi_power(k=k))
         rows.append(mc_row(params, est, exact))
-    ok = all(row["ok"] for row in rows)
-    return CheckResult(
-        "cpn-monte-carlo", ok, {"samples": mc_pass.samples, "streams": MC_STREAMS, "rows": rows}
+    return CheckResult.of_rows(
+        "cpn-monte-carlo", {"samples": mc_pass.samples, "streams": MC_STREAMS, "rows": rows}
     )
 
 
@@ -278,14 +313,12 @@ def check_blowup(mc_pass: McPass, n_max: int = 8) -> CheckResult:
     against blowup_at_weight, the closed form `blowup --rho` prints (the exact
     rows tie it to the printed value), read from `mc_pass`.  A self-check
     refusal fails its row."""
-    ok = True
     rows = []
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             try:
                 cv = blowup_weinstein(n, k)
             except SelfCheckError as exc:
-                ok = False
                 rows.append({"n": n, "k": k, "error": str(exc), "ok": False})
                 continue
             order = cv.order()
@@ -300,7 +333,6 @@ def check_blowup(mc_pass: McPass, n_max: int = 8) -> CheckResult:
             else:
                 good = order == OrderResult.finite(2) and FINITE_ORDER_AT_TOP_DEGREE in flags
             good &= degenerates and reduced
-            ok &= good
             rows.append(
                 {
                     "n": n,
@@ -321,10 +353,8 @@ def check_blowup(mc_pass: McPass, n_max: int = 8) -> CheckResult:
             mc_rows.append({**params, "error": str(exc), "ok": False})
             continue
         mc_rows.append(mc_row(params, est, exact))
-    ok &= all(row["ok"] for row in mc_rows)
-    return CheckResult(
+    return CheckResult.of_rows(
         "blowup",
-        ok,
         {
             "n_max": n_max,
             "samples": mc_pass.samples,
@@ -348,18 +378,15 @@ def check_product(n_max: int = 5) -> CheckResult:
             "periods": {str(2 * j): ["1/2"] for j in range(1, n_max + 1)},
         }
     )
-    ok = True
     rows = []
     for n in range(1, n_max + 1):
         for k in range(1, n + 1):
             try:
                 product = product_value(n, k, descriptor)
             except SelfCheckError as exc:
-                ok = False
                 rows.append({"n": n, "k": k, "error": str(exc), "nontrivial": False})
                 continue
             nontrivial = product.order() != OrderResult.finite(1)
-            ok &= nontrivial
             rows.append(
                 {
                     "n": n,
@@ -369,7 +396,7 @@ def check_product(n_max: int = 5) -> CheckResult:
                     "nontrivial": nontrivial,
                 }
             )
-    return CheckResult("product", ok, {"n_max": n_max, "rows": rows})
+    return CheckResult.of_rows("product", {"n_max": n_max, "rows": rows})
 
 
 def check_mc_determinism(samples: int = 10**5) -> CheckResult:
@@ -623,9 +650,8 @@ def check_decision_procedures() -> CheckResult:
                     "order_confirmed": order_ok,
                 }
             )
-    return CheckResult(
+    return CheckResult.of_rows(
         "decision-procedures",
-        not mismatches,
         {
             "instances": DECISION_INSTANCES,
             "bound": DECISION_BOUND,

@@ -1109,14 +1109,14 @@ def test_a_failed_check_counts_its_failed_rows(monkeypatch):
     monkeypatch.setattr(verify, "cpn_q", lambda n, k: cpn_q(n, k) * Fraction(1001, 1000))
     result = verify.check_cpn_exact(4)
     assert not result.passed
-    assert cli._check_summary(result.details) == "10 cases, 10 failed"
+    assert result.summary() == "10 cases, 10 failed"
     closed = combinatorics.moment_sum_closed
     monkeypatch.setattr(
         combinatorics, "moment_sum_closed", lambda k, l: closed(k, l) + ((k, l) == (3, 2))
     )
     result = verify.check_moment_sums()
     assert not result.passed
-    assert cli._check_summary(result.details) == "36 pairs, 1 failed"
+    assert result.summary() == "36 pairs, 1 failed"
 
 
 def test_usage_errors_exit_2(capsys):

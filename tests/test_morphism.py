@@ -10,7 +10,6 @@ from weincalc import combinatorics, morphism
 from weincalc.exactarith import DigitLimitError, ParameterError
 from weincalc.morphism import (
     FINITE_ORDER_AT_TOP_DEGREE,
-    DescriptorError,
     ManifoldDescriptor,
     SelfCheckError,
     blowup_at_weight,
@@ -24,7 +23,15 @@ from weincalc.morphism import (
     product_cpn_lattice,
     product_value,
 )
-from weincalc.symbolic import Lattice, OrderResult, PiGradedValue, PolyQ, RatFuncQ, lattice_member
+from weincalc.symbolic import (
+    FieldError,
+    Lattice,
+    OrderResult,
+    PiGradedValue,
+    PolyQ,
+    RatFuncQ,
+    lattice_member,
+)
 
 
 def test_q_instances():
@@ -486,14 +493,14 @@ BAD_FIELDS = [
     ids=[f"doc{i}-{field}" for i, (_, field, _) in enumerate(BAD_FIELDS)],
 )
 def test_descriptor_rejects_bad_fields(doc, field, message):
-    with pytest.raises(DescriptorError) as err:
+    with pytest.raises(FieldError) as err:
         ManifoldDescriptor.from_json(doc)
-    assert err.value.field.startswith(field)
-    assert str(err.value) == f"{err.value.field}: {message}"
+    assert err.value.name.startswith(field)
+    assert str(err.value) == f"{err.value.name}: {message}"
 
 
 def test_descriptor_irrational_period_diagnostic_mentions_rationality():
-    with pytest.raises(DescriptorError, match="rational"):
+    with pytest.raises(FieldError, match="rational"):
         ManifoldDescriptor.from_json(
             {"dimension": 4, "periods": {"2": ["pi"]}}
         )
