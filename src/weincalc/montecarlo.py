@@ -166,6 +166,17 @@ def _squared_radii(uniforms: np.ndarray, d: int, r0: float, out: np.ndarray) -> 
     return out
 
 
+def require_draw(n: int, samples: int, seed: int) -> None:
+    """The rules of a draw of `samples` points of the ball in C^n from `seed`,
+    in this order: samples >= 2, samples * n <= MAX_MC_WORK, seed >= 0."""
+    if samples < 2:
+        raise ParameterError("must be >= 2", samples=samples)
+    if samples * n > MAX_MC_WORK:
+        raise ParameterError(f"samples * n must be <= {MAX_MC_WORK}", samples=samples, n=n)
+    if seed < 0:
+        raise ParameterError("must be >= 0", seed=seed)
+
+
 def _estimate(
     n: int,
     r0: float,
@@ -186,15 +197,10 @@ def _estimate(
     unscaled integrand, and `scale` multiplies the mean and the standard
     error once, so a tiny scale cannot underflow the sum of squares.  At
     least 2 samples, for a standard error, and at most MAX_MC_WORK / n, both
-    refused before any sample is drawn."""
+    refused before any sample is drawn (require_draw)."""
     import numpy as np
 
-    if samples < 2:
-        raise ParameterError("must be >= 2", samples=samples)
-    if samples * n > MAX_MC_WORK:
-        raise ParameterError(f"samples * n must be <= {MAX_MC_WORK}", samples=samples, n=n)
-    if seed < 0:
-        raise ParameterError("must be >= 0", seed=seed)
+    require_draw(n, samples, seed)
     dims = [n] * len(integrands) if dims is None else dims
     groups = {}  # d -> {m -> {k -> indices of the integrands reading column m ** k}}
     for index, ((m, k, _, _), d) in enumerate(zip(integrands, dims, strict=True)):

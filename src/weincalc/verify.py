@@ -63,9 +63,37 @@ BASE_SEED = 20250808
 
 SIGMA_BAND = 4.0
 
+# The largest relative error of a sample standard deviation that a
+# `moment --mc` check admits before it draws (_require_resolved).
+MC_SPREAD_TOLERANCE = 0.1
+
 MC_N_MAX = 3
 MOMENT_K_MAX = 3
 BLOWUP_RHO = Fraction(1, 2)
+
+# The cpn-exact rows above the brute-force budget, RAW_CHECK_MAX_K; the quick
+# suite runs the first.
+CPN_ABOVE_BUDGET = ((9, 9), (12, 10), (16, 13))
+
+# The named-class product rows (n, k, descriptor, class) of the full suite.
+# The one row is M of dimension 6 with period 1 in degree 2 and the class
+# c = pi^2/4 in degree 5: the value pi^3/12 + pi^2/4 has order 2 against
+# pi^3/6 and pi^2/2, since each coefficient is half a generator.
+PRODUCT_CLASS_ROWS = (
+    (
+        3,
+        3,
+        {
+            "dimension": 6,
+            "trivial_odd_homotopy": [5],
+            "periods": {"2": ["1"]},
+            "classes": {
+                "c": {"degree": 5, "value": [{"pi_exp": 2, "num": [[0, "1/4"]], "den": [[0, "1"]]}]}
+            },
+        },
+        "c",
+    ),
+)
 
 DECISION_SEED = BASE_SEED + 4000
 DECISION_INSTANCES = 200
@@ -140,9 +168,8 @@ def _rows(details: dict) -> list[dict]:
 
 def _failed(details: dict) -> int:
     """The one failed-row rule: a row of `spots`, `monte_carlo` or `rows`
-    whose `ok` (a product row's `nontrivial`) is false, and every entry of
-    `failures` and `mismatches`."""
-    failed = sum(not row.get("ok", row.get("nontrivial", True)) for row in _rows(details))
+    whose `ok` is false, and every entry of `failures` and `mismatches`."""
+    failed = sum(not row["ok"] for row in _rows(details))
     return failed + len(details.get("failures", ())) + len(details.get("mismatches", ()))
 
 
@@ -257,36 +284,44 @@ def check_ball_moments(mc_pass: McPass) -> CheckResult:
     )
 
 
-def check_cpn_exact(n_max: int = 8) -> CheckResult:
-    """Exact CP^n suite: 0 < q < 1 and nontriviality for all k <= n <= n_max,
-    raw multi-index value equal to the closed form, and the two anchors
-    q(n, 1) = 1/(n+1) with order n+1, q(n, n) = 1/2 with order 2.  A value
-    refused by its self-check fails its row with the message."""
+def check_cpn_exact(n_max: int = 8, above: tuple[tuple[int, int], ...] = ()) -> CheckResult:
+    """Exact CP^n suite: 0 < q < 1 and nontriviality for all k <= n <= n_max
+    and for the (n, k) pairs of `above`, and the two anchors q(n, 1) = 1/(n+1)
+    with order n+1, q(n, n) = 1/2 with order 2.  Each q is compared with a
+    second route: the raw multi-index value up to the brute-force budget, and
+    above it, where enumeration stops, n! M(n, k, k) with M the pi^n
+    coefficient of ball_moment_exact(n, k, k), the trace-volume integral over
+    the ball of C^n that fills CP^n.  A value refused by its self-check fails
+    its row with the message."""
     rows = []
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            q = cpn_q(n, k)
-            entry = {"n": n, "k": k, "q": format_rational(q)}
-            good = 0 < q < 1
-            if k <= RAW_CHECK_MAX_K:
-                raw = cpn_weinstein_raw(n, k)
-                entry["raw"] = format_rational(raw)
-                good &= raw == q
-            try:
-                order = cpn_weinstein(n, k).order()
-            except SelfCheckError as exc:
-                entry["error"] = str(exc)
-                good = False
-            else:
-                entry["order"] = order.to_json()
-                entry["nontrivial"] = order != OrderResult.finite(1)
-                good &= entry["nontrivial"]
-                if k == 1:
-                    good &= q == Fraction(1, n + 1) and order == OrderResult.finite(n + 1)
-                if k == n:
-                    good &= q == Fraction(1, 2) and order == OrderResult.finite(2)
-            entry["ok"] = good
-            rows.append(entry)
+    pairs = [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)] + list(above)
+    for n, k in pairs:
+        q = cpn_q(n, k)
+        entry = {"n": n, "k": k, "q": format_rational(q)}
+        good = 0 < q < 1
+        if k <= RAW_CHECK_MAX_K:
+            raw = cpn_weinstein_raw(n, k)
+            entry["raw"] = format_rational(raw)
+            good &= raw == q
+        else:
+            moment = math.factorial(n) * combinatorics.ball_moment_exact(n, k, k)[0]
+            entry["ball_moment"] = format_rational(moment)
+            good &= moment == q
+        try:
+            order = cpn_weinstein(n, k).order()
+        except SelfCheckError as exc:
+            entry["error"] = str(exc)
+            good = False
+        else:
+            entry["order"] = order.to_json()
+            entry["nontrivial"] = order != OrderResult.finite(1)
+            good &= entry["nontrivial"]
+            if k == 1:
+                good &= q == Fraction(1, n + 1) and order == OrderResult.finite(n + 1)
+            if k == n:
+                good &= q == Fraction(1, 2) and order == OrderResult.finite(2)
+        entry["ok"] = good
+        rows.append(entry)
     return CheckResult.of_rows(
         "cpn-exact", {"n_max": n_max, "raw_k_max": RAW_CHECK_MAX_K, "rows": rows}
     )
@@ -365,37 +400,54 @@ def check_blowup(mc_pass: McPass, n_max: int = 8) -> CheckResult:
     )
 
 
-def check_product(n_max: int = 5) -> CheckResult:
-    """Product suite: cpn(n,k) x trivial against a rational-period descriptor
-    is nontrivial for all k <= n <= n_max, with the factor-lattice containment
-    checked generator by generator inside product_value.  A value refused by
-    a self-check, of q or of that containment, fails its row with the
-    message."""
-    descriptor = ManifoldDescriptor.from_json(
+def check_product(n_max: int = 5, named: tuple = ()) -> CheckResult:
+    """Product suite: cpn(n,k) x M for all k <= n <= n_max against a
+    descriptor with period 1/2 in every degree, then the named-class rows
+    (n, k, descriptor, class) of `named` (PRODUCT_CLASS_ROWS).  Each row's order is confirmed
+    by the box search (_confirm_order) over the Kunneth generators of
+    CP^n x M written out here, pi^(k-j)/(k-j)! times each degree-2j period of
+    M for j = 0..k (period 1 at j = 0), with no lattice code.  A row passes
+    when the value is nontrivial and its order confirmed.  The factor-lattice
+    containment is checked generator by generator inside product_value; a
+    value refused by a self-check, of q or of that containment, fails its row
+    with the message."""
+    periodic = ManifoldDescriptor.from_json(
         {
             "dimension": 2 * n_max,
             "trivial_odd_homotopy": [2 * k - 1 for k in range(1, n_max + 1)],
             "periods": {str(2 * j): ["1/2"] for j in range(1, n_max + 1)},
         }
     )
+    cases = [(n, k, periodic, None) for n in range(1, n_max + 1) for k in range(1, n + 1)]
+    cases += [(n, k, ManifoldDescriptor.from_json(doc), name) for n, k, doc, name in named]
     rows = []
-    for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
-            try:
-                product = product_value(n, k, descriptor)
-            except SelfCheckError as exc:
-                rows.append({"n": n, "k": k, "error": str(exc), "nontrivial": False})
-                continue
-            nontrivial = product.order() != OrderResult.finite(1)
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    # pi^k/k! and the degree-2k periods of the descriptor
-                    "generators_checked": 1 + len(descriptor.period_lattice(k).generators),
-                    "nontrivial": nontrivial,
-                }
-            )
+    for n, k, descriptor, name in cases:
+        row = {"n": n, "k": k} if name is None else {"n": n, "k": k, "class": name}
+        try:
+            product = product_value(n, k, descriptor, name)
+        except SelfCheckError as exc:
+            rows.append({**row, "error": str(exc), "ok": False})
+            continue
+        periods = {0: (Fraction(1),), **descriptor.periods}
+        kunneth = [
+            (p / math.factorial(k - j), k - j, 0)
+            for j in range(k + 1)
+            for p in periods.get(2 * j, ())
+        ]
+        order = product.order()
+        nontrivial = order != OrderResult.finite(1)
+        confirmed = _confirm_order(_multiples_in_box(product.value, kunneth, DECISION_BOUND), order)
+        rows.append(
+            {
+                **row,
+                # pi^k/k! and the degree-2k periods of the descriptor
+                "generators_checked": 1 + len(descriptor.period_lattice(k).generators),
+                "order": order.to_json(),
+                "nontrivial": nontrivial,
+                "order_confirmed": confirmed,
+                "ok": nontrivial and confirmed,
+            }
+        )
     return CheckResult.of_rows("product", {"n_max": n_max, "rows": rows})
 
 
@@ -677,13 +729,66 @@ def mc_row(params: dict, est: McEstimate, exact: float) -> dict:
     }
 
 
+def _log_kurtosis(n: int, l: int, k: int) -> float:
+    """log kappa of X = s^k, s = |z_1|^2+...+|z_l|^2 at a uniform point z of a
+    ball in C^n, from its exact moments.  E[X^j] is the ball moment at jk over
+    the volume, E[s^m] = Gamma(l+m) n! / ((l-1)! Gamma(n+1+m)), whose gamma
+    ratio telescopes to the n+1-l factors i/(i+m), l <= i <= n: in log space,
+    a sum of n+1-l logs that stays exact to rounding for every k, where
+    math.lgamma(4k) alone carries an absolute error that grows with k.  With
+    x_j = log E[X^j]/E[X]^j, kappa = (e^x4 - 4e^x3 + 6e^x2 - 3)/(e^x2 - 1)^2,
+    formed scaled by e^-x4 so that no term overflows."""
+
+    def log_moment(m: int) -> float:  # log E[s^m]
+        return -math.fsum(
+            math.log1p(m / i) if m <= i else math.log(i + m) - math.log(i)
+            for i in range(l, n + 1)
+        )
+
+    base = log_moment(k)
+    x2, x3, x4 = (log_moment(j * k) - j * base for j in (2, 3, 4))
+    central = 1 - 4 * math.exp(x3 - x4) + 6 * math.exp(x2 - x4) - 3 * math.exp(-x4)
+    return math.log(central) + x4 - 2 * (x2 + math.log(-math.expm1(-x2)))
+
+
+def _require_resolved(n: int, l: int, k: int, samples: int) -> None:
+    """Refuse, before any draw, a sample count too small for the integrand of
+    one ball moment: the relative error of a sample standard deviation of N
+    samples is about sqrt((kappa - 1)/N)/2 (Kendall and Stuart, The Advanced
+    Theory of Statistics, vol. 1, ch. 10), and it must not exceed
+    MC_SPREAD_TOLERANCE.  The refusal names the count needed, or the cap
+    MAX_MC_WORK when no count within it suffices."""
+    log_kappa = _log_kurtosis(n, l, k)
+    log_needed = (
+        log_kappa + math.log(-math.expm1(-log_kappa)) - 2 * math.log(2 * MC_SPREAD_TOLERANCE)
+    )
+    if log_needed > math.log(montecarlo.MAX_MC_WORK / n):  # above every admitted count
+        raise ParameterError(
+            f"a sample standard deviation within {MC_SPREAD_TOLERANCE:.0%} of this integrand"
+            f" needs about 10^{log_needed / math.log(10):.1f} samples, and samples * n must be"
+            f" <= {montecarlo.MAX_MC_WORK} (MAX_MC_WORK)",
+            samples=samples, n=n, l=l, k=k,
+        )
+    needed = math.ceil(math.exp(log_needed) * (1 - 1e-12))  # a count exact but for rounding
+    if samples >= needed:
+        return
+    off = MC_SPREAD_TOLERANCE * math.sqrt(needed / samples)
+    raise ParameterError(
+        f"too few for this integrand: its sample standard deviation would be off by about"
+        f" {off:.1%}, more than {MC_SPREAD_TOLERANCE:.0%}; it needs at least {needed} samples",
+        samples=samples,
+    )
+
+
 def check_moment_mc(
     n: int, l: int, k: int, r0: Fraction, exact: float, samples: int, seed: int
 ) -> tuple[McEstimate, dict]:
     """The Monte Carlo check of one ball moment whose float value is `exact`
     (combinatorics.ball_moment's): its estimate from `samples` points drawn
-    with `seed`, and its mc_row.  A moment that underflows a float is refused
-    before any sample is drawn, since a mean of zeros would pass."""
+    with `seed`, and its mc_row.  Refused before any sample is drawn, in this
+    order: a moment that underflows a float, since a mean of zeros would
+    pass; the rules of the ball volume and of the draw; and a sample count
+    that cannot resolve the integrand (_require_resolved)."""
     if exact < sys.float_info.min:
         raise ParameterError(
             "the moment underflows a float, so Monte Carlo cannot check it",
@@ -692,27 +797,31 @@ def check_moment_mc(
             k=k,
             r0=r0,
         )
+    ball_moment_integrands(n, [(l, k)], float(r0))
+    montecarlo.require_draw(n, samples, seed)
+    _require_resolved(n, l, k, samples)
     (est,) = mc_ball_moment(n, [(l, k)], float(r0), samples, seed)
     return est, mc_row({}, est, exact)
 
 
 def run_all(quick: bool = False) -> list[CheckResult]:
-    """The full verification suite; `quick` caps brute force at k <= 4 and
-    Monte Carlo at 10^5 samples.  The Monte Carlo pass is drawn once, for
-    the three checks that read it."""
+    """The full verification suite; `quick` caps brute force at k <= 4,
+    Monte Carlo at 10^5 samples and the cpn-exact rows above the brute-force
+    budget at one, and leaves out the named-class product rows.  The Monte
+    Carlo pass is drawn once, for the three checks that read it."""
     if quick:
-        samples, k_cap, n_cap = 10**5, 4, 4
+        samples, k_cap, n_cap, above, named = 10**5, 4, 4, CPN_ABOVE_BUDGET[:1], ()
     else:
-        samples, k_cap, n_cap = 10**6, 7, 8
+        samples, k_cap, n_cap, above, named = 10**6, 7, 8, CPN_ABOVE_BUDGET, PRODUCT_CLASS_ROWS
     mc_pass = draw_mc_pass(samples)
     return [
         check_identity_suite(k_max=k_cap),
         check_moment_sums(k_max=min(k_cap, 6)),
         check_ball_moments(mc_pass),
-        check_cpn_exact(n_max=n_cap),
+        check_cpn_exact(n_max=n_cap, above=above),
         check_cpn_monte_carlo(mc_pass),
         check_blowup(mc_pass, n_max=n_cap),
-        check_product(n_max=min(n_cap, 5)),
+        check_product(n_max=min(n_cap, 5), named=named),
         check_decision_procedures(),
         check_mc_determinism(samples=min(samples, 10**5)),
     ]

@@ -307,6 +307,49 @@ def test_moment_mc_refuses_an_underflowing_moment(capsys, monkeypatch):
     assert drawn == []
 
 
+def test_moment_mc_refuses_samples_that_cannot_resolve_the_integrand(capsys, monkeypatch):
+    # At k = 10^6 the integrand |z|^(2k) has kurtosis about 3.3e5: 1000
+    # samples printed an estimate about 3e87 standard errors off and exited 1
+    # on a correct closed form.  At k = 10^9 no count within the cap suffices.
+    drawn = []
+    monkeypatch.setattr(montecarlo, "sample_ball", lambda *a: drawn.append(a))
+    mc = ("--mc", "--samples", "1000")
+    code, out, err = run_cli(capsys, "moment", "--n", "3", "--l", "3", "--k", "1000000", *mc)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --samples 1000: too few for this integrand: its sample standard deviation"
+        " would be off by about 912.9%, more than 10%; it needs at least 8333294 samples\n"
+    )
+    code, out, err = run_cli(capsys, "moment", "--n", "3", "--l", "3", "--k", "1000000000", *mc)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: --samples 1000 --n 3 --l 3 --k 1000000000: a sample standard deviation within"
+        " 10% of this integrand needs about 10^9.9 samples, and samples * n must be"
+        " <= 300000000 (MAX_MC_WORK)\n"
+    )
+    assert drawn == []
+
+
+def test_moment_mc_needs_the_samples_that_the_kurtosis_asks_for(capsys):
+    # |z|^2 over the unit disk is uniform on [0, 1], kurtosis 9/5, so a
+    # standard deviation within 10 % needs 25 (9/5 - 1) = 20 samples.
+    argv = ["moment", "--n", "1", "--l", "1", "--k", "1", "--mc"]
+    assert run_cli(capsys, *argv, "--samples", "19")[0] == 2
+    assert run_cli(capsys, *argv, "--samples", "20")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "n, l, k", [(1, 1, 1), (2, 1, 1), (3, 2, 2), (5, 5, 1), (6, 3, 7), (40, 40, 1)]
+)
+def test_moment_kurtosis_matches_the_exact_ball_moments(n, l, k):
+    # E[X^j] of X = s^k is the ball moment at jk over the volume pi^n/n!.
+    m1, m2, m3, m4 = (
+        combinatorics.ball_moment_exact(n, l, j * k)[0] * math.factorial(n) for j in range(1, 5)
+    )
+    kappa = (m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4) / (m2 - m1**2) ** 2
+    assert math.exp(verify._log_kurtosis(n, l, k)) == pytest.approx(float(kappa), rel=1e-9)
+
+
 def test_moment_mc_refuses_a_negative_seed(capsys):
     # NumPy refused it with "expected non-negative integer", naming no field.
     code, out, err = run_cli(
@@ -1072,8 +1115,8 @@ EXACT_PART_SHA256 = {
     "--quick": {
         "identity-suite": "323253703dd0e8025fb7a41c2fa476c3a38ef3f4498b54b8c54506ccf79b3b15",
         "moment-sums": "a777278be1a9b84e4eb0deaf0250bc6520fff8112786192d8d7978059174a954",
-        "cpn-exact": "d172be5cd761407bbca3547525e9e538a2ee90a35a3f5a130e094ee92e8841e6",
-        "product": "2631924eba60240045f4d2f9d6c510cd00ce2d44b4c580cda1130d1fe5bd054f",
+        "cpn-exact": "434c26c25335289dd5689d7d1c306e1a331d40499196461c6dcb8cd06379697b",
+        "product": "aba4aa49a8e095d2b6cfd81c661b2caf9b791a7cda1e912fe8ff62a690cd2bcd",
         "decision-procedures": "95972a55fc270b69fea5560f1c7e92b338fca05513b8fa91ae76cdf89c004af6",
         "blowup.rows": "daca0a8178299c8fb9979757972b2d6378b250f3d50538641eae9438e08777eb",
         "ball-moments.spots": "53dd29b3ff9550e231e128765b4ae414a818bcbc94a2dbb9e5c5f130bf91283c",
@@ -1081,8 +1124,8 @@ EXACT_PART_SHA256 = {
     "": {
         "identity-suite": "55f87ddca9675980961dfdd7248ba93a70fca6c572670efc2559b34ba9037a6e",
         "moment-sums": "a42f82beb8f03746ee250038af907213e84091b82388a0eba46c25438a613079",
-        "cpn-exact": "ef56b515dfe2b5247e04cccb3ad929ff0e6b46b22b25ef0f8526341290f7d337",
-        "product": "7f981f878cf120b99379f5474d1193f55e52b0a1a5c44418c16cd9f9de19b5d1",
+        "cpn-exact": "055bbb42f27f3287f6791506c718b6873e04477e5b9f0db3cf51900ca2669229",
+        "product": "400cca02a11d65d20c36583486fa58b6cb1232818733a078551588f69ab19c13",
         "decision-procedures": "95972a55fc270b69fea5560f1c7e92b338fca05513b8fa91ae76cdf89c004af6",
         "blowup.rows": "f08d4d5d965d2088b3f0725ecaec2f1cda221c33e2e1b1b45b0d281619a392bb",
         "ball-moments.spots": "53dd29b3ff9550e231e128765b4ae414a818bcbc94a2dbb9e5c5f130bf91283c",

@@ -14,11 +14,7 @@ Left out:
 - equivalent mutants, which no route can tell from the original:
   `C(2k-1, k-1)` for `C(2k-1, k)` in `cpn_q` and `C(k+l-1, l-1)` for
   `C(k+l-1, k)` in `moment_sum_closed` (binomial symmetry), and
-  `(n+k)!/k!` for `perm(n+k, n)` in `ball_moment_exact` (the same integer);
-- `cpn_q` doubled for `k >= 9` only.  It is not equivalent, but no check
-  fails on it: the self-check enumerates only up to `RAW_CHECK_MAX_K = 8`
-  and Monte Carlo stops at `n = 3`, so it waits for an exact route above
-  the enumeration budget.
+  `(n+k)!/k!` for `perm(n+k, n)` in `ball_moment_exact` (the same integer).
 """
 
 import math
@@ -72,6 +68,16 @@ def product_lattice_without_periods(original):
     return lambda n, k, m_desc: original(n, k, m_desc._replace(periods={}))
 
 
+def product_lattice_times_factorial(original):
+    def mutant(n, k, m_desc):  # p * (k-j)! for p / (k-j)!
+        gens = [(Fraction(1, math.factorial(k)), k, 0)]
+        for j in range(1, k + 1):
+            gens += [(p * math.factorial(k - j), k - j, 0) for p in m_desc.periods.get(2 * j, ())]
+        return Lattice(gens)
+
+    return mutant
+
+
 def finite_orders_doubled(original):
     def mutant(value, lattice):
         order = original(value, lattice)
@@ -85,7 +91,8 @@ def finite_orders_doubled(original):
 # (module, name, defect, quick, checks that must fail).  In the quick suite a
 # 1 % error at k = 3 of the ball moments, or in the trace-volume scale, sits
 # about 5 standard errors out, too close to the band; the full suite puts it
-# at about 17.  The identity suite reaches l = 7 only in the full suite.
+# at about 17.  The identity suite reaches l = 7, and the product check its
+# named-class row, only in the full suite.
 MUTANTS = [
     pytest.param(
         morphism, "cpn_q", lambda f: lambda n, k: f(n, k) * Fraction(1001, 1000), True,
@@ -114,6 +121,14 @@ MUTANTS = [
     pytest.param(
         morphism, "product_cpn_lattice", product_lattice_without_periods, True,
         {"product"}, id="product_cpn_lattice-without-periods",
+    ),
+    pytest.param(
+        morphism, "product_cpn_lattice", product_lattice_times_factorial, False,
+        {"product"}, id="product_cpn_lattice-times-(k-j)!",
+    ),
+    pytest.param(
+        morphism, "cpn_q", lambda f: lambda n, k: f(n, k) * (2 if k >= 9 else 1), True,
+        {"cpn-exact"}, id="cpn_q-doubled-above-k8",
     ),
     pytest.param(
         symbolic, "lattice_order", finite_orders_doubled, True,
