@@ -75,24 +75,22 @@ BLOWUP_RHO = Fraction(1, 2)
 # suite runs the first.
 CPN_ABOVE_BUDGET = ((9, 9), (12, 10), (16, 13))
 
-# The named-class product rows (n, k, descriptor, class) of the full suite.
-# The one row is M of dimension 6 with period 1 in degree 2 and the class
-# c = pi^2/4 in degree 5: the value pi^3/12 + pi^2/4 has order 2 against
-# pi^3/6 and pi^2/2, since each coefficient is half a generator.
-PRODUCT_CLASS_ROWS = (
-    (
-        3,
-        3,
-        {
-            "dimension": 6,
-            "trivial_odd_homotopy": [5],
-            "periods": {"2": ["1"]},
-            "classes": {
-                "c": {"degree": 5, "value": [{"pi_exp": 2, "num": [[0, "1/4"]], "den": [[0, "1"]]}]}
-            },
+# The named-class product row (n, k, descriptor, class) of the full suite: M
+# of dimension 6 with period 1 in degree 2 and the class c = pi^2/4 in degree
+# 5.  The value pi^3/12 + pi^2/4 has order 2 against pi^3/6 and pi^2/2, since
+# each coefficient is half a generator.
+PRODUCT_CLASS_ROW = (
+    3,
+    3,
+    {
+        "dimension": 6,
+        "trivial_odd_homotopy": [5],
+        "periods": {"2": ["1"]},
+        "classes": {
+            "c": {"degree": 5, "value": [{"pi_exp": 2, "num": [[0, "1/4"]], "den": [[0, "1"]]}]}
         },
-        "c",
-    ),
+    },
+    "c",
 )
 
 DECISION_SEED = BASE_SEED + 4000
@@ -400,13 +398,13 @@ def check_blowup(mc_pass: McPass, n_max: int = 8) -> CheckResult:
     )
 
 
-def check_product(n_max: int = 5, named: tuple = ()) -> CheckResult:
+def check_product(n_max: int = 5, named_class: bool = False) -> CheckResult:
     """Product suite: cpn(n,k) x M for all k <= n <= n_max against a
-    descriptor with period 1/2 in every degree, then the named-class rows
-    (n, k, descriptor, class) of `named` (PRODUCT_CLASS_ROWS).  Each row's order is confirmed
-    by the box search (_confirm_order) over the Kunneth generators of
-    CP^n x M written out here, pi^(k-j)/(k-j)! times each degree-2j period of
-    M for j = 0..k (period 1 at j = 0), with no lattice code.  A row passes
+    descriptor with period 1/2 in every degree, then, with `named_class`,
+    PRODUCT_CLASS_ROW.  Each row's order is confirmed by the box search
+    (_confirm_order) over the Kunneth generators of CP^n x M written out
+    here, pi^(k-j)/(k-j)! times each degree-2j period of M for j = 0..k
+    (period 1 at j = 0), with no lattice code.  A row passes
     when the value is nontrivial and its order confirmed.  The factor-lattice
     containment is checked generator by generator inside product_value; a
     value refused by a self-check, of q or of that containment, fails its row
@@ -419,7 +417,9 @@ def check_product(n_max: int = 5, named: tuple = ()) -> CheckResult:
         }
     )
     cases = [(n, k, periodic, None) for n in range(1, n_max + 1) for k in range(1, n + 1)]
-    cases += [(n, k, ManifoldDescriptor.from_json(doc), name) for n, k, doc, name in named]
+    if named_class:
+        n, k, doc, name = PRODUCT_CLASS_ROW
+        cases.append((n, k, ManifoldDescriptor.from_json(doc), name))
     rows = []
     for n, k, descriptor, name in cases:
         row = {"n": n, "k": k} if name is None else {"n": n, "k": k, "class": name}
@@ -797,6 +797,8 @@ def check_moment_mc(
             k=k,
             r0=r0,
         )
+    # The rules that mc_ball_moment runs again, run first so that
+    # _require_resolved comes after them.
     ball_moment_integrands(n, [(l, k)], float(r0))
     montecarlo.require_draw(n, samples, seed)
     _require_resolved(n, l, k, samples)
@@ -807,12 +809,12 @@ def check_moment_mc(
 def run_all(quick: bool = False) -> list[CheckResult]:
     """The full verification suite; `quick` caps brute force at k <= 4,
     Monte Carlo at 10^5 samples and the cpn-exact rows above the brute-force
-    budget at one, and leaves out the named-class product rows.  The Monte
+    budget at one, and leaves out the named-class product row.  The Monte
     Carlo pass is drawn once, for the three checks that read it."""
     if quick:
-        samples, k_cap, n_cap, above, named = 10**5, 4, 4, CPN_ABOVE_BUDGET[:1], ()
+        samples, k_cap, n_cap, above = 10**5, 4, 4, CPN_ABOVE_BUDGET[:1]
     else:
-        samples, k_cap, n_cap, above, named = 10**6, 7, 8, CPN_ABOVE_BUDGET, PRODUCT_CLASS_ROWS
+        samples, k_cap, n_cap, above = 10**6, 7, 8, CPN_ABOVE_BUDGET
     mc_pass = draw_mc_pass(samples)
     return [
         check_identity_suite(k_max=k_cap),
@@ -821,7 +823,7 @@ def run_all(quick: bool = False) -> list[CheckResult]:
         check_cpn_exact(n_max=n_cap, above=above),
         check_cpn_monte_carlo(mc_pass),
         check_blowup(mc_pass, n_max=n_cap),
-        check_product(n_max=min(n_cap, 5), named=named),
+        check_product(n_max=min(n_cap, 5), named_class=not quick),
         check_decision_procedures(),
         check_mc_determinism(samples=min(samples, 10**5)),
     ]
