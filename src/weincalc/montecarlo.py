@@ -41,7 +41,7 @@ commands, which import this module through `cli`, never load it.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -166,17 +166,6 @@ def _squared_radii(uniforms: np.ndarray, d: int, r0: float, out: np.ndarray) -> 
     return out
 
 
-def require_draw(n: int, samples: int, seed: int) -> None:
-    """The rules of a draw of `samples` points of the ball in C^n from `seed`,
-    in this order: samples >= 2, samples * n <= MAX_MC_WORK, seed >= 0."""
-    if samples < 2:
-        raise ParameterError("must be >= 2", samples=samples)
-    if samples * n > MAX_MC_WORK:
-        raise ParameterError(f"samples * n must be <= {MAX_MC_WORK}", samples=samples, n=n)
-    if seed < 0:
-        raise ParameterError("must be >= 0", seed=seed)
-
-
 def _estimate(
     n: int,
     r0: float,
@@ -184,6 +173,7 @@ def _estimate(
     samples: int,
     seed: int,
     dims: Sequence[int] | None = None,
+    admit: Callable[[], None] | None = None,
 ) -> list[McEstimate]:
     """One estimate per integrand (m, k, cutoff, scale) of the module doc over
     the radius-r0 ball in C^d, d = dims[i] <= n for integrand i (n for all by
@@ -197,16 +187,24 @@ def _estimate(
     unscaled integrand, and `scale` multiplies the mean and the standard
     error once, so a tiny scale cannot underflow the sum of squares.  At
     least 2 samples, for a standard error, and at most MAX_MC_WORK / n, both
-    refused before any sample is drawn (require_draw)."""
-    import numpy as np
-
-    require_draw(n, samples, seed)
+    refused before any sample is drawn.  `admit`, when given, runs after
+    every rule here and before the draw, for a caller's own refusal."""
+    if samples < 2:
+        raise ParameterError("must be >= 2", samples=samples)
+    if samples * n > MAX_MC_WORK:
+        raise ParameterError(f"samples * n must be <= {MAX_MC_WORK}", samples=samples, n=n)
+    if seed < 0:
+        raise ParameterError("must be >= 0", seed=seed)
     dims = [n] * len(integrands) if dims is None else dims
     groups = {}  # d -> {m -> {k -> indices of the integrands reading column m ** k}}
     for index, ((m, k, _, _), d) in enumerate(zip(integrands, dims, strict=True)):
         require_within(n, d=d)
         require_within(d, m=m)
         groups.setdefault(d, {}).setdefault(m, {}).setdefault(k, []).append(index)
+    if admit is not None:
+        admit()
+    import numpy as np
+
     chunk = max(1, CHUNK_SIZE // n)
     buffers = _Buffers(
         n,
@@ -316,11 +314,17 @@ def ball_moment_integrands(
 
 
 def mc_ball_moment(
-    n: int, terms: Sequence[tuple[int, int]], r0: float, samples: int, seed: int
+    n: int,
+    terms: Sequence[tuple[int, int]],
+    r0: float,
+    samples: int,
+    seed: int,
+    admit: Callable[[], None] | None = None,
 ) -> list[McEstimate]:
     """Estimate, for each (l, k) in `terms`, the ball moment integral of
-    (|z_1|^2 + ... + |z_l|^2)^k over the radius-r0 ball in C^n."""
-    return _estimate(n, r0, ball_moment_integrands(n, terms, r0), samples, seed)
+    (|z_1|^2 + ... + |z_l|^2)^k over the radius-r0 ball in C^n; `admit` as
+    in _estimate."""
+    return _estimate(n, r0, ball_moment_integrands(n, terms, r0), samples, seed, admit=admit)
 
 
 def trace_volume_integrands(

@@ -71,12 +71,10 @@ MC_N_MAX = 3
 MOMENT_K_MAX = 3
 BLOWUP_RHO = Fraction(1, 2)
 
-# The cpn-exact rows above the brute-force budget, RAW_CHECK_MAX_K; the quick
-# suite runs the first.
+# The cpn-exact rows above the brute-force budget, RAW_CHECK_MAX_K.
 CPN_ABOVE_BUDGET = ((9, 9), (12, 10), (16, 13))
 
-# The named-class product row (n, k, descriptor, class) of the full suite: M
-# of dimension 6 with period 1 in degree 2 and the class c = pi^2/4 in degree
+# The named-class product row (n, k, descriptor, class): M of dimension 6 with period 1 in degree 2 and the class c = pi^2/4 in degree
 # 5.  The value pi^3/12 + pi^2/4 has order 2 against pi^3/6 and pi^2/2, since
 # each coefficient is half a generator.
 PRODUCT_CLASS_ROW = (
@@ -282,9 +280,9 @@ def check_ball_moments(mc_pass: McPass) -> CheckResult:
     )
 
 
-def check_cpn_exact(n_max: int = 8, above: tuple[tuple[int, int], ...] = ()) -> CheckResult:
+def check_cpn_exact(n_max: int = 8) -> CheckResult:
     """Exact CP^n suite: 0 < q < 1 and nontriviality for all k <= n <= n_max
-    and for the (n, k) pairs of `above`, and the two anchors q(n, 1) = 1/(n+1)
+    and for the (n, k) pairs of CPN_ABOVE_BUDGET, and the two anchors q(n, 1) = 1/(n+1)
     with order n+1, q(n, n) = 1/2 with order 2.  Each q is compared with a
     second route: the raw multi-index value up to the brute-force budget, and
     above it, where enumeration stops, n! M(n, k, k) with M the pi^n
@@ -292,7 +290,7 @@ def check_cpn_exact(n_max: int = 8, above: tuple[tuple[int, int], ...] = ()) -> 
     the ball of C^n that fills CP^n.  A value refused by its self-check fails
     its row with the message."""
     rows = []
-    pairs = [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)] + list(above)
+    pairs = [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)] + list(CPN_ABOVE_BUDGET)
     for n, k in pairs:
         q = cpn_q(n, k)
         entry = {"n": n, "k": k, "q": format_rational(q)}
@@ -398,10 +396,9 @@ def check_blowup(mc_pass: McPass, n_max: int = 8) -> CheckResult:
     )
 
 
-def check_product(n_max: int = 5, named_class: bool = False) -> CheckResult:
+def check_product(n_max: int = 5) -> CheckResult:
     """Product suite: cpn(n,k) x M for all k <= n <= n_max against a
-    descriptor with period 1/2 in every degree, then, with `named_class`,
-    PRODUCT_CLASS_ROW.  Each row's order is confirmed by the box search
+    descriptor with period 1/2 in every degree, then PRODUCT_CLASS_ROW.  Each row's order is confirmed by the box search
     (_confirm_order) over the Kunneth generators of CP^n x M written out
     here, pi^(k-j)/(k-j)! times each degree-2j period of M for j = 0..k
     (period 1 at j = 0), with no lattice code.  A row passes
@@ -416,10 +413,9 @@ def check_product(n_max: int = 5, named_class: bool = False) -> CheckResult:
             "periods": {str(2 * j): ["1/2"] for j in range(1, n_max + 1)},
         }
     )
+    n, k, doc, name = PRODUCT_CLASS_ROW
     cases = [(n, k, periodic, None) for n in range(1, n_max + 1) for k in range(1, n + 1)]
-    if named_class:
-        n, k, doc, name = PRODUCT_CLASS_ROW
-        cases.append((n, k, ManifoldDescriptor.from_json(doc), name))
+    cases.append((n, k, ManifoldDescriptor.from_json(doc), name))
     rows = []
     for n, k, descriptor, name in cases:
         row = {"n": n, "k": k} if name is None else {"n": n, "k": k, "class": name}
@@ -788,7 +784,8 @@ def check_moment_mc(
     with `seed`, and its mc_row.  Refused before any sample is drawn, in this
     order: a moment that underflows a float, since a mean of zeros would
     pass; the rules of the ball volume and of the draw; and a sample count
-    that cannot resolve the integrand (_require_resolved)."""
+    that cannot resolve the integrand (_require_resolved, which
+    mc_ball_moment runs last before its draw)."""
     if exact < sys.float_info.min:
         raise ParameterError(
             "the moment underflows a float, so Monte Carlo cannot check it",
@@ -797,33 +794,29 @@ def check_moment_mc(
             k=k,
             r0=r0,
         )
-    # The rules that mc_ball_moment runs again, run first so that
-    # _require_resolved comes after them.
-    ball_moment_integrands(n, [(l, k)], float(r0))
-    montecarlo.require_draw(n, samples, seed)
-    _require_resolved(n, l, k, samples)
-    (est,) = mc_ball_moment(n, [(l, k)], float(r0), samples, seed)
+    (est,) = mc_ball_moment(
+        n, [(l, k)], float(r0), samples, seed, admit=lambda: _require_resolved(n, l, k, samples)
+    )
     return est, mc_row({}, est, exact)
 
 
 def run_all(quick: bool = False) -> list[CheckResult]:
-    """The full verification suite; `quick` caps brute force at k <= 4,
-    Monte Carlo at 10^5 samples and the cpn-exact rows above the brute-force
-    budget at one, and leaves out the named-class product row.  The Monte
-    Carlo pass is drawn once, for the three checks that read it."""
+    """The full verification suite; `quick` caps brute force at k <= 4 and
+    Monte Carlo at 10^5 samples.  The Monte Carlo pass is drawn once, for
+    the three checks that read it."""
     if quick:
-        samples, k_cap, n_cap, above = 10**5, 4, 4, CPN_ABOVE_BUDGET[:1]
+        samples, k_cap, n_cap = 10**5, 4, 4
     else:
-        samples, k_cap, n_cap, above = 10**6, 7, 8, CPN_ABOVE_BUDGET
+        samples, k_cap, n_cap = 10**6, 7, 8
     mc_pass = draw_mc_pass(samples)
     return [
         check_identity_suite(k_max=k_cap),
         check_moment_sums(k_max=min(k_cap, 6)),
         check_ball_moments(mc_pass),
-        check_cpn_exact(n_max=n_cap, above=above),
+        check_cpn_exact(n_max=n_cap),
         check_cpn_monte_carlo(mc_pass),
         check_blowup(mc_pass, n_max=n_cap),
-        check_product(n_max=min(n_cap, 5), named_class=not quick),
+        check_product(n_max=min(n_cap, 5)),
         check_decision_procedures(),
         check_mc_determinism(samples=min(samples, 10**5)),
     ]

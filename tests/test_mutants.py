@@ -91,8 +91,7 @@ def finite_orders_doubled(original):
 # (module, name, defect, quick, checks that must fail).  In the quick suite a
 # 1 % error at k = 3 of the ball moments, or in the trace-volume scale, sits
 # about 5 standard errors out, too close to the band; the full suite puts it
-# at about 17.  The identity suite reaches l = 7, and the product check its
-# named-class row, only in the full suite.
+# at about 17.  The identity suite reaches l = 7 only in the full suite.
 MUTANTS = [
     pytest.param(
         morphism, "cpn_q", lambda f: lambda n, k: f(n, k) * Fraction(1001, 1000), True,
@@ -123,7 +122,7 @@ MUTANTS = [
         {"product"}, id="product_cpn_lattice-without-periods",
     ),
     pytest.param(
-        morphism, "product_cpn_lattice", product_lattice_times_factorial, False,
+        morphism, "product_cpn_lattice", product_lattice_times_factorial, True,
         {"product"}, id="product_cpn_lattice-times-(k-j)!",
     ),
     pytest.param(
