@@ -74,9 +74,10 @@ BLOWUP_RHO = Fraction(1, 2)
 # The cpn-exact rows above the brute-force budget, RAW_CHECK_MAX_K.
 CPN_ABOVE_BUDGET = ((9, 9), (12, 10), (16, 13))
 
-# The named-class product row (n, k, descriptor, class): M of dimension 6 with period 1 in degree 2 and the class c = pi^2/4 in degree
-# 5.  The value pi^3/12 + pi^2/4 has order 2 against pi^3/6 and pi^2/2, since
-# each coefficient is half a generator.
+# The named-class product row (n, k, descriptor, class): M of dimension 6
+# with period 1 in degree 2 and the class c = pi^2/4 in degree 5.  The value
+# pi^3/12 + pi^2/4 has order 2 against pi^3/6 and pi^2/2, since each
+# coefficient is half a generator.
 PRODUCT_CLASS_ROW = (
     3,
     3,
@@ -282,15 +283,16 @@ def check_ball_moments(mc_pass: McPass) -> CheckResult:
 
 def check_cpn_exact(n_max: int = 8) -> CheckResult:
     """Exact CP^n suite: 0 < q < 1 and nontriviality for all k <= n <= n_max
-    and for the (n, k) pairs of CPN_ABOVE_BUDGET, and the two anchors q(n, 1) = 1/(n+1)
-    with order n+1, q(n, n) = 1/2 with order 2.  Each q is compared with a
+    and for the (n, k) pairs of CPN_ABOVE_BUDGET, and the two anchors
+    q(n, 1) = 1/(n+1) with order n+1, q(n, n) = 1/2 with order 2.  Each q is compared with a
     second route: the raw multi-index value up to the brute-force budget, and
     above it, where enumeration stops, n! M(n, k, k) with M the pi^n
     coefficient of ball_moment_exact(n, k, k), the trace-volume integral over
     the ball of C^n that fills CP^n.  A value refused by its self-check fails
     its row with the message."""
     rows = []
-    pairs = [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)] + list(CPN_ABOVE_BUDGET)
+    pairs = [(n, k) for n in range(1, n_max + 1) for k in range(1, n + 1)]
+    pairs += CPN_ABOVE_BUDGET
     for n, k in pairs:
         q = cpn_q(n, k)
         entry = {"n": n, "k": k, "q": format_rational(q)}
@@ -398,14 +400,14 @@ def check_blowup(mc_pass: McPass, n_max: int = 8) -> CheckResult:
 
 def check_product(n_max: int = 5) -> CheckResult:
     """Product suite: cpn(n,k) x M for all k <= n <= n_max against a
-    descriptor with period 1/2 in every degree, then PRODUCT_CLASS_ROW.  Each row's order is confirmed by the box search
-    (_confirm_order) over the Kunneth generators of CP^n x M written out
-    here, pi^(k-j)/(k-j)! times each degree-2j period of M for j = 0..k
-    (period 1 at j = 0), with no lattice code.  A row passes
-    when the value is nontrivial and its order confirmed.  The factor-lattice
-    containment is checked generator by generator inside product_value; a
-    value refused by a self-check, of q or of that containment, fails its row
-    with the message."""
+    descriptor with period 1/2 in every degree, then PRODUCT_CLASS_ROW.  Each
+    row's order is confirmed by the box search (_confirm_order) over the
+    Kunneth generators of CP^n x M written out here, pi^(k-j)/(k-j)! times
+    each degree-2j period of M for j = 0..k (period 1 at j = 0), with no
+    lattice code.  A row passes when the value is nontrivial and its order
+    confirmed.  The factor-lattice containment is checked generator by
+    generator inside product_value; a value refused by a self-check, of q or
+    of that containment, fails its row with the message."""
     periodic = ManifoldDescriptor.from_json(
         {
             "dimension": 2 * n_max,
