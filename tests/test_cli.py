@@ -1217,16 +1217,22 @@ def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch, argv):
 # which pulls in inspect, 8-12 ms.
 WATCHED = ("numpy", "concurrent.futures", "dataclasses", "inspect")
 
-# A fresh interpreter runs one query and prints its exit code and which
-# WATCHED modules it loaded, counting none that the interpreter's start-up
-# loaded before; the query's own output is discarded.
+# Modules that `import weincalc` registers in sys.modules without running
+# their body, which runs on the first attribute access.  A lazy module is not
+# a types.ModuleType until then, and testing any attribute would load it.
+LAZY = ("weincalc.montecarlo", "weincalc.verify")
+
+# A fresh interpreter runs one query and prints its exit code, which WATCHED
+# modules it loaded, counting none that the interpreter's start-up loaded
+# before, and which LAZY modules ran; the query's own output is discarded.
 NUMPY_PROBE = f"""
-import contextlib, io, sys
+import contextlib, io, sys, types
 before = set(sys.modules)
 from weincalc.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *(m for m in {WATCHED!r} if m in sys.modules and m not in before))
+print(code, *(m for m in {WATCHED!r} if m in sys.modules and m not in before),
+      *(m for m in {LAZY!r} if type(sys.modules[m]) is types.ModuleType))
 """
 
 
@@ -1260,28 +1266,37 @@ def probe_numpy(*argv):
     [
         ["cpn", "--n", "3", "--k", "2"],
         ["blowup", "--n", "3", "--k", "2", "--rho", "1/2"],
-        ["identity", "--k-max", "4"],
+        ["identity", "--k-max", "2"],
         ["product", "--n", "2", "--k", "1", "--manifold", "DESCRIPTOR"],
         ["moment", "--n", "2", "--l", "1", "--k", "2", "--json"],
     ],
 )
 def test_exact_commands_never_load_numpy(tmp_path, argv):
+    # Only identity, of the exact commands, runs the verification suite.
     path = write_descriptor(
         tmp_path, {"dimension": 2, "trivial_odd_homotopy": [1], "periods": {"2": ["1"]}}
     )
     argv = [path if arg == "DESCRIPTOR" else arg for arg in argv]
-    assert probe_numpy(*argv) == (0, set())
+    assert probe_numpy(*argv) == (0, set(LAZY) if argv[0] == "identity" else set())
 
 
 def test_import_never_loads_numpy_and_monte_carlo_does():
+    # The import registers every module of the package in sys.modules, where
+    # perfbench's trace_child.install looks them up after it.
     probe = (
         "import sys; before = set(sys.modules); import weincalc.cli;"
-        " print(*(m in sys.modules and m not in before for m in sys.argv[1:]))"
+        " print(*(m in sys.modules and m not in before for m in sys.argv[1:]),"
+        " *sorted(m for m in sys.modules if m.startswith('weincalc.')))"
     )
-    assert run_fresh("-c", probe, *WATCHED) == ["False"] * len(WATCHED)
+    package = Path(cli.__file__).parent
+    modules = sorted(f"weincalc.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__")
+    assert run_fresh("-c", probe, *WATCHED) == ["False"] * len(WATCHED) + modules
     argv = ["moment", "--n", "2", "--l", "1", "--k", "1", "--mc", "--samples", "1000"]
     code, loaded = probe_numpy(*argv)
     assert code == 0 and loaded & {"numpy", "concurrent.futures"} == {"numpy"}
+    assert set(LAZY) <= loaded
+    code, loaded = probe_numpy("verify", "--quick")
+    assert code == 0 and set(LAZY) <= loaded
 
 
 # A fresh interpreter in which `import numpy` fails, as where it is not
