@@ -22,12 +22,10 @@ from .morphism import (
     ManifoldDescriptor,
     SelfCheckError,
     blowup_at_weight,
-    blowup_flags,
     blowup_weinstein,
     cpn_weinstein,
     product_value,
 )
-from .symbolic import OrderResult
 
 SCHEMA = "weincalc/1"
 
@@ -47,23 +45,21 @@ def _cmd_cpn(args) -> int:
     cv = cpn_weinstein(args.n, args.k)
     generator = cv.lattice.generators[0][0]  # q is the value over pi^k/k!
     q = format_rational(cv.value.components[args.k].num.terms[0] / generator)
-    order = cv.order()
-    nontrivial = order != OrderResult.finite(1)
     body = {
         "q": q,
         "value": cv.value.to_json(),
         "multiple_of_pi_k_over_k_factorial": q,
         "lattice": cv.lattice.to_json(),
-        "order": order.to_json(),
-        "nontrivial": nontrivial,
+        "order": cv.order.to_json(),
+        "nontrivial": cv.order.nontrivial,
     }
     lines = [
         f"CP^{args.n}, degree 2k-1 = {2 * args.k - 1}",
         f"  value     = {cv.value}  (that is, {q} * pi^{args.k}/{args.k}!)",
         f"  lattice   = {cv.lattice}",
         f"  q         = {q}",
-        f"  order     = {order}",
-        f"  verdict   = {'nontrivial' if nontrivial else 'trivial'}",
+        f"  order     = {cv.order}",
+        f"  verdict   = {'nontrivial' if cv.order.nontrivial else 'trivial'}",
     ]
     return _report(args, {"n": args.n, "k": args.k}, body, lines)
 
@@ -81,8 +77,6 @@ def _cmd_blowup(args) -> int:
             "value_float": float(coeff) * pi_k,
         }
     cv = blowup_weinstein(args.n, args.k)
-    order = cv.order()
-    flags = blowup_flags(args.n, args.k, order)
     f = cv.value.components[args.k]
     weight_function = str(f)  # megabytes at large n: format it once
     multiple = f * factorial(args.k)
@@ -91,17 +85,17 @@ def _cmd_blowup(args) -> int:
         "weight_function": weight_function,
         "multiple_of_pi_k_over_k_factorial": str(multiple),
         "lattice": cv.lattice.to_json(),
-        "order": order.to_json(),
+        "order": cv.order.to_json(),
     }
     lines = [
         f"Blow-up of CP^{args.n}, degree 2k-1 = {2 * args.k - 1}  (x stands for rho^2)",
         f"  value     = ({weight_function}) * pi^{args.k}",
         f"  lattice   = {cv.lattice}",
-        f"  order     = {order}",
+        f"  order     = {cv.order}",
     ]
-    if flags:
+    if cv.flags:
         lines.append(
-            f"  flag      = {flags[0]}: computed order is finite at k = n; the"
+            f"  flag      = {cv.flags[0]}: computed order is finite at k = n; the"
             f" infinite-order statement for lifted classes does not hold here"
         )
     if at_rho is not None:
@@ -110,7 +104,7 @@ def _cmd_blowup(args) -> int:
             f"  at rho={at_rho['rho']}: value = {at_rho['pi_k_coefficient']} * pi^{args.k}"
             f" = {at_rho['value_float']!r}"
         )
-    return _report(args, {"n": args.n, "k": args.k, "rho": args.rho}, body, lines, flags)
+    return _report(args, {"n": args.n, "k": args.k, "rho": args.rho}, body, lines, cv.flags)
 
 
 def _cmd_moment(args) -> int:
@@ -160,21 +154,19 @@ def _cmd_identity(args) -> int:
 
 def _cmd_product(args) -> int:
     descriptor = ManifoldDescriptor.read(args.manifold)
-    product = product_value(args.n, args.k, descriptor, args.class_name)
-    order = product.order()
-    nontrivial = order != OrderResult.finite(1)
+    cv = product_value(args.n, args.k, descriptor, args.class_name)
     body = {
-        "value": product.value.to_json(),
-        "lattice": product.lattice.to_json(),
-        "order": order.to_json(),
-        "nontrivial": nontrivial,
+        "value": cv.value.to_json(),
+        "lattice": cv.lattice.to_json(),
+        "order": cv.order.to_json(),
+        "nontrivial": cv.order.nontrivial,
     }
     lines = [
         f"CP^{args.n} x M (descriptor {args.manifold}), degree {2 * args.k - 1}",
-        f"  value     = {product.value}",
-        f"  lattice   = {product.lattice}",
-        f"  order     = {order}",
-        f"  verdict   = {'nontrivial' if nontrivial else 'trivial'}",
+        f"  value     = {cv.value}",
+        f"  lattice   = {cv.lattice}",
+        f"  order     = {cv.order}",
+        f"  verdict   = {'nontrivial' if cv.order.nontrivial else 'trivial'}",
     ]
     params = {"n": args.n, "k": args.k, "manifold": args.manifold, "class": args.class_name}
     return _report(args, params, body, lines)

@@ -9,9 +9,10 @@ float range, and ``times_pi_power`` renders the product that the commands
 print and the Monte Carlo oracles and checks use; no identity check or
 lattice decision reads it.
 Each parameter rule has one helper (``require_*``, or ``pi_power`` for the
-float range) and one message text; the helpers compare whatever number they are given, so the exact routes and the
-Monte Carlo oracles share them.  Every parameter rule raises ParameterError,
-with the parameters at fault in its `params` and none in its text.
+float range) and one message text.  A helper compares an exact number and a
+float alike, so the exact routes and the Monte Carlo oracles share it.
+Every parameter rule raises ParameterError, with the parameters at fault in
+its `params` and none in its text.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ class DigitLimitError(ParameterError):
         )
 
 
-# The exponent digits of a decimal string such as "1e-7", as Fraction reads them.
-_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\Z")
+# A run of digits, and the exponent of "1e-7", once Fraction's underscores are dropped.
+_DIGITS = re.compile(r"\d+")
+_EXPONENT = re.compile(r"[eE][-+]?(\d+)\Z")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -57,17 +59,20 @@ def parse_rational(text: str) -> Fraction:
     or ``"1e-7"``.
 
     Decimal strings are exact (power-of-ten denominators), never binary floats.
-    Fraction expands an exponent N into 10^|N| before any digit limit applies,
-    so an exponent above the integer string limit in magnitude is refused with
-    DigitLimitError first.
+    Refused with DigitLimitError before Fraction reads it: a run of more
+    digits than the integer string limit, which Fraction would refuse as an
+    interpreter setting, and an exponent N above that limit in magnitude,
+    which Fraction would expand into 10^|N| before any limit applies.
     """
     literal = str(text).strip()
-    exponent = _EXPONENT.search(literal)
+    digits = literal.replace("_", "")
+    exponent = _EXPONENT.search(digits)
     limit = sys.get_int_max_str_digits()  # 0: no limit
-    if limit and exponent:
-        digits = exponent[1].replace("_", "")
-        if len(digits) > limit or int(digits) > limit:
-            raise DigitLimitError()
+    if limit and (
+        any(len(run) > limit for run in _DIGITS.findall(digits))
+        or exponent and int(exponent[1]) > limit
+    ):
+        raise DigitLimitError()
     try:
         return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:

@@ -84,13 +84,18 @@ class SelfCheckError(RuntimeError):
 
 
 class CosetValue(NamedTuple):
-    """A morphism value together with the period lattice it is reduced by."""
+    """The answer to a query: a morphism value, the period lattice it is
+    reduced by, its order in R / lattice, whose `nontrivial` is the verdict,
+    and the flags of its report.  `of` decides the order, where it is made."""
 
     value: PiGradedValue
     lattice: Lattice
+    order: OrderResult
+    flags: tuple[str, ...] = ()
 
-    def order(self) -> OrderResult:
-        return lattice_order(self.value, self.lattice)
+    @classmethod
+    def of(cls, value: PiGradedValue, lattice: Lattice) -> CosetValue:
+        return cls(value, lattice, lattice_order(value, lattice))
 
 
 def cpn_q(n: int, k: int) -> Fraction:
@@ -115,15 +120,16 @@ def cpn_lattice(k: int) -> Lattice:
     return Lattice([(Fraction(1, math.factorial(k)), k, 0)])
 
 
-def _checked_q(n: int, k: int, cancel: int = 1) -> Fraction:
-    """q(n, k), through the one gate every cpn, blow-up and product value
-    passes, in this order: 1 <= k <= n; a printable k!, since each value
-    prints its lattice generator pi^k/k!; a printable c = q(n, k)/k!, whose
-    denominator is at least (n+1)^k / C(2k-1, k), tested before perm(n+k, k)
-    is formed; then the closed form against the raw multi-index sum whenever
-    k is inside the brute-force budget.  A product prints c summed with a
-    class coefficient whose denominator `cancel` can cancel at most that
-    factor of den(c), so the printable-c test divides its bound by `cancel`."""
+def _checked_c(n: int, k: int, cancel: int = 1) -> Fraction:
+    """c = q(n, k)/k!, the pi^k coefficient of the CP^n value, through the
+    one gate every cpn, blow-up and product value passes, in this order:
+    1 <= k <= n; a printable k!, since each value prints its lattice
+    generator pi^k/k!; a printable c, whose denominator is at least
+    (n+1)^k / C(2k-1, k), tested before perm(n+k, k) is formed; then q
+    against the raw multi-index sum whenever k is inside the brute-force
+    budget.  A product prints c summed with a class coefficient whose
+    denominator `cancel` can cancel at most that factor of den(c), so the
+    printable-c test divides its bound by `cancel`."""
     require_within(n, k=k)
     require_printable_factorial(k)
     require_printable_power(n + 1, k, math.comb(2 * k - 1, k) * cancel)
@@ -134,16 +140,14 @@ def _checked_q(n: int, k: int, cancel: int = 1) -> Fraction:
             raise SelfCheckError(
                 f"closed form q({n},{k}) = {q} disagrees with raw multi-index value {raw}"
             )
-    return q
+    return q / math.factorial(k)
 
 
-def cpn_weinstein(n: int, k: int, cancel: int = 1) -> CosetValue:
+def cpn_weinstein(n: int, k: int) -> CosetValue:
     """Morphism value on the degree-(2k-1) unitary generator acting on CP^n:
-    (q(n,k)/k!) * pi^k in R / <pi^k/k!>, refused by the gate of _checked_q,
-    to which `cancel` is passed."""
-    q = _checked_q(n, k, cancel)
-    value = PiGradedValue.monomial(q / math.factorial(k), k, 0)
-    return CosetValue(value, cpn_lattice(k))
+    (q(n,k)/k!) * pi^k in R / <pi^k/k!>, refused by the gate of _checked_c."""
+    value = PiGradedValue.monomial(_checked_c(n, k), k, 0)
+    return CosetValue.of(value, cpn_lattice(k))
 
 
 def _blowup_step(n: int, k: int) -> int:
@@ -181,42 +185,35 @@ def blowup_weinstein(n: int, k: int) -> CosetValue:
     CP^n value.  The order is infinite for every k < n (the reduced
     denominator of f_k survives, since n does not divide n+k).  At k = n the
     correction factor divides exactly, f_n = (1/(2 n!)) (1 + x^n), and the
-    computed order is Finite(2); see blowup_flags.
+    computed order is Finite(2), against the infinite-order statement for
+    lifted classes at every k <= n: the answer reports it verbatim and
+    carries the flag FINITE_ORDER_AT_TOP_DEGREE that marks the conflict.
     """
     g = _blowup_step(n, k)  # the term cap, before any exact work
-    c = _checked_q(n, k) / math.factorial(k)
+    c = _checked_c(n, k)
     f = RatFuncQ._of(
         PolyQ._of(dict.fromkeys(range(0, n + k, g), c)),
         PolyQ._of(dict.fromkeys(range(0, n, g), Fraction(1))),
     )
-    return CosetValue(PiGradedValue({k: f}), blowup_lattice(k))
+    cv = CosetValue.of(PiGradedValue({k: f}), blowup_lattice(k))
+    if k == n and cv.order.is_finite:
+        return cv._replace(flags=(FINITE_ORDER_AT_TOP_DEGREE,))
+    return cv
 
 
 def blowup_at_weight(n: int, k: int, rho: Fraction) -> Fraction:
     """f_k(rho^2), the pi^k coefficient of the blow-up value at weight rho,
     from its closed form, for the (n, k) that blowup_weinstein admits: the
-    term count, the weight range and the full gate of _checked_q, then
+    term count, the weight range and the full gate of _checked_c, then
     DigitLimitError, before any power of x = rho^2 is formed, when the
     reduced numerator must exceed the integer string limit."""
-    g = _blowup_step(n, k)  # bounds n before the exact work of _checked_q
+    g = _blowup_step(n, k)  # bounds n before the exact work of _checked_c
     require_weight(rho)
-    c = _checked_q(n, k) / math.factorial(k)
+    c = _checked_c(n, k)
     x = rho * rho
     # For x = a/b the reduced numerator is at least b^(n+k-g) / den(c).
     require_printable_power(x.denominator, n + k - g, c.denominator)
     return c * (1 - x ** (n + k)) / (1 - x**n)
-
-
-def blowup_flags(n: int, k: int, order: OrderResult) -> list[str]:
-    """Structured flags for the blow-up order report.
-
-    At k = n the computed order is finite although the infinite-order
-    statement for lifted classes is asserted for every k in {1, ..., n};
-    the computation is reported verbatim and this flag marks the conflict.
-    """
-    if k == n and order.is_finite:
-        return [FINITE_ORDER_AT_TOP_DEGREE]
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +415,9 @@ def product_cpn_lattice(n: int, k: int, m_desc: ManifoldDescriptor) -> Lattice:
 def product_value(
     n: int, k: int, descriptor: ManifoldDescriptor, class_name: str | None = None
 ) -> CosetValue:
-    """Morphism value of the product class on CP^n x M in degree 2k-1: the
+    """The answer for the product class on CP^n x M in degree 2k-1: the
     CP^n value plus the descriptor's class `class_name` (the zero class when
-    None), taken against the product period lattice.
+    None), taken against the product period lattice, with its order.
 
     Every rule runs here, in this order: 1 <= k <= n; the descriptor asserts
     trivial homotopy in degree 2k-1; the class exists and lives in that
@@ -428,13 +425,13 @@ def product_value(
     of these reads the class value.  Then the named class, and no other
     class of the descriptor, is reduced, once, to a/b with b monic; that
     reduction is the one summed into the printed value.  Then the gate of
-    the CP^n value (_checked_q), whose printable-c test allows for the
+    the CP^n value (_checked_c), whose printable-c test allows for the
     denominator of the coefficient of x^deg(b) in a: the printed sum
     (a + c b)/b has the coefficient c + a_j there, and
     den(c + a_j) >= den(c) / den(a_j).  Last, the product lattice contains
     both factor lattices, checked generator by generator.  No descriptor
     can fail the last, so a generator missing from the product lattice is a
-    SelfCheckError.
+    SelfCheckError.  The order is decided once, of the sum (CosetValue.of).
     """
     require_within(n, k=k)
     degree = 2 * k - 1
@@ -464,12 +461,13 @@ def product_value(
     value = named.value
     f = value.components.get(k)
     cancel = f.num.terms.get(f.den.degree, Fraction(0)).denominator if f else 1
-    cv = cpn_weinstein(n, k, cancel)
+    cpn = PiGradedValue.monomial(_checked_c(n, k, cancel), k, 0)
     full = product_cpn_lattice(n, k, descriptor)
-    for coeff, pi_exp, x_exp in cv.lattice.generators + descriptor.period_lattice(k).generators:
+    factors = cpn_lattice(k).generators + descriptor.period_lattice(k).generators
+    for coeff, pi_exp, x_exp in factors:
         if not lattice_member(PiGradedValue.monomial(coeff, pi_exp, x_exp), full):
             raise SelfCheckError(
                 f"product lattice does not contain the factor generator "
                 f"{format_rational(coeff)}*pi^{pi_exp}*x^{x_exp}"
             )
-    return CosetValue(cv.value + value, full)
+    return CosetValue.of(cpn + value, full)

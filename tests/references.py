@@ -1,5 +1,6 @@
 """Reference formulas that the tests compare the package against.  The
-package itself computes neither: they define the moment sums term by term."""
+package itself computes none of them: two define the moment sums term by
+term, and euclid_gcd is the polynomial gcd on raw, unscaled remainders."""
 
 import math
 from typing import Sequence
@@ -27,3 +28,11 @@ def multinomial(k: int, parts: Sequence[int]) -> int:
     for p in parts:
         out //= math.factorial(p)
     return out
+
+
+def euclid_gcd(a, b):
+    """Monic gcd of two PolyQ by the Euclidean algorithm on the remainders as
+    they fall, whose coefficients grow at every step; gcd(0, 0) = 0."""
+    while b:
+        a, b = b, divmod(a, b)[1]
+    return a.monic()

@@ -432,6 +432,13 @@ def test_refusal_diagnostics_name_the_flags_as_typed(capsys, tmp_path, argv, mes
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+def test_a_literal_beyond_the_integer_string_limit_is_refused_on_that_rule(capsys):
+    # Fraction refused it as an interpreter setting, read as "not a rational number".
+    rho = "1/" + "3" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run_cli(capsys, "blowup", "--n", "3", "--k", "1", "--rho", rho)
+    assert (code, out, err) == (2, "", f"error: --n 3 --k 1 --rho {rho}: {DIGITS}\n")
+
+
 def test_blowup_rejects_overflowing_degree_at_weight(capsys):
     code, out, err = run_cli(capsys, "blowup", "--n", "700", "--k", "650", "--rho", "1/2")
     assert code == 2

@@ -13,7 +13,6 @@ from weincalc.morphism import (
     ManifoldDescriptor,
     SelfCheckError,
     blowup_at_weight,
-    blowup_flags,
     blowup_lattice,
     blowup_weinstein,
     cpn_lattice,
@@ -69,11 +68,11 @@ def test_cpn_weinstein_value_and_order():
     cv = cpn_weinstein(2, 1)
     assert cv.value == PiGradedValue.monomial(Fraction(1, 3), 1, 0)
     assert cv.lattice == Lattice([(1, 1, 0)])
-    assert cv.order() == OrderResult.finite(3)
+    assert cv.order == OrderResult.finite(3)
     assert not lattice_member(cv.value, cv.lattice)
-    assert cpn_weinstein(1, 1).order() == OrderResult.finite(2)
-    assert cpn_weinstein(4, 1).order() == OrderResult.finite(5)
-    assert cpn_weinstein(4, 4).order() == OrderResult.finite(2)
+    assert cpn_weinstein(1, 1).order == OrderResult.finite(2)
+    assert cpn_weinstein(4, 1).order == OrderResult.finite(5)
+    assert cpn_weinstein(4, 4).order == OrderResult.finite(2)
 
 
 def test_cpn_weinstein_self_check_trips_on_corruption(monkeypatch):
@@ -94,8 +93,8 @@ def test_cpn_weinstein_self_check_trips_on_corruption(monkeypatch):
     # Beyond the budget the enumeration is never started.
     monkeypatch.setattr(combinatorics, "moment_sum_bruteforce", unreachable)
     k = RAW_CHECK_MAX_K + 1
-    assert cpn_weinstein(k, k).order() == OrderResult.finite(2)
-    assert blowup_weinstein(k, k).order() == OrderResult.finite(2)
+    assert cpn_weinstein(k, k).order == OrderResult.finite(2)
+    assert blowup_weinstein(k, k).order == OrderResult.finite(2)
 
 
 def test_cpn_weinstein_rejects_bad_degrees(refuses):
@@ -173,16 +172,18 @@ def test_blowup_at_weight_takes_the_full_gate():
 
 
 def test_blowup_orders():
-    assert not blowup_weinstein(2, 1).order().is_finite
-    assert not blowup_weinstein(3, 1).order().is_finite
-    assert not blowup_weinstein(3, 2).order().is_finite
-    assert blowup_weinstein(2, 2).order() == OrderResult.finite(2)
+    assert not blowup_weinstein(2, 1).order.is_finite
+    assert not blowup_weinstein(3, 1).order.is_finite
+    assert not blowup_weinstein(3, 2).order.is_finite
+    assert blowup_weinstein(2, 2).order == OrderResult.finite(2)
 
 
 def test_blowup_flags_only_at_top_degree():
-    top = blowup_weinstein(2, 2).order()
-    assert blowup_flags(2, 2, top) == [FINITE_ORDER_AT_TOP_DEGREE]
-    assert blowup_flags(3, 1, blowup_weinstein(3, 1).order()) == []
+    # The answer carries its flags: only the blow-up at k = n, whose
+    # computed order is finite, is flagged.
+    assert blowup_weinstein(2, 2).flags == (FINITE_ORDER_AT_TOP_DEGREE,)
+    assert blowup_weinstein(3, 1).flags == ()
+    assert cpn_weinstein(2, 2).flags == ()
 
 
 def test_verify_blowup_rows_check_the_reduced_form(monkeypatch):
@@ -199,7 +200,7 @@ def test_verify_blowup_rows_check_the_reduced_form(monkeypatch):
         f = cv.value.components[k]
         g = RatFuncQ.__new__(RatFuncQ)
         g.num, g.den = f.num * PolyQ({0: 1, 1: 1}), f.den * PolyQ({0: 1, 1: 1})
-        return morphism.CosetValue(PiGradedValue({k: g}), cv.lattice)
+        return morphism.CosetValue.of(PiGradedValue({k: g}), cv.lattice)
 
     monkeypatch.setattr(verify, "blowup_weinstein", unreduced)
     rows = verify.check_blowup(verify.draw_mc_pass(200), n_max=3).details["rows"]
@@ -233,7 +234,7 @@ def test_product_with_trivial_factor_reduces_to_cpn_coset():
     assert product.value == cv.value
     assert product.lattice == Lattice(cv.lattice.generators + ((1, 0, 0),))  # P_2(M) = Z
     assert not lattice_member(product.value, product.lattice)
-    assert product.order() == OrderResult.finite(3)
+    assert product.order == OrderResult.finite(3)
 
 
 def test_product_class_cancelling_the_cpn_value_is_member():
@@ -242,7 +243,7 @@ def test_product_class_cancelling_the_cpn_value_is_member():
     product = product_value(2, 1, ManifoldDescriptor.from_json(doc), "minus")
     assert product.value == PiGradedValue()
     assert lattice_member(product.value, product.lattice)
-    assert product.order() == OrderResult.finite(1)
+    assert product.order == OrderResult.finite(1)
 
 
 def test_product_rejects_non_containing_lattice(monkeypatch):
@@ -484,6 +485,8 @@ BAD_FIELDS = [
     # A class without its degree is refused on the missing field.
     ({"dimension": 4, "classes": {"c": {"value": []}}}, "classes.c.degree",
      "required field is missing"),
+    # A period longer than the integer string limit was called irrational.
+    ({"dimension": 4, "periods": {"2": ["1" * 4301]}}, "periods.2", DIGIT_LIMIT),
 ]
 
 

@@ -8,7 +8,7 @@ from types import MappingProxyType
 import pytest
 
 from weincalc.montecarlo import McEstimate
-from weincalc.morphism import ManifoldDescriptor, NamedClass, cpn_weinstein
+from weincalc.morphism import ManifoldDescriptor, NamedClass, blowup_weinstein, cpn_weinstein
 from weincalc.symbolic import OrderResult
 from weincalc.verify import McPass, check_identity_suite
 
@@ -68,3 +68,16 @@ def test_order_result_text_json_and_equality():
     assert finite.is_finite and not infinite.is_finite
     assert finite != infinite
     assert finite == OrderResult.finite(1) and finite != OrderResult.finite(2)
+
+
+def test_coset_value_is_read_only_in_every_field():
+    answer = blowup_weinstein(2, 2)
+    assert answer._fields == ("value", "lattice", "order", "flags")
+    for field in answer._fields:
+        with pytest.raises(AttributeError):
+            setattr(answer, field, None)
+
+
+def test_order_result_is_nontrivial_unless_finite_one():
+    assert not OrderResult.finite(1).nontrivial
+    assert OrderResult.finite(2).nontrivial and OrderResult.infinite("w").nontrivial

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import euclid_gcd
 from weincalc import symbolic, verify
 from weincalc.exactarith import format_rational
 from weincalc.morphism import blowup_weinstein
@@ -150,6 +151,28 @@ def test_poly_gcd_matches_dense_oracle(a, b):
     got = poly_gcd(a, b)
     expected = dense_gcd(dense(a), dense(b))
     assert dense(got) == expected
+    assert got == euclid_gcd(a, b)
+
+
+def test_poly_gcd_keeps_the_remainder_coefficients_small(monkeypatch):
+    # Dense coprime polynomials of degree 60 and 59 with one-digit
+    # coefficients.  Euclid on the raw remainders grows their coefficients
+    # to about 15 000 bits; scaled monic at each step, to about 500.
+    rnd = random.Random(7)
+    a = PolyQ({e: rnd.randint(-9, 9) for e in range(61)})
+    b = PolyQ({e: rnd.randint(-9, 9) for e in range(60)})
+    expected = euclid_gcd(a, b)
+    bits = []
+    divide = PolyQ.__divmod__
+
+    def spy(p, q):
+        for c in (*p.terms.values(), *q.terms.values()):
+            bits.append(max(c.numerator.bit_length(), c.denominator.bit_length()))
+        return divide(p, q)
+
+    monkeypatch.setattr(PolyQ, "__divmod__", spy)
+    assert poly_gcd(a, b) == expected == PolyQ.const(1)
+    assert 0 < max(bits) <= 1024
 
 
 def test_ratfunc_known_reductions():
@@ -355,7 +378,7 @@ def test_lattice_order_known_cases():
 def test_order_witness_names_the_denominator_briefly():
     # At n = 600 the reduced denominator has 600 terms; the witness names it
     # by its degree and term count instead of printing it.
-    result = blowup_weinstein(600, 599).order()
+    result = blowup_weinstein(600, 599).order
     assert not result.is_finite
     assert len(result.witness) < 100
     assert "degree 599 with 600 terms" in result.witness

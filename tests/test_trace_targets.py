@@ -65,6 +65,6 @@ def test_traced_mc_oracles_see_their_samples(monkeypatch):
     verify.check_blowup(mc_pass, n_max=2)
     assert seen == {"sample_ball": {verify.MC_N_MAX: samples}}
     seen.clear()
-    verify.check_mc_determinism(samples=samples)
-    assert seen.pop("mc_ball_moment") == [samples, samples]
+    verify.check_mc_determinism()
+    assert seen.pop("mc_ball_moment") == [verify.MC_DETERMINISM_SAMPLES] * 2
     assert list(seen) == ["sample_ball"]  # its own short draws
