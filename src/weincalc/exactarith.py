@@ -70,7 +70,7 @@ def parse_rational(text: str) -> Fraction:
     limit = sys.get_int_max_str_digits()  # 0: no limit
     if limit and (
         any(len(run) > limit for run in _DIGITS.findall(digits))
-        or exponent and int(exponent[1]) > limit
+        or (exponent and int(exponent[1]) > limit)
     ):
         raise DigitLimitError()
     try:

@@ -315,7 +315,7 @@ def check_cpn_exact(n_max: int = 8) -> CheckResult:
         else:
             entry["order"] = order.to_json()
             entry["nontrivial"] = order.nontrivial
-            good &= entry["nontrivial"]
+            good &= order.nontrivial
             if k == 1:
                 good &= q == Fraction(1, n + 1) and order == OrderResult.finite(n + 1)
             if k == n:

@@ -390,6 +390,7 @@ DIGITS = (
     f"the result has a number of more than {sys.get_int_max_str_digits()} digits,"
     f" the integer string limit"
 )
+LONG = "3" * (sys.get_int_max_str_digits() + 1)
 
 
 @pytest.mark.parametrize(
@@ -423,6 +424,10 @@ DIGITS = (
         ("blowup --n 2499 --k 1 --rho 8/9", f"--n 2499 --k 1 --rho 8/9: {DIGITS}"),
         ("product --n 3 --k 2 --manifold {sphere}",
          "--k 2: must be <= 1, half the descriptor dimension 2"),
+        # Fraction refused this literal as an interpreter setting, and the
+        # refusal read "not a rational number".
+        pytest.param(f"blowup --n 3 --k 1 --rho 1/{LONG}", f"--n 3 --k 1 --rho 1/{LONG}: {DIGITS}",
+                     id="rho-with-more-digits-than-the-limit"),
     ],
 )
 def test_refusal_diagnostics_name_the_flags_as_typed(capsys, tmp_path, argv, message):
@@ -430,13 +435,6 @@ def test_refusal_diagnostics_name_the_flags_as_typed(capsys, tmp_path, argv, mes
     sphere = write_descriptor(tmp_path, {"dimension": 2, "trivial_odd_homotopy": [3]})
     argv = argv.format(sphere=sphere).split()
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
-
-
-def test_a_literal_beyond_the_integer_string_limit_is_refused_on_that_rule(capsys):
-    # Fraction refused it as an interpreter setting, read as "not a rational number".
-    rho = "1/" + "3" * (sys.get_int_max_str_digits() + 1)
-    code, out, err = run_cli(capsys, "blowup", "--n", "3", "--k", "1", "--rho", rho)
-    assert (code, out, err) == (2, "", f"error: --n 3 --k 1 --rho {rho}: {DIGITS}\n")
 
 
 def test_blowup_rejects_overflowing_degree_at_weight(capsys):

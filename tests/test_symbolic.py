@@ -161,7 +161,6 @@ def test_poly_gcd_keeps_the_remainder_coefficients_small(monkeypatch):
     rnd = random.Random(7)
     a = PolyQ({e: rnd.randint(-9, 9) for e in range(61)})
     b = PolyQ({e: rnd.randint(-9, 9) for e in range(60)})
-    expected = euclid_gcd(a, b)
     bits = []
     divide = PolyQ.__divmod__
 
@@ -171,7 +170,7 @@ def test_poly_gcd_keeps_the_remainder_coefficients_small(monkeypatch):
         return divide(p, q)
 
     monkeypatch.setattr(PolyQ, "__divmod__", spy)
-    assert poly_gcd(a, b) == expected == PolyQ.const(1)
+    assert poly_gcd(a, b) == PolyQ.const(1)
     assert 0 < max(bits) <= 1024
 
 
