@@ -10,8 +10,6 @@ package root re-exports nothing.
 import importlib.util
 import sys
 
-from . import combinatorics, exactarith, morphism, symbolic
-
 
 def _lazy(name: str):
     """The submodule `name`, registered in sys.modules; its body runs on the
@@ -24,15 +22,20 @@ def _lazy(name: str):
     return module
 
 
-# The verification suite and the Monte Carlo oracles load lazily: no exact
-# command (cpn, blowup, product, moment without --mc) touches them, and they
-# are about two fifths of the source that a process without a bytecode cache
-# compiles on import.  Their body runs on first use, by identity, moment --mc
-# and verify; verify's own `from .montecarlo import ...` loads montecarlo.
-# They are in sys.modules from the start because perfbench's
-# trace_child.install looks every traced module up there after
-# `from weincalc import cli`.
+# Every submodule loads on first use.  Without a bytecode cache a process
+# compiles each module it runs, so `import weincalc` runs none of them, and a
+# command runs only the modules it reaches: exact `moment` and `identity` run
+# exactarith and combinatorics; cpn, blowup and product add symbolic and
+# morphism; moment --mc and verify add montecarlo and verify.  All six are in
+# sys.modules from the start, because perfbench's trace_child.install looks
+# every traced module up there after `from weincalc import cli`.  `cli`, the
+# entry point, is imported as usual: `python -m weincalc.cli` runs it as
+# __main__, which a module already in sys.modules would make ambiguous.
+combinatorics = _lazy("combinatorics")
+exactarith = _lazy("exactarith")
 montecarlo = _lazy("montecarlo")
+morphism = _lazy("morphism")
+symbolic = _lazy("symbolic")
 verify = _lazy("verify")
 
 __version__ = "0.1.0"

@@ -32,6 +32,14 @@ from .exactarith import (
     times_power,
 )
 
+# Brute-force self-check budget: the raw multi-index sum for degree k runs
+# over C(3k-1, 2k-1) compositions.  Measured on a 2-core x86-64 box (CPython
+# 3.11), one cold S(k, k) costs about 0.005 s at k = 7 and 0.04 s at k = 8.
+# A budget of 9 would add S(9, 9) (3.1 million compositions, about 0.2 s) to
+# every k = 9 query, which costs about 0.1 s without it.  The same bound caps
+# `identity --k-max` (identity_rows).
+RAW_CHECK_MAX_K = 8
+
 
 @lru_cache(maxsize=None)
 def moment_sum_bruteforce(k: int, l: int) -> int:
@@ -81,6 +89,26 @@ def moment_sum_closed(k: int, l: int) -> int:
     """S(k, l) = 2^k * k! * C(k+l-1, k)."""
     require_positive(k=k, l=l)
     return 2**k * math.factorial(k) * math.comb(k + l - 1, k)
+
+
+def identity_rows(k_max: int) -> list[dict]:
+    """Brute-force diagonal moment sums S(k, k) against 2^k k! C(2k-1, k):
+    one row {"k", "bruteforce", "closed", "ok"} per 1 <= k <= k_max, the two
+    sums as decimal strings.  The `identity` command prints these rows and
+    verify's identity-suite checks them.  k_max is at most RAW_CHECK_MAX_K."""
+    require_positive(k_max=k_max)
+    if k_max > RAW_CHECK_MAX_K:
+        raise ParameterError(
+            f"must be <= {RAW_CHECK_MAX_K} (the brute-force budget)", k_max=k_max
+        )
+    rows = []
+    for k in range(1, k_max + 1):
+        brute = moment_sum_bruteforce(k, k)
+        closed = moment_sum_closed(k, k)
+        rows.append(
+            {"k": k, "bruteforce": str(brute), "closed": str(closed), "ok": brute == closed}
+        )
+    return rows
 
 
 def ball_moment_exact(n: int, l: int, k: int) -> tuple[Fraction, int]:

@@ -37,16 +37,20 @@ class ParameterError(ValueError):
 
 class DigitLimitError(ParameterError):
     """A number longer than the interpreter's integer string limit, which
-    bounds every output.  Such a number grows with every size of a query, so
-    the error names all of them, with no value: the caller names those its
-    query sets."""
+    bounds every output.  Such a number in a result grows with every size of
+    a query, so the error names all of them, with no value: the caller names
+    those its query sets.  An input literal past the limit (parse_rational)
+    names only its own parameter, if any, and gives its digit count instead
+    of its value."""
 
-    def __init__(self):
-        super().__init__(
-            f"the result has a number of more than {sys.get_int_max_str_digits()} digits,"
-            f" the integer string limit",
-            **dict.fromkeys(("n", "l", "k", "r0", "rho")),
-        )
+    def __init__(self, message: str | None = None, **params):
+        if message is None:
+            message = (
+                f"the result has a number of more than {sys.get_int_max_str_digits()} digits,"
+                f" the integer string limit"
+            )
+            params = dict.fromkeys(("n", "l", "k", "r0", "rho"))
+        super().__init__(message, **params)
 
 
 # A run of digits, and the exponent of "1e-7", once Fraction's underscores are dropped.
@@ -54,7 +58,7 @@ _DIGITS = re.compile(r"\d+")
 _EXPONENT = re.compile(r"[eE][-+]?(\d+)\Z")
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str, name: str | None = None) -> Fraction:
     """Parse ``"p/q"``, ``"p"``, or an exact decimal string such as ``"0.25"``
     or ``"1e-7"``.
 
@@ -62,17 +66,29 @@ def parse_rational(text: str) -> Fraction:
     Refused with DigitLimitError before Fraction reads it: a run of more
     digits than the integer string limit, which Fraction would refuse as an
     interpreter setting, and an exponent N above that limit in magnitude,
-    which Fraction would expand into 10^|N| before any limit applies.
+    which Fraction would expand into 10^|N| before any limit applies.  That
+    error names the parameter `name`, when given, and never quotes the
+    literal, which may be megabytes long.
     """
     literal = str(text).strip()
     digits = literal.replace("_", "")
     exponent = _EXPONENT.search(digits)
     limit = sys.get_int_max_str_digits()  # 0: no limit
-    if limit and (
-        any(len(run) > limit for run in _DIGITS.findall(digits))
-        or (exponent and int(exponent[1]) > limit)
-    ):
-        raise DigitLimitError()
+    if limit:
+        params = {} if name is None else {name: text}
+        longest = max(map(len, _DIGITS.findall(digits)), default=0)
+        if longest > limit:
+            raise DigitLimitError(
+                f"the input has a number of {longest} digits, more than {limit},"
+                f" the integer string limit",
+                **params,
+            )
+        if exponent and int(exponent[1]) > limit:
+            raise DigitLimitError(
+                f"the input has a power of ten of more than {limit} digits,"
+                f" the integer string limit",
+                **params,
+            )
     try:
         return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:

@@ -26,6 +26,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from . import combinatorics
+from .combinatorics import RAW_CHECK_MAX_K  # the brute-force budget, re-exported
 from .exactarith import (
     DigitLimitError,
     ParameterError,
@@ -50,14 +51,6 @@ from .symbolic import (
     lattice_order,
     on_field,
 )
-
-# Brute-force self-check budget: the raw multi-index sum for degree k runs
-# over C(3k-1, 2k-1) compositions.  Measured on a 2-core x86-64 box (CPython
-# 3.11), one cold S(k, k) costs about 0.005 s at k = 7 and 0.04 s at k = 8.
-# A budget of 9 would add S(9, 9) (3.1 million compositions, about 0.2 s) to
-# every k = 9 query, which costs about 0.1 s without it.  The same bound caps
-# `identity --k-max`.
-RAW_CHECK_MAX_K = 8
 
 # Upper bound on the terms of the reduced blow-up value, numerator and
 # denominator together: (n+k)/g + n/g with g = gcd(n, k).  The digit limit

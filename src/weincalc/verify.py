@@ -28,7 +28,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import combinatorics, montecarlo
-from .exactarith import ParameterError, format_rational, pi_power, require_positive, times_pi_power
+from .combinatorics import RAW_CHECK_MAX_K
+from .exactarith import ParameterError, format_rational, pi_power, times_pi_power
 from .montecarlo import (
     McEstimate,
     ball_moment_integrands,
@@ -38,7 +39,6 @@ from .montecarlo import (
 )
 from .morphism import (
     FINITE_ORDER_AT_TOP_DEGREE,
-    RAW_CHECK_MAX_K,
     ManifoldDescriptor,
     SelfCheckError,
     blowup_at_weight,
@@ -216,23 +216,12 @@ class CheckResult(NamedTuple):
 
 
 def check_identity_suite(k_max: int = 7) -> CheckResult:
-    """Brute-force diagonal moment sums S(k, k) against 2^k k! C(2k-1, k):
-    one row {"k", "bruteforce", "closed", "ok"} per 1 <= k <= k_max, the two
-    sums as decimal strings.  The `identity` command prints these rows.
-    k_max is at most RAW_CHECK_MAX_K, the brute-force budget."""
-    require_positive(k_max=k_max)
-    if k_max > RAW_CHECK_MAX_K:
-        raise ParameterError(
-            f"must be <= {RAW_CHECK_MAX_K} (the brute-force budget)", k_max=k_max
-        )
-    rows = []
-    for k in range(1, k_max + 1):
-        brute = combinatorics.moment_sum_bruteforce(k, k)
-        closed = combinatorics.moment_sum_closed(k, k)
-        rows.append(
-            {"k": k, "bruteforce": str(brute), "closed": str(closed), "ok": brute == closed}
-        )
-    return CheckResult.of_rows("identity-suite", {"k_max": k_max, "rows": rows})
+    """The rows of combinatorics.identity_rows, S(k, k) by enumeration
+    against its closed form for 1 <= k <= k_max, the rows the `identity`
+    command prints."""
+    return CheckResult.of_rows(
+        "identity-suite", {"k_max": k_max, "rows": combinatorics.identity_rows(k_max)}
+    )
 
 
 def check_moment_sums(k_max: int = 6) -> CheckResult:

@@ -391,6 +391,10 @@ DIGITS = (
     f" the integer string limit"
 )
 LONG = "3" * (sys.get_int_max_str_digits() + 1)
+POWER_DIGITS = (
+    f"the input has a power of ten of more than {sys.get_int_max_str_digits()} digits,"
+    f" the integer string limit"
+)
 
 
 @pytest.mark.parametrize(
@@ -404,7 +408,7 @@ LONG = "3" * (sys.get_int_max_str_digits() + 1)
          " (r0 enters as r0^12)"),
         ("moment --n 1 --l 1 --k 1 --r0 1e400",
          "--r0 1e400: the moment exceeds the float range (r0 enters as r0^4)"),
-        ("moment --n 1 --l 1 --k 1 --r0 1e-5000", f"--n 1 --l 1 --k 1 --r0 1e-5000: {DIGITS}"),
+        ("moment --n 1 --l 1 --k 1 --r0 1e-5000", f"--r0 1e-5000: {POWER_DIGITS}"),
         ("moment --n 3 --l 1 --k 2 --r0 1e-40 --mc --samples 100",
          "--n 3 --l 1 --k 2 --r0 1e-40: the moment underflows a float,"
          " so Monte Carlo cannot check it"),
@@ -425,8 +429,11 @@ LONG = "3" * (sys.get_int_max_str_digits() + 1)
         ("product --n 3 --k 2 --manifold {sphere}",
          "--k 2: must be <= 1, half the descriptor dimension 2"),
         # Fraction refused this literal as an interpreter setting, and the
-        # refusal read "not a rational number".
-        pytest.param(f"blowup --n 3 --k 1 --rho 1/{LONG}", f"--n 3 --k 1 --rho 1/{LONG}: {DIGITS}",
+        # refusal read "not a rational number"; then it echoed the whole
+        # literal and called it the result.
+        pytest.param(f"blowup --n 3 --k 1 --rho 1/{LONG}",
+                     f"--rho {f'1/{LONG}'[:cli.SHOWN_PREFIX]}...: the input has a number of {len(LONG)} digits,"
+                     f" more than {sys.get_int_max_str_digits()}, the integer string limit",
                      id="rho-with-more-digits-than-the-limit"),
     ],
 )
@@ -480,7 +487,7 @@ def test_blowup_refuses_rho_before_building_the_value(capsys, monkeypatch):
     # Every --rho test runs before the value is built, so a refused weight
     # costs no value: at n = 1558 the value alone prints 27 MB.
     built = []
-    monkeypatch.setattr(cli, "blowup_weinstein", lambda *a: built.append(a))
+    monkeypatch.setattr(morphism, "blowup_weinstein", lambda *a: built.append(a))
     limit = sys.get_int_max_str_digits()
     refusals = {
         ("1558", "1557", "1/2"): "error: --k 1557: pi^1557 exceeds the float range",
@@ -717,8 +724,6 @@ def test_cpn_refuses_only_unprintable_coefficients(capsys):
 def test_huge_exponents_are_refused_before_expansion(capsys, tmp_path):
     # Fraction expands "1eN" into 10^|N| before any digit-limit test: each of
     # these inputs ran for seconds before it was refused on the digit limit.
-    limit = sys.get_int_max_str_digits()
-    message = f"the result has a number of more than {limit} digits, the integer string limit"
     period = write_descriptor(
         tmp_path, {"dimension": 2, "trivial_odd_homotopy": [1], "periods": {"2": ["1e7000000"]}}
     )
@@ -729,17 +734,15 @@ def test_huge_exponents_are_refused_before_expansion(capsys, tmp_path):
     )
     product = ("product", "--n", "2", "--k", "1", "--manifold")
     for argv, prefix in (
-        (("blowup", "--n", "2", "--k", "1", "--rho", "1e-7000000"),
-         "--n 2 --k 1 --rho 1e-7000000"),
-        (("moment", "--n", "2", "--l", "1", "--k", "1", "--r0", "1e-7000000"),
-         "--n 2 --l 1 --k 1 --r0 1e-7000000"),
+        (("blowup", "--n", "2", "--k", "1", "--rho", "1e-7000000"), "--rho 1e-7000000"),
+        (("moment", "--n", "2", "--l", "1", "--k", "1", "--r0", "1e-7000000"), "--r0 1e-7000000"),
         ((*product, period), "periods.2"),
         ((*product, str(coefficient)), "classes.c.value"),
     ):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 0.1, argv
-        assert (code, out, err) == (2, "", f"error: {prefix}: {message}\n")
+        assert (code, out, err) == (2, "", f"error: {prefix}: {POWER_DIGITS}\n")
 
 
 def test_product_refuses_a_deeply_nested_descriptor(capsys, tmp_path):
@@ -925,6 +928,18 @@ def test_identity_rejects_k_max_above_budget(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: --k-max {too_big}: must be <= {RAW_CHECK_MAX_K}")
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_identity_prints_the_rows_and_verdict_of_the_identity_suite(capsys, monkeypatch, corrupt):
+    if corrupt:  # every row fails, as a wrong closed form would make it
+        monkeypatch.setattr(combinatorics, "moment_sum_closed", lambda k, l: 0)
+    for k_max in (1, 7):
+        code, doc = run_json(capsys, "identity", "--k-max", str(k_max))
+        check = verify.check_identity_suite(k_max)
+        assert doc["rows"] == check.details["rows"]
+        assert (code, doc["all_ok"]) == ((1, False) if corrupt else (0, True))
+        assert doc["all_ok"] == check.passed
 
 
 def test_identity_table(capsys):
@@ -1223,9 +1238,17 @@ def test_failed_self_check_exits_1_without_traceback(capsys, monkeypatch, argv):
 WATCHED = ("numpy", "concurrent.futures", "dataclasses", "inspect")
 
 # Modules that `import weincalc` registers in sys.modules without running
-# their body, which runs on the first attribute access.  A lazy module is not
-# a types.ModuleType until then, and testing any attribute would load it.
-LAZY = ("weincalc.montecarlo", "weincalc.verify")
+# their body, which runs on the first attribute access: every submodule but
+# the entry point, cli.  A lazy module is not a types.ModuleType until then,
+# and testing any attribute would load it.
+LAZY = tuple(
+    f"weincalc.{name}"
+    for name in ("combinatorics", "exactarith", "montecarlo", "morphism", "symbolic", "verify")
+)
+# The LAZY modules that an enumeration (exact moment, identity) runs, and
+# those that a value (cpn, blowup, product) runs.
+ENUMERATION = {"weincalc.exactarith", "weincalc.combinatorics"}
+VALUE = ENUMERATION | {"weincalc.symbolic", "weincalc.morphism"}
 
 # A fresh interpreter runs one query and prints its exit code, which WATCHED
 # modules it loaded, counting none that the interpreter's start-up loaded
@@ -1271,18 +1294,27 @@ def probe_numpy(*argv):
     [
         ["cpn", "--n", "3", "--k", "2"],
         ["blowup", "--n", "3", "--k", "2", "--rho", "1/2"],
-        ["identity", "--k-max", "2"],
+        ["identity", "--k-max", "7"],
         ["product", "--n", "2", "--k", "1", "--manifold", "DESCRIPTOR"],
         ["moment", "--n", "2", "--l", "1", "--k", "2", "--json"],
     ],
 )
 def test_exact_commands_never_load_numpy(tmp_path, argv):
-    # Only identity, of the exact commands, runs the verification suite.
+    # No exact command runs montecarlo or verify; identity and moment, which
+    # only enumerate, run no value code either.
     path = write_descriptor(
         tmp_path, {"dimension": 2, "trivial_odd_homotopy": [1], "periods": {"2": ["1"]}}
     )
     argv = [path if arg == "DESCRIPTOR" else arg for arg in argv]
-    assert probe_numpy(*argv) == (0, set(LAZY) if argv[0] == "identity" else set())
+    assert probe_numpy(*argv) == (0, ENUMERATION if argv[0] in ("identity", "moment") else VALUE)
+
+
+def test_import_runs_no_submodule():
+    probe = (
+        "import sys, types, weincalc;"
+        " print(*(m for m in sys.argv[1:] if type(sys.modules[m]) is types.ModuleType))"
+    )
+    assert run_fresh("-c", probe, *LAZY) == []
 
 
 def test_import_never_loads_numpy_and_monte_carlo_does():

@@ -356,7 +356,7 @@ def _component(num, den=((0, "1"),), pi_exp=0):
 
 
 KEY_RULE = "key must be an even degree 2 <= d <= {} in plain digits, got {}"
-DIGIT_LIMIT = "the result has a number of more than 4300 digits, the integer string limit"
+DIGIT_LIMIT = "the input has a power of ten of more than 4300 digits, the integer string limit"
 BAD_FIELDS = [
     ({"dimension": 3}, "dimension", "must be a positive even integer, got 3"),
     ({"dimension": 0}, "dimension", "must be a positive even integer, got 0"),
@@ -486,7 +486,8 @@ BAD_FIELDS = [
     ({"dimension": 4, "classes": {"c": {"value": []}}}, "classes.c.degree",
      "required field is missing"),
     # A period longer than the integer string limit was called irrational.
-    ({"dimension": 4, "periods": {"2": ["1" * 4301]}}, "periods.2", DIGIT_LIMIT),
+    ({"dimension": 4, "periods": {"2": ["1" * 4301]}}, "periods.2",
+     "the input has a number of 4301 digits, more than 4300, the integer string limit"),
 ]
 
 
