@@ -12,7 +12,6 @@ import gc
 import json
 import os
 import sys
-from math import factorial
 
 # Every submodule loads on first use (see the package's __init__), so the
 # commands reach them through their module objects at call time: identity
@@ -73,19 +72,23 @@ def _cmd_blowup(args) -> int:
             "value_float": float(coeff) * pi_k,
         }
     cv = morphism.blowup_weinstein(args.n, args.k)
-    f = cv.value.components[args.k]
-    weight_function = str(f)  # megabytes at large n: format it once
-    multiple = f * factorial(args.k)
     body = {
         "value": cv.value.to_json(),
-        "weight_function": weight_function,
-        "multiple_of_pi_k_over_k_factorial": str(multiple),
         "lattice": cv.lattice.to_json(),
         "order": cv.order.to_json(),
     }
+    if at_rho is not None:
+        body["at_rho"] = at_rho
+    # The value prints megabytes at large n: --json writes it once, as
+    # `value`, and only the human report formats it as a weight function.
+    lines = [] if args.json else _blowup_lines(args, cv, at_rho)
+    return _report(args, {"n": args.n, "k": args.k, "rho": args.rho}, body, lines, cv.flags)
+
+
+def _blowup_lines(args, cv, at_rho: dict | None) -> list[str]:
     lines = [
         f"Blow-up of CP^{args.n}, degree 2k-1 = {2 * args.k - 1}  (x stands for rho^2)",
-        f"  value     = ({weight_function}) * pi^{args.k}",
+        f"  value     = ({cv.value.components[args.k]}) * pi^{args.k}",
         f"  lattice   = {cv.lattice}",
         f"  order     = {cv.order}",
     ]
@@ -95,12 +98,11 @@ def _cmd_blowup(args) -> int:
             f" infinite-order statement for lifted classes does not hold here"
         )
     if at_rho is not None:
-        body["at_rho"] = at_rho
         lines.append(
             f"  at rho={at_rho['rho']}: value = {at_rho['pi_k_coefficient']} * pi^{args.k}"
             f" = {at_rho['value_float']!r}"
         )
-    return _report(args, {"n": args.n, "k": args.k, "rho": args.rho}, body, lines, cv.flags)
+    return lines
 
 
 def _cmd_moment(args) -> int:
