@@ -17,7 +17,7 @@ import sys
 # commands reach them through their module objects at call time: identity
 # and exact moment never run morphism, symbolic, montecarlo or verify.
 from . import combinatorics, morphism, verify
-from .exactarith import format_rational, parse_rational, pi_power
+from .exactarith import DigitLimitError, format_rational, parse_integer, parse_rational, pi_power
 
 SCHEMA = "weincalc/1"
 
@@ -197,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
         """The subcommand `name`, with a required integer flag per size."""
         p = sub.add_parser(name, help=summary)
         for size in sizes:
-            p.add_argument(f"--{size}", type=int, required=True)
+            p.add_argument(f"--{size}", type=_integer(size), required=True)
         p.set_defaults(func=func)
         return p
 
@@ -208,8 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "n", "l", "k")
     p.add_argument("--r0", type=str, default="1", help="radius, as p/q or decimal")
     p.add_argument("--mc", action="store_true")
-    p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=None)  # None: verify.BASE_SEED
+    p.add_argument("--samples", type=_integer("samples"), default=10**6)
+    p.add_argument("--seed", type=_integer("seed"), default=None)  # None: verify.BASE_SEED
     command("identity", _cmd_identity, "diagonal moment-sum identity table", "k-max")
     p = command("product", _cmd_product, "morphism value on CP^n x M from a descriptor", "n", "k")
     p.add_argument("--manifold", type=str, required=True, help="descriptor JSON file")
@@ -221,19 +221,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _FlagRefused(Exception):
+    """A flag value refused while argparse reads it.  It is no ValueError,
+    which argparse would report as an invalid value, echoing the literal
+    whole."""
+
+    def __init__(self, error: DigitLimitError):
+        super().__init__(error)
+        self.error = error
+
+
+def _integer(flag: str):
+    """The type of the integer flag `--flag`: a literal longer than the
+    integer string limit is refused as an input, like one of --rho."""
+    name = flag.replace("-", "_")
+
+    def read(text: str) -> int:
+        try:
+            return parse_integer(text, name)
+        except DigitLimitError as exc:
+            raise _FlagRefused(exc) from None
+
+    read.__name__ = "int"  # other text stays argparse's "invalid int value"
+    return read
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _FlagRefused as exc:
+        return _refuse(exc.error, exc.error.params)
     try:
         return args.func(args)
     except ValueError as exc:  # includes FieldError, ParameterError and DigitLimitError
-        # Each parameter at fault that the query sets is named by its flag and
-        # its value as typed, so `--r0 1e400` reads 1e400.
-        given = vars(args)
-        named = [name for name in getattr(exc, "params", ()) if given.get(name) is not None]
-        flags = " ".join(f"--{name.replace('_', '-')} {_as_typed(given[name])}" for name in named)
-        print(f"error: {flags}: {exc}" if flags else f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(exc, vars(args))
     except morphism.SelfCheckError as exc:  # a closed form and its enumeration disagree
         print(f"error: self-check failed: {exc}", file=sys.stderr)
         return 1
@@ -246,6 +268,16 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
+
+
+def _refuse(exc: ValueError, given: dict) -> int:
+    """Print the refusal; return exit code 2.  Each parameter at fault that
+    the query sets is named by its flag and its value as typed, so
+    `--r0 1e400` reads 1e400."""
+    named = [name for name in getattr(exc, "params", ()) if given.get(name) is not None]
+    flags = " ".join(f"--{name.replace('_', '-')} {_as_typed(given[name])}" for name in named)
+    print(f"error: {flags}: {exc}" if flags else f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _as_typed(value) -> str:

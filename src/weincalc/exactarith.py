@@ -58,6 +58,29 @@ _DIGITS = re.compile(r"\d+")
 _EXPONENT = re.compile(r"[eE][-+]?(\d+)\Z")
 
 
+def _readable_digits(text: str, name: str | None) -> str:
+    """The literal `text` stripped and without underscores, refused with
+    DigitLimitError, naming `name` and the digit count, when a run of its
+    digits is longer than the integer string limit."""
+    digits = str(text).strip().replace("_", "")
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    longest = max(map(len, _DIGITS.findall(digits)), default=0) if limit else 0
+    if longest > limit:
+        raise DigitLimitError(
+            f"the input has a number of {longest} digits, more than {limit},"
+            f" the integer string limit",
+            **({} if name is None else {name: text}),
+        )
+    return digits
+
+
+def parse_integer(text: str, name: str | None = None) -> int:
+    """``int(text)``, with a literal of more digits than the integer string
+    limit refused as parse_rational refuses it, not by int's own error."""
+    _readable_digits(text, name)
+    return int(text)
+
+
 def parse_rational(text: str, name: str | None = None) -> Fraction:
     """Parse ``"p/q"``, ``"p"``, or an exact decimal string such as ``"0.25"``
     or ``"1e-7"``.
@@ -71,24 +94,15 @@ def parse_rational(text: str, name: str | None = None) -> Fraction:
     literal, which may be megabytes long.
     """
     literal = str(text).strip()
-    digits = literal.replace("_", "")
+    digits = _readable_digits(text, name)
     exponent = _EXPONENT.search(digits)
     limit = sys.get_int_max_str_digits()  # 0: no limit
-    if limit:
-        params = {} if name is None else {name: text}
-        longest = max(map(len, _DIGITS.findall(digits)), default=0)
-        if longest > limit:
-            raise DigitLimitError(
-                f"the input has a number of {longest} digits, more than {limit},"
-                f" the integer string limit",
-                **params,
-            )
-        if exponent and int(exponent[1]) > limit:
-            raise DigitLimitError(
-                f"the input has a power of ten of more than {limit} digits,"
-                f" the integer string limit",
-                **params,
-            )
+    if limit and exponent and int(exponent[1]) > limit:
+        raise DigitLimitError(
+            f"the input has a power of ten of more than {limit} digits,"
+            f" the integer string limit",
+            **({} if name is None else {name: text}),
+        )
     try:
         return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:

@@ -106,6 +106,28 @@ def test_blowup_numeric_weight(capsys):
     assert abs(at["value_float"] - 0.35 * 3.141592653589793) < 1e-12
 
 
+@pytest.mark.parametrize("rho", [None, "3/7"])
+def test_blowup_json_writes_the_value_once(capsys, monkeypatch, rho):
+    # The value prints megabytes at large n, so --json writes it once, as
+    # `value`, and formats no weight function; the human report does.
+    formatted = []
+    to_str = symbolic.RatFuncQ.__str__
+    monkeypatch.setattr(symbolic.RatFuncQ, "__str__", lambda f: formatted.append(f) or to_str(f))
+    argv = ["blowup", "--n", "160", "--k", "159"] + ([] if rho is None else ["--rho", rho])
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    at_rho = [] if rho is None else ["at_rho"]
+    assert list(doc) == [
+        "schema", "command", "params", "value", "lattice", "order", *at_rho, "flags", "status"
+    ]
+    assert formatted == []
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    value = out.splitlines()[1]
+    assert value.startswith("  value     = (") and value.endswith(") * pi^159")
+    assert len(formatted) == 1
+
+
 def test_blowup_rejects_bad_weight(capsys):
     code, _, err = run_cli(capsys, "blowup", "--n", "2", "--k", "1", "--rho", "3/2")
     assert code == 2
@@ -391,6 +413,12 @@ DIGITS = (
     f" the integer string limit"
 )
 LONG = "3" * (sys.get_int_max_str_digits() + 1)
+# An over-long literal is shown by its first SHOWN_PREFIX characters.
+SHOWN = f"{LONG[:cli.SHOWN_PREFIX]}..."
+LONG_INPUT = (
+    f"the input has a number of {len(LONG)} digits, more than {sys.get_int_max_str_digits()},"
+    f" the integer string limit"
+)
 POWER_DIGITS = (
     f"the input has a power of ten of more than {sys.get_int_max_str_digits()} digits,"
     f" the integer string limit"
@@ -435,6 +463,16 @@ POWER_DIGITS = (
                      f"--rho {f'1/{LONG}'[:cli.SHOWN_PREFIX]}...: the input has a number of {len(LONG)} digits,"
                      f" more than {sys.get_int_max_str_digits()}, the integer string limit",
                      id="rho-with-more-digits-than-the-limit"),
+        # argparse refused these as invalid int values, echoing them whole.
+        pytest.param(f"cpn --n {LONG} --k 1", f"--n {SHOWN}: {LONG_INPUT}", id="long-n"),
+        pytest.param(f"cpn --n 3 --k {LONG}", f"--k {SHOWN}: {LONG_INPUT}", id="long-k"),
+        pytest.param(f"moment --n 2 --l {LONG} --k 1", f"--l {SHOWN}: {LONG_INPUT}", id="long-l"),
+        pytest.param(f"identity --k-max {LONG}", f"--k-max {SHOWN}: {LONG_INPUT}",
+                     id="long-k-max"),
+        pytest.param(f"moment --n 1 --l 1 --k 1 --mc --samples {LONG}",
+                     f"--samples {SHOWN}: {LONG_INPUT}", id="long-samples"),
+        pytest.param(f"moment --n 1 --l 1 --k 1 --mc --seed -{LONG}",
+                     f"--seed -{LONG[:cli.SHOWN_PREFIX - 1]}...: {LONG_INPUT}", id="long-seed"),
     ],
 )
 def test_refusal_diagnostics_name_the_flags_as_typed(capsys, tmp_path, argv, message):
@@ -1188,6 +1226,10 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["cpn", "--n", "2"])  # missing --k
     assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["cpn", "--n", "abc", "--k", "1"])  # an integer flag that is no number
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --n: invalid int value: 'abc'\n")
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2

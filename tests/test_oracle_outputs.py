@@ -18,6 +18,8 @@ ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
     "argv",
     [
         ["blowup", "--n", "160", "--k", "159", "--json"],
+        # The document shape of large-n's tail stratum (n = 580-620, k = n - 1).
+        ["blowup", "--n", "600", "--k", "599", "--json"],
         ["blowup", "--n", "800", "--k", "3", "--json"],
         ["blowup", "--n", "120", "--k", "119", "--rho", "3/7", "--json"],
         ["blowup", "--n", "480", "--k", "470", "--rho", "5/8", "--json"],
