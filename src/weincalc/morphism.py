@@ -57,7 +57,7 @@ from .symbolic import (
 # bounds the coefficient at large k but never bites at small k, where the
 # time and the output grow with the term count alone.  The cap admits every
 # k = n-1 query that the digit limit admits (the largest is n = 1558, 4673
-# terms, about 0.23 s and 27 MB of JSON in process on a 2-core x86-64 box).
+# terms, about 0.08 s and 13.5 MB of JSON in process on a 2-core x86-64 box).
 MAX_BLOWUP_TERMS = 5000
 
 # The most characters of a descriptor file that ManifoldDescriptor.read

@@ -523,7 +523,7 @@ def test_blowup_runs_no_gcd(capsys, monkeypatch):
 
 def test_blowup_refuses_rho_before_building_the_value(capsys, monkeypatch):
     # Every --rho test runs before the value is built, so a refused weight
-    # costs no value: at n = 1558 the value alone prints 27 MB.
+    # costs no value: at n = 1558 the value alone prints 13.5 MB.
     built = []
     monkeypatch.setattr(morphism, "blowup_weinstein", lambda *a: built.append(a))
     limit = sys.get_int_max_str_digits()
