@@ -26,9 +26,9 @@ def _lazy(name: str):
 # compiles each module it runs, so `import weincalc` runs none of them, and a
 # command runs only the modules it reaches: exact `moment` and `identity` run
 # exactarith and combinatorics; cpn, blowup and product add symbolic and
-# morphism; moment --mc and verify add montecarlo and verify.  All six are in
-# sys.modules from the start, because perfbench's trace_child.install looks
-# every traced module up there after `from weincalc import cli`.  `cli`, the
+# morphism; moment --mc adds montecarlo; verify runs all six.  All six are
+# in sys.modules from the start, because perfbench's trace_child.install
+# looks every traced module up there after `from weincalc import cli`.  `cli`, the
 # entry point, is imported as usual: `python -m weincalc.cli` runs it as
 # __main__, which a module already in sys.modules would make ambiguous.
 combinatorics = _lazy("combinatorics")

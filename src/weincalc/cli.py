@@ -15,8 +15,8 @@ import sys
 
 # Every submodule loads on first use (see the package's __init__), so the
 # commands reach them through their module objects at call time: identity
-# and exact moment never run morphism, symbolic, montecarlo or verify.
-from . import combinatorics, morphism, verify
+# and exact moment run no other, and moment --mc adds montecarlo alone.
+from . import combinatorics, montecarlo, morphism
 from .exactarith import DigitLimitError, format_rational, parse_integer, parse_rational, pi_power
 
 SCHEMA = "weincalc/1"
@@ -72,6 +72,11 @@ def _cmd_blowup(args) -> int:
             "value_float": float(coeff) * pi_k,
         }
     cv = morphism.blowup_weinstein(args.n, args.k)
+    params = {"n": args.n, "k": args.k, "rho": args.rho}
+    # The value prints megabytes at large n, so each report builds only its
+    # own rendering of it: the JSON `value` or the human weight function.
+    if not args.json:
+        return _report(args, params, {}, _blowup_lines(args, cv, at_rho), cv.flags)
     body = {
         "value": cv.value.to_json(),
         "lattice": cv.lattice.to_json(),
@@ -79,10 +84,7 @@ def _cmd_blowup(args) -> int:
     }
     if at_rho is not None:
         body["at_rho"] = at_rho
-    # The value prints megabytes at large n: --json writes it once, as
-    # `value`, and only the human report formats it as a weight function.
-    lines = [] if args.json else _blowup_lines(args, cv, at_rho)
-    return _report(args, {"n": args.n, "k": args.k, "rho": args.rho}, body, lines, cv.flags)
+    return _report(args, params, body, [], cv.flags)
 
 
 def _blowup_lines(args, cv, at_rho: dict | None) -> list[str]:
@@ -124,8 +126,8 @@ def _cmd_moment(args) -> int:
     ]
     ok = True
     if args.mc:
-        seed = verify.BASE_SEED if args.seed is None else args.seed
-        est, row = verify.check_moment_mc(
+        seed = montecarlo.BASE_SEED if args.seed is None else args.seed
+        est, row = montecarlo.check_moment_mc(
             args.n, args.l, args.k, r0, numeric, args.samples, seed
         )
         body["mc"] = {**est.to_json(), "sigma_distance": row["sigma"]}
@@ -172,6 +174,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_all(quick=args.quick)
     all_ok = all(r.passed for r in results)
     lines = [
@@ -209,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r0", type=str, default="1", help="radius, as p/q or decimal")
     p.add_argument("--mc", action="store_true")
     p.add_argument("--samples", type=_integer("samples"), default=10**6)
-    p.add_argument("--seed", type=_integer("seed"), default=None)  # None: verify.BASE_SEED
+    p.add_argument("--seed", type=_integer("seed"), default=None)  # None: montecarlo.BASE_SEED
     command("identity", _cmd_identity, "diagonal moment-sum identity table", "k-max")
     p = command("product", _cmd_product, "morphism value on CP^n x M from a descriptor", "n", "k")
     p.add_argument("--manifold", type=str, required=True, help="descriptor JSON file")

@@ -8,6 +8,8 @@ standard normals in their sum of squares (Muller's Gaussian directions, 1959;
 rejection sampling is useless in 2n >= 8 dimensions).  Each integrand has
 one builder, ball_moment_integrands or trace_volume_integrands (CP^n, and its
 blow-up given a weight), which its oracles and verify's shared pass call.
+An estimate agrees with its exact value within SIGMA_BAND standard errors
+(mc_row), in verify's suite and in check_moment_mc, the `moment --mc` check.
 
 Determinism contract: an oracle call takes a grid of integrands and draws
 every sample from one generator, numpy.random.default_rng(seed), as points
@@ -41,6 +43,7 @@ commands, which import this module through `cli`, never load it.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -70,6 +73,16 @@ BLOCK_NORMALS = 1 << 13
 # holds one buffer of at most CHUNK_SIZE partial moduli, one block of normals
 # and a few arrays of one chunk's floats.
 MAX_MC_WORK = 3 * 10**8
+
+# The seed of a `moment --mc` query that names none, and the base of verify's
+# seeds.
+BASE_SEED = 20250808
+
+SIGMA_BAND = 4.0
+
+# The largest relative error of a sample standard deviation that a
+# `moment --mc` check admits before it draws (_require_resolved).
+MC_SPREAD_TOLERANCE = 0.1
 
 
 class McEstimate(NamedTuple):
@@ -314,17 +327,11 @@ def ball_moment_integrands(
 
 
 def mc_ball_moment(
-    n: int,
-    terms: Sequence[tuple[int, int]],
-    r0: float,
-    samples: int,
-    seed: int,
-    admit: Callable[[], None] | None = None,
+    n: int, terms: Sequence[tuple[int, int]], r0: float, samples: int, seed: int
 ) -> list[McEstimate]:
     """Estimate, for each (l, k) in `terms`, the ball moment integral of
-    (|z_1|^2 + ... + |z_l|^2)^k over the radius-r0 ball in C^n; `admit` as
-    in _estimate."""
-    return _estimate(n, r0, ball_moment_integrands(n, terms, r0), samples, seed, admit=admit)
+    (|z_1|^2 + ... + |z_l|^2)^k over the radius-r0 ball in C^n."""
+    return _estimate(n, r0, ball_moment_integrands(n, terms, r0), samples, seed)
 
 
 def trace_volume_integrands(
@@ -358,3 +365,94 @@ def mc_blowup_average(
     """Estimate the morphism value on the weight-rho blow-up of CP^n for each
     k in `degrees`."""
     return _estimate(n, 1.0, trace_volume_integrands(n, degrees, rho), samples, seed)
+
+
+def mc_row(params: dict, est: McEstimate, exact: float) -> dict:
+    """The parameters, the estimate, its sigma distance to `exact` and whether
+    that lies inside SIGMA_BAND: the one home of the agreement rule."""
+    sigma = est.sigma_distance(exact)
+    return {
+        **params,
+        "exact": exact,
+        "mean": est.mean,
+        "std_error": est.std_error,
+        "seed": est.seed,
+        "sigma": sigma,
+        "ok": sigma < SIGMA_BAND,
+    }
+
+
+def _log_kurtosis(n: int, l: int, k: int) -> float:
+    """log kappa of X = s^k, s = |z_1|^2+...+|z_l|^2 at a uniform point z of a
+    ball in C^n, from its exact moments.  E[X^j] is the ball moment at jk over
+    the volume, E[s^m] = Gamma(l+m) n! / ((l-1)! Gamma(n+1+m)), whose gamma
+    ratio telescopes to the n+1-l factors i/(i+m), l <= i <= n: in log space,
+    a sum of n+1-l logs that stays exact to rounding for every k, where
+    math.lgamma(4k) alone carries an absolute error that grows with k.  With
+    x_j = log E[X^j]/E[X]^j, kappa = (e^x4 - 4e^x3 + 6e^x2 - 3)/(e^x2 - 1)^2,
+    formed scaled by e^-x4 so that no term overflows."""
+
+    def log_moment(m: int) -> float:  # log E[s^m]
+        return -math.fsum(
+            math.log1p(m / i) if m <= i else math.log(i + m) - math.log(i)
+            for i in range(l, n + 1)
+        )
+
+    base = log_moment(k)
+    x2, x3, x4 = (log_moment(j * k) - j * base for j in (2, 3, 4))
+    central = 1 - 4 * math.exp(x3 - x4) + 6 * math.exp(x2 - x4) - 3 * math.exp(-x4)
+    return math.log(central) + x4 - 2 * (x2 + math.log(-math.expm1(-x2)))
+
+
+def _require_resolved(n: int, l: int, k: int, samples: int) -> None:
+    """Refuse, before any draw, a sample count too small for the integrand of
+    one ball moment: the relative error of a sample standard deviation of N
+    samples is about sqrt((kappa - 1)/N)/2 (Kendall and Stuart, The Advanced
+    Theory of Statistics, vol. 1, ch. 10), and it must not exceed
+    MC_SPREAD_TOLERANCE.  The refusal names the count needed, or the cap
+    MAX_MC_WORK when no count within it suffices."""
+    log_kappa = _log_kurtosis(n, l, k)
+    log_needed = (
+        log_kappa + math.log(-math.expm1(-log_kappa)) - 2 * math.log(2 * MC_SPREAD_TOLERANCE)
+    )
+    if log_needed > math.log(MAX_MC_WORK / n):  # above every admitted count
+        raise ParameterError(
+            f"a sample standard deviation within {MC_SPREAD_TOLERANCE:.0%} of this integrand"
+            f" needs about 10^{log_needed / math.log(10):.1f} samples, and samples * n must be"
+            f" <= {MAX_MC_WORK} (MAX_MC_WORK)",
+            samples=samples, n=n, l=l, k=k,
+        )
+    needed = math.ceil(math.exp(log_needed) * (1 - 1e-12))  # a count exact but for rounding
+    if samples >= needed:
+        return
+    off = MC_SPREAD_TOLERANCE * math.sqrt(needed / samples)
+    raise ParameterError(
+        f"too few for this integrand: its sample standard deviation would be off by about"
+        f" {off:.1%}, more than {MC_SPREAD_TOLERANCE:.0%}; it needs at least {needed} samples",
+        samples=samples,
+    )
+
+
+def check_moment_mc(
+    n: int, l: int, k: int, r0: Fraction, exact: float, samples: int, seed: int
+) -> tuple[McEstimate, dict]:
+    """The Monte Carlo check of one ball moment whose float value is `exact`
+    (combinatorics.ball_moment's): its estimate from `samples` points drawn
+    with `seed`, and its mc_row.  Refused before any sample is drawn, in this
+    order: a moment that underflows a float, since a mean of zeros would
+    pass; the rules of the ball volume and of the draw; and a sample count
+    that cannot resolve the integrand (_require_resolved, which _estimate
+    runs last before its draw)."""
+    if exact < sys.float_info.min:
+        raise ParameterError(
+            "the moment underflows a float, so Monte Carlo cannot check it",
+            n=n,
+            l=l,
+            k=k,
+            r0=r0,
+        )
+    (est,) = _estimate(
+        n, float(r0), ball_moment_integrands(n, [(l, k)], float(r0)), samples, seed,
+        admit=lambda: _require_resolved(n, l, k, samples),
+    )
+    return est, mc_row({}, est, exact)

@@ -469,12 +469,6 @@ class PiGradedValue:
         """The value sum_a (num_a / den_a) * pi^a, each component reduced."""
         return cls({a: RatFuncQ(num, den) for a, (num, den) in terms.items()})
 
-    @classmethod
-    def from_json(cls, doc: list[dict]) -> PiGradedValue:
-        """Read the to_json shape; a ValueError names the part that breaks it.
-        Every component is read and checked before the first is reduced."""
-        return cls.from_terms(json_terms(doc))
-
     def __str__(self) -> str:
         if not self.components:
             return "0"

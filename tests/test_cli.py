@@ -17,7 +17,7 @@ from weincalc import cli, combinatorics, montecarlo, morphism, symbolic, verify
 from weincalc.cli import main
 from weincalc.exactarith import format_rational, times_pi_power
 from weincalc.morphism import RAW_CHECK_MAX_K, cpn_q
-from weincalc.symbolic import PiGradedValue
+from weincalc.symbolic import PiGradedValue, json_terms
 
 
 def run_cli(capsys, *argv):
@@ -47,7 +47,7 @@ def test_cpn_human_and_json_agree(capsys):
     assert doc["nontrivial"] is True
     assert doc["status"] == "ok"
     # The value block round-trips through the symbolic serialization.
-    assert PiGradedValue.from_json(doc["value"]).components[1].num.terms
+    assert PiGradedValue.from_terms(json_terms(doc["value"])).components[1].num.terms
 
 
 def test_cpn_top_degree(capsys):
@@ -109,10 +109,12 @@ def test_blowup_numeric_weight(capsys):
 @pytest.mark.parametrize("rho", [None, "3/7"])
 def test_blowup_json_writes_the_value_once(capsys, monkeypatch, rho):
     # The value prints megabytes at large n, so --json writes it once, as
-    # `value`, and formats no weight function; the human report does.
-    formatted = []
-    to_str = symbolic.RatFuncQ.__str__
+    # `value`, and formats no weight function; the human report formats it
+    # and builds no JSON.
+    formatted, rendered = [], []
+    to_str, to_json = symbolic.RatFuncQ.__str__, PiGradedValue.to_json
     monkeypatch.setattr(symbolic.RatFuncQ, "__str__", lambda f: formatted.append(f) or to_str(f))
+    monkeypatch.setattr(PiGradedValue, "to_json", lambda v: rendered.append(v) or to_json(v))
     argv = ["blowup", "--n", "160", "--k", "159"] + ([] if rho is None else ["--rho", rho])
     code, doc = run_json(capsys, *argv)
     assert code == 0
@@ -120,12 +122,12 @@ def test_blowup_json_writes_the_value_once(capsys, monkeypatch, rho):
     assert list(doc) == [
         "schema", "command", "params", "value", "lattice", "order", *at_rho, "flags", "status"
     ]
-    assert formatted == []
+    assert (formatted, len(rendered)) == ([], 1)
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     value = out.splitlines()[1]
     assert value.startswith("  value     = (") and value.endswith(") * pi^159")
-    assert len(formatted) == 1
+    assert (len(formatted), len(rendered)) == (1, 1)
 
 
 def test_blowup_rejects_bad_weight(capsys):
@@ -276,7 +278,7 @@ def test_moment_mc_keeps_the_standard_error_of_a_tiny_moment(capsys):
     assert code == 0
     assert doc["status"] == "ok"
     assert doc["mc"]["std_error"] > 0
-    assert doc["mc"]["sigma_distance"] < verify.SIGMA_BAND
+    assert doc["mc"]["sigma_distance"] < montecarlo.SIGMA_BAND
 
 
 def test_moment_mc_rejects_a_single_sample(capsys):
@@ -305,7 +307,7 @@ def test_moment_mc_answers_where_only_n_factorial_overflows(capsys):
         capsys, "moment", "--n", "171", "--l", "1", "--k", "1", "--mc", "--samples", "20000"
     )
     assert (code, doc["status"]) == (0, "ok")
-    assert doc["mc"]["sigma_distance"] < verify.SIGMA_BAND
+    assert doc["mc"]["sigma_distance"] < montecarlo.SIGMA_BAND
 
 
 def test_moment_mc_refuses_an_underflowing_moment(capsys, monkeypatch):
@@ -313,7 +315,7 @@ def test_moment_mc_refuses_an_underflowing_moment(capsys, monkeypatch):
     # error were both 0.0, so the check passed on no evidence.  At 1e-400 the
     # float radius itself is 0.0, and the refusal named "r0 must be > 0".
     drawn = []
-    monkeypatch.setattr(verify, "mc_ball_moment", lambda *a: drawn.append(a))
+    monkeypatch.setattr(montecarlo, "sample_ball", lambda *a: drawn.append(a))
     for r0 in ("1e-40", "1e-400"):
         code, out, err = run_cli(
             capsys, "moment", "--n", "3", "--l", "1", "--k", "2", "--r0", r0,
@@ -369,7 +371,7 @@ def test_moment_kurtosis_matches_the_exact_ball_moments(n, l, k):
         combinatorics.ball_moment_exact(n, l, j * k)[0] * math.factorial(n) for j in range(1, 5)
     )
     kappa = (m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4) / (m2 - m1**2) ** 2
-    assert math.exp(verify._log_kurtosis(n, l, k)) == pytest.approx(float(kappa), rel=1e-9)
+    assert math.exp(montecarlo._log_kurtosis(n, l, k)) == pytest.approx(float(kappa), rel=1e-9)
 
 
 def test_moment_mc_refuses_a_negative_seed(capsys):
@@ -443,6 +445,14 @@ POWER_DIGITS = (
         ("moment --n 3 --l 1 --k 1 --mc --samples 100000001",
          "--samples 100000001 --n 3: samples * n must be <= 300000000"),
         ("moment --n 2 --l 1 --k 1 --mc --samples 10 --seed -1", "--seed -1: must be >= 0"),
+        # The rules of the draw come in this order, all before the kurtosis
+        # rule, which 1000 samples at k = 10^6 break.
+        ("moment --n 3 --l 3 --k 1000000 --mc --samples 1 --seed -1",
+         "--samples 1: must be >= 2"),
+        ("moment --n 3 --l 3 --k 1000000 --mc --samples 100000001 --seed -1",
+         "--samples 100000001 --n 3: samples * n must be <= 300000000"),
+        ("moment --n 3 --l 3 --k 1000000 --mc --samples 1000 --seed -1",
+         "--seed -1: must be >= 0"),
         ("moment --n 2 --l 3 --k 1", "--l 3 --n 2: must satisfy 1 <= l <= n"),
         ("moment --n 2 --l 1 --k 1 --r0 0", "--r0 0: must be > 0"),
         ("identity --k-max 0", "--k-max 0: must be >= 1"),
@@ -864,7 +874,7 @@ def test_product_refuses_a_class_exponent_above_the_bound(capsys, tmp_path, monk
         assert (code, out) == (2, "")
         assert err == f"error: classes.c.value: exponent must be at most {bound}, got {wrong}\n"
         assert gcds == []
-    assert PiGradedValue.from_json([fine]).components[1].den.degree == bound - 1
+    assert PiGradedValue.from_terms(json_terms([fine])).components[1].den.degree == bound - 1
 
 
 def test_product_reduces_only_the_named_class(capsys, tmp_path, monkeypatch):
@@ -1373,7 +1383,8 @@ def test_import_never_loads_numpy_and_monte_carlo_does():
     argv = ["moment", "--n", "2", "--l", "1", "--k", "1", "--mc", "--samples", "1000"]
     code, loaded = probe_numpy(*argv)
     assert code == 0 and loaded & {"numpy", "concurrent.futures"} == {"numpy"}
-    assert set(LAZY) <= loaded
+    # The moment --mc check lives in montecarlo: no value code, no suite.
+    assert loaded & set(LAZY) == ENUMERATION | {"weincalc.montecarlo"}
     code, loaded = probe_numpy("verify", "--quick")
     assert code == 0 and set(LAZY) <= loaded
 

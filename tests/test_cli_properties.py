@@ -5,9 +5,10 @@ through `cli.main`: query commands exit 0 or 2 (1 only for a `moment --mc`
 estimate outside the sigma band, which is a verification failure), no
 exception escapes, a `cpn`, `blowup`, `moment` or `identity` refusal names
 its flags or quotes its unreadable number, and every value printed as JSON
-survives `PiGradedValue.from_json`/`to_json`.  Sizes stay small (n, k <= 12,
-at most 10^3 samples) so that the suite runs in seconds; only rational
-exponents reach beyond the integer string limit, which refuses them at once.
+survives `symbolic.json_terms` and `PiGradedValue.to_json`.  Sizes stay
+small (n, k <= 12, at most 10^3 samples) so that the suite runs in seconds;
+only rational exponents reach beyond the integer string limit, which refuses
+them at once.
 The one exception is the product gate's property, whose `--n` has hundreds
 of digits so that the denominator of the CP^n value nears a lowered limit.
 """
@@ -21,8 +22,8 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from weincalc.cli import main
-from weincalc.symbolic import PiGradedValue, PolyQ, RatFuncQ
-from weincalc.verify import SIGMA_BAND
+from weincalc.montecarlo import SIGMA_BAND
+from weincalc.symbolic import PiGradedValue, PolyQ, RatFuncQ, json_terms
 
 SETTINGS = settings(
     derandomize=True,
@@ -163,7 +164,7 @@ def check_contract(capsys, argv):
         doc = strict_json(out)
         assert doc["status"] == "ok"
         if "value" in doc:
-            assert PiGradedValue.from_json(doc["value"]).to_json() == doc["value"]
+            assert PiGradedValue.from_terms(json_terms(doc["value"])).to_json() == doc["value"]
 
 
 @SETTINGS
@@ -204,7 +205,7 @@ values = st.dictionaries(
 @given(value=values)
 def test_value_json_round_trips(value):
     doc = value.to_json()
-    back = PiGradedValue.from_json(json.loads(json.dumps(doc)))
+    back = PiGradedValue.from_terms(json_terms(json.loads(json.dumps(doc))))
     assert back == value
     assert back.to_json() == doc
 

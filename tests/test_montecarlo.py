@@ -17,14 +17,15 @@ from weincalc.exactarith import ParameterError, times_pi_power
 from weincalc.montecarlo import (
     BLOCK_NORMALS,
     CHUNK_SIZE,
+    SIGMA_BAND,
     McEstimate,
     mc_ball_moment,
     mc_blowup_average,
     mc_cpn_average,
+    mc_row,
     sample_ball,
 )
 from weincalc.morphism import blowup_at_weight, cpn_q
-from weincalc.verify import SIGMA_BAND, mc_row
 
 SAMPLES = 10**5
 
