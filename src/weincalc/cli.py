@@ -17,23 +17,44 @@ import sys
 # commands reach them through their module objects at call time: identity
 # and exact moment run no other, and moment --mc adds montecarlo alone.
 from . import combinatorics, montecarlo, morphism
-from .exactarith import DigitLimitError, format_rational, parse_integer, parse_rational, pi_power
+from .exactarith import (
+    DigitLimitError,
+    ParameterError,
+    as_typed,
+    format_rational,
+    parse_integer,
+    parse_rational,
+    pi_power,
+)
 
 SCHEMA = "weincalc/1"
 
-# The characters of an over-long flag value that a refusal shows.
-SHOWN_PREFIX = 20
-
 
 def _report(args, params: dict, body: dict, lines: list[str], flags=(), ok: bool = True) -> int:
-    """Print the JSON document (with --json) or the human lines; return the
-    exit code, 0 or 1 for a failed verification."""
+    """Print the JSON document (with --json) or the human lines, the one
+    write of every command; return the exit code, 0 or 1 for a failed
+    verification.  A reader that has closed the pipe changes neither: the
+    BrokenPipeError of the write is caught here, so no caller of main sees
+    it."""
     if args.json:
         doc = {"schema": SCHEMA, "command": args.command, "params": params, **body}
-        print(json.dumps({**doc, "flags": list(flags), "status": "ok" if ok else "fail"}))
+        text = json.dumps({**doc, "flags": list(flags), "status": "ok" if ok else "fail"})
     else:
-        print("\n".join(lines))
+        text = "\n".join(lines)
+    try:
+        print(text)
+    except BrokenPipeError:
+        _discard_stdout()
     return 0 if ok else 1
+
+
+def _discard_stdout() -> None:
+    """Point fd 1 at os.devnull once the reader has closed the pipe
+    (`weinstein-calc verify --json | head -c 10`), so that what is still
+    buffered, flushed again at exit, writes no BrokenPipeError to stderr."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _cmd_cpn(args) -> int:
@@ -230,14 +251,15 @@ class _FlagRefused(Exception):
     which argparse would report as an invalid value, echoing the literal
     whole."""
 
-    def __init__(self, error: DigitLimitError):
+    def __init__(self, error: ParameterError):
         super().__init__(error)
         self.error = error
 
 
 def _integer(flag: str):
     """The type of the integer flag `--flag`: a literal longer than the
-    integer string limit is refused as an input, like one of --rho."""
+    integer string limit is refused as an input, like one of --rho, whether
+    or not it is an integer."""
     name = flag.replace("-", "_")
 
     def read(text: str) -> int:
@@ -245,8 +267,12 @@ def _integer(flag: str):
             return parse_integer(text, name)
         except DigitLimitError as exc:
             raise _FlagRefused(exc) from None
+        except ValueError:  # argparse's "invalid int value", unless over-long
+            if as_typed(text) == text:
+                raise
+            raise _FlagRefused(ParameterError("not an integer", **{name: text})) from None
 
-    read.__name__ = "int"  # other text stays argparse's "invalid int value"
+    read.__name__ = "int"  # named so in argparse's "invalid int value"
     return read
 
 
@@ -279,50 +305,9 @@ def _refuse(exc: ValueError, given: dict) -> int:
     the query sets is named by its flag and its value as typed, so
     `--r0 1e400` reads 1e400."""
     named = [name for name in getattr(exc, "params", ()) if given.get(name) is not None]
-    flags = " ".join(f"--{name.replace('_', '-')} {_as_typed(given[name])}" for name in named)
+    flags = " ".join(f"--{name.replace('_', '-')} {as_typed(given[name])}" for name in named)
     print(f"error: {flags}: {exc}" if flags else f"error: {exc}", file=sys.stderr)
     return 2
-
-
-def _as_typed(value) -> str:
-    """A flag value as typed, or its first SHOWN_PREFIX characters when it is
-    longer than the integer string limit, which only a literal too long to
-    read can be: its refusal gives the digit count instead."""
-    text = str(value)
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    return f"{text[:SHOWN_PREFIX]}..." if limit and len(text) > limit else text
-
-
-class _Stdout:
-    """sys.stdout for the console script.  Once the reader has closed the
-    pipe (`weinstein-calc verify --json | head -c 10`), the rest of the
-    output goes to os.devnull: the command still finishes and exits with its
-    own code, and neither it nor the interpreter's exit flush writes a
-    BrokenPipeError to stderr."""
-
-    def __init__(self, stream):
-        self._stream = stream
-
-    def __getattr__(self, name):
-        return getattr(self._stream, name)
-
-    def write(self, text: str) -> int:
-        try:
-            return self._stream.write(text)
-        except BrokenPipeError:
-            self._discard()
-            return len(text)
-
-    def flush(self) -> None:
-        try:
-            self._stream.flush()
-        except BrokenPipeError:
-            self._discard()
-
-    def _discard(self) -> None:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, self._stream.fileno())
-        os.close(devnull)
 
 
 def entry() -> None:
@@ -338,13 +323,14 @@ def entry() -> None:
     # collection after `verify --quick` walks about 22k objects in 5-10 ms
     # (2-core x86-64 box, CPython 3.11); frozen, it takes under 0.01 ms.
     gc.freeze()
-    stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
     try:
         code = main()
         gc.freeze()
     finally:  # argparse's --help and usage errors exit inside main
-        sys.stdout.flush()
-        sys.stdout = stdout
+        try:  # what _report printed, or --help, may sit in the buffer
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _discard_stdout()
     sys.exit(code)
 
 

@@ -12,7 +12,8 @@ Each parameter rule has one helper (``require_*``, or ``pi_power`` for the
 float range) and one message text.  A helper compares an exact number and a
 float alike, so the exact routes and the Monte Carlo oracles share it.
 Every parameter rule raises ParameterError, with the parameters at fault in
-its `params` and none in its text.
+its `params` and none in its text.  ``as_typed`` is the one rule by which a
+diagnostic shows an input.
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ class DigitLimitError(ParameterError):
         super().__init__(message, **params)
 
 
+# The characters of an over-long input that a diagnostic shows.
+SHOWN_PREFIX = 20
+
+
+def as_typed(value) -> str:
+    """An input as a diagnostic quotes it: as typed, or its first
+    SHOWN_PREFIX characters and "..." when it is longer than the integer
+    string limit, which bounds every printed number, so that a refusal
+    never echoes a megabyte of input."""
+    text = str(value)
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    return f"{text[:SHOWN_PREFIX]}..." if limit and len(text) > limit else text
+
+
 # A run of digits, and the exponent of "1e-7", once Fraction's underscores are dropped.
 _DIGITS = re.compile(r"\d+")
 _EXPONENT = re.compile(r"[eE][-+]?(\d+)\Z")
@@ -91,7 +106,9 @@ def parse_rational(text: str, name: str | None = None) -> Fraction:
     interpreter setting, and an exponent N above that limit in magnitude,
     which Fraction would expand into 10^|N| before any limit applies.  That
     error names the parameter `name`, when given, and never quotes the
-    literal, which may be megabytes long.
+    literal, which may be megabytes long.  Other text that is no rational
+    number is refused with a ParameterError naming `name`, or with a
+    ValueError that quotes it when no name is given.
     """
     literal = str(text).strip()
     digits = _readable_digits(text, name)
@@ -106,7 +123,9 @@ def parse_rational(text: str, name: str | None = None) -> Fraction:
     try:
         return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {json.dumps(text)}") from exc
+        if name is not None:
+            raise ParameterError("not a rational number", **{name: text}) from exc
+        raise ValueError(f"not a rational number: {as_typed(json.dumps(text))}") from exc
 
 
 def format_rational(q: Fraction) -> str:

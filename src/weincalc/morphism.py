@@ -30,6 +30,7 @@ from .combinatorics import RAW_CHECK_MAX_K  # the brute-force budget, re-exporte
 from .exactarith import (
     DigitLimitError,
     ParameterError,
+    as_typed,
     format_rational,
     parse_rational,
     require_positive,
@@ -288,28 +289,29 @@ class ManifoldDescriptor(NamedTuple):
         dim = doc.get("dimension")
         with on_field("dimension"):
             if not is_json_int(dim) or dim < 2 or dim % 2:
-                raise ValueError(f"must be a positive even integer, got {json.dumps(dim)}")
+                shown = as_typed(json.dumps(dim))
+                raise ValueError(f"must be a positive even integer, got {shown}")
 
         toh = doc.get("trivial_odd_homotopy", [])
         with on_field("trivial_odd_homotopy"):
             if not isinstance(toh, list) or not all(
                 is_json_int(d) and d >= 1 and d % 2 == 1 for d in toh
             ):
-                raise ValueError(f"must be a list of odd degrees, got {json.dumps(toh)}")
+                raise ValueError(f"must be a list of odd degrees, got {as_typed(json.dumps(toh))}")
 
         periods: dict[int, tuple[Fraction, ...]] = {}
         width = len(str(dim))  # a key with more digits names a degree above dim
         with on_field("periods"):
             groups = json_object(doc.get("periods", {}))
         for key, gens in groups.items():
-            with on_field(f"periods.{key}"):
+            with on_field(f"periods.{as_typed(key)}"):
                 # ASCII digits with no sign, space, underscore or leading zero: one key per degree.
                 plain = key.isascii() and key.isdigit() and len(key) <= width
                 degree = int(key) if plain else 0
                 if key != str(degree) or degree < 2 or degree % 2 or degree > dim:
                     raise ValueError(
                         f"key must be an even degree 2 <= d <= {dim} in plain digits,"
-                        f" got {json.dumps(key)}"
+                        f" got {as_typed(json.dumps(key))}"
                     )
                 if not isinstance(gens, list):
                     raise ValueError("generators must be a list")
@@ -319,13 +321,13 @@ class ManifoldDescriptor(NamedTuple):
         with on_field("classes"):
             entries = json_object(doc.get("classes", {}))
         for name, entry in entries.items():
-            with on_field(f"classes.{name}"):
+            with on_field(f"classes.{as_typed(name)}"):
                 json_object(entry, ("degree",), ("value",))
                 with on_field("degree"):
                     degree = entry["degree"]
                     if not is_json_int(degree) or degree < 1 or degree % 2 == 0:
                         raise ValueError(
-                            f"must be a positive odd integer, got {json.dumps(degree)}"
+                            f"must be a positive odd integer, got {as_typed(json.dumps(degree))}"
                         )
                 with on_field("value"):
                     classes[name] = NamedClass(degree, json_terms(entry.get("value", [])))
@@ -342,11 +344,11 @@ def _period(text) -> Fraction:
         raise
     except ValueError:
         raise ValueError(
-            f"period {json.dumps(text)} is not rational; only manifolds with rational"
+            f"period {as_typed(json.dumps(text))} is not rational; only manifolds with rational"
             f" period groups are supported"
         ) from None
     if period == 0:
-        raise ValueError(f"period {json.dumps(text)} must be nonzero")
+        raise ValueError(f"period {as_typed(json.dumps(text))} must be nonzero")
     return period
 
 
@@ -357,7 +359,7 @@ def _distinct_names(pairs: list[tuple[str, object]]) -> dict:
     for name, _ in pairs:
         if name in seen:
             raise ValueError(
-                f"manifold descriptor repeats the name {json.dumps(name)} in one object"
+                f"manifold descriptor repeats the name {as_typed(json.dumps(name))} in one object"
             )
         seen.add(name)
     return dict(pairs)
@@ -431,7 +433,7 @@ def product_value(
     if degree not in descriptor.trivial_odd_homotopy:
         raise ParameterError(
             f"the descriptor does not assert trivial homotopy in degree 2k-1 = {degree}"
-            f" (trivial_odd_homotopy: {sorted(descriptor.trivial_odd_homotopy)})",
+            f" (trivial_odd_homotopy: {as_typed(sorted(descriptor.trivial_odd_homotopy))})",
             k=k,
         )
     named = NamedClass(degree, {})  # the zero class
@@ -439,12 +441,13 @@ def product_value(
         named = descriptor.classes.get(class_name)
         if named is None:
             raise ValueError(
-                f"descriptor has no class named {class_name!r} "
-                f"(available: {sorted(descriptor.classes)})"
+                f"descriptor has no class named {as_typed(repr(class_name))} "
+                f"(available: {as_typed(sorted(descriptor.classes))})"
             )
         if named.degree != degree:
             raise ParameterError(
-                f"class {class_name!r} lives in degree {named.degree}, not in 2k-1 = {degree}",
+                f"class {as_typed(repr(class_name))} lives in degree {named.degree},"
+                f" not in 2k-1 = {degree}",
                 k=k,
             )
     if k > descriptor.half_dimension:

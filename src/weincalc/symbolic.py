@@ -7,8 +7,10 @@ transcendental in (0, 1), and x stands for rho^2.)  Equality of values is
 therefore formal equality of coefficients, and membership in a lattice
 generated by monomials decomposes into one cyclic-group test per monomial.
 
-A blow-up value shares one large coefficient across all its terms; scaling
-and printing form each distinct coefficient once.
+Values are added (the sum formula for CP^n x M), reduced and printed, never
+scaled: lattice_order reads the order from the coefficients cell by cell.  A
+blow-up value shares one large coefficient across all its terms; printing
+formats each distinct coefficient once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .exactarith import format_rational, parse_rational, require_positive
+from .exactarith import as_typed, format_rational, parse_rational, require_positive
 
 
 class PolyQ:
@@ -96,17 +98,8 @@ class PolyQ:
 
     def __mul__(self, other: PolyQ | Fraction | int) -> PolyQ:
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return PolyQ()
-            products: dict[tuple[int, int], Fraction] = {}
-            out = {}
-            for e, cc in self.terms.items():
-                key = (cc.numerator, cc.denominator)
-                if key not in products:
-                    products[key] = cc * c
-                out[e] = products[key]
-            return PolyQ._of(out)
+            c = Fraction(other)  # a zero scalar would store zero coefficients
+            return PolyQ._of({e: cc * c for e, cc in self.terms.items()}) if c else PolyQ()
         out: dict[int, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -254,17 +247,6 @@ class RatFuncQ:
                 return RatFuncQ._of(f.num + scaled, f.den)
         return RatFuncQ(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __mul__(self, scalar: Fraction | int) -> RatFuncQ:
-        """Scale by a rational.  A nonzero scalar keeps gcd(num, den) = 1 and
-        the monic denominator, so the product needs no reduction."""
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if not scalar:
-            return RatFuncQ(0)
-        return RatFuncQ._of(self.num * scalar, self.den)
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         if self.is_polynomial:
             return str(self.num)
@@ -331,12 +313,13 @@ def json_object(
     `optional` is None, no name outside `required` and `optional`: a
     misspelled optional field would otherwise be read as absent."""
     if not isinstance(value, dict):
-        raise FieldError(f"must be a JSON object, got {json.dumps(value)}")
+        raise FieldError(f"must be a JSON object, got {as_typed(json.dumps(value))}")
     if optional is not None:
         known = required + optional
         for name in value:
             if name not in known:
-                raise FieldError(f"unknown field; the known ones are {', '.join(known)}", name)
+                known_ones = f"unknown field; the known ones are {', '.join(known)}"
+                raise FieldError(known_ones, as_typed(name))
     for name in required:
         if name not in value:
             raise FieldError("required field is missing", name)
@@ -353,11 +336,11 @@ MAX_JSON_EXPONENT = 1000
 def _json_int(value) -> int:
     """An exponent read from JSON, 0 <= value <= MAX_JSON_EXPONENT."""
     if not is_json_int(value):
-        raise ValueError(f"exponent must be an integer, got {json.dumps(value)}")
+        raise ValueError(f"exponent must be an integer, got {as_typed(json.dumps(value))}")
     if value < 0:
-        raise ValueError(f"exponent must be >= 0, got {value}")
+        raise ValueError(f"exponent must be >= 0, got {as_typed(value)}")
     if value > MAX_JSON_EXPONENT:
-        raise ValueError(f"exponent must be at most {MAX_JSON_EXPONENT}, got {value}")
+        raise ValueError(f"exponent must be at most {MAX_JSON_EXPONENT}, got {as_typed(value)}")
     return value
 
 
@@ -366,7 +349,8 @@ def _json_poly(pairs) -> PolyQ:
     may appear once."""
     if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise ValueError(
-            f"terms must be a list of [exponent, coefficient] pairs, got {json.dumps(pairs)}"
+            f"terms must be a list of [exponent, coefficient] pairs,"
+            f" got {as_typed(json.dumps(pairs))}"
         )
     terms: dict[int, Fraction] = {}
     for e, c in pairs:
@@ -386,7 +370,7 @@ def json_terms(doc) -> dict[int, tuple[PolyQ, PolyQ]]:
     ValueError names the part that breaks the shape; a component that breaks
     the field rule is a FieldError named by its index."""
     if not isinstance(doc, list):
-        raise ValueError(f"must be a list of components, got {json.dumps(doc)}")
+        raise ValueError(f"must be a list of components, got {as_typed(json.dumps(doc))}")
     terms: dict[int, tuple[PolyQ, PolyQ]] = {}
     for i, entry in enumerate(doc):
         with on_field(str(i)):
@@ -416,8 +400,6 @@ class PiGradedValue:
             for a, f in components.items():
                 if a < 0:
                     raise ValueError(f"pi exponent must be >= 0, got {a}")
-                if not isinstance(f, RatFuncQ):
-                    f = RatFuncQ(f)
                 if f:
                     clean[int(a)] = f
         self.components = clean
@@ -443,11 +425,6 @@ class PiGradedValue:
         for a, f in other.components.items():
             out[a] = out[a] + f if a in out else f
         return PiGradedValue(out)
-
-    def __mul__(self, scalar: Fraction | int) -> PiGradedValue:
-        return PiGradedValue({a: f * scalar for a, f in self.components.items()})
-
-    __rmul__ = __mul__
 
     def to_json(self) -> list[dict]:
         """Stable JSON shape: per component, term lists [[exp, "p/q"], ...]."""

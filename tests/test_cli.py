@@ -15,7 +15,7 @@ import pytest
 
 from weincalc import cli, combinatorics, montecarlo, morphism, symbolic, verify
 from weincalc.cli import main
-from weincalc.exactarith import format_rational, times_pi_power
+from weincalc.exactarith import SHOWN_PREFIX, format_rational, times_pi_power
 from weincalc.morphism import RAW_CHECK_MAX_K, cpn_q
 from weincalc.symbolic import PiGradedValue, json_terms
 
@@ -416,7 +416,7 @@ DIGITS = (
 )
 LONG = "3" * (sys.get_int_max_str_digits() + 1)
 # An over-long literal is shown by its first SHOWN_PREFIX characters.
-SHOWN = f"{LONG[:cli.SHOWN_PREFIX]}..."
+SHOWN = f"{LONG[:SHOWN_PREFIX]}..."
 LONG_INPUT = (
     f"the input has a number of {len(LONG)} digits, more than {sys.get_int_max_str_digits()},"
     f" the integer string limit"
@@ -460,6 +460,9 @@ POWER_DIGITS = (
         ("cpn --n 0 --k 1", "--n 0: must be >= 1"),
         ("cpn --n 3 --k 5", "--k 5 --n 3: must satisfy 1 <= k <= n"),
         ("blowup --n 3 --k 1 --rho 3/2", "--rho 3/2: must lie in (0, 1)"),
+        # Text that is no rational number is named by its flag too.
+        ("blowup --n 3 --k 1 --rho 1/0", "--rho 1/0: not a rational number"),
+        ("moment --n 1 --l 1 --k 1 --r0 abc", "--r0 abc: not a rational number"),
         ("blowup --n 10000000 --k 1",
          "--n 10000000 --k 1: the reduced value has 20000001 terms, more than 5000"),
         ("blowup --n 700 --k 650 --rho 1/2", "--k 650: pi^650 exceeds the float range"),
@@ -470,7 +473,7 @@ POWER_DIGITS = (
         # refusal read "not a rational number"; then it echoed the whole
         # literal and called it the result.
         pytest.param(f"blowup --n 3 --k 1 --rho 1/{LONG}",
-                     f"--rho {f'1/{LONG}'[:cli.SHOWN_PREFIX]}...: the input has a number of {len(LONG)} digits,"
+                     f"--rho {f'1/{LONG}'[:SHOWN_PREFIX]}...: the input has a number of {len(LONG)} digits,"
                      f" more than {sys.get_int_max_str_digits()}, the integer string limit",
                      id="rho-with-more-digits-than-the-limit"),
         # argparse refused these as invalid int values, echoing them whole.
@@ -482,7 +485,7 @@ POWER_DIGITS = (
         pytest.param(f"moment --n 1 --l 1 --k 1 --mc --samples {LONG}",
                      f"--samples {SHOWN}: {LONG_INPUT}", id="long-samples"),
         pytest.param(f"moment --n 1 --l 1 --k 1 --mc --seed -{LONG}",
-                     f"--seed -{LONG[:cli.SHOWN_PREFIX - 1]}...: {LONG_INPUT}", id="long-seed"),
+                     f"--seed -{LONG[:SHOWN_PREFIX - 1]}...: {LONG_INPUT}", id="long-seed"),
     ],
 )
 def test_refusal_diagnostics_name_the_flags_as_typed(capsys, tmp_path, argv, message):
@@ -490,6 +493,97 @@ def test_refusal_diagnostics_name_the_flags_as_typed(capsys, tmp_path, argv, mes
     sphere = write_descriptor(tmp_path, {"dimension": 2, "trivial_odd_homotopy": [3]})
     argv = argv.format(sphere=sphere).split()
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# Text one character longer than the integer string limit, with no digits.
+OVER = "x" * (sys.get_int_max_str_digits() + 1)
+OVER_SHOWN = OVER[:SHOWN_PREFIX]
+
+
+def class_doc(entry, name="c", **fields):
+    """A descriptor text with the one class `name`."""
+    doc = {"dimension": 6, "trivial_odd_homotopy": [1, 3], "classes": {name: entry}}
+    return json.dumps({**doc, **fields})
+
+
+def component_doc(**fields):
+    """A descriptor text whose class value has one component."""
+    return class_doc({"degree": 3, "value": [{"pi_exp": 0, "num": [], "den": [], **fields}]})
+
+
+@pytest.mark.parametrize(
+    "argv, descriptor, named",
+    [
+        # An input or a list of inputs, each longer than the limit.
+        pytest.param(f"cpn --n {OVER} --k 1", None, f"--n {OVER_SHOWN}...: not an integer",
+                     id="n-not-an-integer"),
+        pytest.param(f"blowup --n 3 --k 1 --rho {OVER}", None,
+                     f"--rho {OVER_SHOWN}...: not a rational number", id="rho-not-rational"),
+        pytest.param(f"moment --n 1 --l 1 --k 1 --r0 {OVER}", None,
+                     f"--r0 {OVER_SHOWN}...: not a rational number", id="r0-not-rational"),
+        pytest.param("", json.dumps({"dimension": "1" * len(OVER)}),
+                     "dimension: must be a positive even integer", id="dimension"),
+        pytest.param("", json.dumps({"dimension": 4, "trivial_odd_homotopy": [2] * len(OVER)}),
+                     "trivial_odd_homotopy: must be a list of odd degrees, got [2, 2",
+                     id="trivial-odd-homotopy"),
+        pytest.param("", json.dumps({"dimension": 4, OVER: 1}),
+                     f"{OVER_SHOWN}...: unknown field", id="unknown-field"),
+        pytest.param("", json.dumps({"dimension": 4, "periods": {OVER: ["1"]}}),
+                     f"periods.{OVER_SHOWN}...: key must be an even degree", id="period-key"),
+        pytest.param("", json.dumps({"dimension": 4, "periods": {"2": [OVER]}}),
+                     f'periods.2: period "{OVER_SHOWN[:-1]}... is not rational',
+                     id="period-not-rational"),
+        pytest.param("", json.dumps({"dimension": 4, "periods": {"2": [" " * len(OVER) + "0"]}}),
+                     "periods.2: period", id="period-zero"),
+        pytest.param("", f'{{"dimension": 4, "{OVER}": 1, "{OVER}": 1}}', "repeats the name",
+                     id="repeated-name"),
+        pytest.param("", class_doc(OVER),
+                     f'classes.c: must be a JSON object, got "{OVER_SHOWN[:-1]}...',
+                     id="class-not-an-object"),
+        pytest.param("", class_doc("c", OVER),
+                     f'classes.{OVER_SHOWN}...: must be a JSON object, got "c"', id="class-name"),
+        pytest.param("", class_doc({"degree": OVER}),
+                     "classes.c.degree: must be a positive odd integer", id="class-degree"),
+        pytest.param("", class_doc({"degree": 3, "value": OVER}),
+                     "classes.c.value: must be a list of components", id="class-value"),
+        pytest.param("", component_doc(pi_exp=OVER),
+                     "classes.c.value: exponent must be an integer", id="component-exponent"),
+        pytest.param("", component_doc(num=OVER),
+                     "classes.c.value: terms must be a list", id="component-terms"),
+        pytest.param("", component_doc(num=[[0, OVER]]),
+                     f'classes.c.value: not a rational number: "{OVER_SHOWN[:-1]}...',
+                     id="class-coefficient"),
+        # The rules of the query, on a well-formed descriptor.
+        pytest.param("--class c",
+                     class_doc({"degree": 3}, trivial_odd_homotopy=list(range(3, 9000, 2))),
+                     "--k 1: the descriptor does not assert trivial homotopy in degree 2k-1 = 1",
+                     id="homotopy-not-asserted"),
+        pytest.param("--class zz", json.dumps({"dimension": 6, "trivial_odd_homotopy": [1],
+                                               "classes": {f"c{i}": {"degree": 1}
+                                                           for i in range(1000)}}),
+                     "no class named 'zz' (available:", id="unknown-class-of-many"),
+        pytest.param(f"--class {OVER}", class_doc({"degree": 1}),
+                     f"no class named '{OVER_SHOWN[:-1]}...", id="long-unknown-class"),
+        pytest.param(f"--class {OVER}", class_doc({"degree": 3}, OVER),
+                     f"--k 1: class '{OVER_SHOWN[:-1]}... lives in degree 3",
+                     id="long-class-in-another-degree"),
+    ],
+)
+def test_an_over_long_input_is_refused_in_a_few_bytes(capsys, tmp_path, argv, descriptor, named):
+    # Every diagnostic shows an input longer than the integer string limit by
+    # its first SHOWN_PREFIX characters, and names the flag or field at fault.
+    if descriptor is not None:
+        path = tmp_path / "manifold.json"
+        path.write_text(descriptor)
+        argv = f"product --n 3 --k 1 --manifold {path} {argv}"
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # argparse's usage error, which echoed the value
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 300, err[:200]
+    assert err.startswith("error: ") and named in err, err
 
 
 def test_blowup_rejects_overflowing_degree_at_weight(capsys):
@@ -1446,7 +1540,13 @@ def test_entry_gives_numpy_one_blas_thread_unless_the_user_set_a_count():
 
 
 @pytest.mark.parametrize(
-    "argv", [["verify", "--quick", "--json"], ["cpn", "--n", "2", "--k", "1"]]
+    "argv",
+    [
+        ["verify", "--quick", "--json"],
+        ["cpn", "--n", "2", "--k", "1"],
+        ["--help"],  # argparse writes the help and exits inside main
+        ["blowup", "--n", "600", "--k", "599", "--json"],  # 1.7 MB, past any pipe buffer
+    ],
 )
 def test_entry_exits_with_its_own_code_and_no_traceback_when_stdout_is_closed(argv):
     # The reader of the pipe is gone before the child writes its first byte,
