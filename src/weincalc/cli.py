@@ -18,8 +18,6 @@ import sys
 # and exact moment run no other, and moment --mc adds montecarlo alone.
 from . import combinatorics, montecarlo, morphism
 from .exactarith import (
-    DigitLimitError,
-    ParameterError,
     as_typed,
     format_rational,
     parse_integer,
@@ -211,8 +209,29 @@ def _cmd_verify(args) -> int:
     return _report(args, {"quick": args.quick}, body, lines, ok=all_ok)
 
 
+class _Parser(argparse.ArgumentParser):
+    """The parser of the command line and, through add_subparsers, of each
+    command.  Its own usage errors show each argument it read by as_typed,
+    so that `invalid choice` or `unrecognized arguments` never echoes a
+    megabyte of input."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.given = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(self.given, namespace)
+
+    def error(self, message: str):
+        for token in self.given:
+            # argparse quotes some arguments by repr, and the value of
+            # `--json=<text>` alone.
+            for text in (token, token.partition("=")[2]):
+                if as_typed(text) != text:
+                    message = message.replace(repr(text), repr(as_typed(text)))
+                    message = message.replace(text, as_typed(text))
+        super().error(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weinstein-calc",
         description="Exact Weinstein-morphism calculator with Monte Carlo cross-checks.",
     )
@@ -222,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
         """The subcommand `name`, with a required integer flag per size."""
         p = sub.add_parser(name, help=summary)
         for size in sizes:
-            p.add_argument(f"--{size}", type=_integer(size), required=True)
+            p.add_argument(f"--{size}", required=True)
         p.set_defaults(func=func)
         return p
 
@@ -233,8 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 "n", "l", "k")
     p.add_argument("--r0", type=str, default="1", help="radius, as p/q or decimal")
     p.add_argument("--mc", action="store_true")
-    p.add_argument("--samples", type=_integer("samples"), default=10**6)
-    p.add_argument("--seed", type=_integer("seed"), default=None)  # None: montecarlo.BASE_SEED
+    p.add_argument("--samples", default=10**6)
+    p.add_argument("--seed", default=None)  # None: montecarlo.BASE_SEED
     command("identity", _cmd_identity, "diagonal moment-sum identity table", "k-max")
     p = command("product", _cmd_product, "morphism value on CP^n x M from a descriptor", "n", "k")
     p.add_argument("--manifold", type=str, required=True, help="descriptor JSON file")
@@ -246,43 +265,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _FlagRefused(Exception):
-    """A flag value refused while argparse reads it.  It is no ValueError,
-    which argparse would report as an invalid value, echoing the literal
-    whole."""
-
-    def __init__(self, error: ParameterError):
-        super().__init__(error)
-        self.error = error
-
-
-def _integer(flag: str):
-    """The type of the integer flag `--flag`: a literal longer than the
-    integer string limit is refused as an input, like one of --rho, whether
-    or not it is an integer."""
-    name = flag.replace("-", "_")
-
-    def read(text: str) -> int:
-        try:
-            return parse_integer(text, name)
-        except DigitLimitError as exc:
-            raise _FlagRefused(exc) from None
-        except ValueError:  # argparse's "invalid int value", unless over-long
-            if as_typed(text) == text:
-                raise
-            raise _FlagRefused(ParameterError("not an integer", **{name: text})) from None
-
-    read.__name__ = "int"  # named so in argparse's "invalid int value"
-    return read
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    args = _build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-    except _FlagRefused as exc:
-        return _refuse(exc.error, exc.error.params)
-    try:
+        for name in ("n", "l", "k", "k_max", "samples", "seed"):  # the integer flags
+            if getattr(args, name, None) is not None:
+                setattr(args, name, parse_integer(getattr(args, name), name))
         return args.func(args)
     except ValueError as exc:  # includes FieldError, ParameterError and DigitLimitError
         return _refuse(exc, vars(args))
@@ -292,18 +280,15 @@ def main(argv: list[str] | None = None) -> int:
     except ModuleNotFoundError as exc:  # exit 1 means only a failed verification
         if exc.name != "numpy":
             raise
-        print(
-            f"error: {args.command} needs NumPy"
-            " (the runtime dependency numpy>=1.24 is not installed)",
-            file=sys.stderr,
-        )
-        return 2
+        missing = "the runtime dependency numpy>=1.24 is not installed"
+        return _refuse(ValueError(f"{args.command} needs NumPy ({missing})"), {})
 
 
 def _refuse(exc: ValueError, given: dict) -> int:
-    """Print the refusal; return exit code 2.  Each parameter at fault that
-    the query sets is named by its flag and its value as typed, so
-    `--r0 1e400` reads 1e400."""
+    """Print the refusal, the one writer of the program's own exit-2
+    messages; return exit code 2.  Each parameter at fault that the query
+    sets is named by its flag and its value as typed, so `--r0 1e400` reads
+    1e400."""
     named = [name for name in getattr(exc, "params", ()) if given.get(name) is not None]
     flags = " ".join(f"--{name.replace('_', '-')} {as_typed(given[name])}" for name in named)
     print(f"error: {flags}: {exc}" if flags else f"error: {exc}", file=sys.stderr)

@@ -89,11 +89,16 @@ def _readable_digits(text: str, name: str | None) -> str:
     return digits
 
 
-def parse_integer(text: str, name: str | None = None) -> int:
+def parse_integer(text: str, name: str) -> int:
     """``int(text)``, with a literal of more digits than the integer string
-    limit refused as parse_rational refuses it, not by int's own error."""
+    limit refused as parse_rational refuses it, and other text that is no
+    integer refused with a ParameterError naming `name`, not by int's own
+    error, which quotes the text whole."""
     _readable_digits(text, name)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError("not an integer", **{name: text}) from None
 
 
 def parse_rational(text: str, name: str | None = None) -> Fraction:

@@ -261,7 +261,9 @@ class ManifoldDescriptor(NamedTuple):
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read(MAX_DESCRIPTOR_CHARS + 1)
-        except (OSError, UnicodeDecodeError) as exc:  # not a readable UTF-8 file
+        except OSError as exc:  # its text holds the path, which may be long
+            raise ParameterError(f"cannot read manifold descriptor: {exc.strerror}", manifold=path)
+        except UnicodeDecodeError as exc:  # not a UTF-8 file
             raise ValueError(f"cannot read manifold descriptor: {exc}")
         if len(text) > MAX_DESCRIPTOR_CHARS:
             raise ValueError(

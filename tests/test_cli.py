@@ -469,6 +469,10 @@ POWER_DIGITS = (
         ("blowup --n 2499 --k 1 --rho 8/9", f"--n 2499 --k 1 --rho 8/9: {DIGITS}"),
         ("product --n 3 --k 2 --manifold {sphere}",
          "--k 2: must be <= 1, half the descriptor dimension 2"),
+        # argparse refused a short non-integer with its usage line.
+        ("cpn --n abc --k 1", "--n abc: not an integer"),
+        ("product --n 2 --k 1 --manifold /nonexistent",
+         "--manifold /nonexistent: cannot read manifold descriptor: No such file or directory"),
         # Fraction refused this literal as an interpreter setting, and the
         # refusal read "not a rational number"; then it echoed the whole
         # literal and called it the result.
@@ -567,6 +571,19 @@ def component_doc(**fields):
         pytest.param(f"--class {OVER}", class_doc({"degree": 3}, OVER),
                      f"--k 1: class '{OVER_SHOWN[:-1]}... lives in degree 3",
                      id="long-class-in-another-degree"),
+        # argparse's own usage errors, and the path of an unreadable descriptor.
+        pytest.param(OVER, None, f"invalid choice: '{OVER_SHOWN}...'", id="unknown-command"),
+        pytest.param("\\" * len(OVER), None,
+                     "invalid choice: " + repr("\\" * SHOWN_PREFIX + "..."),
+                     id="unknown-command-quoted-by-repr"),
+        pytest.param(f"cpn --n 2 --k 1 {OVER}", None,
+                     f"unrecognized arguments: {OVER_SHOWN}...", id="unrecognized-argument"),
+        pytest.param(f"cpn --n 2 --k 1 --json={OVER}", None,
+                     f"argument --json: ignored explicit argument '{OVER_SHOWN}...'",
+                     id="json-explicit-argument"),
+        pytest.param(f"product --n 2 --k 1 --manifold {'d/' * 2999}dd", None,
+                     "--manifold d/d/d/d/d/d/d/d/d/d/...: cannot read manifold descriptor: ",
+                     id="manifold-path"),
     ],
 )
 def test_an_over_long_input_is_refused_in_a_few_bytes(capsys, tmp_path, argv, descriptor, named):
@@ -576,14 +593,15 @@ def test_an_over_long_input_is_refused_in_a_few_bytes(capsys, tmp_path, argv, de
         path = tmp_path / "manifold.json"
         path.write_text(descriptor)
         argv = f"product --n 3 --k 1 --manifold {path} {argv}"
+    usage = False
     try:
         code = main(argv.split())
-    except SystemExit as exc:  # argparse's usage error, which echoed the value
-        code = exc.code
+    except SystemExit as exc:  # argparse's own usage error
+        code, usage = exc.code, True
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert len(err.encode()) < 300, err[:200]
-    assert err.startswith("error: ") and named in err, err
+    assert err.startswith("usage: " if usage else "error: ") and named in err, err
 
 
 def test_blowup_rejects_overflowing_degree_at_weight(capsys):
@@ -1330,10 +1348,10 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["cpn", "--n", "2"])  # missing --k
     assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["cpn", "--n", "abc", "--k", "1"])  # an integer flag that is no number
-    assert err.value.code == 2
-    assert capsys.readouterr().err.endswith("error: argument --n: invalid int value: 'abc'\n")
+    capsys.readouterr()
+    # An integer flag that is no number is refused by the program, like --rho.
+    refusal = "error: --n abc: not an integer\n"
+    assert run_cli(capsys, "cpn", "--n", "abc", "--k", "1") == (2, "", refusal)
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
