@@ -297,10 +297,17 @@ def _refuse(exc: ValueError, given: dict) -> int:
 
 def entry() -> None:
     # weincalc calls no BLAS routine, yet NumPy's OpenBLAS starts its worker
-    # threads when NumPy loads, about 75 ms of CPU per process on a 2-core
+    # threads when NumPy loads, about 65 ms of CPU per process on a 2-core
     # box.  NumPy loads only later, inside the Monte Carlo calls.  A value the
     # user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # numpy.random imports `secrets`, whose `hmac` and `hashlib` load
+    # OpenSSL's libcrypto through `_hashlib`: about 3.3 MB resident and 2-3 ms
+    # of import per NumPy process (same box), for hashes that weincalc never
+    # computes, every generator being seeded with an integer.  Blocked, the
+    # three modules fall back to CPython's builtin implementations, as on a
+    # build without OpenSSL.  A `_hashlib` already loaded wins.
+    sys.modules.setdefault("_hashlib", None)
     # What is alive now, and after the command, lives until the process
     # exits, so no collection need walk it: frozen, the import heap is
     # skipped by the full collections of the run and, with NumPy's heap, by

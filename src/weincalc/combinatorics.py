@@ -11,8 +11,8 @@ conjecture until the test suite has established it against the brute force;
 only then do the morphism formulas rely on it.
 
 The enumeration forms the exact terms of all C(k+2l-1, 2l-1) compositions at
-about 80 ns each: S(7, 7) (77520 compositions) takes about 0.005 s, S(8, 8)
-(490314) about 0.04 s and S(9, 9) (3124550) about 0.2 s on a 2-core x86-64
+40-60 ns each: cold, S(7, 7) (77520 compositions) takes about 0.011 s, S(8, 8)
+(490314) about 0.028 s and S(9, 9) (3124550) about 0.13 s on a 2-core x86-64
 box with CPython 3.11.  It stays correct beyond that, just slower.
 """
 
@@ -34,9 +34,9 @@ from .exactarith import (
 
 # Brute-force self-check budget: the raw multi-index sum for degree k runs
 # over C(3k-1, 2k-1) compositions.  Measured on a 2-core x86-64 box (CPython
-# 3.11), one cold S(k, k) costs about 0.005 s at k = 7 and 0.04 s at k = 8.
-# A budget of 9 would add S(9, 9) (3.1 million compositions, about 0.2 s) to
-# every k = 9 query, which costs about 0.1 s without it.  The same bound caps
+# 3.11), one cold S(k, k) costs about 0.011 s at k = 7 and 0.028 s at k = 8.
+# A budget of 9 would add S(9, 9) (3.1 million compositions, about 0.13 s) to
+# every k = 9 query, which takes about 0.06 s without it.  The same bound caps
 # `identity --k-max` (identity_rows).
 RAW_CHECK_MAX_K = 8
 

@@ -257,30 +257,34 @@ class ManifoldDescriptor(NamedTuple):
     @classmethod
     def read(cls, path: str) -> ManifoldDescriptor:
         """The descriptor in the UTF-8 JSON file at `path`, of at most
-        MAX_DESCRIPTOR_CHARS characters."""
+        MAX_DESCRIPTOR_CHARS characters.  A file that cannot be read as one
+        is refused with a ParameterError that names `path` as `manifold`."""
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read(MAX_DESCRIPTOR_CHARS + 1)
-        except OSError as exc:  # its text holds the path, which may be long
-            raise ParameterError(f"cannot read manifold descriptor: {exc.strerror}", manifold=path)
-        except UnicodeDecodeError as exc:  # not a UTF-8 file
-            raise ValueError(f"cannot read manifold descriptor: {exc}")
-        if len(text) > MAX_DESCRIPTOR_CHARS:
-            raise ValueError(
-                f"manifold descriptor is longer than {MAX_DESCRIPTOR_CHARS} characters"
-            )
-        try:
+            if len(text) > MAX_DESCRIPTOR_CHARS:
+                raise ValueError(
+                    f"manifold descriptor is longer than {MAX_DESCRIPTOR_CHARS} characters"
+                )
             doc = json.loads(
                 text,
                 object_pairs_hook=_distinct_names,
                 parse_int=_descriptor_int,
                 parse_float=_DescriptorNumber,
             )
+        except OSError as exc:  # its text holds the path, which may be long
+            message = f"cannot read manifold descriptor: {exc.strerror}"
+        except UnicodeDecodeError as exc:  # not a UTF-8 file
+            message = f"cannot read manifold descriptor: {exc}"
         except json.JSONDecodeError as exc:
-            raise ValueError(f"manifold descriptor is not valid JSON: {exc}")
+            message = f"manifold descriptor is not valid JSON: {exc}"
         except RecursionError:  # the decoder recurses once per nested array or object
-            raise ValueError("manifold descriptor nests arrays or objects too deeply to read")
-        return cls.from_json(doc)
+            message = "manifold descriptor nests arrays or objects too deeply to read"
+        except ValueError as exc:  # the size limit, _distinct_names or _descriptor_int
+            message = str(exc)
+        else:
+            return cls.from_json(doc)
+        raise ParameterError(message, manifold=path)
 
     @classmethod
     def from_json(cls, doc: dict) -> ManifoldDescriptor:

@@ -911,7 +911,9 @@ def test_product_refuses_a_deeply_nested_descriptor(capsys, tmp_path):
     path.write_text("[" * 5000 + "]" * 5000)
     code, out, err = run_cli(capsys, "product", "--n", "2", "--k", "1", "--manifold", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: manifold descriptor nests arrays or objects too deeply to read\n"
+    assert err == (
+        f"error: --manifold {path}: manifold descriptor nests arrays or objects too deeply to read\n"
+    )
 
 
 def test_product_refuses_a_misspelled_field(capsys, tmp_path):
@@ -944,7 +946,7 @@ def test_product_refuses_repeated_names(capsys, tmp_path):
     )
     code, out, err = run_cli(capsys, "product", "--n", "2", "--k", "1", "--manifold", str(path))
     assert (code, out) == (2, "")
-    assert err == 'error: manifold descriptor repeats the name "2" in one object\n'
+    assert err == f'error: --manifold {path}: manifold descriptor repeats the name "2" in one object\n'
 
 
 def test_product_refuses_an_integer_above_the_string_limit(capsys, tmp_path):
@@ -956,7 +958,7 @@ def test_product_refuses_an_integer_above_the_string_limit(capsys, tmp_path):
     code, out, err = run_cli(capsys, "product", "--n", "2", "--k", "1", "--manifold", str(path))
     assert (code, out) == (2, "")
     assert err == (
-        f"error: manifold descriptor has an integer of more than {limit} digits,"
+        f"error: --manifold {path}: manifold descriptor has an integer of more than {limit} digits,"
         f" the integer string limit\n"
     )
 
@@ -1061,7 +1063,7 @@ def test_product_refuses_a_descriptor_above_the_size_limit(capsys):
     limit = morphism.MAX_DESCRIPTOR_CHARS
     code, out, err = run_cli(capsys, "product", "--n", "2", "--k", "1", "--manifold", "/dev/zero")
     assert (code, out) == (2, "")
-    assert err == f"error: manifold descriptor is longer than {limit} characters\n"
+    assert err == f"error: --manifold /dev/zero: manifold descriptor is longer than {limit} characters\n"
 
 
 def test_product_refuses_a_descriptor_that_is_not_utf8(capsys, tmp_path):
@@ -1070,8 +1072,19 @@ def test_product_refuses_a_descriptor_that_is_not_utf8(capsys, tmp_path):
     code, out, err = run_cli(capsys, "product", "--n", "2", "--k", "1", "--manifold", str(path))
     assert (code, out) == (2, "")
     assert err == (
-        "error: cannot read manifold descriptor: 'utf-8' codec can't decode byte 0xff"
-        " in position 0: invalid start byte\n"
+        f"error: --manifold {path}: cannot read manifold descriptor: 'utf-8' codec can't decode"
+        " byte 0xff in position 0: invalid start byte\n"
+    )
+
+
+def test_product_refuses_a_descriptor_that_is_not_json(capsys, tmp_path):
+    path = tmp_path / "manifold.json"
+    path.write_text('{"dimension": 2,}')
+    code, out, err = run_cli(capsys, "product", "--n", "2", "--k", "1", "--manifold", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: --manifold {path}: manifold descriptor is not valid JSON: Expecting property"
+        " name enclosed in double quotes: line 1 column 17 (char 16)\n"
     )
 
 
@@ -1537,24 +1550,44 @@ def test_only_a_missing_numpy_is_refused(monkeypatch):
 
 # A fresh interpreter runs one query through the console-script entry point
 # and prints OPENBLAS_NUM_THREADS as the query left it, whether NumPy was
-# loaded, and the process's thread count where /proc shows it.
+# loaded, the process's thread count where /proc shows it, whether OpenSSL's
+# `_hashlib` was loaded, the count of libcrypto mappings where /proc shows
+# them, and a sha256 digest.
 BLAS_PROBE = """
 import contextlib, io, os, sys
 from weincalc.cli import entry
 with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
     entry()
-tasks = "/proc/self/task"
+import hashlib
+tasks, maps = "/proc/self/task", "/proc/self/maps"
 print(os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules,
-      len(os.listdir(tasks)) if os.path.isdir(tasks) else 1)
+      len(os.listdir(tasks)) if os.path.isdir(tasks) else 1,
+      sys.modules.get("_hashlib") is not None,
+      sum("libcrypto" in line for line in open(maps)) if os.path.exists(maps) else 0,
+      hashlib.sha256(b"weincalc").hexdigest())
 """
 
 
 def test_entry_gives_numpy_one_blas_thread_unless_the_user_set_a_count():
     argv = ["moment", "--n", "2", "--l", "1", "--k", "1", "--mc", "--samples", "1000"]
     unset = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    assert run_fresh("-c", BLAS_PROBE, *argv, environ=unset) == ["1", "True", "1"]
+    # No OpenSSL either: numpy.random's `secrets` import mapped 3.3 MB of
+    # libcrypto, and hashlib answers from CPython's builtin sha256 instead.
+    digest = hashlib.sha256(b"weincalc").hexdigest()
+    assert run_fresh("-c", BLAS_PROBE, *argv, environ=unset) == [
+        "1", "True", "1", "False", "0", digest
+    ]
     given = {**unset, "OPENBLAS_NUM_THREADS": "2"}
     assert run_fresh("-c", BLAS_PROBE, *argv, environ=given)[:2] == ["2", "True"]
+    # A `_hashlib` loaded before entry() stays.
+    assert run_fresh("-c", "import hashlib" + BLAS_PROBE, *argv, environ=unset)[3] == "True"
+
+
+def test_entry_prints_the_bytes_of_main(capsys):
+    # The process settings of entry(), no OpenSSL among them, change no byte.
+    argv = ["verify", "--quick", "--json"]
+    done = fresh_process("-c", "from weincalc.cli import entry; entry()", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, *argv)
 
 
 @pytest.mark.parametrize(
