@@ -137,9 +137,9 @@ def _cmd_moment(args) -> int:
         "coefficient_at_r0_1": format_rational(base_coeff),
         "value_float": numeric,
     }
+    moduli = "|z_1|^2" if args.l == 1 else f"|z_1|^2+...+|z_{args.l}|^2"
     lines = [
-        f"integral over B^{2 * args.n}({format_rational(r0)}) of"
-        f" (|z_1|^2+...+|z_{args.l}|^2)^{args.k}",
+        f"integral over B^{2 * args.n}({format_rational(r0)}) of ({moduli})^{args.k}",
         f"  exact     = {format_rational(coeff)} * pi^{args.n}   (r0 enters as r0^{r0_exp})",
         f"  numeric   = {numeric!r}",
     ]
@@ -149,11 +149,11 @@ def _cmd_moment(args) -> int:
         est, row = montecarlo.check_moment_mc(
             args.n, args.l, args.k, r0, numeric, args.samples, seed
         )
-        body["mc"] = {**est.to_json(), "sigma_distance": row["sigma"]}
+        body["mc"] = {**est.to_json(), "band_distance": row["band_distance"]}
         ok = row["ok"]
         lines.append(
-            f"  mc        = {est.mean!r} +- {est.std_error!r}"
-            f"  ({est.samples} samples, seed {est.seed}, {row['sigma']:.2f} sigma)"
+            f"  mc        = {est.mean!r} +- {est.band!r}"
+            f"  ({est.samples} samples, seed {est.seed}, {row['band_distance']:.2f} of its band)"
         )
     params = {"n": args.n, "l": args.l, "k": args.k, "r0": args.r0}
     return _report(args, params, body, lines, ok=ok)

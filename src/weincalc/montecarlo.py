@@ -8,8 +8,9 @@ standard normals in their sum of squares (Muller's Gaussian directions, 1959;
 rejection sampling is useless in 2n >= 8 dimensions).  Each integrand has
 one builder, ball_moment_integrands or trace_volume_integrands (CP^n, and its
 blow-up given a weight), which its oracles and verify's shared pass call.
-An estimate agrees with its exact value within SIGMA_BAND standard errors
-(mc_row), in verify's suite and in check_moment_mc, the `moment --mc` check.
+An estimate agrees with its exact value within its empirical-Bernstein band
+(McEstimate, mc_row), in verify's suite and in check_moment_mc, the
+`moment --mc` check.
 
 Determinism contract: an oracle call takes a grid of integrands and draws
 every sample from one generator, numpy.random.default_rng(seed), as points
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -78,27 +79,29 @@ MAX_MC_WORK = 3 * 10**8
 # seeds.
 BASE_SEED = 20250808
 
-SIGMA_BAND = 4.0
+# The chance that an expected value lies above, or below, its estimate's band.
+BAND_DELTA = 1e-4
+_LOG_TERM = math.log(2 / BAND_DELTA)  # L of the McEstimate band
 
-# The largest relative error of a sample standard deviation that a
-# `moment --mc` check admits before it draws (_require_resolved).
-MC_SPREAD_TOLERANCE = 0.1
+# The largest share of a moment that the range term 7 R L / (3 (N - 1)) of
+# its band may take, checked before a `moment --mc` check draws its samples.
+RANGE_SHARE_MAX = 0.1
 
 
 class McEstimate(NamedTuple):
-    """Monte Carlo estimate: sample mean, standard error, and provenance."""
+    """Monte Carlo estimate: sample mean, standard error, band and
+    provenance.  The band is scale (sqrt(2 V L / N) + 7 R L / (3 (N - 1)))
+    for N samples in [0, R] of sample variance V, R = r0^(2k) and
+    L = ln(2 / BAND_DELTA): the expected value lies above mean + band, and
+    below mean - band, with probability at most BAND_DELTA each, at every N
+    (Maurer and Pontil, "Empirical Bernstein bounds and sample variance
+    penalization", COLT 2009, Thm. 4)."""
 
     mean: float
     std_error: float
+    band: float
     samples: int
     seed: int
-
-    def sigma_distance(self, exact: float) -> float:
-        """|mean - exact| in units of the standard error."""
-        diff = abs(self.mean - exact)
-        if self.std_error == 0.0:
-            return 0.0 if diff == 0.0 else math.inf
-        return diff / self.std_error
 
     def to_json(self) -> dict:
         return self._asdict()
@@ -186,7 +189,6 @@ def _estimate(
     samples: int,
     seed: int,
     dims: Sequence[int] | None = None,
-    admit: Callable[[], None] | None = None,
 ) -> list[McEstimate]:
     """One estimate per integrand (m, k, cutoff, scale) of the module doc over
     the radius-r0 ball in C^d, d = dims[i] <= n for integrand i (n for all by
@@ -197,25 +199,22 @@ def _estimate(
     chunk the powers of a column and the mask of a cutoff are formed once
     and shared by the integrands that read them, and an integrand's values
     are the same bits whatever else the grid holds.  The sums run over the
-    unscaled integrand, and `scale` multiplies the mean and the standard
-    error once, so a tiny scale cannot underflow the sum of squares.  At
-    least 2 samples, for a standard error, and at most MAX_MC_WORK / n, both
-    refused before any sample is drawn.  `admit`, when given, runs after
-    every rule here and before the draw, for a caller's own refusal."""
-    if samples < 2:
-        raise ParameterError("must be >= 2", samples=samples)
-    if samples * n > MAX_MC_WORK:
-        raise ParameterError(f"samples * n must be <= {MAX_MC_WORK}", samples=samples, n=n)
-    if seed < 0:
-        raise ParameterError("must be >= 0", seed=seed)
+    unscaled integrand, and `scale` multiplies the mean, the standard error
+    and the band once, so a tiny scale cannot underflow the sum of squares.
+    The draw's rules (_require_draw) are checked before any sample is drawn,
+    and so is the float range of samples r0^(4k), above every sum of squares."""
+    _require_draw(n, samples, seed)
+    top = max((k for _, k, _, _ in integrands), default=0)
+    if math.log(samples) + 4 * top * math.log(r0) > math.log(sys.float_info.max):
+        raise ParameterError(
+            "the Monte Carlo sum of squares overflows a float", samples=samples, r0=r0, k=top
+        )
     dims = [n] * len(integrands) if dims is None else dims
     groups = {}  # d -> {m -> {k -> indices of the integrands reading column m ** k}}
     for index, ((m, k, _, _), d) in enumerate(zip(integrands, dims, strict=True)):
         require_within(n, d=d)
         require_within(d, m=m)
         groups.setdefault(d, {}).setdefault(m, {}).setdefault(k, []).append(index)
-    if admit is not None:
-        admit()
     import numpy as np
 
     chunk = max(1, CHUNK_SIZE // n)
@@ -233,12 +232,27 @@ def _estimate(
         partial, total = sample_ball(n, r0, rng, size, buffers)
         _accumulate(sums, integrands, groups, buffers, r0, partial, total)
     estimates = []
-    for (total, total_sq), (*_, scale) in zip(sums, integrands):
+    for (total, total_sq), (_, k, _, scale) in zip(sums, integrands):
         mean = total / samples
-        spread = max(total_sq - samples * mean * mean, 0.0)
-        std_error = scale * math.sqrt(spread / (samples - 1) / samples)
-        estimates.append(McEstimate(scale * mean, std_error, samples, seed))
+        variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+        std_error = scale * math.sqrt(variance / samples)
+        band = scale * (
+            math.sqrt(2 * variance * _LOG_TERM / samples)
+            + 7 * r0 ** (2 * k) * _LOG_TERM / (3 * (samples - 1))
+        )
+        estimates.append(McEstimate(scale * mean, std_error, band, samples, seed))
     return estimates
+
+
+def _require_draw(n: int, samples: int, seed: int) -> None:
+    """The rules of a draw, in this order: at least 2 samples, for a sample
+    variance, at most MAX_MC_WORK / n, and a seed >= 0."""
+    if samples < 2:
+        raise ParameterError("must be >= 2", samples=samples)
+    if samples * n > MAX_MC_WORK:
+        raise ParameterError(f"samples * n must be <= {MAX_MC_WORK}", samples=samples, n=n)
+    if seed < 0:
+        raise ParameterError("must be >= 0", seed=seed)
 
 
 def _accumulate(sums, integrands, groups, buffers, r0, partial, norm_sq) -> None:
@@ -368,67 +382,51 @@ def mc_blowup_average(
 
 
 def mc_row(params: dict, est: McEstimate, exact: float) -> dict:
-    """The parameters, the estimate, its sigma distance to `exact` and whether
-    that lies inside SIGMA_BAND: the one home of the agreement rule."""
-    sigma = est.sigma_distance(exact)
+    """The parameters, the estimate, its distance to `exact` in bands and
+    whether |mean - exact| lies inside the band: the one home of the
+    agreement rule.  The band of every estimate _estimate makes is > 0."""
+    distance = abs(est.mean - exact) / est.band
     return {
         **params,
         "exact": exact,
         "mean": est.mean,
         "std_error": est.std_error,
+        "band": est.band,
         "seed": est.seed,
-        "sigma": sigma,
-        "ok": sigma < SIGMA_BAND,
+        "band_distance": distance,
+        "ok": distance <= 1,
     }
 
 
-def _log_kurtosis(n: int, l: int, k: int) -> float:
-    """log kappa of X = s^k, s = |z_1|^2+...+|z_l|^2 at a uniform point z of a
-    ball in C^n, from its exact moments.  E[X^j] is the ball moment at jk over
-    the volume, E[s^m] = Gamma(l+m) n! / ((l-1)! Gamma(n+1+m)), whose gamma
-    ratio telescopes to the n+1-l factors i/(i+m), l <= i <= n: in log space,
-    a sum of n+1-l logs that stays exact to rounding for every k, where
-    math.lgamma(4k) alone carries an absolute error that grows with k.  With
-    x_j = log E[X^j]/E[X]^j, kappa = (e^x4 - 4e^x3 + 6e^x2 - 3)/(e^x2 - 1)^2,
-    formed scaled by e^-x4 so that no term overflows."""
-
-    def log_moment(m: int) -> float:  # log E[s^m]
-        return -math.fsum(
-            math.log1p(m / i) if m <= i else math.log(i + m) - math.log(i)
-            for i in range(l, n + 1)
-        )
-
-    base = log_moment(k)
-    x2, x3, x4 = (log_moment(j * k) - j * base for j in (2, 3, 4))
-    central = 1 - 4 * math.exp(x3 - x4) + 6 * math.exp(x2 - x4) - 3 * math.exp(-x4)
-    return math.log(central) + x4 - 2 * (x2 + math.log(-math.expm1(-x2)))
+def _log_unit_moment(n: int, l: int, k: int) -> float:
+    """log E[s^k], s = |z_1|^2+...+|z_l|^2 at a uniform point of the unit
+    ball in C^n.  E[s^k] = Gamma(l+k) n! / ((l-1)! Gamma(n+1+k)), whose gamma
+    ratio telescopes to the n+1-l factors i/(i+k), l <= i <= n: in log space
+    a sum of n+1-l logs that stays exact to rounding for every k."""
+    return -math.fsum(math.log1p(k / i) for i in range(l, n + 1))
 
 
-def _require_resolved(n: int, l: int, k: int, samples: int) -> None:
-    """Refuse, before any draw, a sample count too small for the integrand of
-    one ball moment: the relative error of a sample standard deviation of N
-    samples is about sqrt((kappa - 1)/N)/2 (Kendall and Stuart, The Advanced
-    Theory of Statistics, vol. 1, ch. 10), and it must not exceed
-    MC_SPREAD_TOLERANCE.  The refusal names the count needed, or the cap
+def _require_power(n: int, l: int, k: int, samples: int) -> None:
+    """Refuse, before any draw, a sample count whose band cannot resolve one
+    ball moment: the range term 7 R L / (3 (N - 1)) of its band must not
+    exceed RANGE_SHARE_MAX of the moment, R E[s^k] on the unit ball scaled by
+    the same r0^(2k).  The refusal names the count needed, or the cap
     MAX_MC_WORK when no count within it suffices."""
-    log_kappa = _log_kurtosis(n, l, k)
-    log_needed = (
-        log_kappa + math.log(-math.expm1(-log_kappa)) - 2 * math.log(2 * MC_SPREAD_TOLERANCE)
-    )
-    if log_needed > math.log(MAX_MC_WORK / n):  # above every admitted count
+    log_moment = _log_unit_moment(n, l, k)
+    log_bound = math.log(7 * _LOG_TERM / (3 * RANGE_SHARE_MAX)) - log_moment  # N - 1 >= e^this
+    if log_bound > math.log(MAX_MC_WORK / n):  # above every admitted count
         raise ParameterError(
-            f"a sample standard deviation within {MC_SPREAD_TOLERANCE:.0%} of this integrand"
-            f" needs about 10^{log_needed / math.log(10):.1f} samples, and samples * n must be"
+            f"a Monte Carlo band within {RANGE_SHARE_MAX:.0%} of this moment needs about"
+            f" 10^{log_bound / math.log(10):.1f} samples, and samples * n must be"
             f" <= {MAX_MC_WORK} (MAX_MC_WORK)",
             samples=samples, n=n, l=l, k=k,
         )
-    needed = math.ceil(math.exp(log_needed) * (1 - 1e-12))  # a count exact but for rounding
+    needed = math.ceil(math.exp(log_bound)) + 1
     if samples >= needed:
         return
-    off = MC_SPREAD_TOLERANCE * math.sqrt(needed / samples)
     raise ParameterError(
-        f"too few for this integrand: its sample standard deviation would be off by about"
-        f" {off:.1%}, more than {MC_SPREAD_TOLERANCE:.0%}; it needs at least {needed} samples",
+        f"too few for a Monte Carlo band within {RANGE_SHARE_MAX:.0%} of this moment;"
+        f" it needs at least {needed} samples",
         samples=samples,
     )
 
@@ -441,18 +439,13 @@ def check_moment_mc(
     with `seed`, and its mc_row.  Refused before any sample is drawn, in this
     order: a moment that underflows a float, since a mean of zeros would
     pass; the rules of the ball volume and of the draw; and a sample count
-    that cannot resolve the integrand (_require_resolved, which _estimate
-    runs last before its draw)."""
+    whose band cannot resolve the moment (_require_power)."""
     if exact < sys.float_info.min:
         raise ParameterError(
-            "the moment underflows a float, so Monte Carlo cannot check it",
-            n=n,
-            l=l,
-            k=k,
-            r0=r0,
+            "the moment underflows a float, so Monte Carlo cannot check it", n=n, l=l, k=k, r0=r0
         )
-    (est,) = _estimate(
-        n, float(r0), ball_moment_integrands(n, [(l, k)], float(r0)), samples, seed,
-        admit=lambda: _require_resolved(n, l, k, samples),
-    )
+    integrands = ball_moment_integrands(n, [(l, k)], float(r0))
+    _require_draw(n, samples, seed)
+    _require_power(n, l, k, samples)
+    (est,) = _estimate(n, float(r0), integrands, samples, seed)
     return est, mc_row({}, est, exact)

@@ -184,9 +184,9 @@ class CheckResult(NamedTuple):
         failed and how many a self-check refused."""
         details = self.details
         rows = _rows(details)
-        sigmas = [row["sigma"] for row in rows if "sigma" in row]
+        distances = [row["band_distance"] for row in rows if "band_distance" in row]
         parts = []
-        if "rows" in details and not sigmas:
+        if "rows" in details and not distances:
             parts.append(f"{len(details['rows'])} cases")
         if "pairs" in details:
             parts.append(f"{details['pairs']} pairs")
@@ -194,8 +194,8 @@ class CheckResult(NamedTuple):
             parts.append(f"{details['instances']} instances, bound {details['bound']}")
         if "samples" in details:
             parts.append(f"{details['samples']} samples")
-        if sigmas:
-            parts.append(f"max {max(sigmas):.2f} sigma over {len(sigmas)} estimates")
+        if distances:
+            parts.append(f"max {max(distances):.2f} of a band over {len(distances)} estimates")
         failed = _failed(details)
         if failed:
             parts.append(f"{failed} failed")

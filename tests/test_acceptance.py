@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Criteria are exact unless stated; Monte Carlo checks use 10^6 samples with
-fixed seeds and a 4-standard-error band.  Runtime budgets are asserted from
+fixed seeds and an empirical-Bernstein band (montecarlo.McEstimate), which a
+correct value leaves with probability at most 2 10^-4 per row.  Runtime budgets are asserted from
 wall-clock measurements of the criterion body alone.
 """
 
@@ -56,7 +57,7 @@ def test_criterion_2_general_moment_sums():
 
 def test_criterion_3_ball_moments():
     # Exact spot values pi/2, pi^2/6, pi/3, plus 10^6-sample Monte Carlo
-    # within 4 standard errors on the whole n <= 3, l <= n, k <= 3 grid.
+    # within its band on the whole n <= 3, l <= n, k <= 3 grid.
     result, elapsed = timed(lambda: verify.check_ball_moments(verify.draw_mc_pass(10**6)))
     report("criterion-3 ball moments (exact spots + MC grid)", result.passed, elapsed, 120.0)
 
@@ -70,14 +71,14 @@ def test_criterion_4_cpn_exact_suite():
 
 
 def test_criterion_5_cpn_monte_carlo():
-    # 10^6-sample morphism average within 4 sigma of q(n,k) pi^k/k!, n <= 3.
+    # 10^6-sample morphism average within its band of q(n,k) pi^k/k!, n <= 3.
     result, elapsed = timed(lambda: verify.check_cpn_monte_carlo(verify.draw_mc_pass(10**6)))
     report("criterion-5 CP^n Monte Carlo (n <= 3)", result.passed, elapsed, 120.0)
 
 
 def test_criterion_6_blowup():
     # Infinite order for all 1 <= k < n <= 8; x -> 0 degeneration equals the
-    # CP^n value exactly; MC at rho = 1/2 within 4 sigma for n <= 3; and the
+    # CP^n value exactly; MC at rho = 1/2 within its band for n <= 3; and the
     # k = n case computes Finite(2) with the inconsistency flag set.
     result, elapsed = timed(lambda: verify.check_blowup(verify.draw_mc_pass(10**6), n_max=8))
     flagged = [

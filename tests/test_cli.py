@@ -146,6 +146,13 @@ def test_moment_exact(capsys):
     code, doc = run_json(capsys, "moment", "--n", "2", "--l", "2", "--k", "2", "--r0", "1")
     assert doc["coefficient"] == "1/4"  # pi^2/4
     assert doc["pi_exp"] == 2
+    # The heading names the one modulus at l = 1; it read (|z_1|^2+...+|z_1|^2)^1.
+    for flags, heading in [
+        ("--n 1 --l 1 --k 1", "integral over B^2(1) of (|z_1|^2)^1"),
+        ("--n 2 --l 2 --k 2", "integral over B^4(1) of (|z_1|^2+...+|z_2|^2)^2"),
+    ]:
+        code, out, _ = run_cli(capsys, "moment", *flags.split())
+        assert (code, out.splitlines()[0]) == (0, heading)
 
 
 def test_moment_radius_scaling(capsys):
@@ -224,7 +231,7 @@ def test_moment_with_mc(capsys):
     )
     assert code == 0
     assert doc["status"] == "ok"
-    assert doc["mc"]["sigma_distance"] < 4
+    assert doc["mc"]["band_distance"] <= 1
     assert doc["mc"]["samples"] == 100000
 
 
@@ -273,12 +280,12 @@ def test_moment_tests_float_range_before_exact_work(capsys, monkeypatch):
 def test_moment_mc_keeps_the_standard_error_of_a_tiny_moment(capsys):
     # The integrand is about 1e-225 here; its squares once underflowed to 0.
     code, doc = run_json(
-        capsys, "moment", "--n", "170", "--l", "1", "--k", "1", "--mc", "--samples", "1000"
+        capsys, "moment", "--n", "170", "--l", "1", "--k", "1", "--mc", "--samples", "40000"
     )
     assert code == 0
     assert doc["status"] == "ok"
     assert doc["mc"]["std_error"] > 0
-    assert doc["mc"]["sigma_distance"] < montecarlo.SIGMA_BAND
+    assert doc["mc"]["band_distance"] <= 1
 
 
 def test_moment_mc_rejects_a_single_sample(capsys):
@@ -304,10 +311,10 @@ def test_moment_mc_answers_where_only_n_factorial_overflows(capsys):
     # pi^171/171! is about 8.3e-225, although 171! is above every float; the
     # query was refused as an overflowing volume.
     code, doc = run_json(
-        capsys, "moment", "--n", "171", "--l", "1", "--k", "1", "--mc", "--samples", "20000"
+        capsys, "moment", "--n", "171", "--l", "1", "--k", "1", "--mc", "--samples", "40000"
     )
     assert (code, doc["status"]) == (0, "ok")
-    assert doc["mc"]["sigma_distance"] < montecarlo.SIGMA_BAND
+    assert doc["mc"]["band_distance"] <= 1
 
 
 def test_moment_mc_refuses_an_underflowing_moment(capsys, monkeypatch):
@@ -332,7 +339,7 @@ def test_moment_mc_refuses_an_underflowing_moment(capsys, monkeypatch):
 
 
 def test_moment_mc_refuses_samples_that_cannot_resolve_the_integrand(capsys, monkeypatch):
-    # At k = 10^6 the integrand |z|^(2k) has kurtosis about 3.3e5: 1000
+    # At k = 10^6 the moment is 3/(10^6 + 3) of the bound |z|^(2k) <= 1: 1000
     # samples printed an estimate about 3e87 standard errors off and exited 1
     # on a correct closed form.  At k = 10^9 no count within the cap suffices.
     drawn = []
@@ -341,37 +348,61 @@ def test_moment_mc_refuses_samples_that_cannot_resolve_the_integrand(capsys, mon
     code, out, err = run_cli(capsys, "moment", "--n", "3", "--l", "3", "--k", "1000000", *mc)
     assert (code, out) == (2, "")
     assert err == (
-        "error: --samples 1000: too few for this integrand: its sample standard deviation"
-        " would be off by about 912.9%, more than 10%; it needs at least 8333294 samples\n"
+        "error: --samples 1000: too few for a Monte Carlo band within 10% of this moment;"
+        " it needs at least 77027358 samples\n"
     )
     code, out, err = run_cli(capsys, "moment", "--n", "3", "--l", "3", "--k", "1000000000", *mc)
     assert (code, out) == (2, "")
     assert err == (
-        "error: --samples 1000 --n 3 --l 3 --k 1000000000: a sample standard deviation within"
-        " 10% of this integrand needs about 10^9.9 samples, and samples * n must be"
-        " <= 300000000 (MAX_MC_WORK)\n"
+        "error: --samples 1000 --n 3 --l 3 --k 1000000000: a Monte Carlo band within 10% of"
+        " this moment needs about 10^10.9 samples, and samples * n must be <= 300000000"
+        " (MAX_MC_WORK)\n"
     )
     assert drawn == []
 
 
+def test_moment_mc_refuses_the_counts_whose_4_sigma_rule_failed_a_correct_value(
+    capsys, monkeypatch
+):
+    # 3628 samples, the count the kurtosis rule asked for at (3, 1, 8), put
+    # the estimate 4.34 and 4.89 standard errors from 1/990 pi^3 at these
+    # seeds, and the query exited 1.  The band's power rule refuses it before
+    # any draw, and the count it names checks the same value at both seeds.
+    argv = ["moment", "--n", "3", "--l", "1", "--k", "8", "--mc"]
+    sample_ball = montecarlo.sample_ball
+    for seed in ("23", "244"):
+        drawn = []
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "sample_ball", lambda *a: drawn.append(a) or sample_ball(*a))
+            code, out, err = run_cli(capsys, *argv, "--samples", "3628", "--seed", seed)
+        assert (code, out, len(drawn)) == (2, "", 0)
+        assert err == (
+            "error: --samples 3628: too few for a Monte Carlo band within 10% of this moment;"
+            " it needs at least 38130 samples\n"
+        )
+        code, doc = run_json(capsys, *argv, "--samples", "38130", "--seed", seed)
+        assert (code, doc["status"]) == (0, "ok")
+        assert doc["mc"]["band_distance"] <= 1
+
+
 def test_moment_mc_needs_the_samples_that_the_kurtosis_asks_for(capsys):
-    # |z|^2 over the unit disk is uniform on [0, 1], kurtosis 9/5, so a
-    # standard deviation within 10 % needs 25 (9/5 - 1) = 20 samples.
+    # |z|^2 over the unit disk has mean 1/2, so the range term 7 L / (3 (N-1))
+    # of the band, L = ln(2 10^4), is within 10 % of it from N = 464.
     argv = ["moment", "--n", "1", "--l", "1", "--k", "1", "--mc"]
-    assert run_cli(capsys, *argv, "--samples", "19")[0] == 2
-    assert run_cli(capsys, *argv, "--samples", "20")[0] == 0
+    assert run_cli(capsys, *argv, "--samples", "463")[0] == 2
+    assert run_cli(capsys, *argv, "--samples", "464")[0] == 0
 
 
 @pytest.mark.parametrize(
     "n, l, k", [(1, 1, 1), (2, 1, 1), (3, 2, 2), (5, 5, 1), (6, 3, 7), (40, 40, 1)]
 )
 def test_moment_kurtosis_matches_the_exact_ball_moments(n, l, k):
-    # E[X^j] of X = s^k is the ball moment at jk over the volume pi^n/n!.
-    m1, m2, m3, m4 = (
-        combinatorics.ball_moment_exact(n, l, j * k)[0] * math.factorial(n) for j in range(1, 5)
+    # The power rule reads log E[s^k] on the unit ball: the ball moment over
+    # the volume pi^n/n!.
+    moment = combinatorics.ball_moment_exact(n, l, k)[0] * math.factorial(n)
+    assert montecarlo._log_unit_moment(n, l, k) == pytest.approx(
+        math.log(moment), rel=1e-12, abs=1e-14
     )
-    kappa = (m4 - 4 * m3 * m1 + 6 * m2 * m1**2 - 3 * m1**4) / (m2 - m1**2) ** 2
-    assert math.exp(montecarlo._log_kurtosis(n, l, k)) == pytest.approx(float(kappa), rel=1e-9)
 
 
 def test_moment_mc_refuses_a_negative_seed(capsys):
@@ -445,7 +476,13 @@ POWER_DIGITS = (
         ("moment --n 3 --l 1 --k 1 --mc --samples 100000001",
          "--samples 100000001 --n 3: samples * n must be <= 300000000"),
         ("moment --n 2 --l 1 --k 1 --mc --samples 10 --seed -1", "--seed -1: must be >= 0"),
-        # The rules of the draw come in this order, all before the kurtosis
+        # Values up to r0^(2k) = 2^520 and 2^1030 have squares that overflow:
+        # the checks printed NaN and exited 1 on a correct closed form.
+        ("moment --n 40 --l 40 --k 260 --r0 2 --mc --samples 10000",
+         "--samples 10000 --r0 2 --k 260: the Monte Carlo sum of squares overflows a float"),
+        ("moment --n 40 --l 40 --k 515 --r0 2 --mc --samples 10000",
+         "--samples 10000 --r0 2 --k 515: the Monte Carlo sum of squares overflows a float"),
+        # The rules of the draw come in this order, all before the power
         # rule, which 1000 samples at k = 10^6 break.
         ("moment --n 3 --l 3 --k 1000000 --mc --samples 1 --seed -1",
          "--samples 1: must be >= 2"),

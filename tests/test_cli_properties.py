@@ -2,7 +2,7 @@
 
 Argument vectors and manifold descriptors, well formed or arbitrary, go
 through `cli.main`: query commands exit 0 or 2 (1 only for a `moment --mc`
-estimate outside the sigma band, which is a verification failure), no
+estimate outside its Monte Carlo band, which is a verification failure), no
 exception escapes, a `cpn`, `blowup`, `moment` or `identity` refusal names
 its flags or quotes its unreadable number, and every value printed as JSON
 survives `symbolic.json_terms` and `PiGradedValue.to_json`.  Sizes stay
@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from weincalc.cli import main
-from weincalc.montecarlo import SIGMA_BAND
 from weincalc.symbolic import PiGradedValue, PolyQ, RatFuncQ, json_terms
 
 SETTINGS = settings(
@@ -157,7 +156,7 @@ def check_contract(capsys, argv):
         if "--json" in argv:
             doc = strict_json(out)
             assert doc["status"] == "fail"
-            assert not doc["mc"]["sigma_distance"] < SIGMA_BAND
+            assert doc["mc"]["band_distance"] > 1
         return
     assert code == 0, (argv, code, err)
     if "--json" in argv:

@@ -1,4 +1,4 @@
-"""Monte Carlo oracles: distribution sanity, determinism, 4-sigma agreement.
+"""Monte Carlo oracles: distribution sanity, determinism, agreement within the band.
 
 Sample counts here are 10^5 for speed; the acceptance suite runs the full
 10^6-sample grid.
@@ -17,7 +17,7 @@ from weincalc.exactarith import ParameterError, times_pi_power
 from weincalc.montecarlo import (
     BLOCK_NORMALS,
     CHUNK_SIZE,
-    SIGMA_BAND,
+    BAND_DELTA,
     McEstimate,
     mc_ball_moment,
     mc_blowup_average,
@@ -84,12 +84,17 @@ def one_draw_estimates(n, r0, integrands, samples, seed, dims=None):
             running[0] += float(values.sum())
             running[1] += float(np.square(values).sum())
     estimates = []
-    for (total, total_sq), (*_, scale) in zip(sums, integrands):
+    log_term = math.log(2 / BAND_DELTA)
+    for (total, total_sq), (_, k, _, scale) in zip(sums, integrands):
         mean = total / samples
         variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-        estimates.append(
-            McEstimate(scale * mean, scale * math.sqrt(variance / samples), samples, seed)
+        band = scale * (
+            math.sqrt(2 * variance * log_term / samples)
+            + 7 * r0 ** (2 * k) * log_term / (3 * (samples - 1))
         )
+        estimates.append(McEstimate(
+            scale * mean, scale * math.sqrt(variance / samples), band, samples, seed
+        ))
     return estimates
 
 
@@ -180,14 +185,14 @@ def test_mc_ball_moment_spot_values():
         ((1, 1, 2), math.pi / 3),
     ]:
         (est,) = mc_ball_moment(n, [(l, k)], 1.0, SAMPLES, 301)
-        assert est.sigma_distance(exact) < 4, (n, l, k, est)
+        assert mc_row({}, est, exact)["ok"], (n, l, k, est)
 
 
 def test_mc_ball_moment_matches_exact_general_case():
     coeff, pi_exp = ball_moment_exact(3, 2, 2)
     exact = float(coeff) * math.pi**pi_exp
     (est,) = mc_ball_moment(3, [(2, 2)], 1.0, SAMPLES, 302)
-    assert est.sigma_distance(exact) < 4
+    assert mc_row({}, est, exact)["ok"]
 
 
 def test_mc_ball_moment_radius_scaling_same_seed():
@@ -210,7 +215,7 @@ def test_mc_cpn_average_agreement():
     for n, k in [(1, 1), (2, 1), (2, 2)]:
         exact = float(cpn_q(n, k)) * math.pi**k / math.factorial(k)
         (est,) = mc_cpn_average(n, [k], SAMPLES, 306)
-        assert est.sigma_distance(exact) < 4, (n, k, est)
+        assert mc_row({}, est, exact)["ok"], (n, k, est)
 
 
 def test_mc_blowup_small_weight_matches_cpn():
@@ -224,7 +229,7 @@ def test_mc_blowup_agreement_at_half_weight():
     for n, k in [(2, 1), (2, 2)]:
         exact = float(blowup_at_weight(n, k, Fraction(1, 2))) * math.pi**k
         (est,) = mc_blowup_average(n, [k], 0.5, SAMPLES, 309)
-        assert est.sigma_distance(exact) < 4, (n, k, est)
+        assert mc_row({}, est, exact)["ok"], (n, k, est)
 
 
 def test_cpn_grid_is_the_blowup_grid_with_no_ball_removed():
@@ -514,17 +519,55 @@ def test_mc_ball_moment_refuses_an_overflowing_volume(refuses):
         assert est.mean > 0
 
 
+def test_mc_row_applies_the_band():
+    # 100 samples of |z|^2 on the unit disk, uniform on [0, 1] (variance
+    # about 1/12), at scale 2: L = ln(2 10^4) = 9.9035 and the band is
+    # 2 (sqrt(2 V L / 100) + 7 L / (3 99)), about 2 (0.128 + 0.233) = 0.72.
+    est = montecarlo._estimate(1, 1.0, [(1, 1, 0.0, 2.0)], 100, 7)[0]
+    variance = (est.std_error / 2) ** 2 * 100
+    log_term = math.log(20000)
+    assert log_term == pytest.approx(9.903488)
+    assert variance == pytest.approx(1 / 12, rel=0.3)
+    want = 2 * (math.sqrt(2 * variance * log_term / 100) + 7 * log_term / 297)
+    assert est.band == pytest.approx(want, rel=1e-12)
+    assert est.band == pytest.approx(0.72, rel=0.05)
+    assert mc_row({}, est, est.mean + est.band)["ok"] is True
+    assert mc_row({}, est, est.mean + 1.01 * est.band)["ok"] is False
+
+
 def test_sigma_distance_degenerate_cases():
-    est = McEstimate(mean=1.0, std_error=0.0, samples=1, seed=0)
-    assert est.sigma_distance(1.0) == 0.0
-    assert est.sigma_distance(2.0) == math.inf
+    # A zero-variance draw (the cutoff r0 masks every sample out) has a zero
+    # standard error, but its band keeps the range term 7 R L / (3 (N - 1)),
+    # so every distance stays finite at the smallest count, N = 2.  The name
+    # dates from the distance in standard errors that the band replaced.
+    (est,) = montecarlo._estimate(1, 1.0, [(1, 1, 1.0, 2.0)], 2, 7)
+    assert (est.mean, est.std_error) == (0.0, 0.0)
+    assert est.band == pytest.approx(2 * 7 * math.log(20000) / 3, rel=1e-12)
+    assert mc_row({}, est, 0.0)["band_distance"] == 0.0
+    assert mc_row({}, est, 2 * est.band)["band_distance"] == pytest.approx(2.0)
+    assert mc_row({}, est, 2 * est.band)["ok"] is False
 
 
 def test_mc_row_applies_the_sigma_band():
-    est = McEstimate(mean=1.0, std_error=0.25, samples=100, seed=7)
-    inside = mc_row({"n": 1}, est, 1.5)
-    assert inside == {
-        "n": 1, "exact": 1.5, "mean": 1.0, "std_error": 0.25, "seed": 7, "sigma": 2.0, "ok": True
+    # The name dates from the 4-sigma band that the empirical-Bernstein band
+    # replaced; mc_row applies the band of the estimate it is given.
+    by_hand = McEstimate(mean=1.0, std_error=0.25, band=0.5, samples=100, seed=7)
+    assert mc_row({"n": 1}, by_hand, 1.25) == {
+        "n": 1, "exact": 1.25, "mean": 1.0, "std_error": 0.25, "band": 0.5, "seed": 7,
+        "band_distance": 0.5, "ok": True,
     }
-    assert mc_row({}, est, 2.0)["sigma"] == SIGMA_BAND
-    assert mc_row({}, est, 2.0)["ok"] is False
+    assert mc_row({}, by_hand, 1.5)["band_distance"] == 1.0
+    assert mc_row({}, by_hand, 1.5)["ok"] is True  # the edge is inside
+    assert mc_row({}, by_hand, 0.25)["ok"] is False
+
+
+def test_every_band_is_wider_than_four_standard_errors():
+    # band >= sqrt(2 L) standard errors = 4.45 > 4: each row that the band
+    # fails lay outside 4 sigma too, so no row passing the 4-sigma rule fails.
+    floor = math.sqrt(2 * math.log(2 / BAND_DELTA))
+    assert floor > 4.45
+    rows = [est for check in verify.draw_mc_pass(2000)[1:] for _, est in check]
+    rows += mc_ball_moment(3, [(1, 8), (3, 1)], 0.5, 500, 3)
+    rows += mc_blowup_average(2, [1, 2], 0.5, 300, 4)
+    assert len(rows) == 34
+    assert all(est.band >= floor * est.std_error for est in rows)

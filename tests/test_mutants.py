@@ -6,8 +6,9 @@ data selection", IEEE Computer 11(4), 1978).
 A defect replaces the function in every weincalc module that bound its name,
 since `verify` imports `cpn_q` and others by name.  A row runs the quick suite
 only where that catches the defect by a wide margin: an exact check decides
-it, or its Monte Carlo rows lie far outside the 4-sigma band, so that the
-sample stream of another NumPy version cannot hide it.
+it, or its Monte Carlo rows lie far outside their empirical-Bernstein bands
+(montecarlo.McEstimate), so that the sample stream of another NumPy version
+cannot hide it.
 
 Left out:
 

@@ -19,7 +19,7 @@ def records():
         {"dimension": 2, "classes": {"c": {"degree": 1, "value": []}}}
     )
     return [
-        (McEstimate(mean=1.0, std_error=0.25, samples=100, seed=7), "mean"),
+        (McEstimate(mean=1.0, std_error=0.25, band=1.5, samples=100, seed=7), "mean"),
         (OrderResult.finite(3), "order"),
         (cpn_weinstein(2, 1), "value"),
         (descriptor.classes["c"], "degree"),
@@ -43,9 +43,9 @@ def test_records_are_read_only(record, field):
 
 
 def test_estimate_json_keeps_the_field_order():
-    doc = McEstimate(mean=1.0, std_error=0.25, samples=100, seed=7).to_json()
+    doc = McEstimate(mean=1.0, std_error=0.25, band=1.5, samples=100, seed=7).to_json()
     assert list(doc.items()) == [
-        ("mean", 1.0), ("std_error", 0.25), ("samples", 100), ("seed", 7)
+        ("mean", 1.0), ("std_error", 0.25), ("band", 1.5), ("samples", 100), ("seed", 7)
     ]
 
 
