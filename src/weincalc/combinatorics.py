@@ -10,9 +10,12 @@ the closed form 2^k * k! * C(k+l-1, k).  The closed form is treated as a
 conjecture until the test suite has established it against the brute force;
 only then do the morphism formulas rely on it.
 
-The enumeration forms the exact terms of all C(k+2l-1, 2l-1) compositions at
-40-60 ns each: cold, S(7, 7) (77520 compositions) takes about 0.011 s, S(8, 8)
-(490314) about 0.028 s and S(9, 9) (3124550) about 0.13 s on a 2-core x86-64
+The enumeration lists the exact factors of every composition of r units
+into l slots once, for one half of the 2l slots, and reads that one table for
+both halves: each pair of a first-half and a second-half composition is one
+of the C(k+2l-1, 2l-1) compositions, whose exact term it forms at about 40 ns.
+Cold, best of 7, S(7, 7) (77520 compositions) takes about 0.004 s, S(8, 8)
+(490314) about 0.021 s and S(9, 9) (3124550) about 0.12 s on a 2-core x86-64
 box with CPython 3.11.  It stays correct beyond that, just slower.
 """
 
@@ -34,8 +37,8 @@ from .exactarith import (
 
 # Brute-force self-check budget: the raw multi-index sum for degree k runs
 # over C(3k-1, 2k-1) compositions.  Measured on a 2-core x86-64 box (CPython
-# 3.11), one cold S(k, k) costs about 0.011 s at k = 7 and 0.028 s at k = 8.
-# A budget of 9 would add S(9, 9) (3.1 million compositions, about 0.13 s) to
+# 3.11), one cold S(k, k) costs about 0.004 s at k = 7 and 0.021 s at k = 8.
+# A budget of 9 would add S(9, 9) (3.1 million compositions, about 0.12 s) to
 # every k = 9 query, which takes about 0.06 s without it.  The same bound caps
 # `identity --k-max` (identity_rows).
 RAW_CHECK_MAX_K = 8
@@ -45,13 +48,12 @@ RAW_CHECK_MAX_K = 8
 def moment_sum_bruteforce(k: int, l: int) -> int:
     """S(k, l) by direct enumeration of all compositions of k into 2l slots.
 
-    The 2l slots split into a head and a tail of l slots each.  A slot that
-    takes i of the r units still to place carries the factor C(r, i) (2i-1)!!,
-    so tail[r] lists one exact factor r!/(j_1!...j_l!) * prod (2 j_i - 1)!!
-    per completion (j_1, ..., j_l) of r units into the tail.  A depth-first
-    walk over the head slots then multiplies each finished head prefix
-    k!/(i_1!...i_l! r!) * prod (2 i_j - 1)!! by every factor of tail[r] in
-    turn, so every composition forms its own exact term and adds it to the
+    The 2l slots split into two halves of l slots each.  A slot that takes
+    i of the r units still to place carries the factor C(r, i) (2i-1)!!, so
+    half[r] lists one exact factor r!/(j_1!...j_l!) * prod (2 j_i - 1)!! per
+    composition (j_1, ..., j_l) of r units into one half.  A composition with
+    r units in the second half is one pair, h from half[k-r] and t from
+    half[r], and its exact term C(k, r) * h * t is formed and added to the
     total once.
     """
     require_positive(k=k, l=l)
@@ -61,27 +63,19 @@ def moment_sum_bruteforce(k: int, l: int) -> int:
         df[i] = df[i - 1] * (2 * i - 1)
     # step[r][i]: factor of a slot taking i of r units.
     step = [[math.comb(r, i) * df[i] for i in range(r + 1)] for r in range(k + 1)]
-    # A one-slot tail takes all r units, with C(r, r) = 1; each pass puts one
+    # A one-slot half takes all r units, with C(r, r) = 1; each pass puts one
     # more slot in front of it.
-    tail = [[df[r]] for r in range(k + 1)]
+    half = [[df[r]] for r in range(k + 1)]
     for _ in range(l - 1):
-        tail = [
-            [f * g for i, f in enumerate(step[r]) for g in tail[r - i]] for r in range(k + 1)
+        half = [
+            [f * g for i, f in enumerate(step[r]) for g in half[r - i]] for r in range(k + 1)
         ]
     total = 0
-    stack = [(k, 2 * l, 1)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        r, slots, prefix = pop()
-        if not r:
-            # One completion, all zeros, whose remaining factors are all 1.
-            total += prefix
-        elif slots == l:
-            total += sum([prefix * f for f in tail[r]])
-        else:
-            slots -= 1
-            for i, f in enumerate(step[r]):
-                push((r - i, slots, prefix * f))
+    for r in range(k + 1):
+        c, second = math.comb(k, r), half[r]
+        for h in half[k - r]:
+            head = c * h
+            total += sum([head * t for t in second])
     return total
 
 

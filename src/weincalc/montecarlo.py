@@ -22,10 +22,12 @@ uniform U, so |z|^2_d = r0^2 U^(1/d) and the partial modulus m is
 |z|^2_d S_m / S_d, S_m the sum of squares of the first 2m normals (computed
 as P_m |z|^2_d / P_d from the n-ball's partial moduli P).  At d = n that is
 the n-ball point itself.  Every integrand of the grid is evaluated on the
-same points (common random numbers), keeps its own sums, reduced in chunk
-order, and gets its own standard error; the estimates of one call are
-therefore correlated, across d too.  An estimate depends only on (n, d, r0,
-its integrand, samples, seed), not on the other integrands of the grid.
+same points (common random numbers), with one pair of sums per distinct
+(d, m, k, cutoff), reduced in chunk order; integrands that differ only in
+scale read the same pair, and each gets its own standard error.  The
+estimates of one call are therefore correlated, across d too.  An estimate
+depends only on (n, d, r0, its integrand, samples, seed), not on the other
+integrands of the grid.
 
 Chunk memory does not grow with n (for n <= CHUNK_SIZE), and a call
 allocates it once and refills it in every chunk (_Buffers): one (n, size)
@@ -199,8 +201,9 @@ def _estimate(
     chunk the powers of a column and the mask of a cutoff are formed once
     and shared by the integrands that read them, and an integrand's values
     are the same bits whatever else the grid holds.  The sums run over the
-    unscaled integrand, and `scale` multiplies the mean, the standard error
-    and the band once, so a tiny scale cannot underflow the sum of squares.
+    unscaled integrand, one pair per distinct (d, m, k, cutoff), and `scale`
+    multiplies the mean, the standard error and the band once, so a tiny
+    scale cannot underflow the sum of squares.
     The draw's rules (_require_draw) are checked before any sample is drawn,
     and so is the float range of samples r0^(4k), above every sum of squares."""
     _require_draw(n, samples, seed)
@@ -210,11 +213,17 @@ def _estimate(
             "the Monte Carlo sum of squares overflows a float", samples=samples, r0=r0, k=top
         )
     dims = [n] * len(integrands) if dims is None else dims
-    groups = {}  # d -> {m -> {k -> indices of the integrands reading column m ** k}}
-    for index, ((m, k, _, _), d) in enumerate(zip(integrands, dims, strict=True)):
+    keys = [(d, m, k, cutoff) for (m, k, cutoff, _), d in zip(integrands, dims, strict=True)]
+    for d, m, _, _ in keys:
         require_within(n, d=d)
         require_within(d, m=m)
-        groups.setdefault(d, {}).setdefault(m, {}).setdefault(k, []).append(index)
+    # One [sum, sum of squares] per distinct (d, m, k, cutoff), the only
+    # inputs of an integrand's values; groups holds the same pairs as
+    # d -> {m -> {k -> {cutoff -> pair}}}.
+    sums = {key: [0.0, 0.0] for key in keys}
+    groups = {}
+    for (d, m, k, cutoff), pair in sums.items():
+        groups.setdefault(d, {}).setdefault(m, {}).setdefault(k, {})[cutoff] = pair
     import numpy as np
 
     chunk = max(1, CHUNK_SIZE // n)
@@ -226,13 +235,13 @@ def _estimate(
         nested=any(d < n for d in groups),
     )
     rng = np.random.default_rng(seed)
-    sums = [[0.0, 0.0] for _ in integrands]
     for start in range(0, samples, chunk):
         size = min(chunk, samples - start)
         partial, total = sample_ball(n, r0, rng, size, buffers)
-        _accumulate(sums, integrands, groups, buffers, r0, partial, total)
+        _accumulate(groups, buffers, r0, partial, total)
     estimates = []
-    for (total, total_sq), (_, k, _, scale) in zip(sums, integrands):
+    for key, (_, k, _, scale) in zip(keys, integrands):
+        total, total_sq = sums[key]
         mean = total / samples
         variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
         std_error = scale * math.sqrt(variance / samples)
@@ -255,12 +264,13 @@ def _require_draw(n: int, samples: int, seed: int) -> None:
         raise ParameterError("must be >= 0", seed=seed)
 
 
-def _accumulate(sums, integrands, groups, buffers, r0, partial, norm_sq) -> None:
-    """Add one chunk's sum and sum of squares to the `sums` of each integrand.
-    For each ball dimension d, each column m gets one power per k that its
-    integrands read, and each cutoff one mask; the integrands that read them
-    share them.  At d < n the columns are those of the nested point:
-    |z|^2_d = r0^2 U^(1/d) and P_m |z|^2_d / P_d for m < d."""
+def _accumulate(groups, buffers, r0, partial, norm_sq) -> None:
+    """Add one chunk's sum and sum of squares to each pair of `groups`
+    (_estimate's d -> {m -> {k -> {cutoff -> pair}}}).  For each ball
+    dimension d, each column m gets one power per k that its pairs read, and
+    each cutoff one mask; the pairs that read them share them.  At d < n the
+    columns are those of the nested point: |z|^2_d = r0^2 U^(1/d) and
+    P_m |z|^2_d / P_d for m < d."""
     import numpy as np
 
     size, n = partial.shape
@@ -286,13 +296,12 @@ def _accumulate(sums, integrands, groups, buffers, r0, partial, norm_sq) -> None
             for k in sorted(readers):
                 if k not in powers:
                     powers[k] = _power(column, k, powers, next(spare)[:size])
-                for index in readers[k]:
-                    cutoff = integrands[index][2]
+                for cutoff, pair in readers[k].items():
                     values = powers[k]
                     if cutoff:
                         values = np.multiply(values, outside[cutoff], out=scratch)
-                    sums[index][0] += float(values.sum())
-                    sums[index][1] += float(np.square(values, out=scratch).sum())
+                    pair[0] += float(values.sum())
+                    pair[1] += float(np.square(values, out=scratch).sum())
 
 
 def _power(column: np.ndarray, k: int, known: dict, out: np.ndarray) -> np.ndarray:
@@ -383,8 +392,10 @@ def mc_blowup_average(
 
 def mc_row(params: dict, est: McEstimate, exact: float) -> dict:
     """The parameters, the estimate, its distance to `exact` in bands and
-    whether |mean - exact| lies inside the band: the one home of the
-    agreement rule.  The band of every estimate _estimate makes is > 0."""
+    whether |mean - exact| lies inside the band and the printed standard
+    error inside band / sqrt(2 L): the one home of the agreement rule.  The
+    band of every estimate _estimate makes is > 0, and exceeds sqrt(2 L)
+    standard errors by its range term."""
     distance = abs(est.mean - exact) / est.band
     return {
         **params,
@@ -394,7 +405,7 @@ def mc_row(params: dict, est: McEstimate, exact: float) -> dict:
         "band": est.band,
         "seed": est.seed,
         "band_distance": distance,
-        "ok": distance <= 1,
+        "ok": distance <= 1 and est.std_error * math.sqrt(2 * _LOG_TERM) <= est.band,
     }
 
 

@@ -15,8 +15,12 @@ three Monte Carlo checks (ball-moments, cpn-monte-carlo and blowup) share one
 pass: one seeded stream of points of the ball in C^MC_N_MAX, on which every
 row of all three checks is estimated, a row at n < MC_N_MAX on the n-ball
 point nested in each drawn point (draw_mc_pass, montecarlo's module doc).
-Each of the three takes the pass it reads, and run_all draws it once and
-hands it to all three.  The pass runs on the calling thread.
+Each of the three takes the pass it reads, and run_all draws it once,
+after the exact checks (identity-suite, moment-sums, cpn-exact, product and
+decision-procedures), and hands it to all three; NumPy loads with the pass.
+The pass forms one pair of sums per distinct integrand (d, m, k, cutoff), 24
+for its 30 rows, since each CP^n row is the ball-moment row at l = k at
+another scale.  The pass runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -694,22 +698,28 @@ def check_decision_procedures() -> CheckResult:
 
 
 def run_all(quick: bool = False) -> list[CheckResult]:
-    """The full verification suite; `quick` caps brute force at k <= 4 and
-    Monte Carlo at 10^5 samples.  The Monte Carlo pass is drawn once, for
-    the three checks that read it."""
+    """The full verification suite, in result order; `quick` caps brute
+    force at k <= 4 and Monte Carlo at 10^5 samples.  The exact checks run
+    first, then the Monte Carlo pass is drawn once, which loads NumPy, for
+    the three checks that read it, and mc-determinism runs last."""
     if quick:
         samples, k_cap, n_cap = 10**5, 4, 4
     else:
         samples, k_cap, n_cap = 10**6, 7, 8
+    identity = check_identity_suite(k_max=k_cap)
+    sums = check_moment_sums(k_max=min(k_cap, 6))
+    cpn = check_cpn_exact(n_max=n_cap)
+    product = check_product(n_max=min(n_cap, 5))
+    decision = check_decision_procedures()
     mc_pass = draw_mc_pass(samples)
     return [
-        check_identity_suite(k_max=k_cap),
-        check_moment_sums(k_max=min(k_cap, 6)),
+        identity,
+        sums,
         check_ball_moments(mc_pass),
-        check_cpn_exact(n_max=n_cap),
+        cpn,
         check_cpn_monte_carlo(mc_pass),
         check_blowup(mc_pass, n_max=n_cap),
-        check_product(n_max=min(n_cap, 5)),
-        check_decision_procedures(),
+        product,
+        decision,
         check_mc_determinism(),
     ]

@@ -1551,6 +1551,29 @@ def test_import_never_loads_numpy_and_monte_carlo_does():
     assert code == 0 and set(LAZY) <= loaded
 
 
+# A fresh interpreter runs one query and prints its exit code, whether NumPy
+# was loaded when check_decision_procedures, the last exact check, returned,
+# and whether it was loaded at the end.
+ORDER_PROBE = """
+import contextlib, io, sys
+from weincalc import verify
+from weincalc.cli import main
+exact, loaded = verify.check_decision_procedures, []
+def last_exact_check():
+    result = exact()
+    loaded.append("numpy" in sys.modules)
+    return result
+verify.check_decision_procedures = last_exact_check
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *loaded, "numpy" in sys.modules)
+"""
+
+
+def test_verify_runs_its_exact_checks_before_numpy_loads():
+    assert run_fresh("-c", ORDER_PROBE, "verify", "--quick") == ["0", "False", "True"]
+
+
 # A fresh interpreter in which `import numpy` fails, as where it is not
 # installed, runs one query through main and exits with its code.
 NO_NUMPY_PROBE = """
@@ -1566,6 +1589,7 @@ sys.exit(main(sys.argv[1:]))
     [
         ["verify", "--quick"],
         ["moment", "--n", "1", "--l", "1", "--k", "1", "--mc", "--samples", "1000", "--json"],
+        ["verify"],  # which runs its exact checks first
     ],
 )
 def test_monte_carlo_without_numpy_exits_2_with_one_line(argv):

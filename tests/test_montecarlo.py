@@ -278,8 +278,10 @@ def test_grid_estimate_equals_its_one_integrand_estimates():
     assert mc_ball_moment(3, [(1, 3), (2, 1)], 1.0, samples, seed) == [grid[0], grid[3]]
 
     # One column read with k out of order, at one k with and without a
-    # cutoff, and two cutoffs: every integrand reads its column's shared
-    # powers and its cutoff's shared mask, and still changes no bit.
+    # cutoff, two cutoffs, and one integrand listed twice at two scales:
+    # every integrand reads its column's shared powers, its cutoff's shared
+    # mask and, at another scale, the same pair of sums, and still changes
+    # no bit.
     integrands = [
         (1, 3, 0.0, 1.0),
         (1, 1, 0.0, 1.0),
@@ -287,11 +289,14 @@ def test_grid_estimate_equals_its_one_integrand_estimates():
         (1, 2, 0.0, 1.0),
         (3, 2, 0.25, 1.0),
         (1, 1, 0.5, 1.0),
+        (1, 2, 0.5, 3.0),
     ]
     grid = montecarlo._estimate(n, 1.0, integrands, samples, seed)
     for integrand, est in zip(integrands, grid):
         assert montecarlo._estimate(n, 1.0, [integrand], samples, seed) == [est], integrand
     assert len({est.mean for est in grid}) == len(grid)
+    once = grid[2]
+    assert grid[-1] == McEstimate(3 * once.mean, 3 * once.std_error, 3 * once.band, samples, seed)
 
 
 def test_high_powers_match_pow_in_bounded_memory():
@@ -419,6 +424,23 @@ def test_shared_pass_equals_the_oracles_at_its_seeds():
             assert [got] == want, (check, params)
 
 
+def test_the_pass_forms_one_pair_of_sums_per_distinct_integrand(monkeypatch):
+    # Each CP^n row at (n, k) is the ball-moment row at (n, l = k, k) at
+    # another scale, so the 30 rows of the pass read 24 pairs of sums.
+    pairs = []
+
+    def spy(groups, *args):
+        pairs.append(sum(len(cutoffs) for g in groups.values() for ks in g.values()
+                         for cutoffs in ks.values()))
+        return accumulate(groups, *args)
+
+    accumulate = montecarlo._accumulate
+    monkeypatch.setattr(montecarlo, "_accumulate", spy)
+    mc_pass = verify.draw_mc_pass(1000)
+    assert sum(len(rows) for rows in mc_pass[1:]) == 30
+    assert pairs == [24]
+
+
 def test_each_check_alone_equals_its_share_of_run_all():
     suite = {result.name: result for result in verify.run_all(quick=True)}
     mc_pass = verify.draw_mc_pass(10**5)
@@ -535,11 +557,10 @@ def test_mc_row_applies_the_band():
     assert mc_row({}, est, est.mean + 1.01 * est.band)["ok"] is False
 
 
-def test_sigma_distance_degenerate_cases():
+def test_band_distance_degenerate_cases():
     # A zero-variance draw (the cutoff r0 masks every sample out) has a zero
     # standard error, but its band keeps the range term 7 R L / (3 (N - 1)),
-    # so every distance stays finite at the smallest count, N = 2.  The name
-    # dates from the distance in standard errors that the band replaced.
+    # so every distance stays finite at the smallest count, N = 2.
     (est,) = montecarlo._estimate(1, 1.0, [(1, 1, 1.0, 2.0)], 2, 7)
     assert (est.mean, est.std_error) == (0.0, 0.0)
     assert est.band == pytest.approx(2 * 7 * math.log(20000) / 3, rel=1e-12)
@@ -548,17 +569,25 @@ def test_sigma_distance_degenerate_cases():
     assert mc_row({}, est, 2 * est.band)["ok"] is False
 
 
-def test_mc_row_applies_the_sigma_band():
-    # The name dates from the 4-sigma band that the empirical-Bernstein band
-    # replaced; mc_row applies the band of the estimate it is given.
-    by_hand = McEstimate(mean=1.0, std_error=0.25, band=0.5, samples=100, seed=7)
+def test_mc_row_applies_the_band_it_is_given():
+    # mc_row applies the band of the estimate it is given, and fails a row
+    # whose standard error lies above band / sqrt(2 L), as no estimate of
+    # _estimate does (test_every_band_is_wider_than_four_standard_errors).
+    by_hand = McEstimate(mean=1.0, std_error=0.1, band=0.5, samples=100, seed=7)
     assert mc_row({"n": 1}, by_hand, 1.25) == {
-        "n": 1, "exact": 1.25, "mean": 1.0, "std_error": 0.25, "band": 0.5, "seed": 7,
+        "n": 1, "exact": 1.25, "mean": 1.0, "std_error": 0.1, "band": 0.5, "seed": 7,
         "band_distance": 0.5, "ok": True,
     }
     assert mc_row({}, by_hand, 1.5)["band_distance"] == 1.0
     assert mc_row({}, by_hand, 1.5)["ok"] is True  # the edge is inside
     assert mc_row({}, by_hand, 0.25)["ok"] is False
+    edge = 0.5 / math.sqrt(2 * math.log(2 / BAND_DELTA))
+    assert mc_row({}, by_hand._replace(std_error=edge * (1 - 1e-9)), 1.0)["ok"] is True
+    inflated = by_hand._replace(std_error=edge * (1 + 1e-9))
+    assert mc_row({}, inflated, 1.0) == {
+        "exact": 1.0, "mean": 1.0, "std_error": inflated.std_error, "band": 0.5, "seed": 7,
+        "band_distance": 0.0, "ok": False,
+    }
 
 
 def test_every_band_is_wider_than_four_standard_errors():

@@ -1,5 +1,6 @@
 """The verification-power gate: each row seeds one defect in a closed form, a
-builder of an integrand or a lattice, or the order decision, and `verify.run_all` must fail with the checks the row
+builder of an integrand or a lattice, the order decision or a Monte Carlo
+error bar, and `verify.run_all` must fail with the checks the row
 names among the failed ones (DeMillo, Lipton and Sayward, "Hints on test
 data selection", IEEE Computer 11(4), 1978).
 
@@ -61,6 +62,13 @@ def trace_volume_scaled(original):
     return mutant
 
 
+def std_error_times_samples(original):
+    def mutant(*args):
+        return [est._replace(std_error=est.std_error * est.samples) for est in original(*args)]
+
+    return mutant
+
+
 def blowup_lattice_without_x_power(original):
     return lambda k: Lattice(original(k).generators[:1])  # drops pi^k x^k/k!
 
@@ -113,6 +121,10 @@ MUTANTS = [
     pytest.param(
         montecarlo, "trace_volume_integrands", trace_volume_scaled, False,
         {"cpn-monte-carlo", "blowup"}, id="trace_volume_integrands-scale-times-1.01",
+    ),
+    pytest.param(
+        montecarlo, "_estimate", std_error_times_samples, True,
+        {"ball-moments", "cpn-monte-carlo", "blowup"}, id="_estimate-std_error-times-samples",
     ),
     pytest.param(
         morphism, "blowup_lattice", blowup_lattice_without_x_power, True,
