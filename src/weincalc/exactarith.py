@@ -42,7 +42,8 @@ class DigitLimitError(ParameterError):
     a query, so the error names all of them, with no value: the caller names
     those its query sets.  An input literal past the limit (parse_rational)
     names only its own parameter, if any, and gives its digit count instead
-    of its value."""
+    of its value.  A lattice generator past the limit (symbolic.rational_gcd)
+    names none, and product_value names the descriptor whose periods gave it."""
 
     def __init__(self, message: str | None = None, **params):
         if message is None:

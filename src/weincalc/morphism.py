@@ -429,10 +429,15 @@ def product_value(
     the CP^n value (_checked_c), whose printable-c test allows for the
     denominator of the coefficient of x^deg(b) in a: the printed sum
     (a + c b)/b has the coefficient c + a_j there, and
-    den(c + a_j) >= den(c) / den(a_j).  Last, the product lattice contains
-    both factor lattices, checked generator by generator.  No descriptor
-    can fail the last, so a generator missing from the product lattice is a
-    SelfCheckError.  The order is decided once, of the sum (CosetValue.of).
+    den(c + a_j) >= den(c) / den(a_j).  Then the lattices: M's degree-2k
+    lattice is built once and serves both the product lattice and the
+    containment test below; a lattice generator of more digits than the
+    integer string limit, which only the descriptor's periods can give, is
+    refused as a DigitLimitError naming the descriptor (`manifold`).  Last,
+    the product lattice contains both factor lattices, checked generator by
+    generator.  No descriptor can fail the last, so a generator missing from
+    the product lattice is a SelfCheckError.  The order is decided once, of
+    the sum (CosetValue.of).
     """
     require_within(n, k=k)
     degree = 2 * k - 1
@@ -464,8 +469,15 @@ def product_value(
     f = value.components.get(k)
     cancel = f.num.terms.get(f.den.degree, Fraction(0)).denominator if f else 1
     cpn = PiGradedValue.monomial(_checked_c(n, k, cancel), k, 0)
-    full = product_cpn_lattice(n, k, descriptor)
-    factors = cpn_lattice(k).generators + descriptor.period_lattice(k).generators
+    try:
+        own = descriptor.period_lattice(k)
+        # The product lattice reads M's degree-2k periods as own's generator,
+        # the same group, so the gcd of that cell runs once.
+        periods = {**descriptor.periods, 2 * k: tuple(g for g, _, _ in own.generators)}
+        full = product_cpn_lattice(n, k, descriptor._replace(periods=periods))
+    except DigitLimitError as exc:  # only the descriptor's periods can pass the limit
+        raise DigitLimitError(str(exc), manifold=None) from None
+    factors = cpn_lattice(k).generators + own.generators
     for coeff, pi_exp, x_exp in factors:
         if not lattice_member(PiGradedValue.monomial(coeff, pi_exp, x_exp), full):
             raise SelfCheckError(

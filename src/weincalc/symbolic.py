@@ -17,11 +17,18 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .exactarith import as_typed, format_rational, parse_rational, require_positive
+from .exactarith import (
+    DigitLimitError,
+    as_typed,
+    format_rational,
+    parse_rational,
+    require_positive,
+)
 
 
 class PolyQ:
@@ -259,16 +266,33 @@ class RatFuncQ:
 def rational_gcd(values: Iterable[Fraction]) -> Fraction:
     """The positive generator g of the Z-module Z*v_1 + ... + Z*v_r.
 
-    Concretely gcd of the numerators over the common denominator.  All inputs
-    must be nonzero.
+    Folded pairwise over the reduced inputs, gcd(a/b, c/d) = gcd(a, c) /
+    lcm(b, d), so no numerator is scaled to a common denominator: the
+    running numerator only shrinks and the running denominator only grows,
+    and each step costs one gcd of it with a small input.  The denominator
+    of g is a multiple of the running one, so once that passes the integer
+    string limit g can never print, and the fold stops with DigitLimitError,
+    naming no parameter: the caller names the input it read.  All inputs
+    must be nonzero (an int or a Fraction, each already reduced).
     """
-    vals = [Fraction(v) for v in values]
-    if not vals:
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    num, den, cap = 0, 1, None
+    for v in values:
+        if not v:
+            raise ValueError("rational_gcd requires nonzero inputs")
+        num = math.gcd(num, v.numerator)
+        den = den // math.gcd(den, v.denominator) * v.denominator
+        # 10^limit has more than 3 limit bits, so it is formed, once, only
+        # for a denominator that long.
+        if limit and den.bit_length() > 3 * limit:
+            cap = cap or 10**limit
+            if den >= cap:
+                raise DigitLimitError(
+                    f"the lattice generator has a denominator of more than {limit} digits,"
+                    f" the integer string limit"
+                )
+    if not num:
         raise ValueError("rational_gcd of an empty sequence")
-    if any(v == 0 for v in vals):
-        raise ValueError("rational_gcd requires nonzero inputs")
-    den = math.lcm(*(v.denominator for v in vals))
-    num = math.gcd(*(abs(v.numerator) * (den // v.denominator) for v in vals))
     return Fraction(num, den)
 
 
@@ -406,8 +430,13 @@ class PiGradedValue:
 
     @classmethod
     def monomial(cls, coeff: Fraction | int, pi_exp: int, x_exp: int = 0) -> PiGradedValue:
-        """coeff * pi^pi_exp * x^x_exp."""
-        return cls({pi_exp: RatFuncQ(PolyQ.monomial(x_exp, coeff))})
+        """coeff * pi^pi_exp * x^x_exp, a monomial over 1, which is reduced and
+        monic as built: no gcd runs.  A zero coefficient gives the zero value."""
+        if x_exp < 0:
+            raise ValueError(f"exponent must be >= 0, got {x_exp}")
+        c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+        num = PolyQ._of({int(x_exp): c} if c else {})
+        return cls({pi_exp: RatFuncQ._of(num, PolyQ._of(dict(_ONE)))})
 
     def __bool__(self) -> bool:
         return bool(self.components)
@@ -481,7 +510,7 @@ class Lattice:
     def __init__(self, generators: Iterable[tuple[Fraction | int, int, int]] = ()):
         cells: dict[tuple[int, int], list[Fraction]] = {}
         for coeff, pi_exp, x_exp in generators:
-            c = Fraction(coeff)
+            c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if c == 0:
                 raise ValueError("lattice generator with zero coefficient")
             if pi_exp < 0 or x_exp < 0:

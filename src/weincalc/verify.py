@@ -21,6 +21,13 @@ decision-procedures), and hands it to all three; NumPy loads with the pass.
 The pass forms one pair of sums per distinct integrand (d, m, k, cutoff), 24
 for its 30 rows, since each CP^n row is the ball-moment row at l = k at
 another scale.  The pass runs on the calling thread.
+
+Two checks cost the same in both suites.  mc-determinism repeats two n = 2
+estimates of MC_DETERMINISM_SAMPLES points, one full chunk and one partial
+chunk each, which is where the reused chunk buffers could leak a stale
+value, and two 64-point draws.  decision-procedures builds its 200
+instances from values that are reduced as written (monomials over 1, and
+c x / (1 + x)), so no instance runs a polynomial gcd.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .combinatorics import RAW_CHECK_MAX_K
 from .exactarith import format_rational, pi_power, times_pi_power
 from .montecarlo import (
     BASE_SEED,
+    CHUNK_SIZE,
     McEstimate,
     ball_moment_integrands,
     mc_ball_moment,
@@ -88,8 +96,10 @@ PRODUCT_CLASS_ROW = (
     "c",
 )
 
-# The samples of each mc-determinism estimate, in both suites.
-MC_DETERMINISM_SAMPLES = 10**5
+# The samples of each mc-determinism estimate, in both suites: one full chunk
+# of the n = 2 draw, CHUNK_SIZE // 2 samples, then a partial one of half that
+# size, which refills the same buffers, where a stale read would show.
+MC_DETERMINISM_SAMPLES = CHUNK_SIZE // 2 + CHUNK_SIZE // 4
 
 DECISION_SEED = BASE_SEED + 4000
 DECISION_INSTANCES = 200
@@ -435,7 +445,10 @@ def check_product(n_max: int = 5) -> CheckResult:
 
 
 def check_mc_determinism() -> CheckResult:
-    """Identical (parameters, seed) must reproduce estimates bit for bit."""
+    """Identical (parameters, seed) must reproduce estimates bit for bit: two
+    n = 2 estimates of MC_DETERMINISM_SAMPLES points, each a full chunk and
+    then a partial one into the same buffers, and two 64-point draws of the
+    n = 3 stream."""
     import numpy as np
 
     seed, samples = BASE_SEED + 3000, MC_DETERMINISM_SAMPLES
@@ -626,9 +639,10 @@ def _random_instance(rnd: random.Random, kind: str):
         # A reduced rational-function component is not an integer combination
         # of monomials, whatever the lattice.
         gens = [(random_coeff(), a, b) for a, b in random_cells(rnd.randint(1, 2), True)]
-        f = RatFuncQ(
-            PolyQ.monomial(1, Fraction(rnd.randint(1, 5))),
-            PolyQ({0: Fraction(1), 1: Fraction(1)}),
+        # c*x and 1 + x are coprime and 1 + x is monic: no gcd runs.
+        f = RatFuncQ._of(
+            PolyQ._of({1: Fraction(rnd.randint(1, 5))}),
+            PolyQ._of({0: Fraction(1), 1: Fraction(1)}),
         )
         return PiGradedValue({rnd.randint(0, 2): f}), gens
 

@@ -1000,6 +1000,26 @@ def test_product_refuses_an_integer_above_the_string_limit(capsys, tmp_path):
     )
 
 
+def test_product_refuses_a_period_lattice_past_the_string_limit_quickly(tmp_path):
+    # Periods 1/2, ..., 1/32001 in degrees 2 and 4.  The generator of either
+    # cell has the denominator lcm(2, ..., 32001), about 13,900 digits, which
+    # rational_gcd once formed and then folded 32000 numerators scaled to it:
+    # about a minute per query, and then the refusal named --n and --k.  The
+    # fold now stops once its denominator passes the limit.
+    periods = [f"1/{i}" for i in range(2, 32002)]
+    path = write_descriptor(
+        tmp_path,
+        {"dimension": 8, "trivial_odd_homotopy": [3], "periods": {"2": periods, "4": periods}},
+    )
+    argv = ("product", "--n", "3", "--k", "2", "--manifold", path)
+    done = fresh_process("-m", "weincalc.cli", *argv, timeout=2)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        f"error: --manifold {path}: the lattice generator has a denominator of more than"
+        f" {sys.get_int_max_str_digits()} digits, the integer string limit\n"
+    )
+
+
 def test_product_refuses_a_class_exponent_above_the_bound(capsys, tmp_path, monkeypatch):
     # Euclid on (x^d + x + 1)/(x^(d-1) + 3) took 0.78 s at d = 20000; every
     # component is now read and bounded before the first one is reduced.
@@ -1478,7 +1498,7 @@ print(code, *(m for m in {WATCHED!r} if m in sys.modules and m not in before),
 """
 
 
-def fresh_process(*args, environ=os.environ, stdout=subprocess.PIPE):
+def fresh_process(*args, environ=os.environ, stdout=subprocess.PIPE, timeout=120):
     src = str(Path(cli.__file__).resolve().parents[1])
     path = [src, *filter(None, environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**environ, "PYTHONPATH": os.pathsep.join(path)}
@@ -1488,7 +1508,7 @@ def fresh_process(*args, environ=os.environ, stdout=subprocess.PIPE):
         stderr=subprocess.PIPE,
         text=True,
         env=env,
-        timeout=120,
+        timeout=timeout,
     )
 
 

@@ -370,10 +370,29 @@ def test_each_mc_check_draws_one_stream_per_dimension(monkeypatch, suite, sample
     top = verify.MC_N_MAX
     expected = [(top, verify.BASE_SEED + 100 * top, samples)]
     if len(results) > 1:  # mc-determinism: two estimates and two short draws
-        expected += [(2, verify.BASE_SEED + 3000, 10**5)] * 2
+        expected += [(2, verify.BASE_SEED + 3000, verify.MC_DETERMINISM_SAMPLES)] * 2
         expected += [(3, verify.BASE_SEED + 3000, 64)] * 2
     drawn = [(n, seed, size) for _, seed, n, size in streams.values()]
     assert sorted(drawn) == sorted(expected)
+
+
+def test_mc_determinism_crosses_one_chunk_boundary(monkeypatch):
+    # Each of its two n = 2 estimates draws one full chunk and then one
+    # partial chunk into the same buffers, the path where a stale read of a
+    # reused buffer would break the repeat; the 64-point draws are direct.
+    sizes = []
+
+    def spy(n, r0, rng, size, *buffers):
+        sizes.append((n, size, len(buffers[0].radii) if buffers else None))
+        return sample_ball(n, r0, rng, size, *buffers)
+
+    monkeypatch.setattr(montecarlo, "sample_ball", spy)
+    monkeypatch.setattr(verify, "sample_ball", spy)
+    assert verify.check_mc_determinism().passed
+    chunk = montecarlo.CHUNK_SIZE // 2
+    partial = verify.MC_DETERMINISM_SAMPLES - chunk
+    assert 0 < partial < chunk
+    assert sizes == [(2, chunk, chunk), (2, partial, chunk)] * 2 + [(3, 64, None)] * 2
 
 
 def test_shared_pass_equals_the_oracles_at_its_seeds():

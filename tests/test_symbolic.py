@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from references import euclid_gcd
 from weincalc import symbolic
-from weincalc.exactarith import format_rational
+from weincalc.exactarith import DigitLimitError, format_rational
 from weincalc.morphism import blowup_weinstein
 from weincalc.symbolic import (
     Lattice,
@@ -266,6 +267,31 @@ def test_rational_gcd_examples():
         rational_gcd([Fraction(0)])
 
 
+def test_rational_gcd_stops_once_the_denominator_passes_the_string_limit():
+    # The generator's denominator is a multiple of the running lcm, so the
+    # fold stops at the first input that takes it to 10^limit or above: a
+    # stream of periods 1/2, 1/3, ... is read only that far.
+    limit = sys.get_int_max_str_digits()
+    read = []
+
+    def periods():
+        for i in range(2, 10**5):
+            read.append(i)
+            yield Fraction(1, i)
+        raise AssertionError("the whole stream was read")
+
+    refusal = f"^the lattice generator has a denominator of more than {limit} digits,"
+    with pytest.raises(DigitLimitError, match=refusal) as err:
+        rational_gcd(periods())
+    assert err.value.params == {}  # the caller names the input
+    assert math.lcm(*read[:-1]) < 10**limit <= math.lcm(*read)
+    # At the boundary: a denominator of `limit` digits prints, one more does not.
+    widest = Fraction(2, 10**limit - 1)
+    assert rational_gcd([widest, Fraction(6)]) == widest
+    with pytest.raises(DigitLimitError):
+        rational_gcd([Fraction(6), Fraction(1, 10**limit)])
+
+
 @given(
     st.lists(
         st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9).filter(bool),
@@ -323,6 +349,20 @@ def test_box_search_matches_exhaustive_reference():
     assert not in_box([], Fraction(1, 2), 5)
     with pytest.raises(ValueError, match="at most 3 generators"):
         in_box([Fraction(1)] * 4, Fraction(0), 1)
+
+
+def test_monomial_keeps_its_checks_and_equals_the_reduced_form():
+    # The monomial is wrapped as built, with no reduction, so these are its
+    # only checks: an int coefficient is stored as a Fraction, zero gives the
+    # zero value, and a negative exponent is refused.
+    (f,) = PiGradedValue.monomial(-3, 2, 5).components.values()
+    assert f == RatFuncQ(PolyQ({5: Fraction(-3)}))
+    assert type(f.num.terms[5]) is Fraction and f.is_polynomial
+    assert PiGradedValue.monomial(0, 1, 2) == PiGradedValue()
+    with pytest.raises(ValueError, match="^exponent must be >= 0, got -1$"):
+        PiGradedValue.monomial(1, 0, -1)
+    with pytest.raises(ValueError, match="^pi exponent must be >= 0, got -1$"):
+        PiGradedValue.monomial(1, -1)
 
 
 # ---------------------------------------------------------------------------
