@@ -117,11 +117,14 @@ MC_STREAMS = (
 # one-dimensional radial quadrature that is independent of the multi-index
 # sum: over B^2, int r^2 dA = 2*pi*int_0^1 r^3 dr = pi/2 and
 # int r^4 dA = 2*pi*int_0^1 r^5 dr = pi/3; over B^4,
-# int |z|^2 = 2*pi^2*int_0^1 r^5 dr = pi^2/3, halved by symmetry for |z_1|^2.
+# int |z|^2 = 2*pi^2*int_0^1 r^5 dr = pi^2/3, halved by symmetry for |z_1|^2;
+# over the radius-1/2 disc, int r^2 dA = 2*pi*int_0^(1/2) r^3 dr = pi/32.
+# Keyed by (n, l, k, r0), in the order printed.
 MOMENT_SPOT_VALUES = {
-    (1, 1, 1): (Fraction(1, 2), 1),
-    (2, 1, 1): (Fraction(1, 6), 2),
-    (1, 1, 2): (Fraction(1, 3), 1),
+    (1, 1, 1, 1): (Fraction(1, 2), 1),
+    (1, 1, 2, 1): (Fraction(1, 3), 1),
+    (2, 1, 1, 1): (Fraction(1, 6), 2),
+    (1, 1, 1, Fraction(1, 2)): (Fraction(1, 32), 1),
 }
 
 
@@ -249,21 +252,19 @@ def check_moment_sums(k_max: int = 6) -> CheckResult:
 def check_ball_moments(mc_pass: McPass) -> CheckResult:
     """Exact moment formula against frozen quadrature spots, then Monte Carlo
     against the exact value on the (n <= 3, l <= n, k <= 3) grid, read from
-    `mc_pass`."""
+    `mc_pass`.  A spot reads the coefficient of the `moment` value,
+    ball_moment's, which applies the radius, on ball_moment_exact's power of
+    pi; one spot off the unit ball names its r0."""
     spots = []
-    for (n, l, k), (coeff, pi_exp) in sorted(MOMENT_SPOT_VALUES.items()):
-        got = combinatorics.ball_moment_exact(n, l, k)
-        match = got == (coeff, pi_exp)
-        spots.append(
-            {
-                "n": n,
-                "l": l,
-                "k": k,
-                "expected": f"{format_rational(coeff)}*pi^{pi_exp}",
-                "got": f"{format_rational(got[0])}*pi^{got[1]}",
-                "ok": match,
-            }
-        )
+    for (n, l, k, r0), (coeff, pi_exp) in MOMENT_SPOT_VALUES.items():
+        spot = {"n": n, "l": l, "k": k}
+        if r0 != 1:
+            spot["r0"] = format_rational(r0)
+        got = combinatorics.ball_moment(n, l, k, r0)[0], combinatorics.ball_moment_exact(n, l, k)[1]
+        spot["expected"] = f"{format_rational(coeff)}*pi^{pi_exp}"
+        spot["got"] = f"{format_rational(got[0])}*pi^{got[1]}"
+        spot["ok"] = got == (coeff, pi_exp)
+        spots.append(spot)
     mc_rows = []
     for params, est in mc_pass.ball_moments:
         coeff, pi_exp = combinatorics.ball_moment_exact(**params)

@@ -56,7 +56,7 @@ def test_criterion_2_general_moment_sums():
 
 
 def test_criterion_3_ball_moments():
-    # Exact spot values pi/2, pi^2/6, pi/3, plus 10^6-sample Monte Carlo
+    # Exact spot values pi/2, pi^2/6, pi/3 and pi/32 (radius 1/2), plus 10^6-sample Monte Carlo
     # within its band on the whole n <= 3, l <= n, k <= 3 grid.
     result, elapsed = timed(lambda: verify.check_ball_moments(verify.draw_mc_pass(10**6)))
     report("criterion-3 ball moments (exact spots + MC grid)", result.passed, elapsed, 120.0)

@@ -5,8 +5,10 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -1000,26 +1002,6 @@ def test_product_refuses_an_integer_above_the_string_limit(capsys, tmp_path):
     )
 
 
-def test_product_refuses_a_period_lattice_past_the_string_limit_quickly(tmp_path):
-    # Periods 1/2, ..., 1/32001 in degrees 2 and 4.  The generator of either
-    # cell has the denominator lcm(2, ..., 32001), about 13,900 digits, which
-    # rational_gcd once formed and then folded 32000 numerators scaled to it:
-    # about a minute per query, and then the refusal named --n and --k.  The
-    # fold now stops once its denominator passes the limit.
-    periods = [f"1/{i}" for i in range(2, 32002)]
-    path = write_descriptor(
-        tmp_path,
-        {"dimension": 8, "trivial_odd_homotopy": [3], "periods": {"2": periods, "4": periods}},
-    )
-    argv = ("product", "--n", "3", "--k", "2", "--manifold", path)
-    done = fresh_process("-m", "weincalc.cli", *argv, timeout=2)
-    assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == (
-        f"error: --manifold {path}: the lattice generator has a denominator of more than"
-        f" {sys.get_int_max_str_digits()} digits, the integer string limit\n"
-    )
-
-
 def test_product_refuses_a_class_exponent_above_the_bound(capsys, tmp_path, monkeypatch):
     # Euclid on (x^d + x + 1)/(x^(d-1) + 3) took 0.78 s at d = 20000; every
     # component is now read and bounded before the first one is reduced.
@@ -1371,7 +1353,7 @@ EXACT_PART_SHA256 = {
         "product": "a02b9dc56f7c4a272d3e55fd7667c7bfb0feb07887488b65779f4a180c889787",
         "decision-procedures": "95972a55fc270b69fea5560f1c7e92b338fca05513b8fa91ae76cdf89c004af6",
         "blowup.rows": "daca0a8178299c8fb9979757972b2d6378b250f3d50538641eae9438e08777eb",
-        "ball-moments.spots": "53dd29b3ff9550e231e128765b4ae414a818bcbc94a2dbb9e5c5f130bf91283c",
+        "ball-moments.spots": "ea22dec525b8135e56ca450326a3bb7e5b99256b86b1a3928c53ea0e3c91e8ab",
     },
     "": {
         "identity-suite": "55f87ddca9675980961dfdd7248ba93a70fca6c572670efc2559b34ba9037a6e",
@@ -1380,7 +1362,7 @@ EXACT_PART_SHA256 = {
         "product": "400cca02a11d65d20c36583486fa58b6cb1232818733a078551588f69ab19c13",
         "decision-procedures": "95972a55fc270b69fea5560f1c7e92b338fca05513b8fa91ae76cdf89c004af6",
         "blowup.rows": "f08d4d5d965d2088b3f0725ecaec2f1cda221c33e2e1b1b45b0d281619a392bb",
-        "ball-moments.spots": "53dd29b3ff9550e231e128765b4ae414a818bcbc94a2dbb9e5c5f130bf91283c",
+        "ball-moments.spots": "ea22dec525b8135e56ca450326a3bb7e5b99256b86b1a3928c53ea0e3c91e8ab",
     },
 }
 
@@ -1521,6 +1503,99 @@ def run_fresh(*args, environ=os.environ):
 def probe_numpy(*argv):
     code, *loaded = run_fresh("-c", NUMPY_PROBE, *argv)
     return int(code), set(loaded)
+
+
+# What the installed `weinstein-calc` script runs.
+ENTRY = "from weincalc.cli import entry; entry()"
+
+
+@pytest.fixture(scope="module")
+def worst_descriptors(tmp_path_factory):
+    """The descriptor files of the bounded-query table, by name."""
+    folder = tmp_path_factory.mktemp("worst")
+    rnd = random.Random(7)
+
+    def poly(d):
+        return [[e, str(rnd.randint(-9, 9))] for e in range(d + 1)]
+
+    periods = [f"1/{i}" for i in range(2, 32002)]
+    value = [{"pi_exp": 1000, "num": [[0, "1"]], "den": [[0, "1"]]}]
+    docs = {
+        "wide": {"dimension": 3000, "trivial_odd_homotopy": [2999]},
+        "classy": {"dimension": 2000, "trivial_odd_homotopy": [1999],
+                   "classes": {"c": {"degree": 1999, "value": value}}},
+        "periods": {"dimension": 8, "trivial_odd_homotopy": [3],
+                    "periods": {"2": periods, "4": periods}},
+        "stringy": {"dimension": "1" * 2000000},
+        "dense": {"dimension": 4, "trivial_odd_homotopy": [3], "classes": {"c": {
+            "degree": 3, "value": [{"pi_exp": 2, "num": poly(100), "den": poly(99)}]}}},
+    }
+    paths = {name: folder / f"{name}.json" for name in [*docs, "latin"]}
+    for name, doc in docs.items():
+        paths[name].write_text(json.dumps(doc))
+    paths["latin"].write_bytes(b"\xff\xfe{}")
+    return {name: str(path) for name, path in paths.items()}
+
+
+# The admitted inputs of largest cost, each answered or refused within its
+# bound in seconds.  `err` is the refusal's stderr: None for no rule, the
+# exact text when it ends in a newline, and otherwise its first characters,
+# in a refusal of under 300 bytes however long the input it quotes.
+@pytest.mark.parametrize(
+    "argv, seconds, code, err",
+    [
+        pytest.param("product --n {big} --k 1500 --manifold {wide}", 10, 2, None, id="wide"),
+        pytest.param("cpn --n {big} --k 1500", 10, 2, None, id="cpn-4000-digits"),
+        pytest.param("product --n {big} --k 1000 --manifold {classy} --class c", 10, 2, None,
+                     id="classy"),
+        pytest.param("blowup --n 10000000 --k 1", 10, 2, None, id="blowup-terms"),
+        pytest.param("blowup --n 2499 --k 1 --rho 8/9", 10, 2, None, id="blowup-rho-digits"),
+        pytest.param("moment --n 3 --l 3 --k 1000000 --mc --samples 1000", 10, 2, None,
+                     id="moment-mc-power"),
+        pytest.param("identity --k-max 9", 10, 2, None, id="identity-budget"),
+        pytest.param("moment --n 3 --l 1 --k 8 --mc --samples 3628 --seed 23", 10, 2, None,
+                     id="moment-mc-seed-23"),
+        # Periods 1/2, ..., 1/32001 in degrees 2 and 4: the generator of
+        # either cell has the denominator lcm(2, ..., 32001), about 13,900
+        # digits, and a fold of 32000 numerators scaled to it takes about a
+        # minute.  The fold stops once its denominator passes the limit.
+        pytest.param("product --n 3 --k 2 --manifold {periods}", 2, 2,
+                     "error: --manifold {periods}: the lattice generator has a denominator of"
+                     f" more than {sys.get_int_max_str_digits()} digits, the integer string"
+                     " limit\n", id="periods"),
+        pytest.param("cpn --n {long} --k 1", 10, 2, "error: --n 333", id="n-past-the-limit"),
+        pytest.param("cpn --n {letters} --k 1", 10, 2, "error: --n xxx", id="n-letters"),
+        pytest.param("blowup --n 3 --k 1 --rho {letters}", 10, 2, "error: --rho xxx",
+                     id="rho-letters"),
+        pytest.param("product --n 2 --k 1 --manifold {stringy}", 10, 2, "error: dimension: ",
+                     id="dimension-string"),
+        pytest.param("{letters}", 10, 2, "usage: ", id="command-letters"),
+        pytest.param("cpn --n 2 --k 1 {letters}", 10, 2, "usage: ", id="argument-letters"),
+        pytest.param("product --n 2 --k 1 --manifold {deep}", 10, 2, "error: --manifold d/d/",
+                     id="deep-path"),
+        # A descriptor file that cannot be read as JSON text is named by its flag.
+        pytest.param("product --n 2 --k 1 --manifold /dev/zero", 10, 2, "error: --manifold ",
+                     id="dev-zero", marks=pytest.mark.skipif(
+                         not os.path.exists("/dev/zero"), reason="no /dev/zero")),
+        pytest.param("product --n 2 --k 1 --manifold {latin}", 10, 2, "error: --manifold ",
+                     id="latin-1"),
+        pytest.param("product --n 3 --k 2 --manifold {dense} --class c --json", 10, 0, None,
+                     id="dense-class"),
+    ],
+)
+def test_worst_case_queries_finish_within_their_bounds(worst_descriptors, argv, seconds, code, err):
+    texts = {"big": "9" * 4000, "long": "3" * 5000, "letters": "x" * 100000,
+             "deep": "d/" * 2999 + "dd"}
+    argv = argv.format(**worst_descriptors, **texts).split()
+    done = fresh_process("-c", ENTRY, *argv, timeout=seconds)
+    assert done.returncode == code, done.stderr[:200]
+    assert (done.stdout != "") == (code == 0)
+    if err is None:
+        return
+    if err.endswith("\n"):
+        assert done.stderr == err.format(**worst_descriptors)
+    else:
+        assert done.stderr.startswith(err) and len(done.stderr.encode()) < 300, done.stderr[:200]
 
 
 @pytest.mark.parametrize(
@@ -1667,7 +1742,7 @@ def test_entry_gives_numpy_one_blas_thread_unless_the_user_set_a_count():
 def test_entry_prints_the_bytes_of_main(capsys):
     # The process settings of entry(), no OpenSSL among them, change no byte.
     argv = ["verify", "--quick", "--json"]
-    done = fresh_process("-c", "from weincalc.cli import entry; entry()", *argv)
+    done = fresh_process("-c", ENTRY, *argv)
     assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, *argv)
 
 
@@ -1681,15 +1756,26 @@ def test_entry_prints_the_bytes_of_main(capsys):
     ],
 )
 def test_entry_exits_with_its_own_code_and_no_traceback_when_stdout_is_closed(argv):
-    # The reader of the pipe is gone before the child writes its first byte,
-    # as after `weinstein-calc verify --json | head -c 10`.
-    reader, writer = os.pipe()
-    os.close(reader)
-    try:
-        done = fresh_process("-c", "from weincalc.cli import entry; entry()", *argv, stdout=writer)
-    finally:
-        os.close(writer)
-    assert (done.returncode, done.stderr) == (0, "")
+    # The reader of the pipe is gone before the child starts, or it takes 10
+    # bytes and closes, as `head -c 10` does after `weinstein-calc verify
+    # --json | head -c 10`; then the broken pipe may land in entry's last flush.
+    for taken in (0, 10):
+        reader, writer = os.pipe()
+
+        def head(reader=reader, taken=taken):
+            os.read(reader, taken)
+            os.close(reader)
+
+        thread = threading.Thread(target=head)
+        thread.start()
+        if not taken:
+            thread.join()
+        try:
+            done = fresh_process("-c", ENTRY, *argv, stdout=writer)
+        finally:
+            os.close(writer)
+            thread.join()
+        assert (done.returncode, done.stderr) == (0, ""), taken
 
 
 def test_only_entry_freezes_the_heap(capsys):

@@ -5,24 +5,31 @@ through `cli.main`: query commands exit 0 or 2 (1 only for a `moment --mc`
 estimate outside its Monte Carlo band, which is a verification failure), no
 exception escapes, a `cpn`, `blowup`, `moment` or `identity` refusal names
 its flags or quotes its unreadable number, and every value printed as JSON
-survives `symbolic.json_terms` and `PiGradedValue.to_json`.  Sizes stay
-small (n, k <= 12, at most 10^3 samples) so that the suite runs in seconds;
-only rational exponents reach beyond the integer string limit, which refuses
-them at once.
-The one exception is the product gate's property, whose `--n` has hundreds
-of digits so that the denominator of the CP^n value nears a lowered limit.
+survives `symbolic.json_terms` and `PiGradedValue.to_json` and matches the
+benchmark's closed-form oracle (perfbench/oracle.py), which knows no named
+class.  Sizes stay small (n, k <= 12, at most 10^3 samples) so that the suite
+runs in seconds; only rational exponents reach beyond the integer string
+limit, which refuses them at once.
+The exceptions are blow-ups with k = n - 1 up to n = 300 and at the term cap,
+and the product gate's property, whose `--n` has hundreds of digits so that
+the denominator of the CP^n value nears a lowered limit.
 """
 
 import json
 import math
+import runpy
 import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from weincalc.cli import main
-from weincalc.symbolic import PiGradedValue, PolyQ, RatFuncQ, json_terms
+from weincalc.symbolic import MAX_JSON_EXPONENT, PiGradedValue, PolyQ, RatFuncQ, json_terms
+
+ORACLE = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"))
 
 SETTINGS = settings(
     derandomize=True,
@@ -69,6 +76,7 @@ def mostly(valid, other=any_json):
 
 exponent = mostly(st.integers(0, 5), st.one_of(st.integers(-1, 5), json_leaf))
 nonzero = st.sampled_from(["1", "1/2", "-3/4", "2/3"])
+signed = st.builds(Fraction, st.integers(-99, 99).filter(bool), st.integers(1, 99)).map(str)
 coefficient = mostly(st.one_of(nonzero, st.just("0")), rational_text)
 terms = mostly(st.lists(st.tuples(exponent, coefficient).map(list), max_size=3))
 component = st.fixed_dictionaries({"pi_exp": exponent, "num": terms, "den": terms})
@@ -102,6 +110,25 @@ descriptors = mostly(
     )
 )
 
+# Well-formed descriptors with 2 to 4 periods of mixed signs per degree.
+period_descriptors = st.fixed_dictionaries(
+    {
+        "dimension": st.integers(3, 6).map(lambda m: 2 * m),
+        "trivial_odd_homotopy": st.just([1, 3, 5, 7, 9, 11]),
+        "periods": st.dictionaries(st.sampled_from(["2", "4", "6"]),
+                                   st.lists(signed, min_size=2, max_size=4), max_size=3),
+    }
+)
+# Blow-ups with a common factor g > 1 of n and k, and with k = n - 1 up to
+# n = 300; a weight in (0, 1) whose denominator has 7 to 21 digits.
+common_factor = st.builds(
+    lambda g, b, a: (g * (a + b), g * b), st.integers(2, 6), st.integers(1, 10), st.integers(0, 5)
+)
+next_to_top = st.integers(2, 300).map(lambda n: (n, n - 1))
+wide_rho = st.integers(10**6, 10**20).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: f"{p}/{q}")
+)
+
 
 @st.composite
 def query_argv(draw):
@@ -118,9 +145,13 @@ def query_argv(draw):
             argv += ["--mc", "--samples", str(draw(st.integers(-1, 1000)))]
             argv += ["--seed", str(draw(st.integers(-1, 2**64)))]
     else:
-        argv = [command, "--n", str(draw(small)), "--k", str(draw(small))]
+        pairs = st.tuples(small, small)
+        if command == "blowup":
+            pairs = st.one_of(pairs, common_factor, next_to_top)
+        n, k = draw(pairs)
+        argv = [command, "--n", str(n), "--k", str(k)]
         if command == "blowup" and draw(st.booleans()):
-            argv += ["--rho", draw(rational_text)]
+            argv += ["--rho", draw(st.one_of(rational_text, wide_rho))]
     if draw(st.booleans()):
         argv.append("--json")
     return argv
@@ -134,7 +165,7 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def check_contract(capsys, argv):
+def check_contract(capsys, argv, descriptor=None):
     usage = False
     try:
         code = main(argv)
@@ -162,12 +193,24 @@ def check_contract(capsys, argv):
     if "--json" in argv:
         doc = strict_json(out)
         assert doc["status"] == "ok"
-        if "value" in doc:
-            assert PiGradedValue.from_terms(json_terms(doc["value"])).to_json() == doc["value"]
+        value = doc.get("value", [])
+        exponents = [e for c in value for e, _ in [(c["pi_exp"], 0), *c["num"], *c["den"]]]
+        # json_terms reads exponents up to MAX_JSON_EXPONENT and refuses
+        # larger ones, which a blow-up at k > 500 prints.
+        if max(exponents, default=0) <= MAX_JSON_EXPONENT:
+            assert PiGradedValue.from_terms(json_terms(value)).to_json() == value
+        else:
+            with pytest.raises(ValueError, match="exponent must be at most"):
+                json_terms(value)
+        if "--class" not in argv:
+            assert ORACLE["check"](argv, doc, {"periods": {}, **(descriptor or {})}) is None
 
 
 @SETTINGS
 @given(argv=query_argv())
+# The largest k = n - 1 under the integer string limit, and the first past it.
+@example(argv=["blowup", "--n", "1558", "--k", "1557", "--json"])
+@example(argv=["blowup", "--n", "1559", "--k", "1558", "--json"])
 def test_query_commands_keep_the_exit_code_contract(capsys, argv):
     check_contract(capsys, argv)
 
@@ -190,7 +233,14 @@ def test_product_keeps_the_exit_code_contract(
         argv += ["--class", class_name]
     if as_json:
         argv.append("--json")
-    check_contract(capsys, argv)
+    check_contract(capsys, argv, descriptor)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(n=st.integers(1, 12), k=st.integers(1, 6), descriptor=period_descriptors)
+def test_product_answers_without_a_class_match_the_oracle(capsys, tmp_path, n, k, descriptor):
+    contract = test_product_keeps_the_exit_code_contract.hypothesis.inner_test
+    contract(capsys, tmp_path, n, k, descriptor, None, True)
 
 
 fractions = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))

@@ -37,6 +37,15 @@ def ball_moment_off_at_k3(original):
     return mutant
 
 
+def radius_power_2n_plus_k(original):
+    def mutant(n, l, k, r0):  # r0^(2n+k) for r0^(2(n+k))
+        _, base, _ = original(n, l, k, r0)
+        coeff = base * r0 ** (2 * n + k)
+        return coeff, base, float(coeff) * math.pi**n
+
+    return mutant
+
+
 def blowup_at_weight_with_one_more_power(original):
     def mutant(n, k, rho):
         c = morphism.cpn_q(n, k) / math.factorial(k)
@@ -109,6 +118,10 @@ MUTANTS = [
     pytest.param(
         combinatorics, "ball_moment_exact", ball_moment_off_at_k3, False,
         {"ball-moments"}, id="ball_moment_exact-times-1.01-at-k3",
+    ),
+    pytest.param(
+        combinatorics, "ball_moment", radius_power_2n_plus_k, True,
+        {"ball-moments"}, id="ball_moment-r0^(2n+k)",
     ),
     pytest.param(
         morphism, "blowup_at_weight", blowup_at_weight_with_one_more_power, True,
