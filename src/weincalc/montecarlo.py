@@ -270,10 +270,7 @@ def _accumulate(groups, buffers, r0, partial, norm_sq) -> None:
     dimension d, each column m gets one power per k that its pairs read, and
     each cutoff one mask; the pairs that read them share them.  At d < n the
     columns are those of the nested point: |z|^2_d = r0^2 U^(1/d) and
-    P_m |z|^2_d / P_d for m < d, the share |z|^2_d / P_d formed only for
-    such an m.  The sum of squares of a pair (k, cutoff) is the sum of the
-    pair (2k, cutoff) where the grid has one: both square the column's k-th
-    power (_power), so the bits are those of the square."""
+    P_m |z|^2_d / P_d for m < d."""
     import numpy as np
 
     size, n = partial.shape
@@ -282,8 +279,7 @@ def _accumulate(groups, buffers, r0, partial, norm_sq) -> None:
         radii = norm_sq
         if d < n:
             radii = _squared_radii(buffers.uniforms[:size], d, r0, buffers.nested_radii[:size])
-            if min(columns) < d:
-                share = np.divide(radii, partial[:, d - 1], out=buffers.share[:size])
+            share = np.divide(radii, partial[:, d - 1], out=buffers.share[:size])
         outside = {
             cutoff: np.greater(radii, cutoff * cutoff, out=mask[:size])
             for cutoff, mask in buffers.masks.items()
@@ -297,20 +293,15 @@ def _accumulate(groups, buffers, r0, partial, norm_sq) -> None:
                 column = np.multiply(partial[:, m - 1], share, out=buffers.column[:size])
             powers = {1: column}
             spare = iter(buffers.powers)
-            sums = {}
-            for k in sorted(readers, reverse=True):
+            for k, pairs in readers.items():
                 if k not in powers:
                     powers[k] = _power(column, k, powers, next(spare)[:size])
-                for cutoff, pair in readers[k].items():
+                for cutoff, pair in pairs.items():
                     values = powers[k]
                     if cutoff:
                         values = np.multiply(values, outside[cutoff], out=scratch)
-                    sums[k, cutoff] = float(values.sum())
-                    pair[0] += sums[k, cutoff]
-                    square = sums.get((2 * k, cutoff))
-                    if square is None:
-                        square = float(np.square(values, out=scratch).sum())
-                    pair[1] += square
+                    pair[0] += float(values.sum())
+                    pair[1] += float(np.square(values, out=scratch).sum())
 
 
 def _power(column: np.ndarray, k: int, known: dict, out: np.ndarray) -> np.ndarray:

@@ -119,6 +119,19 @@ period_descriptors = st.fixed_dictionaries(
                                    st.lists(signed, min_size=2, max_size=4), max_size=3),
     }
 )
+# The same descriptors with one well-formed class "c" of odd degree 1, 3 or
+# 5: up to three components, each a ratio of polynomials with distinct
+# exponents and a nonzero denominator.
+poly_terms = st.dictionaries(st.integers(0, 4), signed, max_size=3).map(
+    lambda terms: [[e, c] for e, c in sorted(terms.items())]
+)
+class_value = st.dictionaries(
+    st.integers(0, 5), st.tuples(poly_terms, poly_terms.filter(bool)), max_size=3
+).map(lambda parts: [{"pi_exp": a, "num": num, "den": den} for a, (num, den) in parts.items()])
+class_descriptors = st.builds(
+    lambda doc, degree, value: {**doc, "classes": {"c": {"degree": degree, "value": value}}},
+    period_descriptors, st.sampled_from([1, 3, 5]), class_value,
+)
 # Blow-ups with a common factor g > 1 of n and k, and with k = n - 1 up to
 # n = 300; a weight in (0, 1) whose denominator has 7 to 21 digits.
 common_factor = st.builds(
@@ -241,6 +254,17 @@ def test_product_keeps_the_exit_code_contract(
 def test_product_answers_without_a_class_match_the_oracle(capsys, tmp_path, n, k, descriptor):
     contract = test_product_keeps_the_exit_code_contract.hypothesis.inner_test
     contract(capsys, tmp_path, n, k, descriptor, None, True)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(n=st.integers(1, 12), descriptor=class_descriptors)
+def test_product_answers_with_a_class_keep_the_contract(capsys, tmp_path, n, descriptor):
+    # --class c at the one k of its degree, 2k - 1: the JSON round trip of
+    # check_contract runs on the answer, and the oracle, which knows no
+    # class, does not.
+    k = (descriptor["classes"]["c"]["degree"] + 1) // 2
+    contract = test_product_keeps_the_exit_code_contract.hypothesis.inner_test
+    contract(capsys, tmp_path, max(n, k), k, descriptor, "c", True)
 
 
 fractions = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
