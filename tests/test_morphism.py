@@ -488,6 +488,11 @@ BAD_FIELDS = [
     # A period longer than the integer string limit was called irrational.
     ({"dimension": 4, "periods": {"2": ["1" * 4301]}}, "periods.2",
      "the input has a number of 4301 digits, more than 4300, the integer string limit"),
+    # A term exponent is a JSON integer, written once per polynomial.
+    (_class_value([_component([(True, "1/2")])]), "classes.c.value",
+     "exponent must be an integer, got true"),
+    (_class_value([_component([(0, "1"), (0, "1/2")])]), "classes.c.value",
+     "duplicate term exponent 0"),
 ]
 
 
