@@ -8,7 +8,10 @@ therefore formal equality of coefficients, and membership in a lattice
 generated by monomials decomposes into one cyclic-group test per monomial.
 
 Values are added (the sum formula for CP^n x M), reduced and printed, never
-scaled: lattice_order reads the order from the coefficients cell by cell.  A
+scaled: lattice_order reads the order from the coefficients cell by cell.
+Every sum has a polynomial side, a monomial such as the CP^n value, so no
+sum runs a gcd: Euclid runs only when a RatFuncQ is built from a numerator
+and a denominator, for a named class and for verify's blow-up reference.  A
 blow-up value shares one large coefficient across all its terms; printing
 formats each distinct coefficient once.
 """
@@ -56,14 +59,6 @@ class PolyQ:
         out = cls.__new__(cls)
         out.terms = terms
         return out
-
-    @classmethod
-    def const(cls, c: Fraction | int) -> PolyQ:
-        return cls({0: c})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: Fraction | int = 1) -> PolyQ:
-        return cls({exp: coeff})
 
     @classmethod
     def one_minus_x_pow(cls, m: int) -> PolyQ:
@@ -202,11 +197,7 @@ class RatFuncQ:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: PolyQ | Fraction | int, den: PolyQ | Fraction | int = 1):
-        if isinstance(num, (int, Fraction)):
-            num = PolyQ.const(num)
-        if isinstance(den, (int, Fraction)):
-            den = PolyQ.const(den)
+    def __init__(self, num: PolyQ, den: PolyQ):
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if den.degree > 0:  # a constant denominator shares no factor: no gcd
@@ -245,14 +236,15 @@ class RatFuncQ:
         return hash((self.num, self.den))
 
     def __add__(self, other: RatFuncQ) -> RatFuncQ:
-        """The reduced sum.  A polynomial p on either side needs no gcd:
-        p + a/b = (a + p b)/b is reduced, since gcd(a + p b, b) = gcd(a, b) = 1,
-        and b stays monic."""
+        """The reduced sum of a polynomial p and a/b, on either side, which
+        needs no gcd: p + a/b = (a + p b)/b is reduced, since
+        gcd(a + p b, b) = gcd(a, b) = 1, and b stays monic.  Every sum the
+        program forms has a polynomial side; two fractions do not add."""
         for p, f in ((self, other), (other, self)):
             if p.is_polynomial:
                 scaled = p.num if f.is_polynomial else p.num * f.den
                 return RatFuncQ._of(f.num + scaled, f.den)
-        return RatFuncQ(self.num * other.den + other.num * self.den, self.den * other.den)
+        return NotImplemented
 
     def __str__(self) -> str:
         if self.is_polynomial:

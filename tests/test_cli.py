@@ -130,11 +130,6 @@ def test_digit_limit_names_the_flags(capsys, tmp_path, fmt):
                   f"error: --n 2000 --k 2000: {DIGITS}\n")
 
 
-def test_cpn_rejects_out_of_range(capsys, tmp_path):
-    check_refusal(capsys, tmp_path, "cpn --n 1 --k 2",
-                  "error: --k 2 --n 1: must satisfy 1 <= k <= n\n")
-
-
 def test_blowup_infinite_order(capsys):
     code, doc = run_json(capsys, "blowup", "--n", "3", "--k", "1")
     assert code == 0
@@ -181,11 +176,6 @@ def test_blowup_json_writes_the_value_once(capsys, monkeypatch, rho):
     value = out.splitlines()[1]
     assert value.startswith("  value     = (") and value.endswith(") * pi^159")
     assert (len(formatted), len(rendered)) == (1, 1)
-
-
-def test_blowup_rejects_bad_weight(capsys, tmp_path):
-    check_refusal(capsys, tmp_path, "blowup --n 2 --k 1 --rho 3/2",
-                  "error: --rho 3/2: must lie in (0, 1)\n")
 
 
 def test_moment_exact(capsys):
@@ -275,11 +265,6 @@ def test_moment_with_mc(capsys):
     assert doc["mc"]["samples"] == 100000
 
 
-def test_moment_rejects_bad_range(capsys, tmp_path):
-    check_refusal(capsys, tmp_path, "moment --n 1 --l 2 --k 1",
-                  "error: --l 2 --n 1: must satisfy 1 <= l <= n\n")
-
-
 def test_moment_without_a_coordinate_blames_n(capsys, tmp_path):
     # It blamed l: "l must satisfy 1 <= l <= n, got l=1 with n=0".
     check_refusal(capsys, tmp_path, "moment --n 0 --l 1 --k 1", "error: --n 0: must be >= 1\n")
@@ -307,11 +292,6 @@ def test_moment_mc_keeps_the_standard_error_of_a_tiny_moment(capsys):
     assert doc["status"] == "ok"
     assert doc["mc"]["std_error"] > 0
     assert doc["mc"]["band_distance"] <= 1
-
-
-def test_moment_mc_rejects_a_single_sample(capsys, tmp_path):
-    check_refusal(capsys, tmp_path, "moment --n 1 --l 1 --k 1 --mc --samples 1",
-                  "error: --samples 1: must be >= 2\n")
 
 
 def test_moment_mc_rejects_float_overflow_of_the_volume(capsys):
@@ -402,7 +382,7 @@ def test_moment_mc_refuses_the_counts_whose_4_sigma_rule_failed_a_correct_value(
         assert doc["mc"]["band_distance"] <= 1
 
 
-def test_moment_mc_needs_the_samples_that_the_kurtosis_asks_for(capsys):
+def test_moment_mc_needs_the_samples_that_the_power_rule_asks_for(capsys):
     # |z|^2 over the unit disk has mean 1/2, so the range term 7 L / (3 (N-1))
     # of the band, L = ln(2 10^4), is within 10 % of it from N = 464.
     argv = ["moment", "--n", "1", "--l", "1", "--k", "1", "--mc"]
@@ -413,7 +393,7 @@ def test_moment_mc_needs_the_samples_that_the_kurtosis_asks_for(capsys):
 @pytest.mark.parametrize(
     "n, l, k", [(1, 1, 1), (2, 1, 1), (3, 2, 2), (5, 5, 1), (6, 3, 7), (40, 40, 1)]
 )
-def test_moment_kurtosis_matches_the_exact_ball_moments(n, l, k):
+def test_moment_power_rule_reads_the_exact_ball_moments(n, l, k):
     # The power rule reads log E[s^k] on the unit ball: the ball moment over
     # the volume pi^n/n!.
     moment = combinatorics.ball_moment_exact(n, l, k)[0] * math.factorial(n)
@@ -1050,7 +1030,7 @@ def test_adding_a_class_to_the_cpn_value_runs_one_gcd(capsys, tmp_path, monkeypa
     assert (code, len(calls)) == (0, 1)
     monkeypatch.undo()
     num, den = symbolic.PolyQ(num), symbolic.PolyQ(den)
-    generic = symbolic.RatFuncQ(num + symbolic.PolyQ.const(cpn_q(2, 1)) * den, den)
+    generic = symbolic.RatFuncQ(num + symbolic.PolyQ({0: cpn_q(2, 1)}) * den, den)
     assert doc["value"] == PiGradedValue({1: generic}).to_json()
 
 

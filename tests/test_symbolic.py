@@ -172,7 +172,7 @@ def test_poly_gcd_keeps_the_remainder_coefficients_small(monkeypatch):
         return divide(p, q)
 
     monkeypatch.setattr(PolyQ, "__divmod__", spy)
-    assert poly_gcd(a, b) == PolyQ.const(1)
+    assert poly_gcd(a, b) == PolyQ({0: 1})
     assert 0 < max(bits) <= 1024
 
 
@@ -199,7 +199,7 @@ def test_ratfunc_reduction_matches_fraction_reference(p, q, s, cn, cd):
 
 def test_ratfunc_rejects_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        RatFuncQ(PolyQ.const(1), PolyQ())
+        RatFuncQ(PolyQ({0: 1}), PolyQ())
 
 
 @given(small_poly, nonzero_poly)
@@ -224,7 +224,8 @@ def test_ratfunc_reduce_scale_invariant(num, den, c):
 @settings(max_examples=80)
 def test_ratfunc_sum_with_a_polynomial_runs_no_gcd(p, a, b):
     # p + a/b = (a + p b)/b is reduced already: gcd(a + p b, b) = gcd(a, b) = 1.
-    f, poly = RatFuncQ(a, b), RatFuncQ(p)
+    one = PolyQ({0: 1})
+    f, poly = RatFuncQ(a, b), RatFuncQ(p, one)
     expected = RatFuncQ(f.num + p * f.den, f.den)
     calls = []
     gcd = symbolic.poly_gcd
@@ -235,26 +236,16 @@ def test_ratfunc_sum_with_a_polynomial_runs_no_gcd(p, a, b):
         symbolic.poly_gcd = gcd
     assert calls == []
     assert sums[:2] == [expected, expected]
-    assert sums[2] == RatFuncQ(p * 2)
+    assert sums[2] == RatFuncQ(p * 2, one)
 
 
-def test_ratfunc_sum_of_two_fractions_is_reduced():
-    # Neither side a polynomial: the general path, checked against sums
-    # reduced by hand.
-    x = PolyQ.monomial(1)
-    one = PolyQ.const(1)
-    # 1/(x+1) + 1/(x-1) = 2x/(x^2 - 1), with no common factor.
-    assert RatFuncQ(one, x + one) + RatFuncQ(one, x + PolyQ.const(-1)) == RatFuncQ._of(
-        PolyQ({1: 2}), PolyQ({2: 1, 0: -1})
-    )
-    # 1/(x+1) + x/(x+1) = 1: the shared factor cancels down to a polynomial.
-    assert RatFuncQ(one, x + one) + RatFuncQ(x, x + one) == RatFuncQ._of(one, one)
-    # (1/2)/(2x) + (1/3)/(x^2 + x) = (3x + 7)/(12 x^2 + 12 x), reduced and
-    # made monic: ((1/4)x + 7/12)/(x^2 + x).
-    sum_ = RatFuncQ(PolyQ.const(Fraction(1, 2)), PolyQ({1: 2})) + RatFuncQ(
-        PolyQ.const(Fraction(1, 3)), PolyQ({2: 1, 1: 1})
-    )
-    assert sum_ == RatFuncQ._of(PolyQ({1: Fraction(1, 4), 0: Fraction(7, 12)}), PolyQ({2: 1, 1: 1}))
+def test_ratfunc_two_fractions_do_not_add():
+    # Every sum the program forms has a polynomial side, so the sum of two
+    # fractions, which would need a gcd, is not defined.
+    one = PolyQ({0: 1})
+    f, g = RatFuncQ(one, PolyQ({0: 1, 1: 1})), RatFuncQ(one, PolyQ({0: -1, 1: 1}))
+    with pytest.raises(TypeError):
+        f + g
 
 
 def test_rational_gcd_examples():
@@ -356,7 +347,7 @@ def test_monomial_keeps_its_checks_and_equals_the_reduced_form():
     # only checks: an int coefficient is stored as a Fraction, zero gives the
     # zero value, and a negative exponent is refused.
     (f,) = PiGradedValue.monomial(-3, 2, 5).components.values()
-    assert f == RatFuncQ(PolyQ({5: Fraction(-3)}))
+    assert f == RatFuncQ(PolyQ({5: Fraction(-3)}), PolyQ({0: 1}))
     assert type(f.num.terms[5]) is Fraction and f.is_polynomial
     assert PiGradedValue.monomial(0, 1, 2) == PiGradedValue()
     with pytest.raises(ValueError, match="^exponent must be >= 0, got -1$"):
@@ -374,7 +365,7 @@ def test_lattice_member_known_cases():
     assert not lattice_member(half_pi, Lattice([(1, 1, 0)]))
     pi_sq_half = PiGradedValue.monomial(Fraction(1, 2), 2, 0)
     assert lattice_member(pi_sq_half, Lattice([(Fraction(1, 2), 2, 0)]))
-    nonpoly = PiGradedValue({1: RatFuncQ(PolyQ.const(1), PolyQ({0: 1, 1: 1}))})
+    nonpoly = PiGradedValue({1: RatFuncQ(PolyQ({0: 1}), PolyQ({0: 1, 1: 1}))})
     assert not lattice_member(nonpoly, Lattice([(1, 1, 0), (1, 1, 1), (1, 1, 2)]))
 
 
@@ -388,7 +379,7 @@ def test_lattice_order_known_cases():
     assert not result.is_finite
     assert result.witness is not None
     value = PiGradedValue(
-        {2: RatFuncQ(PolyQ({0: Fraction(1, 2), 2: Fraction(1, 2)}))}
+        {2: RatFuncQ(PolyQ({0: Fraction(1, 2), 2: Fraction(1, 2)}), PolyQ({0: 1}))}
     )
     lattice = Lattice([(Fraction(1, 2), 2, 0), (Fraction(1, 2), 2, 2)])
     assert lattice_order(value, lattice) == OrderResult.finite(1)
@@ -468,7 +459,7 @@ def test_value_json_roundtrip_bit_exact():
         PolyQ({0: Fraction(1, 3), 2: Fraction(-5, 7)}),
         PolyQ({0: 1, 1: 1}),
     )
-    value = PiGradedValue({0: RatFuncQ(Fraction(3, 4)), 2: f})
+    value = PiGradedValue({0: RatFuncQ(PolyQ({0: Fraction(3, 4)}), PolyQ({0: 1})), 2: f})
     doc = value.to_json()
     assert PiGradedValue.from_terms(json_terms(json.loads(json.dumps(doc)))) == value
     with pytest.raises(ValueError, match="duplicate pi_exp 2"):
