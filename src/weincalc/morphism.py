@@ -220,8 +220,8 @@ DESCRIPTOR_FIELDS = ("dimension", "trivial_odd_homotopy", "periods", "classes")
 
 class NamedClass(NamedTuple):
     """A named morphism value on the descriptor manifold, with its degree.
-    Its pi^a components are kept as read, checked but unreduced (num, den)
-    pairs, so only a class that a query reads costs a reduction."""
+    Its pi^a components are kept as read, checked but undivided (num, den)
+    pairs, so only a class that a query reads costs a division."""
 
     degree: int
     terms: Mapping[int, tuple[PolyQ, PolyQ]]
@@ -424,9 +424,11 @@ def product_value(
     trivial homotopy in degree 2k-1; the class exists and lives in that
     degree; k <= m for the descriptor's dimension 2m; a printable k!.  None
     of these reads the class value.  Then the named class, and no other
-    class of the descriptor, is reduced, once, to a/b with b monic; that
-    reduction is the one summed into the printed value.  Then the gate of
-    the CP^n value (_checked_c), whose printable-c test allows for the
+    class of the descriptor, is decided, once, by one exact division per
+    component: its quotient over 1 when the denominator divides the
+    numerator, and otherwise the component as given, unreduced, as a/b with
+    b monic; that form is the one summed into the printed value.  Then the
+    gate of the CP^n value (_checked_c), whose printable-c test allows for the
     denominator of the coefficient of x^deg(b) in a: the printed sum
     (a + c b)/b has the coefficient c + a_j there, and
     den(c + a_j) >= den(c) / den(a_j).  Then the lattices: M's degree-2k

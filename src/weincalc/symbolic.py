@@ -7,11 +7,14 @@ transcendental in (0, 1), and x stands for rho^2.)  Equality of values is
 therefore formal equality of coefficients, and membership in a lattice
 generated by monomials decomposes into one cyclic-group test per monomial.
 
-Values are added (the sum formula for CP^n x M), reduced and printed, never
-scaled: lattice_order reads the order from the coefficients cell by cell.
-Every sum has a polynomial side, a monomial such as the CP^n value, so no
-sum runs a gcd: Euclid runs only when a RatFuncQ is built from a numerator
-and a denominator, for a named class and for verify's blow-up reference.  A
+Values are added (the sum formula for CP^n x M) and printed, never scaled:
+lattice_order reads the order from the coefficients cell by cell.  The
+order needs only to know whether each component is a polynomial, so a
+RatFuncQ built from a numerator and a denominator, as a named class is,
+decides that by one exact division (exact_quotient) and keeps any other
+component as given, unreduced.  Every sum has a polynomial side, a
+monomial such as the CP^n value, so no sum divides.  No query runs a
+polynomial gcd: poly_gcd serves verify's blow-up reference alone.  A
 blow-up value shares one large coefficient across all its terms; printing
 formats each distinct coefficient once.
 """
@@ -182,10 +185,58 @@ def _formatter():
 
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     """Monic gcd in Q[x] by the Euclidean algorithm on monic remainders,
-    whose coefficients stay far smaller than the raw ones; gcd(0, 0) = 0."""
+    whose coefficients stay far smaller than the raw ones; gcd(0, 0) = 0.
+    Only verify's blow-up reference runs it."""
     while b:
         a, b = b, divmod(a, b)[1].monic()
     return a.monic()
+
+
+def primitive_part(p: PolyQ) -> tuple[Fraction, dict[int, int]]:
+    """The content c and the primitive part P of a nonzero p, p = c*P: P has
+    integer coefficients with gcd 1 and a positive leading coefficient.  The
+    coefficients are reduced, so c = +-gcd(numerators) / lcm(denominators)."""
+    coeffs = p.terms.values()
+    top = math.gcd(*(c.numerator for c in coeffs))
+    bottom = math.lcm(*(c.denominator for c in coeffs))
+    if p.leading_coeff() < 0:
+        top = -top
+    return Fraction(top, bottom), {
+        e: c.numerator * (bottom // c.denominator) // top for e, c in p.terms.items()
+    }
+
+
+def exact_quotient(num: PolyQ, den: PolyQ) -> PolyQ | None:
+    """num/den when den divides num in Q[x], else None; den is nonzero.
+
+    By Gauss's lemma den | num in Q[x] iff the primitive part B of den
+    divides that of num, A, in Z[x], and then the quotient Q lies in Z[x]
+    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 6).  So one
+    integer long division of A by B decides it, from the top.  It stops at
+    the first leading coefficient that lead(B) does not divide, or at the
+    first quotient coefficient q_i above C(m, i)*||A||_2, m = deg Q, which
+    is Mignotte's bound on a factor of A; neither can happen when B | A.
+    Every quotient coefficient is so bounded, and with it the time, which
+    the remainders of Euclid over Q are not.
+    """
+    if not num:
+        return PolyQ()
+    (ca, a), (cb, b) = primitive_part(num), primitive_part(den)
+    da, db = max(a), max(b)
+    m, lead, scale = da - db, b.pop(db), ca / cb
+    rem = [a.get(e, 0) for e in range(da + 1)]
+    norm = math.isqrt(sum(c * c for c in a.values())) + 1  # above ||A||_2
+    binom, quot = 1, {}  # binom = C(m, i)
+    for i in range(m, -1, -1):  # no step when deg A < deg B
+        if rem[i + db]:
+            q, left = divmod(rem[i + db], lead)
+            if left or abs(q) > binom * norm:
+                return None
+            quot[i] = q * scale
+            for e, c in b.items():
+                rem[i + e] -= q * c
+        binom = binom * i // (m - i + 1)
+    return None if any(rem[:db]) else PolyQ._of(quot)
 
 
 # The terms of the denominator 1, that of every polynomial RatFuncQ.
@@ -193,16 +244,19 @@ _ONE = {0: Fraction(1)}
 
 
 class RatFuncQ:
-    """Reduced rational function over Q: gcd(num, den) = 1, den monic, nonzero."""
+    """Rational function num/den over Q with den monic, and den = 1 or den
+    not dividing num: is_polynomial is then exact.  It is not reduced, so
+    equality compares the stored num and den, as given."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: PolyQ, den: PolyQ):
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if den.degree > 0:  # a constant denominator shares no factor: no gcd
-            g = poly_gcd(num, den)  # a zero numerator leaves den/g constant
-            num, den = divmod(num, g)[0], divmod(den, g)[0]
+        if den.degree > 0:  # a constant denominator divides every numerator
+            quotient = exact_quotient(num, den)
+            if quotient is not None:
+                num, den = quotient, PolyQ._of(dict(_ONE))
         # Normalize: monic denominator, scale absorbed into the numerator.
         lead = den.leading_coeff()
         if lead != 1:
@@ -213,8 +267,8 @@ class RatFuncQ:
 
     @classmethod
     def _of(cls, num: PolyQ, den: PolyQ) -> RatFuncQ:
-        """Wrap a numerator and a monic denominator that are already coprime,
-        unchecked."""
+        """Wrap a numerator and a monic denominator, 1 or not dividing the
+        numerator, unchecked."""
         out = cls.__new__(cls)
         out.num = num
         out.den = den
@@ -236,10 +290,10 @@ class RatFuncQ:
         return hash((self.num, self.den))
 
     def __add__(self, other: RatFuncQ) -> RatFuncQ:
-        """The reduced sum of a polynomial p and a/b, on either side, which
-        needs no gcd: p + a/b = (a + p b)/b is reduced, since
-        gcd(a + p b, b) = gcd(a, b) = 1, and b stays monic.  Every sum the
-        program forms has a polynomial side; two fractions do not add."""
+        """The sum of a polynomial p and a/b, on either side, which needs no
+        division: p + a/b = (a + p b)/b, where b divides a + p b iff it
+        divides a, and b stays monic.  Every sum the program forms has a
+        polynomial side; two fractions do not add."""
         for p, f in ((self, other), (other, self)):
             if p.is_polynomial:
                 scaled = p.num if f.is_polynomial else p.num * f.den
@@ -342,10 +396,9 @@ def json_object(
     return value
 
 
-# The largest pi or x exponent a value read from JSON may carry.  It caps the
-# exponents, not the time to reduce the value: poly_gcd reduces degree 100
-# over 99 with random one-digit coefficients in 0.2 s, but degree 20 over 19
-# with 1000-digit ones in 21 s (2-core x86-64 box, CPython 3.11).
+# The largest pi or x exponent a value read from JSON may carry.  It bounds
+# the division that decides a component (exact_quotient): at most 1001 steps
+# of at most 1001 terms each, on coefficients that Mignotte's bound caps.
 MAX_JSON_EXPONENT = 1000
 
 
@@ -382,7 +435,7 @@ COMPONENT_FIELDS = ("pi_exp", "num", "den")
 
 def json_terms(doc) -> dict[int, tuple[PolyQ, PolyQ]]:
     """The components of a value in the PiGradedValue.to_json shape, as
-    pi_exp -> (num, den), each read and checked but none reduced.  A
+    pi_exp -> (num, den), each read and checked but none divided.  A
     ValueError names the part that breaks the shape; a component that breaks
     the field rule is a FieldError named by its index."""
     if not isinstance(doc, list):
@@ -402,7 +455,7 @@ def json_terms(doc) -> dict[int, tuple[PolyQ, PolyQ]]:
 
 
 class PiGradedValue:
-    """A finite sum  sum_a f_a(x) * pi^a  with reduced rational functions f_a.
+    """A finite sum  sum_a f_a(x) * pi^a  of rational functions f_a (RatFuncQ).
 
     Every morphism value and every exact integral in the package is one of
     these; the zero value has no components.
@@ -422,8 +475,8 @@ class PiGradedValue:
 
     @classmethod
     def monomial(cls, coeff: Fraction | int, pi_exp: int, x_exp: int = 0) -> PiGradedValue:
-        """coeff * pi^pi_exp * x^x_exp, a monomial over 1, which is reduced and
-        monic as built: no gcd runs.  A zero coefficient gives the zero value."""
+        """coeff * pi^pi_exp * x^x_exp, a monomial over 1, a polynomial as
+        built: no division runs.  A zero coefficient gives the zero value."""
         if x_exp < 0:
             raise ValueError(f"exponent must be >= 0, got {x_exp}")
         c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
@@ -464,7 +517,8 @@ class PiGradedValue:
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, tuple[PolyQ, PolyQ]]) -> PiGradedValue:
-        """The value sum_a (num_a / den_a) * pi^a, each component reduced."""
+        """The value sum_a (num_a / den_a) * pi^a, each component decided by
+        one exact division (RatFuncQ)."""
         return cls({a: RatFuncQ(num, den) for a, (num, den) in terms.items()})
 
     def __str__(self) -> str:
@@ -604,8 +658,8 @@ def lattice_order(value: PiGradedValue, lattice: Lattice) -> OrderResult:
         f = value.components[a]
         if not f.is_polynomial:
             return OrderResult.infinite(
-                f"pi^{a} component has a reduced denominator of degree {f.den.degree}"
-                f" with {len(f.den.terms)} terms"
+                f"pi^{a} component has a denominator of degree {f.den.degree}"
+                f" with {len(f.den.terms)} terms that does not divide its numerator"
             )
         for b in sorted(f.num.terms):
             g = lattice.cell(a, b)

@@ -26,8 +26,8 @@ Two checks cost the same in both suites.  mc-determinism repeats two n = 2
 estimates of MC_DETERMINISM_SAMPLES points, one full chunk and one partial
 chunk each, which is where the reused chunk buffers could leak a stale
 value, and two 64-point draws.  decision-procedures builds its 200
-instances from values that are reduced as written (monomials over 1, and
-c x / (1 + x)), so no instance runs a polynomial gcd.
+instances from values that keep RatFuncQ's form as written (monomials over
+1, and c x / (1 + x)), so no instance runs a division or a polynomial gcd.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from .symbolic import (
     RatFuncQ,
     lattice_member,
     lattice_order,
+    poly_gcd,
 )
 
 MC_N_MAX = 3
@@ -337,6 +338,16 @@ def check_cpn_monte_carlo(mc_pass: McPass) -> CheckResult:
     )
 
 
+def _euclid_reduced(num: PolyQ, den: PolyQ) -> RatFuncQ:
+    """num/den reduced by Euclid: both divided by their gcd (poly_gcd), the
+    denominator made monic.  The blow-up rows' reference, and the one caller
+    of poly_gcd."""
+    g = poly_gcd(num, den)
+    num, den = divmod(num, g)[0], divmod(den, g)[0]
+    scale = 1 / den.leading_coeff()
+    return RatFuncQ._of(num * scale, den * scale)
+
+
 def check_blowup(mc_pass: McPass, n_max: int = 8) -> CheckResult:
     """Blow-up suite for all k <= n <= n_max: the value against the Euclidean
     reduction of c (1 - x^(n+k)) / (1 - x^n) with c = q(n,k)/k!, infinite
@@ -357,7 +368,9 @@ def check_blowup(mc_pass: McPass, n_max: int = 8) -> CheckResult:
             c = cpn_q(n, k) / math.factorial(k)
             den0 = f.den.terms.get(0)
             degenerates = bool(den0) and f.num.terms.get(0, 0) / den0 == c
-            reduced = f == RatFuncQ(PolyQ.one_minus_x_pow(n + k) * c, PolyQ.one_minus_x_pow(n))
+            reduced = f == _euclid_reduced(
+                PolyQ.one_minus_x_pow(n + k) * c, PolyQ.one_minus_x_pow(n)
+            )
             if k < n:
                 good = not order.is_finite
             else:

@@ -90,6 +90,24 @@ def check_refusal(capsys, tmp_path, argv, expected, descriptor=None):
     assert_refused(code, out, err, expected.replace("{path}", str(path)))
 
 
+def spy(monkeypatch, name):
+    """The argument tuples of every call of symbolic.`name`, through each
+    weincalc module that holds it, under whatever name it is imported."""
+    calls = []
+    original = getattr(symbolic, name)
+
+    def traced(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "weincalc":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, traced)
+    return calls
+
+
 def test_cpn_human_and_json_agree(capsys):
     code, out, _ = run_cli(capsys, "cpn", "--n", "2", "--k", "1")
     assert code == 0
@@ -643,16 +661,19 @@ def test_blowup_rejects_term_count_above_cap(capsys):
 
 def test_blowup_runs_no_gcd(capsys, monkeypatch):
     # The value is built in its reduced form and --rho evaluates the closed
-    # form, so the Euclidean reduction never runs.
-    calls = []
-    gcd = symbolic.poly_gcd
-    monkeypatch.setattr(symbolic, "poly_gcd", lambda *a: calls.append("gcd") or gcd(*a))
-    for argv in (("--n", "600", "--k", "599"), ("--n", "300", "--k", "299", "--rho", "1/2")):
-        code, _ = run_json(capsys, "blowup", *argv)
+    # form, so the Euclidean reduction never runs; nor does it for cpn.
+    calls = spy(monkeypatch, "poly_gcd")
+    for argv in (
+        ("blowup", "--n", "600", "--k", "599"),
+        ("blowup", "--n", "300", "--k", "299", "--rho", "1/2"),
+        ("cpn", "--n", "9", "--k", "9"),
+    ):
+        code, _ = run_json(capsys, *argv)
         assert code == 0
     assert calls == []
-    symbolic.RatFuncQ(symbolic.PolyQ.one_minus_x_pow(4), symbolic.PolyQ.one_minus_x_pow(2))
-    assert calls == ["gcd"]  # the spy does see the generic route
+    four, two = symbolic.PolyQ.one_minus_x_pow(4), symbolic.PolyQ.one_minus_x_pow(2)
+    verify._euclid_reduced(four, two)
+    assert calls == [(four, two)]  # the spy does see verify's blow-up reference
 
 
 def test_blowup_refuses_rho_before_building_the_value(capsys, monkeypatch):
@@ -965,11 +986,10 @@ def test_product_refuses_an_integer_above_the_string_limit(capsys, tmp_path):
 
 
 def test_product_refuses_a_class_exponent_above_the_bound(capsys, tmp_path, monkeypatch):
-    # Euclid on (x^d + x + 1)/(x^(d-1) + 3) took 0.78 s at d = 20000; every
-    # component is now read and bounded before the first one is reduced.
-    gcds = []
-    original = symbolic.poly_gcd
-    monkeypatch.setattr(symbolic, "poly_gcd", lambda a, b: gcds.append(1) or original(a, b))
+    # (x^d + x + 1)/(x^(d-1) + 3) at d = 20000 once cost 0.78 s of Euclid
+    # before the refusal; every component is read and bounded before the
+    # first one is divided.
+    divisions = spy(monkeypatch, "exact_quotient")
     bound = symbolic.MAX_JSON_EXPONENT
     slow = {"pi_exp": 0, "num": [[20000, "1"], [1, "1"], [0, "1"]], "den": [[19999, "1"], [0, "3"]]}
     fine = {"pi_exp": 1, "num": [[bound, "1"], [0, "1"]], "den": [[bound - 1, "1"], [0, "3"]]}
@@ -982,16 +1002,15 @@ def test_product_refuses_a_class_exponent_above_the_bound(capsys, tmp_path, monk
                       f"error: classes.c.value: exponent must be at most {bound}, got {wrong}\n",
                       {"dimension": 2, "trivial_odd_homotopy": [1],
                        "classes": {"c": {"degree": 1, "value": value}}})
-        assert gcds == []
+        assert divisions == []
     assert PiGradedValue.from_terms(json_terms([fine])).components[1].den.degree == bound - 1
 
 
-def test_product_reduces_only_the_named_class(capsys, tmp_path, monkeypatch):
+def test_product_decides_only_the_named_class(capsys, tmp_path, monkeypatch):
     # 100 classes (x^1000 + x + 1)/(x^999 + 3) made every product query
     # reduce all of them, about 1 s, although a query reads at most one.
-    calls = []
-    gcd = symbolic.poly_gcd
-    monkeypatch.setattr(symbolic, "poly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    calls = spy(monkeypatch, "exact_quotient")
+    gcds = spy(monkeypatch, "poly_gcd")
     value = [{"pi_exp": 0, "num": [[1000, "1"], [1, "1"], [0, "1"]], "den": [[999, "1"], [0, "3"]]}]
     named = [{"pi_exp": 0, "num": [[0, "1"], [3, "1"]], "den": [[0, "1"], [2, "1"]]}]
     classes = {f"c{i}": {"degree": 1, "value": value} for i in range(100)}
@@ -1006,16 +1025,17 @@ def test_product_reduces_only_the_named_class(capsys, tmp_path, monkeypatch):
     code, doc = run_json(capsys, *product, "--class", "named")
     assert code == 0
     assert calls == [(symbolic.PolyQ({3: 1, 0: 1}), symbolic.PolyQ({2: 1, 0: 1}))]
-    assert doc["value"][0] == named[0]  # reduced already: the gcd is 1
+    assert doc["value"][0] == named[0]  # x^2 + 1 does not divide x^3 + 1: kept as given
+    assert gcds == []
 
 
-def test_adding_a_class_to_the_cpn_value_runs_one_gcd(capsys, tmp_path, monkeypatch):
-    # The class is reduced once; adding it to the CP^n monomial ran a second
-    # gcd, which a dense class of degree 50 paid as much as its reduction.
-    calls = []
-    gcd = symbolic.poly_gcd
-    monkeypatch.setattr(symbolic, "poly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
-    # (x^2 - 1)(x + 3) / ((x - 1)(2x + 5)), with a shared factor x - 1
+def test_adding_a_class_to_the_cpn_value_runs_no_gcd(capsys, tmp_path, monkeypatch):
+    # The class a/b is decided by one division and printed as given, b made
+    # monic: adding it to the CP^n monomial c gives (a + c b)/b, with no gcd.
+    # A reduction by Euclid once cost a dense class of degree 100 with
+    # 100-digit coefficients minutes.
+    calls = spy(monkeypatch, "poly_gcd")
+    # (x^2 - 1)(x + 3) / ((x - 1)(2x + 5)): a shared factor x - 1, kept
     num = {3: 1, 2: 3, 1: -1, 0: -3}
     den = {2: 2, 1: 3, 0: -5}
     value = [{"pi_exp": 1, "num": [[e, str(c)] for e, c in num.items()],
@@ -1027,11 +1047,12 @@ def test_adding_a_class_to_the_cpn_value_runs_one_gcd(capsys, tmp_path, monkeypa
     )
     argv = ("product", "--n", "2", "--k", "1", "--manifold", path, "--class", "c")
     code, doc = run_json(capsys, *argv)
-    assert (code, len(calls)) == (0, 1)
-    monkeypatch.undo()
-    num, den = symbolic.PolyQ(num), symbolic.PolyQ(den)
-    generic = symbolic.RatFuncQ(num + symbolic.PolyQ({0: cpn_q(2, 1)}) * den, den)
-    assert doc["value"] == PiGradedValue({1: generic}).to_json()
+    assert (code, calls) == (0, [])
+    half = Fraction(1, 2)  # 1 / lead(b)
+    a, b = symbolic.PolyQ(num) * half, symbolic.PolyQ(den) * half
+    c = symbolic.PolyQ({0: cpn_q(2, 1)})
+    as_given = symbolic.RatFuncQ._of(a + c * b, b)
+    assert doc["value"] == PiGradedValue({1: as_given}).to_json()
 
 
 def test_product_reads_a_period_number_as_written(capsys, tmp_path):
@@ -1261,7 +1282,7 @@ EXACT_PART_SHA256 = {
         "cpn-exact": "b14248721e4d301fb29e9e3c3d6fe1f1384e0027c5002cfa3ef5b563668a7455",
         "product": "a02b9dc56f7c4a272d3e55fd7667c7bfb0feb07887488b65779f4a180c889787",
         "decision-procedures": "95972a55fc270b69fea5560f1c7e92b338fca05513b8fa91ae76cdf89c004af6",
-        "blowup.rows": "daca0a8178299c8fb9979757972b2d6378b250f3d50538641eae9438e08777eb",
+        "blowup.rows": "0aee46a0d0982daed77fdc06d8f924f9bbe0874bf50153d79a5c4e0dc64d3545",
         "ball-moments.spots": "ea22dec525b8135e56ca450326a3bb7e5b99256b86b1a3928c53ea0e3c91e8ab",
     },
     "": {
@@ -1270,7 +1291,7 @@ EXACT_PART_SHA256 = {
         "cpn-exact": "055bbb42f27f3287f6791506c718b6873e04477e5b9f0db3cf51900ca2669229",
         "product": "400cca02a11d65d20c36583486fa58b6cb1232818733a078551588f69ab19c13",
         "decision-procedures": "95972a55fc270b69fea5560f1c7e92b338fca05513b8fa91ae76cdf89c004af6",
-        "blowup.rows": "f08d4d5d965d2088b3f0725ecaec2f1cda221c33e2e1b1b45b0d281619a392bb",
+        "blowup.rows": "0ef03bb7b1a10bd179a34be738081de42602f8c179c023fb92cdceee5753c339",
         "ball-moments.spots": "ea22dec525b8135e56ca450326a3bb7e5b99256b86b1a3928c53ea0e3c91e8ab",
     },
 }
@@ -1437,6 +1458,28 @@ def worst_descriptors(tmp_path_factory):
         "dense": {"dimension": 4, "trivial_odd_homotopy": [3], "classes": {"c": {
             "degree": 3, "value": [{"pi_exp": 2, "num": poly(100), "den": poly(99)}]}}},
     }
+    wide = random.Random(11)
+
+    def ints(d, digits):
+        return [wide.randint(-10**digits, 10**digits) for _ in range(d + 1)]
+
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def dense_class(num, den):
+        value = [{"pi_exp": 2, "num": [[e, str(c)] for e, c in enumerate(num)],
+                  "den": [[e, str(c)] for e, c in enumerate(den)]}]
+        return {"dimension": 4, "trivial_odd_homotopy": [3],
+                "classes": {"c": {"degree": 3, "value": value}}}
+
+    factor = ints(500, 50)
+    docs["dense100"] = dense_class(ints(100, 100), ints(99, 100))
+    docs["monic"] = dense_class(ints(1000, 100), ints(299, 100) + [1])
+    docs["divisible"] = dense_class(times(ints(500, 50), factor), factor)
     paths = {name: folder / f"{name}.json" for name in [*docs, "latin"]}
     for name, doc in docs.items():
         paths[name].write_text(json.dumps(doc))
@@ -1487,6 +1530,19 @@ def worst_descriptors(tmp_path_factory):
                      id="latin-1"),
         pytest.param("product --n 3 --k 2 --manifold {dense} --class c --json", 10, 0, None,
                      id="dense-class"),
+        # Dense classes with 100-digit coefficients, each decided by one
+        # integer long division: degree 100 over 99 (a 22 KB file, which
+        # Euclid over Q did not reduce in 20 s); degree 1000 over a monic
+        # degree 300, which only the division's coefficient bound stops
+        # early (run to its end, the division took 9.5 s on a 2-core x86-64
+        # box, so this row has the bound of the periods row); and a degree 500
+        # factor of a 50-digit product, which divides.
+        pytest.param("product --n 3 --k 2 --manifold {dense100} --class c --json", 10, 0, None,
+                     id="dense-class-100-digit"),
+        pytest.param("product --n 3 --k 2 --manifold {monic} --class c --json", 2, 0, None,
+                     id="dense-class-monic"),
+        pytest.param("product --n 3 --k 2 --manifold {divisible} --class c --json", 10, 0, None,
+                     id="dense-class-divisible"),
     ],
 )
 def test_worst_case_queries_finish_within_their_bounds(worst_descriptors, argv, seconds, code, err):

@@ -1,9 +1,10 @@
 """Polynomial/rational-function algebra and the lattice decision procedures.
 
 The gcd oracle here is an independent Euclidean algorithm on dense
-coefficient lists, rational-function reduction is checked against the same
-dense lists divided by that gcd, and membership is cross-checked
-against the bounded integer-vector search from the verification suite.
+coefficient lists; the division that decides a rational function is checked
+against the same dense lists divided by that gcd, and membership is
+cross-checked against the bounded integer-vector search from the
+verification suite.
 """
 
 import itertools
@@ -177,24 +178,43 @@ def test_poly_gcd_keeps_the_remainder_coefficients_small(monkeypatch):
 
 
 def test_ratfunc_known_reductions():
+    # (1 - x^3)/3 over 1 - x^2 shares the factor 1 - x, but 1 - x^2 does not
+    # divide it: it is kept as given, scaled to the monic x^2 - 1.  1 - x^2
+    # divides (1 - x^4)/2, which leaves its quotient over 1.
     third = Fraction(1, 3)
     f = RatFuncQ(PolyQ.one_minus_x_pow(3) * third, PolyQ.one_minus_x_pow(2))
-    assert f.num == PolyQ({0: third, 1: third, 2: third})
-    assert f.den == PolyQ({0: 1, 1: 1})
+    assert f.num == PolyQ({0: -third, 3: third})
+    assert f.den == PolyQ({0: -1, 2: 1})
+    assert not f.is_polynomial
     g = RatFuncQ(PolyQ.one_minus_x_pow(4) * Fraction(1, 2), PolyQ.one_minus_x_pow(2))
     assert g.is_polynomial
     assert g.num == PolyQ({0: Fraction(1, 2), 2: Fraction(1, 2)})
     assert not RatFuncQ(PolyQ(), PolyQ.one_minus_x_pow(1))
+    # The two early exits: x^2 + 1 over x + 1/2 has the primitive parts
+    # A = x^2 + 1 and B = 2x + 1, and 2 does not divide lead(A) = 1; x^2 + x + 1
+    # over the monic x - 36 reaches the quotient coefficient 37, which is
+    # above C(1, 0) * ||A||_2 = sqrt(3).
+    assert symbolic.exact_quotient(PolyQ({2: 1, 0: 1}), PolyQ({1: 1, 0: Fraction(1, 2)})) is None
+    assert symbolic.exact_quotient(PolyQ({2: 1, 1: 1, 0: 1}), PolyQ({1: 1, 0: -36})) is None
 
 
 @given(small_poly, nonzero_poly, shared_factor, nonzero_scalar, nonzero_scalar)
 @settings(max_examples=100)
 def test_ratfunc_reduction_matches_fraction_reference(p, q, s, cn, cd):
     # s * p * cn / (s * q * cd): rational contents of either sign, negative
-    # leading coefficients and a shared non-monic factor.
+    # leading coefficients and a shared non-monic factor.  The value is
+    # decided, not reduced: the quotient over 1 exactly when the reduced form
+    # has the denominator 1, and num/den as given, den monic, otherwise.
     num, den = s * p * cn, s * q * cd
     f = RatFuncQ(num, den)
-    assert (dense(f.num), dense(f.den)) == dense_reduce(num, den)
+    reduced_num, reduced_den = dense_reduce(num, den)
+    assert f.is_polynomial == (reduced_den == [1])
+    if f.is_polynomial:
+        assert dense(f.num) == reduced_num
+        assert f.num * den == num
+    else:
+        scale = 1 / den.leading_coeff()
+        assert (f.num, f.den) == (num * scale, den * scale)
 
 
 def test_ratfunc_rejects_zero_denominator():
@@ -223,17 +243,19 @@ def test_ratfunc_reduce_scale_invariant(num, den, c):
 @given(small_poly, small_poly, nonzero_poly)
 @settings(max_examples=80)
 def test_ratfunc_sum_with_a_polynomial_runs_no_gcd(p, a, b):
-    # p + a/b = (a + p b)/b is reduced already: gcd(a + p b, b) = gcd(a, b) = 1.
+    # p + a/b = (a + p b)/b keeps the form of a/b with no division: b divides
+    # a + p b iff it divides a.
     one = PolyQ({0: 1})
     f, poly = RatFuncQ(a, b), RatFuncQ(p, one)
     expected = RatFuncQ(f.num + p * f.den, f.den)
     calls = []
-    gcd = symbolic.poly_gcd
-    symbolic.poly_gcd = lambda x, y: calls.append(1) or gcd(x, y)
+    gcd, divide = symbolic.poly_gcd, symbolic.exact_quotient
+    symbolic.poly_gcd = lambda x, y: calls.append("gcd") or gcd(x, y)
+    symbolic.exact_quotient = lambda x, y: calls.append("division") or divide(x, y)
     try:
         sums = [poly + f, f + poly, poly + poly]
     finally:
-        symbolic.poly_gcd = gcd
+        symbolic.poly_gcd, symbolic.exact_quotient = gcd, divide
     assert calls == []
     assert sums[:2] == [expected, expected]
     assert sums[2] == RatFuncQ(p * 2, one)
@@ -343,7 +365,7 @@ def test_box_search_matches_exhaustive_reference():
 
 
 def test_monomial_keeps_its_checks_and_equals_the_reduced_form():
-    # The monomial is wrapped as built, with no reduction, so these are its
+    # The monomial is wrapped as built, with no division, so these are its
     # only checks: an int coefficient is stored as a Fraction, zero gives the
     # zero value, and a negative exponent is refused.
     (f,) = PiGradedValue.monomial(-3, 2, 5).components.values()
@@ -387,12 +409,15 @@ def test_lattice_order_known_cases():
 
 
 def test_order_witness_names_the_denominator_briefly():
-    # At n = 600 the reduced denominator has 600 terms; the witness names it
-    # by its degree and term count instead of printing it.
+    # At n = 600 the denominator has 600 terms; the witness names it by its
+    # degree and term count instead of printing it.
     result = blowup_weinstein(600, 599).order
     assert not result.is_finite
     assert len(result.witness) < 100
-    assert "degree 599 with 600 terms" in result.witness
+    assert result.witness == (
+        "pi^599 component has a denominator of degree 599 with 600 terms"
+        " that does not divide its numerator"
+    )
 
 
 def test_lattice_order_unsupported_monomial():
